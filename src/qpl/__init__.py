@@ -72,12 +72,14 @@ from .fock import (
     sl2_generators,
 )
 from .weak import (
+    FactoredEvolution,
     PointerScan,
     PostSelection,
     PreMeasurement,
     WeakConfig,
     annihilator_shift,
     annihilator_shift_prediction,
+    conditioned_shift,
     evolve_exact,
     fs_speed_check,
     measured_shift,

@@ -37,13 +37,11 @@ from .modular import az_state, momentum_amplitudes, nslit_evolve
 from .schwinger import Kinematics, gauss_trace, gauss_trace_closed_form
 from .serialize import canonical_json, csv_text
 from .weak import (
+    FactoredEvolution,
     WeakConfig,
-    annihilator_shift,
     annihilator_shift_prediction,
-    measured_shift,
+    conditioned_shift,
     predicted_shift,
-    selection_probability,
-    shift_residual,
     weak_value,
 )
 from .weylwigner import StructureConstants, WeylWignerBasis, wigner_map
@@ -343,38 +341,39 @@ def run_weak(args):
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
+    evolution = FactoredEvolution(cfg)
     try:
         ow = weak_value(cfg)
-        probability = selection_probability(cfg)
+        selected = evolution.post_selected(eps)
+        half_selected = evolution.post_selected(eps / 2) if halving else None
     except ValueError as exc:
         raise DegeneracyError(str(exc)) from exc
+    probability = selected.probability
 
-    spectral_radius = float(np.max(np.abs(np.linalg.eigvalsh(obs))))
+    spectral_radius = float(np.max(np.abs(evolution.obs_values)))
     amplified = bool(abs(ow) > spectral_radius + 1e-12)
 
-    shifts = {}
-    for name, observable in (("q", space.q), ("p", space.p)):
-        measured = measured_shift(cfg, observable)
-        predicted = predicted_shift(cfg, observable)
-        shifts[name] = {
-            "measured": measured,
-            "predicted": predicted,
-            "residual": abs(measured - predicted),
-        }
+    def shift(selection, at, observable):
+        measured = conditioned_shift(selection, pointer, observable).real
+        predicted = predicted_shift(at, observable)
+        return {"measured": measured, "predicted": predicted, "residual": abs(measured - predicted)}
+
+    quadratures = (("q", space.q), ("p", space.p))
+    shifts = {name: shift(selected, cfg, observable) for name, observable in quadratures}
 
     halving_block = None
     if halving:
         half = cfg.with_eps(eps / 2)
         halving_block = {}
-        for name, observable in (("q", space.q), ("p", space.p)):
+        for name, observable in quadratures:
             full_resid = shifts[name]["residual"]
-            half_resid = shift_residual(half, observable)
+            half_resid = shift(half_selected, half, observable)["residual"]
             ratio = None if full_resid < 1e-14 else half_resid / full_resid
             halving_block[name] = {"half_residual": half_resid, "ratio": ratio}
 
     annihilator = None
     if coherent_z is not None and gen_key == "n":
-        measured_a = annihilator_shift(cfg, space.a)
+        measured_a = complex(conditioned_shift(selected, pointer, space.a))
         predicted_a = annihilator_shift_prediction(cfg, coherent_z)
         annihilator = {
             "measured": measured_a,

@@ -1,8 +1,22 @@
 """Von Neumann measurement models: weak values, pointer shifts, geometry.
 
 A run couples a system observable O to a pointer generator R through the
-exact unitary exp(-i·ε·O⊗R), then post-selects the system on |β⟩.  For
-small ε the conditioned pointer mean of an observable M moves by
+exact unitary exp(-i·ε·O⊗R), then post-selects the system on |β⟩.
+
+The exact evolution is computed factor by factor (`FactoredEvolution`).
+With O = V·diag(o)·V† and R = W·diag(r)·W†, the coupling is diagonal in
+the product eigenbasis |o_k⟩⊗|r_j⟩ with phases exp(-i·ε·o_k·r_j), so the
+post-selected pointer is
+
+    ⟨β|⊗I·exp(-i·ε·O⊗R)·|α⟩⊗|φ⟩ = Σ_k ⟨β|o_k⟩⟨o_k|α⟩·W·exp(-i·ε·o_k·r)·W†|φ⟩
+
+at the cost of one eigendecomposition per factor and an (np × ns) phase
+table per ε; no composite matrix is formed.  `pre_measurement` and
+`qubit_pointer_profile` use the same phase table.  `evolve_exact` builds
+the dense composite unitary and is kept only as the brute-force oracle the
+tests compare against.
+
+For small ε the conditioned pointer mean of an observable M moves by
 
     ΔM = ε·[Im(O_w)·(⟨{M,R}⟩ - 2⟨R⟩⟨M⟩) - i·Re(O_w)·⟨[M,R]⟩]
 
@@ -28,11 +42,9 @@ from .linalg import (
     as_operator,
     expectation,
     is_hermitian,
-    partial_trace,
     tensor,
     unitary_exp,
 )
-from .schwinger import Kinematics
 
 ORTHOGONAL_TOL = 1e-12
 
@@ -95,6 +107,14 @@ class PostSelection:
     normalized: np.ndarray
     probability: float
 
+    @classmethod
+    def of(cls, raw: np.ndarray) -> "PostSelection":
+        """Normalize a surviving pointer; errors when nothing survives."""
+        prob = float(np.linalg.norm(raw) ** 2)
+        if prob <= ORTHOGONAL_TOL**2:
+            raise ValueError("post-selection has zero probability on this state")
+        return cls(raw=raw, normalized=raw / np.sqrt(prob), probability=prob)
+
 
 def weak_value(cfg: WeakConfig) -> complex:
     """O_w = ⟨β|O|α⟩ / ⟨β|α⟩.  Errors when pre and post are orthogonal."""
@@ -106,8 +126,38 @@ def weak_value(cfg: WeakConfig) -> complex:
     return complex(cfg.post.conj() @ cfg.obs @ cfg.pre) / denom
 
 
+def _coupling_phases(t: float, gen_values, obs_values) -> np.ndarray:
+    """exp(-i·t·r_j·o_k): rows follow the eigenvalues r_j of the pointer
+    generator, columns the eigenvalues o_k of the system observable."""
+    return np.exp(-1j * t * np.outer(gen_values, obs_values))
+
+
+class FactoredEvolution:
+    """exp(-i·ε·O⊗R)·(|α⟩⊗|φ⟩) post-selected on ⟨β|, from the factor spectra.
+
+    Both eigendecompositions are taken once at construction; each call of
+    `post_selected` then costs an (np × ns) phase table and one pointer-side
+    matrix-vector product.
+    """
+
+    def __init__(self, cfg: WeakConfig):
+        self.obs_values, obs_vectors = np.linalg.eigh(cfg.obs)
+        self.gen_values, self.gen_vectors = np.linalg.eigh(cfg.pointer_gen)
+        # ⟨β|o_k⟩⟨o_k|α⟩ per eigenvector of O; |φ⟩ in the eigenbasis of R
+        self.amplitudes = (cfg.post.conj() @ obs_vectors) * (obs_vectors.conj().T @ cfg.pre)
+        self.pointer_coeffs = self.gen_vectors.conj().T @ cfg.pointer
+
+    def post_selected(self, eps: float) -> PostSelection:
+        phases = _coupling_phases(eps, self.gen_values, self.obs_values)
+        return PostSelection.of(self.gen_vectors @ (self.pointer_coeffs * (phases @ self.amplitudes)))
+
+
 def evolve_exact(cfg: WeakConfig) -> np.ndarray:
-    """Composite ket exp(-i·ε·O⊗R)·(|α⟩⊗|φ⟩), no expansion in ε."""
+    """Composite ket exp(-i·ε·O⊗R)·(|α⟩⊗|φ⟩), no expansion in ε.
+
+    Dense brute force over the (ns·np)-dimensional composite space: the
+    reference that `FactoredEvolution` is tested against.
+    """
     coupling = tensor(cfg.obs, cfg.pointer_gen)
     return unitary_exp(coupling, cfg.eps) @ tensor(cfg.pre, cfg.pointer)
 
@@ -118,15 +168,16 @@ def post_select(state, post, pointer_dim: int) -> PostSelection:
     post = as_ket(post)
     if post.shape[0] * pointer_dim != state.shape[0]:
         raise ValueError("composite state does not factor into post x pointer dimensions")
-    raw = post.conj() @ state.reshape(post.shape[0], pointer_dim)
-    prob = float(np.linalg.norm(raw) ** 2)
-    if prob <= ORTHOGONAL_TOL**2:
-        raise ValueError("post-selection has zero probability on this state")
-    return PostSelection(raw=raw, normalized=raw / np.sqrt(prob), probability=prob)
+    return PostSelection.of(post.conj() @ state.reshape(post.shape[0], pointer_dim))
+
+
+def conditioned_shift(selection: PostSelection, pointer, m) -> complex:
+    """⟨M⟩ in the post-selected pointer minus ⟨M⟩ in the initial pointer."""
+    return expectation(m, selection.normalized) - expectation(m, pointer)
 
 
 def selection_probability(cfg: WeakConfig) -> float:
-    return post_select(evolve_exact(cfg), cfg.post, cfg.pointer.shape[0]).probability
+    return FactoredEvolution(cfg).post_selected(cfg.eps).probability
 
 
 def measured_shift(cfg: WeakConfig, m) -> float:
@@ -134,20 +185,25 @@ def measured_shift(cfg: WeakConfig, m) -> float:
     m = as_operator(m)
     if not is_hermitian(m):
         raise ValueError("measured_shift expects a hermitian pointer observable")
-    final = post_select(evolve_exact(cfg), cfg.post, cfg.pointer.shape[0]).normalized
-    return float((expectation(m, final) - expectation(m, cfg.pointer)).real)
+    final = FactoredEvolution(cfg).post_selected(cfg.eps)
+    return float(conditioned_shift(final, cfg.pointer, m).real)
 
 
 def predicted_shift(cfg: WeakConfig, m) -> float:
     """First-order shift formula evaluated in the initial pointer state."""
     m = as_operator(m)
-    r = cfg.pointer_gen
     ow = weak_value(cfg)
     phi = cfg.pointer
-    anti = expectation(m @ r + r @ m, phi)
-    mean_r = expectation(r, phi)
-    mean_m = expectation(m, phi)
-    comm = expectation(m @ r - r @ m, phi)
+    # matrix-vector products only: ⟨φ|MR|φ⟩ = (φ†M)·(Rφ) and, R being
+    # hermitian, ⟨φ|RM|φ⟩ = (Rφ)†·(Mφ)
+    m_phi = m @ phi
+    r_phi = cfg.pointer_gen @ phi
+    mr = (phi.conj() @ m) @ r_phi
+    rm = r_phi.conj() @ m_phi
+    anti = mr + rm
+    mean_r = phi.conj() @ r_phi
+    mean_m = phi.conj() @ m_phi
+    comm = mr - rm
     value = cfg.eps * (ow.imag * (anti - 2 * mean_r * mean_m) - 1j * ow.real * comm)
     return float(value.real)
 
@@ -159,9 +215,8 @@ def shift_residual(cfg: WeakConfig, m) -> float:
 
 def annihilator_shift(cfg: WeakConfig, a) -> complex:
     """Exact conditioned shift of the (non-hermitian) lowering operator."""
-    a = as_operator(a)
-    final = post_select(evolve_exact(cfg), cfg.post, cfg.pointer.shape[0]).normalized
-    return complex(expectation(a, final) - expectation(a, cfg.pointer))
+    final = FactoredEvolution(cfg).post_selected(cfg.eps)
+    return complex(conditioned_shift(final, cfg.pointer, as_operator(a)))
 
 
 def annihilator_shift_prediction(cfg: WeakConfig, z: complex) -> complex:
@@ -193,14 +248,13 @@ def pre_measurement(alpha, obs, lam: float, space, pointer=None) -> PreMeasureme
     if abs(np.linalg.norm(alpha) - 1.0) > 1e-10:
         raise ValueError("system state must be normalized")
     phi = space.vacuum() if pointer is None else as_ket(pointer)
-    eigvals, eigvecs = np.linalg.eigh(obs)
-    weights = np.abs(eigvecs.conj().T @ alpha) ** 2
-    reduced = np.zeros((space.dim, space.dim), dtype=complex)
-    for w, o in zip(weights, eigvals):
-        if w < 1e-300:
-            continue
-        branch = unitary_exp(space.p, lam * o) @ phi
-        reduced += w * np.outer(branch, branch.conj())
+    obs_values, obs_vectors = np.linalg.eigh(obs)
+    weights = np.abs(obs_vectors.conj().T @ alpha) ** 2
+    p_values, p_vectors = np.linalg.eigh(space.p)
+    # column j is the branch exp(-i·λ·o_j·P)|φ⟩, applied in the eigenbasis of P
+    phases = _coupling_phases(lam, p_values, obs_values)
+    branches = p_vectors @ (phases * (p_vectors.conj().T @ phi)[:, None])
+    reduced = (branches * weights) @ branches.conj().T
     position_mean = float(np.trace(reduced @ space.q).real)
     purity = float(np.trace(reduced @ reduced).real)
     return PreMeasurement(reduced=reduced, position_mean=position_mean, purity=purity)
@@ -256,22 +310,24 @@ def qubit_pointer_profile(pre, obs, coupling: float, theta: float, phases, post=
     phases = np.asarray(phases, dtype=float)
     if phases.ndim != 1 or phases.size < 3:
         raise ValueError("need a 1-D scan of at least 3 phases")
-    qubit = Kinematics(2)
-    v0, v1 = qubit.F[:, 0], qubit.F[:, 1]
-    momentum = np.outer(v1, v1.conj())  # eigenvalues 0 and 1
-    reference = (v0 + v1) / np.sqrt(2)
-    propagator = unitary_exp(tensor(obs, momentum), coupling)
-    ns = pre.shape[0]
+    obs_values, obs_vectors = np.linalg.eigh(obs)
+    pre_coeffs = obs_vectors.conj().T @ pre
+    # P has eigenvalues (0, 1) on |v_0⟩, |v_1⟩: branch k keeps the |v_0⟩
+    # amplitude and multiplies the |v_1⟩ amplitude by e^{-iλ·o_k}.  Pointer
+    # kets are held in the v basis, where the reference ket is (1, 1)/√2.
+    kicks = _coupling_phases(coupling, np.array([0.0, 1.0]), obs_values)
+    if post is not None:
+        selected = kicks @ ((as_ket(post).conj() @ obs_vectors) * pre_coeffs)
+    reference = np.ones(2) / np.sqrt(2)
     probs = np.empty(phases.size)
     for i, phi in enumerate(phases):
-        pointer = np.cos(theta / 2) * v0 + np.exp(1j * phi) * np.sin(theta / 2) * v1
-        state = propagator @ tensor(pre, pointer)
+        pointer = np.array([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)])
         if post is None:
-            rho_pointer = partial_trace(np.outer(state, state.conj()), (ns, 2), keep=1)
-            probs[i] = float((reference.conj() @ rho_pointer @ reference).real)
+            overlaps = reference @ (kicks * pointer[:, None])
+            probs[i] = float(np.abs(pre_coeffs) ** 2 @ np.abs(overlaps) ** 2)
         else:
-            sel = post_select(state, as_ket(post), 2)
-            probs[i] = float(abs(reference.conj() @ sel.normalized) ** 2)
+            sel = PostSelection.of(pointer * selected)
+            probs[i] = float(abs(reference @ sel.normalized) ** 2)
     harmonic = complex(np.sum(probs * np.exp(1j * phases)))
     maximizer = float(np.angle(harmonic)) % (2 * np.pi)
     modulation = 2 * abs(harmonic) / phases.size

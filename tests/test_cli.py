@@ -14,6 +14,8 @@ from qpl.cli import (
     EXIT_DEGENERATE,
     EXIT_OK,
     EXIT_USAGE,
+    MAX_POINTER_DIM,
+    MAX_SYSTEM_DIM,
     main,
 )
 
@@ -117,6 +119,27 @@ class TestDeterminism:
         first, _ = run_cli(capsys, ["weak", "--config", cfg])
         second, _ = run_cli(capsys, ["weak", "--config", cfg])
         assert first == second
+
+    def test_weak_run_at_the_dimension_caps(self, capsys, tmp_path):
+        cfg = weak_config(
+            tmp_path,
+            f"system_dim = {MAX_SYSTEM_DIM}\npre = random\npost = random\n"
+            f"obs = number\neps = 1e-3\npointer = coherent:2+1j\n"
+            f"pointer_dim = {MAX_POINTER_DIM}\npointer_gen = n\nhalving = true\nseed = 3\n",
+        )
+        first, _ = run_cli(capsys, ["weak", "--config", cfg])
+        second, _ = run_cli(capsys, ["weak", "--config", cfg])
+        assert first == second
+        payload = json.loads(first)
+        assert payload["halving"] is not None and payload["annihilator"] is not None
+
+        def numbers(node):
+            if isinstance(node, dict):
+                return [x for value in node.values() for x in numbers(value)]
+            return [node] if isinstance(node, (int, float)) else []
+
+        values = numbers(payload)
+        assert len(values) > 20 and np.all(np.isfinite(values))
 
     def test_out_file_carries_stdout_bytes(self, capsys, tmp_path):
         target = tmp_path / "result.json"

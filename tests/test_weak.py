@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qpl import (
+    FactoredEvolution,
     FockSpace,
     WeakConfig,
     annihilator_shift,
@@ -42,6 +43,8 @@ GENERATORS = {
     "g": SPACE.g,
     "k": SPACE.k,
 }
+
+GENERATOR_ATTRS = {"q": "q", "p": "p", "n": "num", "h0": "h0", "g": "g", "k": "k"}
 
 # Frozen sweep configs: seeded random selections per system size.
 SYSTEM_SEEDS = ((2, 11), (3, 12))
@@ -236,6 +239,53 @@ class TestEvolveAndPostSelect:
         static = abs(cfg.post.conj() @ cfg.pre) ** 2
         assert prob <= 1.0 + 1e-12
         assert abs(prob - static) < 1e-2
+
+
+class TestFactoredEvolution:
+    # (system_dim, pointer_dim) pairs spanning systems 2..6 and pointers 8..64
+    SIZES = ((2, 64), (3, 8), (4, 16), (5, 32), (6, 24))
+
+    @pytest.mark.parametrize("system_dim,pointer_dim", SIZES)
+    @pytest.mark.parametrize("gen_key", sorted(GENERATOR_ATTRS))
+    @pytest.mark.parametrize("obs_kind", ("hermitian", "diagonal"))
+    def test_matches_dense_oracle(self, system_dim, pointer_dim, gen_key, obs_kind):
+        space = FockSpace(pointer_dim)
+        rng = np.random.default_rng(100 * system_dim + pointer_dim)
+        if obs_kind == "hermitian":
+            obs = random_hermitian(system_dim, rng)
+        else:  # small integers: repeated eigenvalues and coincident phases
+            obs = np.diag(rng.integers(-2, 3, system_dim).astype(float))
+        pointers = [space.vacuum()]
+        if pointer_dim >= 16:  # the displacement guard needs (|z|+3)² ≤ dim
+            pointers.append(space.coherent(COHERENT_Z))
+        for pointer in pointers:
+            cfg = WeakConfig(
+                pre=random_ket(system_dim, rng),
+                post=random_ket(system_dim, rng),
+                obs=obs,
+                pointer_gen=getattr(space, GENERATOR_ATTRS[gen_key]),
+                pointer=pointer,
+                eps=0.0,
+            )
+            evolution = FactoredEvolution(cfg)
+            for eps in (0.0, 1e-3, 0.3, 3.0):
+                oracle = post_select(evolve_exact(cfg.with_eps(eps)), cfg.post, pointer_dim)
+                factored = evolution.post_selected(eps)
+                assert np.max(np.abs(factored.raw - oracle.raw)) <= 1e-12
+                assert np.max(np.abs(factored.normalized - oracle.normalized)) <= 1e-12
+                assert abs(factored.probability - oracle.probability) <= 1e-12
+
+    def test_zero_probability_post_selection_raises(self):
+        cfg = WeakConfig(
+            pre=basis_ket(2, 0),
+            post=basis_ket(2, 1),
+            obs=np.diag([1.0, -1.0]),
+            pointer_gen=SPACE.p,
+            pointer=VACUUM,
+            eps=EPS,
+        )
+        with pytest.raises(ValueError, match="zero probability"):
+            FactoredEvolution(cfg).post_selected(EPS)
 
 
 class TestShiftFormulas:
