@@ -43,34 +43,19 @@ from .weylwigner import (
     delta_product,
     parity_operator,
     phase_space_symbol,
-    structure_constants,
     symplectic_area,
-    wigner_function,
     wigner_map,
-    ww_basis,
-    ww_reconstruct,
-    ww_transform,
 )
 from .coherent import (
     CoherentFamily,
-    coherent_family,
     coherent_overlap,
     coherent_overlap_closed,
     coherent_state,
     displacement,
-    overlap_magnitude,
     reference_state,
     symplectic_phase,
 )
-from .fock import (
-    FockSpace,
-    coherent_fock,
-    displace,
-    fock_space,
-    fractional_fourier,
-    scale_operator,
-    sl2_generators,
-)
+from .fock import FockSpace, sl2_generators
 from .weak import (
     FactoredEvolution,
     PointerScan,

@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .coherent import CoherentFamily, coherent_overlap_closed, coherent_state, overlap_magnitude
+from .coherent import CoherentFamily, coherent_overlap_closed, coherent_state
 from .fock import FockSpace
 from .linalg import basis_ket, random_density, random_ket
 from .modular import az_state, momentum_amplitudes, nslit_evolve
@@ -521,8 +521,8 @@ def run_structure_constants(args):
         raise BoundsError(
             f"structure constants need an odd dimension in 3..{MAX_STRUCTURE_DIM}, got {n}"
         )
-    a = _parse_pair(args.a, "label a")
-    b = _parse_pair(args.b, "label b")
+    a = tuple(x % n for x in _parse_pair(args.a, "label a"))
+    b = tuple(x % n for x in _parse_pair(args.b, "label b"))
     sc = StructureConstants(n)
     basis = WeylWignerBasis(n)
     da = basis.delta(*a)
@@ -530,10 +530,11 @@ def run_structure_constants(args):
     direct = da @ db - db @ da
     reconstructed = sc.commutator(a, b, basis)
     residual = float(np.max(np.abs(direct - reconstructed)))
-    lam = np.array([[sc.value(a, b, (r, s)) for s in range(n)] for r in range(n)])
+    k = np.arange(n)
+    lam = sc.value(a, b, (k[:, None], k[None, :]))
     payload = {
-        "a": [a[0] % n, a[1] % n],
-        "b": [b[0] % n, b[1] % n],
+        "a": list(a),
+        "b": list(b),
         "lambda": lam,
         "max_residual": residual,
         "n": n,
@@ -541,10 +542,10 @@ def run_structure_constants(args):
     }
     rows = [("lambda", r, s, lam[r, s]) for r in range(n) for s in range(n)]
     rows += [
-        ("a_m", "", "", a[0] % n),
-        ("a_n", "", "", a[1] % n),
-        ("b_m", "", "", b[0] % n),
-        ("b_n", "", "", b[1] % n),
+        ("a_m", "", "", a[0]),
+        ("a_n", "", "", a[1]),
+        ("b_m", "", "", b[0]),
+        ("b_n", "", "", b[1]),
         ("prefactor_re", "", "", sc.prefactor.real),
         ("prefactor_im", "", "", sc.prefactor.imag),
         ("max_residual", "", "", residual),
@@ -561,16 +562,10 @@ def run_coherent_gram(args):
     identity_residual = float(
         np.max(np.abs(family.identity_resolution() - n * np.eye(n)))
     )
-    closed = np.empty((n * n, n * n), dtype=complex)
-    for p in range(n):
-        for q in range(n):
-            for r in range(n):
-                for s in range(n):
-                    closed[p * n + q, r * n + s] = coherent_overlap_closed(n, p, q, r, s)
+    m, nn = np.divmod(np.arange(n * n), n)  # flat index i = m·N + n
+    closed = coherent_overlap_closed(n, m[:, None], nn[:, None], m[None, :], nn[None, :])
     max_closed_residual = float(np.max(np.abs(gram - closed)))
-    predicted_mag = np.array(
-        [[overlap_magnitude(n, 0, 0, dp, dq) for dq in range(n)] for dp in range(n)]
-    )
+    predicted_mag = np.abs(closed[0]).reshape(n, n)  # the phase on row (0, 0) is exactly 1
     direct_mag = np.abs(gram[0, :].reshape(n, n))
     rt = np.sqrt(n)
     payload = {

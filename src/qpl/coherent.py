@@ -27,18 +27,19 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import basis_ket, normalize
-from .schwinger import Kinematics
+from .schwinger import Kinematics, _check_dim, weyl_word
 
 
-def displacement(n: int, m: int, nn: int) -> np.ndarray:
-    """Displacement D_mn = v^{-mn/2} U^m V^{-n}, canonical representatives."""
-    kin = Kinematics(n)
-    m %= n
-    nn %= n
-    half = np.exp(-1j * np.pi * m * nn / n)
-    um = np.linalg.matrix_power(kin.U, m)
-    vminus = np.linalg.matrix_power(kin.V, (n - nn) % n)
-    return half * um @ vminus
+def displacement(n: int, m, nn) -> np.ndarray:
+    """Displacement D_mn = v^{-mn/2} U^m V^{-n}, canonical representatives.
+
+    Labels may be integer arrays; they broadcast to a stack of matrices.
+    """
+    _check_dim(n)
+    m = m % n
+    nn = nn % n
+    half = np.exp(-1j * (np.pi * m * nn / n))
+    return np.asarray(half)[..., None, None] * weyl_word(n, m, -nn)
 
 
 def reference_state(n: int) -> np.ndarray:
@@ -61,46 +62,29 @@ def coherent_overlap(n: int, p: int, q: int, r: int, s: int) -> complex:
     return complex(coherent_state(n, p, q).conj() @ coherent_state(n, r, s))
 
 
-def symplectic_phase(n: int, p: int, q: int, r: int, s: int) -> complex:
-    """Phase factor v^{(rq-ps)/2} = e^{iπ(rq-ps)/N}, canonical representatives."""
-    p %= n
-    q %= n
-    r %= n
-    s %= n
-    return complex(np.exp(1j * np.pi * (r * q - p * s) / n))
+def symplectic_phase(n: int, p, q, r, s):
+    """Phase factor v^{(rq-ps)/2} = e^{iπ(rq-ps)/N}, canonical representatives.
+
+    Labels may be integer arrays that broadcast against each other.
+    """
+    p, q, r, s = (x % n for x in (p, q, r, s))
+    return np.exp(1j * (np.pi * (r * q - p * s) / n))
 
 
-def overlap_magnitude(n: int, p: int, q: int, r: int, s: int) -> float:
-    """Closed-form |⟨p,q|r,s⟩| by case on which index pairs agree."""
-    p %= n
-    q %= n
-    r %= n
-    s %= n
-    rt = np.sqrt(n)
-    if (p, q) == (r, s):
-        return 1.0
-    if p == r or q == s:
-        return float((n + 2 * rt) / (2 * (n + rt)))
-    return float(abs(np.cos(np.pi * (r - p) * (s - q) / n)) / (rt + 1))
-
-
-def coherent_overlap_closed(n: int, p: int, q: int, r: int, s: int) -> complex:
+def coherent_overlap_closed(n: int, p, q, r, s):
     """Closed-form complex overlap: symplectic phase times a signed factor.
 
-    The generic-case factor keeps the sign of the cosine; only the
-    magnitude helper above takes its absolute value.
+    The factor is 1 on the diagonal, (N + 2√N)/(2(N + √N)) when exactly one
+    index pair agrees, and cos(π(r-p)(s-q)/N)/(√N + 1), sign kept, when both
+    differ.  Labels may be integer arrays that broadcast against each other.
     """
-    p %= n
-    q %= n
-    r %= n
-    s %= n
+    p, q, r, s = (x % n for x in (p, q, r, s))
     rt = np.sqrt(n)
-    if (p, q) == (r, s):
-        factor = 1.0
-    elif p == r or q == s:
-        factor = (n + 2 * rt) / (2 * (n + rt))
-    else:
-        factor = np.cos(np.pi * (r - p) * (s - q) / n) / (rt + 1)
+    same_p, same_q = p == r, q == s
+    # generic case first, then the one-shared and diagonal cases override it
+    factor = np.cos(np.pi * (r - p) * (s - q) / n) / (rt + 1)
+    factor = np.where(same_p | same_q, (n + 2 * rt) / (2 * (n + rt)), factor)
+    factor = np.where(same_p & same_q, 1.0, factor)
     return symplectic_phase(n, p, q, r, s) * factor
 
 
@@ -108,19 +92,11 @@ class CoherentFamily:
     """All N² coherent states of one dimension, flat index i = m·N + n."""
 
     def __init__(self, n: int):
-        if not isinstance(n, (int, np.integer)) or n < 1:
-            raise ValueError(f"dimension must be a positive integer, got {n!r}")
+        _check_dim(n)
         self.dim = int(n)
         self.ref = reference_state(self.dim)
-        kin = Kinematics(self.dim)
-        states = np.zeros((self.dim, self.dim, self.dim), dtype=complex)
-        for m in range(self.dim):
-            um = np.linalg.matrix_power(kin.U, m)
-            for nn in range(self.dim):
-                half = np.exp(-1j * np.pi * m * nn / self.dim)
-                vminus = np.linalg.matrix_power(kin.V, (self.dim - nn) % self.dim)
-                states[m, nn] = half * um @ (vminus @ self.ref)
-        self.states = states
+        k = np.arange(self.dim)
+        self.states = displacement(self.dim, k[:, None], k[None, :]) @ self.ref
 
     def state(self, m: int, nn: int) -> np.ndarray:
         return self.states[m % self.dim, nn % self.dim].copy()
@@ -134,7 +110,3 @@ class CoherentFamily:
         """Σ_mn |m,n⟩⟨m,n|; equals N·I for the Fourier-invariant reference."""
         flat = self.states.reshape(self.dim * self.dim, self.dim)
         return flat.T @ flat.conj()
-
-
-def coherent_family(n: int) -> CoherentFamily:
-    return CoherentFamily(n)

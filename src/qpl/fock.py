@@ -92,10 +92,6 @@ class FockSpace:
         return float(m2 - m * m)
 
 
-def fock_space(dim: int = DEFAULT_DIM) -> FockSpace:
-    return FockSpace(dim)
-
-
 def sl2_generators(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(h0, g, k) for dimension ≥ 4 (smaller spaces cannot hold quadratics)."""
     if dim < 4:
@@ -103,18 +99,3 @@ def sl2_generators(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     space = FockSpace(dim)
     return space.h0, space.g, space.k
 
-
-def fractional_fourier(dim: int, theta: float) -> np.ndarray:
-    return FockSpace(dim).rotation(theta)
-
-
-def displace(dim: int, z: complex) -> np.ndarray:
-    return FockSpace(dim).displacement(z)
-
-
-def coherent_fock(dim: int, z: complex) -> np.ndarray:
-    return FockSpace(dim).coherent(z)
-
-
-def scale_operator(dim: int, xi: float) -> np.ndarray:
-    return FockSpace(dim).scale(xi)

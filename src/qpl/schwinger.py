@@ -46,11 +46,25 @@ def dft(n: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.outer(j, j) / n) / np.sqrt(n)
 
 
+def weyl_word(n: int, k, j) -> np.ndarray:
+    """U^k V^j by index arithmetic, broadcast over integer arrays k and j.
+
+    (U^k V^j)[a, c] = v^{k·a} where a ≡ c - j (mod n) and 0 elsewhere; the
+    result has shape broadcast(k, j) + (n, n).
+    """
+    _check_dim(n)
+    k = np.asarray(k % n)[..., None, None]
+    j = np.asarray(j % n)[..., None, None]
+    a = np.arange(n)[:, None]
+    c = np.arange(n)[None, :]
+    clock = np.exp(2j * np.pi * ((k * a) % n) / n)
+    return np.where(a == (c - j) % n, clock, 0)
+
+
 def weyl_relation_defect(n: int, j: int, k: int) -> float:
     """Max entrywise error in V^j U^k = v^{jk} U^k V^j."""
-    kin = Kinematics(n)
-    vj = np.linalg.matrix_power(kin.V, j % n)
-    uk = np.linalg.matrix_power(kin.U, k % n)
+    vj = weyl_word(n, 0, j)
+    uk = weyl_word(n, k, 0)
     phase = np.exp(2j * np.pi * (j * k) / n)
     return float(np.max(np.abs(vj @ uk - phase * (uk @ vj))))
 

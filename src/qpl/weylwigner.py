@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import as_operator, is_hermitian
-from .schwinger import Kinematics
+from .schwinger import _check_dim, weyl_word
 
 # Prefactor c0 in [Δ_a, Δ_b] = c0 · Σ_c Λ_ab^c · Δ_c, odd N.  Pinned
 # numerically; the value is 2i/N.
@@ -78,14 +78,10 @@ class WeylWignerBasis:
     """
 
     def __init__(self, n: int):
-        if not isinstance(n, (int, np.integer)) or n < 1:
-            raise ValueError(f"dimension must be a positive integer, got {n!r}")
+        _check_dim(n)
         self.dim = int(n)
-        kin = Kinematics(self.dim)
-        up = np.stack([np.linalg.matrix_power(kin.U, r) for r in range(self.dim)])
-        vp = np.stack([np.linalg.matrix_power(kin.V, s) for s in range(self.dim)])
-        words = np.einsum("rab,sbc->rsac", up, vp)  # U^r V^s for all (r, s)
         k = np.arange(self.dim)
+        words = weyl_word(self.dim, k[:, None], k[None, :])  # U^r V^s for all (r, s)
         labels = np.exp(-2j * np.pi * np.outer(k, k) / self.dim)  # v^{-k·m} table
         # phases[m, n, r, s] = h(r,s) · v^{-s·m} · v^{-r·n}
         phases = np.einsum("rs,ms,nr->mnrs", half_phase_exponents(self.dim), labels, labels)
@@ -108,19 +104,6 @@ class WeylWignerBasis:
         if coeffs.shape != (self.dim, self.dim):
             raise ValueError(f"expected a {self.dim}x{self.dim} coefficient grid, got {coeffs.shape}")
         return np.einsum("mn,mnab->ab", coeffs, self.deltas) / self.dim
-
-    def wigner(self, rho) -> "WignerMap":
-        """Wigner map W(m,n) = (1/N)·tr(Δ_mn ρ) of a density operator."""
-        rho = as_operator(rho)
-        if rho.shape[0] != self.dim:
-            raise ValueError(f"density side {rho.shape[0]} does not match basis dim {self.dim}")
-        if not is_hermitian(rho):
-            raise ValueError("wigner map requires a hermitian input")
-        tr = complex(np.trace(rho))
-        if abs(tr - 1.0) > 1e-10:
-            raise ValueError(f"wigner map requires unit trace, got trace {tr:.3g}")
-        grid = self.transform(rho) / self.dim
-        return WignerMap(dim=self.dim, values=grid.real.copy())
 
 
 @dataclass(frozen=True)
@@ -149,28 +132,12 @@ class WignerMap:
         return float(self.values.min())
 
 
-def ww_basis(n: int) -> WeylWignerBasis:
-    return WeylWignerBasis(n)
-
-
-def ww_transform(op, basis: WeylWignerBasis) -> np.ndarray:
-    return basis.transform(op)
-
-
-def ww_reconstruct(coeffs, basis: WeylWignerBasis) -> np.ndarray:
-    return basis.reconstruct(coeffs)
-
-
-def wigner_function(rho, basis: WeylWignerBasis) -> WignerMap:
-    return basis.wigner(rho)
-
-
 def wigner_map(rho) -> WignerMap:
     """Wigner map of a density operator without materializing the basis.
 
     Expands tr(Δ_mn ρ) through the double sum and contracts it as three
     N x N matrix products (O(N³) time, O(N²) memory), so large grids stay
-    cheap.  Agrees with `WeylWignerBasis.wigner` to rounding.
+    cheap.  Agrees with `WeylWignerBasis.transform(rho).real / N` to rounding.
     """
     rho = as_operator(rho)
     n = rho.shape[0]
@@ -190,14 +157,17 @@ def wigner_map(rho) -> WignerMap:
     return WignerMap(dim=n, values=grid.real.copy())
 
 
-def symplectic_area(a, b) -> int:
-    """Ω(a, b) = p·n - m·q for phase points a = (m, n), b = (p, q)."""
+def symplectic_area(a, b):
+    """Ω(a, b) = p·n - m·q for phase points a = (m, n), b = (p, q).
+
+    Coordinates may be integer arrays that broadcast against each other.
+    """
     m, n = a
     p, q = b
-    return int(p) * int(n) - int(m) * int(q)
+    return p * n - m * q
 
 
-def phase_space_symbol(a, b, c) -> int:
+def phase_space_symbol(a, b, c):
     """{a, b, c} = 2[Ω(a,b) + Ω(b,c) + Ω(c,a)]; zero when two points coincide."""
     return 2 * (symplectic_area(a, b) + symplectic_area(b, c) + symplectic_area(c, a))
 
@@ -225,41 +195,32 @@ class StructureConstants:
     """
 
     def __init__(self, n: int):
-        if not isinstance(n, (int, np.integer)) or n < 1:
-            raise ValueError(f"dimension must be a positive integer, got {n!r}")
+        _check_dim(n)
         if n % 2 == 0:
             raise ValueError("structure constants are defined only for odd dimensions")
         self.dim = int(n)
         self.prefactor = COMMUTATOR_PREFACTOR_NUMERATOR / self.dim
 
-    def value(self, a, b, c) -> float:
-        """Λ_ab^c = sin((2π/N)·{a,b,c})."""
-        return float(np.sin(2 * np.pi * phase_space_symbol(a, b, c) / self.dim))
+    def value(self, a, b, c):
+        """Λ_ab^c = sin((2π/N)·{a,b,c}).
+
+        Labels are taken mod N first; coordinates may be integer arrays
+        that broadcast against each other.
+        """
+        n = self.dim
+        a, b, c = ((x % n, y % n) for x, y in (a, b, c))
+        return np.sin(2 * np.pi * phase_space_symbol(a, b, c) / n)
 
     def table(self) -> np.ndarray:
         """Full tensor Λ[m,n,p,q,r,s] over (Z_N x Z_N)³."""
-        n = self.dim
-        k = np.arange(n)
-        # Ω((m,n),(p,q)) = p·n - m·q, broadcast over all six indices.
-        m_, n_, p_, q_, r_, s_ = np.ix_(k, k, k, k, k, k)
-        sym = 2 * ((p_ * n_ - m_ * q_) + (r_ * q_ - p_ * s_) + (m_ * s_ - r_ * n_))
-        return np.sin(2 * np.pi * sym / n)
+        k = np.arange(self.dim)
+        m, n, p, q, r, s = np.ix_(k, k, k, k, k, k)
+        return self.value((m, n), (p, q), (r, s))
 
     def commutator(self, a, b, basis: WeylWignerBasis) -> np.ndarray:
         """Reconstruct [Δ_a, Δ_b] from the structure constants."""
         if basis.dim != self.dim:
             raise ValueError("basis dimension does not match")
-        n = self.dim
-        k = np.arange(n)
-        r_, s_ = np.meshgrid(k, k, indexing="ij")
-        sym = 2 * (
-            symplectic_area(a, b)
-            + (r_ * int(b[1]) - int(b[0]) * s_)
-            + (int(a[0]) * s_ - r_ * int(a[1]))
-        )
-        lam = np.sin(2 * np.pi * sym / n)
+        k = np.arange(self.dim)
+        lam = self.value(a, b, (k[:, None], k[None, :]))
         return self.prefactor * np.einsum("rs,rsab->ab", lam, basis.deltas)
-
-
-def structure_constants(n: int) -> StructureConstants:
-    return StructureConstants(n)

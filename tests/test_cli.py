@@ -35,6 +35,38 @@ def weak_config(tmp_path, text):
     return str(path)
 
 
+# Closed-form fields pinned by golden files: (JSON keys, CSV quantities).
+PINNED_FIELDS = {
+    "coherent-gram": (
+        ("generic_scale", "magnitude_predicted", "one_shared_magnitude"),
+        ("generic_scale", "one_shared_magnitude", "predicted_magnitude"),
+    ),
+    "structure-constants": (
+        ("a", "b", "lambda", "prefactor"),
+        ("a_m", "a_n", "b_m", "b_n", "lambda", "prefactor_im", "prefactor_re"),
+    ),
+}
+
+PINNED_RUNS = (
+    ["coherent-gram", "--n", "1"],
+    ["coherent-gram", "--n", "2"],
+    ["coherent-gram", "--n", "5"],
+    ["coherent-gram", "--n", "16"],
+    ["structure-constants", "--n", "3"],
+    ["structure-constants", "--n", "7", "--a", "1,2", "--b", "3,1"],
+    ["structure-constants", "--n", "15", "--a", "4,11", "--b", "13,2"],
+)
+
+
+def pinned_fields(command, out, fmt):
+    """The pinned fields of one output, numbers kept as their printed text."""
+    keys, quantities = PINNED_FIELDS[command]
+    if fmt == "json":
+        payload = json.loads(out, parse_float=str, parse_int=str)
+        return {key: payload[key] for key in keys}
+    return [line for line in out.split("\r\n") if line.split(",", 1)[0] in quantities]
+
+
 class TestGoldenOutputs:
     def test_wigner_grid_json(self, capsys):
         out, _ = run_cli(capsys, ["wigner", "--n", "2", "--state", "u0"])
@@ -87,6 +119,15 @@ class TestGoldenOutputs:
         for key, value in recorded.items():
             live = complex(np.trace(dft(int(key))))
             assert abs(live - complex(value["re"], value["im"])) < 1e-10
+
+    @pytest.mark.parametrize("fmt", ("json", "csv"))
+    @pytest.mark.parametrize("argv", PINNED_RUNS, ids=" ".join)
+    def test_closed_form_fields_match_golden(self, capsys, argv, fmt):
+        """Closed-form fields keep their exact printed tokens and rows."""
+        name = argv[0].replace("-", "_") + "_closed_forms.json"
+        golden = json.loads((GOLDEN / name).read_text(), parse_float=str, parse_int=str)
+        out, _ = run_cli(capsys, argv + ["--format", fmt])
+        assert pinned_fields(argv[0], out, fmt) == golden[" ".join(argv)][fmt]
 
 
 DETERMINISTIC_COMMANDS = (
@@ -343,6 +384,23 @@ class TestSubcommandPayloads:
         assert payload["prefactor"]["im"] == pytest.approx(2 / 7, abs=1e-12)
         lam = np.array(payload["lambda"])
         assert lam.shape == (7, 7)
+
+    @pytest.mark.parametrize("fmt", ("json", "csv"))
+    @pytest.mark.parametrize(
+        "label,reduced",
+        (
+            ("100000000000000001,0", "11,0"),
+            ("10000000000000000000001,0", "11,0"),
+            ("16,0", "1,0"),
+            ("-1,-14", "14,1"),
+        ),
+    )
+    def test_structure_constant_labels_are_taken_mod_n(self, capsys, label, reduced, fmt):
+        def run(a):
+            argv = ["structure-constants", "--n", "15", f"--a={a}", "--b", "2,3"]
+            return run_cli(capsys, argv + ["--format", fmt])[0]
+
+        assert run(label) == run(reduced)
 
     def test_coherent_gram_matches_closed_form(self, capsys):
         out, _ = run_cli(capsys, ["coherent-gram", "--n", "4"])

@@ -10,13 +10,11 @@ from qpl import (
     CoherentFamily,
     Kinematics,
     basis_ket,
-    coherent_family,
     coherent_overlap,
     coherent_overlap_closed,
     coherent_state,
     displacement,
     is_unitary,
-    overlap_magnitude,
     reference_state,
     symplectic_phase,
 )
@@ -69,6 +67,19 @@ def test_symplectic_phase_factor(n):
                     assert abs(residue.imag) <= 1e-12
 
 
+@pytest.mark.parametrize("n", range(1, 17))
+def test_closed_form_broadcasts_like_scalar_calls(n):
+    """One call over label grids gives exactly the N⁴ scalar results."""
+    m, nn = np.divmod(np.arange(n * n), n)
+    table = coherent_overlap_closed(n, m[:, None], nn[:, None], m[None, :], nn[None, :])
+    labels = [(p, q) for p in range(n) for q in range(n)]
+    scalar = np.array([[coherent_overlap_closed(n, *a, *b) for b in labels] for a in labels])
+    assert np.array_equal(table, scalar)
+    # labels are taken mod N before the case split
+    shifted = coherent_overlap_closed(n, m[:, None] - n, nn[:, None] + 3 * n, m[None, :], nn[None, :])
+    assert np.array_equal(shifted, table)
+
+
 @pytest.mark.parametrize("n", (3, 4, 5))
 def test_overlap_magnitude_cases(n):
     for p in range(n):
@@ -76,13 +87,13 @@ def test_overlap_magnitude_cases(n):
             for r in range(n):
                 for s in range(n):
                     assert abs(coherent_overlap(n, p, q, r, s)) == pytest.approx(
-                        overlap_magnitude(n, p, q, r, s), abs=1e-12
+                        abs(coherent_overlap_closed(n, p, q, r, s)), abs=1e-12
                     )
 
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_identity_resolution(n):
-    family = coherent_family(n)
+    family = CoherentFamily(n)
     np.testing.assert_allclose(family.identity_resolution(), n * np.eye(n), atol=1e-9)
 
 
@@ -97,7 +108,7 @@ def test_family_states_match_functional_form():
 
 
 def test_gram_is_hermitian_psd():
-    family = coherent_family(5)
+    family = CoherentFamily(5)
     gram = family.gram()
     np.testing.assert_allclose(gram, gram.conj().T, atol=1e-12)
     assert np.linalg.eigvalsh(gram).min() > -1e-10
@@ -108,14 +119,14 @@ def test_even_dimensions_admit_orthogonal_pairs(n):
     # closed-form witness: labels (0,0) and (1, n/2) make the cosine vanish
     witness = coherent_overlap(n, 0, 0, 1, n // 2)
     assert abs(witness) <= 1e-10
-    gram = coherent_family(n).gram()
+    gram = CoherentFamily(n).gram()
     off = gram[~np.eye(n * n, dtype=bool)]
     assert np.min(np.abs(off)) <= 1e-10
 
 
 @pytest.mark.parametrize("n", (3, 5, 7, 9, 11, 13))
 def test_odd_dimensions_have_no_orthogonal_pairs(n):
-    gram = coherent_family(n).gram()
+    gram = CoherentFamily(n).gram()
     off = gram[~np.eye(n * n, dtype=bool)]
     assert np.min(np.abs(off)) > 1e-6
 
@@ -125,5 +136,5 @@ def test_magnitude_table_matches_golden_fixture():
     fixture = json.loads((GOLDEN / "coherent_magnitudes.json").read_text())
     for key, table in fixture.items():
         n = int(key)
-        gram = np.abs(coherent_family(n).gram())
+        gram = np.abs(CoherentFamily(n).gram())
         np.testing.assert_allclose(gram, np.array(table), atol=1e-9)

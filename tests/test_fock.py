@@ -5,12 +5,7 @@ import pytest
 
 from qpl import (
     FockSpace,
-    coherent_fock,
-    displace,
-    fock_space,
-    fractional_fourier,
     is_unitary,
-    scale_operator,
     sl2_generators,
 )
 
@@ -118,11 +113,6 @@ def test_scale_guard():
         SPACE.scale(0.2)
 
 
-def test_module_level_wrappers():
-    assert fock_space(8).dim == 8
-    np.testing.assert_allclose(fractional_fourier(8, 0.3), FockSpace(8).rotation(0.3))
-    np.testing.assert_allclose(displace(32, 1.0), FockSpace(32).displacement(1.0))
-    np.testing.assert_allclose(coherent_fock(32, 1.0), FockSpace(32).coherent(1.0))
-    np.testing.assert_allclose(scale_operator(8, 2.0), FockSpace(8).scale(2.0))
+def test_truncation_needs_two_levels():
     with pytest.raises(ValueError):
         FockSpace(1)

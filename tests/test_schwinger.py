@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from qpl import (
+    CoherentFamily,
     Kinematics,
+    StructureConstants,
+    WeylWignerBasis,
+    displacement,
     dft,
     gauss_trace,
     gauss_trace_closed_form,
@@ -13,6 +17,7 @@ from qpl import (
     position_shift,
     weyl_relation_defect,
 )
+from qpl.schwinger import weyl_word
 
 DIMS = (1, 2, 3, 4, 5, 7, 8, 12)
 
@@ -48,6 +53,20 @@ def test_weyl_relation_all_powers(n):
 
 
 @pytest.mark.parametrize("n", DIMS)
+def test_weyl_word_matches_matrix_powers(n):
+    """Index-arithmetic U^k V^j against repeated matrix products, any labels."""
+    kin = Kinematics(n)
+    labels = np.arange(-n, 2 * n)
+    words = weyl_word(n, labels[:, None], labels[None, :])
+    assert words.shape == (3 * n, 3 * n, n, n)
+    for a, k in enumerate(labels):
+        uk = np.linalg.matrix_power(kin.U, int(k) % n)
+        for b, j in enumerate(labels):
+            vj = np.linalg.matrix_power(kin.V, int(j) % n)
+            np.testing.assert_allclose(words[a, b], uk @ vj, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", DIMS)
 def test_fourier_properties(n):
     f = dft(n)
     assert is_unitary(f)
@@ -77,6 +96,14 @@ def test_kinematics_states():
         Kinematics(0)
     with pytest.raises(ValueError):
         Kinematics(-3)
+    # the same dimension check guards every construction on Z_N
+    for bad in (0, 2.5):
+        for build in (CoherentFamily, WeylWignerBasis, StructureConstants):
+            with pytest.raises(ValueError, match="positive integer"):
+                build(bad)
+        for build in (displacement, weyl_relation_defect):
+            with pytest.raises(ValueError, match="positive integer"):
+                build(bad, 1, 1)
 
 
 @pytest.mark.parametrize("n", [1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23, 25, 27, 29, 31])

@@ -14,6 +14,7 @@ import pytest
 from qpl import (
     Kinematics,
     StructureConstants,
+    WeylWignerBasis,
     basis_ket,
     delta_product,
     hs_inner,
@@ -22,12 +23,8 @@ from qpl import (
     phase_space_symbol,
     random_density,
     random_hermitian,
-    structure_constants,
     symplectic_area,
     wigner_map,
-    ww_basis,
-    ww_reconstruct,
-    ww_transform,
 )
 
 RNG = np.random.default_rng(20240818)
@@ -45,14 +42,14 @@ DELTA_2 = {
 
 
 def test_two_dimensional_basis_matches_reference_entrywise():
-    basis = ww_basis(2)
+    basis = WeylWignerBasis(2)
     for (m, n), expected in DELTA_2.items():
         np.testing.assert_allclose(basis.delta(m, n), expected, atol=1e-14)
 
 
 @pytest.mark.parametrize("n", BASIS_DIMS)
 def test_hermiticity_and_unit_trace(n):
-    basis = ww_basis(n)
+    basis = WeylWignerBasis(n)
     for m in range(n):
         for nn in range(n):
             d = basis.deltas[m, nn]
@@ -62,7 +59,7 @@ def test_hermiticity_and_unit_trace(n):
 
 @pytest.mark.parametrize("n", BASIS_DIMS)
 def test_orthogonality(n):
-    basis = ww_basis(n)
+    basis = WeylWignerBasis(n)
     flat = basis.deltas.reshape(n * n, n * n)
     gram = flat.conj() @ flat.T  # hs_inner of every pair
     np.testing.assert_allclose(gram, n * np.eye(n * n), atol=1e-9)
@@ -70,7 +67,7 @@ def test_orthogonality(n):
 
 @pytest.mark.parametrize("n", BASIS_DIMS)
 def test_completeness_sum(n):
-    basis = ww_basis(n)
+    basis = WeylWignerBasis(n)
     op = random_hermitian(n, RNG) + 1j * random_hermitian(n, RNG)
     total = np.einsum("mnab,bc,mncd->ad", basis.deltas, op, basis.deltas)
     np.testing.assert_allclose(total, n * np.trace(op) * np.eye(n), atol=1e-9)
@@ -78,7 +75,7 @@ def test_completeness_sum(n):
 
 @pytest.mark.parametrize("n", (1, 3, 5, 7))
 def test_involution_odd(n):
-    basis = ww_basis(n)
+    basis = WeylWignerBasis(n)
     for m in range(n):
         for nn in range(n):
             d = basis.deltas[m, nn]
@@ -87,7 +84,7 @@ def test_involution_odd(n):
 
 @pytest.mark.parametrize("n", (4, 6, 8))
 def test_involution_genuinely_lost_even(n):
-    basis = ww_basis(n)
+    basis = WeylWignerBasis(n)
     worst = max(
         np.max(np.abs(basis.deltas[m, nn] @ basis.deltas[m, nn] - np.eye(n)))
         for m in range(n)
@@ -100,7 +97,7 @@ def test_involution_genuinely_lost_even(n):
 def test_operator_form_odd(n):
     """Δ_mn = V^{-n} U^{2m} V^{-n} F² for odd dimensions."""
     kin = Kinematics(n)
-    basis = ww_basis(n)
+    basis = WeylWignerBasis(n)
     f2 = kin.F @ kin.F
     for m in range(n):
         for nn in range(n):
@@ -120,7 +117,7 @@ def test_parity_operator_is_f_squared():
 @pytest.mark.parametrize("n", (3, 5))
 def test_closed_form_product_rule(n):
     """Δ_a Δ_b = v^{2(pn - mq)} Δ_{a-b} F², every pair, odd N."""
-    basis = ww_basis(n)
+    basis = WeylWignerBasis(n)
     for a in [(m, nn) for m in range(n) for nn in range(n)]:
         for b in [(p, q) for p in range(n) for q in range(n)]:
             direct = basis.deltas[a] @ basis.deltas[b]
@@ -129,13 +126,13 @@ def test_closed_form_product_rule(n):
 
 def test_product_rule_rejected_even():
     with pytest.raises(ValueError):
-        delta_product((0, 0), (1, 1), ww_basis(4))
+        delta_product((0, 0), (1, 1), WeylWignerBasis(4))
 
 
 @pytest.mark.parametrize("n", (3, 5))
 def test_parity_expansion(n):
     """Δ_pq F² = (1/N) Σ_ks v^{2(ps - kq)} Δ_ks (odd N)."""
-    basis = ww_basis(n)
+    basis = WeylWignerBasis(n)
     f2 = parity_operator(n)
     k = np.arange(n)
     for p in range(n):
@@ -158,8 +155,8 @@ def test_symplectic_area_and_symbol():
 
 @pytest.mark.parametrize("n", (3, 5))
 def test_structure_constants_all_pairs(n):
-    sc = structure_constants(n)
-    basis = ww_basis(n)
+    sc = StructureConstants(n)
+    basis = WeylWignerBasis(n)
     assert sc.prefactor == pytest.approx(2j / n)
     labels = [(m, nn) for m in range(n) for nn in range(n)]
     for a in labels:
@@ -169,10 +166,22 @@ def test_structure_constants_all_pairs(n):
 
 
 def test_structure_constants_table_matches_value():
-    sc = structure_constants(3)
+    sc = StructureConstants(3)
     table = sc.table()
     assert table.shape == (3,) * 6
     assert table[1, 2, 0, 1, 2, 2] == pytest.approx(sc.value((1, 2), (0, 1), (2, 2)))
+    for n in (3, 5, 7):
+        sc = StructureConstants(n)
+        table = sc.table()
+        m, nn, p, q, r, s = np.meshgrid(*[np.arange(n)] * 6, indexing="ij")
+        assert np.array_equal(sc.value((m, nn), (p, q), (r, s)), table)
+        # labels are taken mod N, however large
+        big = 10**22 * n
+        assert sc.value((1 + big, 2 - n), (0, 1 + 3 * n), (2, 2)) == table[1, 2, 0, 1, 2, 2]
+        basis = WeylWignerBasis(n)
+        np.testing.assert_array_equal(
+            sc.commutator((1 + big, -n), (2 * n, 1), basis), sc.commutator((1, 0), (0, 1), basis)
+        )
 
 
 def test_structure_constants_reject_even():
@@ -182,21 +191,21 @@ def test_structure_constants_reject_even():
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_transform_reconstruct_roundtrip(n):
-    basis = ww_basis(n)
+    basis = WeylWignerBasis(n)
     op = RNG.normal(size=(n, n)) + 1j * RNG.normal(size=(n, n))
-    coeffs = ww_transform(op, basis)
-    np.testing.assert_allclose(ww_reconstruct(coeffs, basis), op, atol=1e-9)
+    coeffs = basis.transform(op)
+    np.testing.assert_allclose(basis.reconstruct(coeffs), op, atol=1e-9)
 
 
 @pytest.mark.parametrize("n", range(2, 17))
 def test_wigner_normalization_random_densities(n):
-    basis = ww_basis(n) if n <= 8 else None
+    basis = WeylWignerBasis(n) if n <= 8 else None
     for _ in range(4):
         rho = random_density(n, RNG)
         wm = wigner_map(rho)
         assert abs(wm.total - 1.0) <= 1e-10
         if basis is not None:
-            np.testing.assert_allclose(basis.wigner(rho).values, wm.values, atol=1e-12)
+            np.testing.assert_allclose(basis.transform(rho).real / n, wm.values, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -234,12 +243,12 @@ def test_wigner_validates_input():
         wigner_map(np.array([[0.5, 0.5], [0.0, 0.5]]))  # not hermitian
     with pytest.raises(ValueError):
         wigner_map(np.eye(2))  # trace 2
-    basis = ww_basis(2)
+    basis = WeylWignerBasis(2)
     with pytest.raises(ValueError):
-        basis.wigner(np.eye(3) / 3)  # dimension mismatch
+        basis.transform(np.eye(3) / 3)  # dimension mismatch
 
 
 def test_hs_inner_against_basis():
-    basis = ww_basis(4)
+    basis = WeylWignerBasis(4)
     assert hs_inner(basis.delta(1, 2), basis.delta(1, 2)) == pytest.approx(4.0, abs=1e-10)
     assert abs(hs_inner(basis.delta(1, 2), basis.delta(2, 1))) <= 1e-10
