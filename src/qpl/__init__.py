@@ -42,6 +42,7 @@ from .weylwigner import (
     WignerMap,
     delta_product,
     parity_operator,
+    phase_point,
     phase_space_symbol,
     symplectic_area,
     wigner_map,

@@ -44,7 +44,7 @@ from .weak import (
     predicted_shift,
     weak_value,
 )
-from .weylwigner import StructureConstants, WeylWignerBasis, wigner_map
+from .weylwigner import StructureConstants, phase_point, wigner_map
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -54,7 +54,9 @@ EXIT_DEGENERATE = 4
 MAX_REGISTER_DIM = 64  # single cyclic register (wigner, az, nslit, gauss-trace)
 MAX_SYSTEM_DIM = 64
 MAX_POINTER_DIM = 256
-MAX_STRUCTURE_DIM = 15  # the phase-point array holds N⁴ entries; keep it modest
+# A request builds two phase-point operators and one N²-term sum, no stored
+# basis; 15 stays until a benchmark run backs a larger cap.
+MAX_STRUCTURE_DIM = 15
 MAX_GRAM_DIM = 16
 
 SUPPORT_TOL = 1e-12
@@ -524,11 +526,10 @@ def run_structure_constants(args):
     a = tuple(x % n for x in _parse_pair(args.a, "label a"))
     b = tuple(x % n for x in _parse_pair(args.b, "label b"))
     sc = StructureConstants(n)
-    basis = WeylWignerBasis(n)
-    da = basis.delta(*a)
-    db = basis.delta(*b)
+    da = phase_point(n, *a)
+    db = phase_point(n, *b)
     direct = da @ db - db @ da
-    reconstructed = sc.commutator(a, b, basis)
+    reconstructed = sc.commutator(a, b)
     residual = float(np.max(np.abs(direct - reconstructed)))
     k = np.arange(n)
     lam = sc.value(a, b, (k[:, None], k[None, :]))

@@ -38,7 +38,8 @@ def displacement(n: int, m, nn) -> np.ndarray:
     _check_dim(n)
     m = m % n
     nn = nn % n
-    half = np.exp(-1j * (np.pi * m * nn / n))
+    # e^{-iπx/N} has period 2N in x; reducing first keeps the argument small
+    half = np.exp(-1j * (np.pi * ((m * nn) % (2 * n)) / n))
     return np.asarray(half)[..., None, None] * weyl_word(n, m, -nn)
 
 
@@ -68,7 +69,7 @@ def symplectic_phase(n: int, p, q, r, s):
     Labels may be integer arrays that broadcast against each other.
     """
     p, q, r, s = (x % n for x in (p, q, r, s))
-    return np.exp(1j * (np.pi * (r * q - p * s) / n))
+    return np.exp(1j * (np.pi * ((r * q - p * s) % (2 * n)) / n))
 
 
 def coherent_overlap_closed(n: int, p, q, r, s):

@@ -36,14 +36,21 @@ class FockSpace:
         if not isinstance(dim, (int, np.integer)) or dim < 2:
             raise ValueError(f"truncation dimension must be an integer >= 2, got {dim!r}")
         self.dim = int(dim)
-        self.a = np.diag(np.sqrt(np.arange(1, self.dim)), 1).astype(complex)
+        levels = np.arange(self.dim)
+        roots = np.sqrt(levels)
+        self.a = np.diag(roots[1:], 1).astype(complex)
         self.adag = self.a.conj().T
-        self.num = self.adag @ self.a
+        self.num = np.diag(roots**2).astype(complex)  # a†a, entries rounded as √k·√k
         self.q = (self.a + self.adag) / np.sqrt(2)
         self.p = (self.a - self.adag) / (1j * np.sqrt(2))
-        self.h0 = (self.q @ self.q + self.p @ self.p) / 2
-        self.g = (self.q @ self.p + self.p @ self.q) / 2
-        self.k = (self.q @ self.q - self.p @ self.p) / 2
+        # Exact in the truncated space: h0 = (a a† + a† a)/2, g = (a² - a†²)/(2i),
+        # k = (a² + a†²)/2.
+        half_counts = levels + 0.5
+        half_counts[-1] = (self.dim - 1) / 2  # a a† vanishes on the top level
+        self.h0 = np.diag(half_counts).astype(complex)
+        a2 = np.diag(np.sqrt(levels[1:-1] * levels[2:]), 2).astype(complex)
+        self.g = (a2 - a2.T) / 2j
+        self.k = (a2 + a2.T) / 2
 
     def vacuum(self) -> np.ndarray:
         return basis_ket(self.dim, 0)

@@ -27,16 +27,12 @@ def root_of_unity(n: int) -> complex:
 
 def position_shift(n: int) -> np.ndarray:
     """Cyclic shift V with V e_k = e_{(k-1) mod n}."""
-    _check_dim(n)
-    v = np.zeros((n, n), dtype=complex)
-    v[(np.arange(n) - 1) % n, np.arange(n)] = 1.0
-    return v
+    return weyl_word(n, 0, 1)
 
 
 def momentum_shift(n: int) -> np.ndarray:
     """Clock U = diag(v^k); shifts momentum states: U|v_k⟩ = |v_{k+1}⟩."""
-    _check_dim(n)
-    return np.diag(np.exp(2j * np.pi * np.arange(n) / n))
+    return weyl_word(n, 1, 0)
 
 
 def dft(n: int) -> np.ndarray:

@@ -1,11 +1,22 @@
 """Phase-point operator basis on Z_N x Z_N and the discrete Wigner transform.
 
-The basis is built from the double sum
+The basis is defined by the double sum
 
     Δ_mn = (1/N) Σ_{r,s} h(r,s) v^{-s·m} v^{-r·n} U^r V^s
 
 over representatives 0 ≤ r,s ≤ N-1, where h(r,s) is the half phase
-"v^{rs/2}".  The half phase is the only delicate ingredient:
+"v^{rs/2}".  Since (U^r V^s)[a, c] = v^{r·a} exactly when s ≡ c - a, the
+sum over s collapses and the one over r becomes a DFT of h:
+
+    Δ_mn[a, c] = v^{-m·s} · H[(a - n) mod N, s],   s = (c - a) mod N,
+    H[t, s]    = (1/N) Σ_r v^{r·t} h(r, s).
+
+`phase_point` builds Δ from this formula, for odd and even N alike: H is
+one N x N matrix product per call, then each operator costs O(N²).  The
+dense double sum survives only in the test suite, as the brute-force
+oracle.
+
+The half phase is the only delicate ingredient:
 
   * odd N:  h(r,s) = v^{2⁻¹·rs} with 2⁻¹ = (N+1)/2, the ring inverse of 2
     in Z_N.  This yields the full algebra: Δ² = I, the symplectic product
@@ -44,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import as_operator, is_hermitian
-from .schwinger import _check_dim, weyl_word
+from .schwinger import _check_dim
 
 # Prefactor c0 in [Δ_a, Δ_b] = c0 · Σ_c Λ_ab^c · Δ_c, odd N.  Pinned
 # numerically; the value is 2i/N.
@@ -70,6 +81,23 @@ def parity_operator(n: int) -> np.ndarray:
     return p
 
 
+def phase_point(n: int, m, nn) -> np.ndarray:
+    """Phase-point operator Δ_mn by index arithmetic, broadcast over labels.
+
+    Δ_mn[a, c] = v^{-m·s} · H[(a - nn) mod N, s] with s = (c - a) mod N and
+    H[t, s] = (1/N)·Σ_r v^{r·t}·h(r, s).  Labels may be integer arrays; the
+    result has shape broadcast(m, nn) + (n, n).
+    """
+    _check_dim(n)
+    m = np.asarray(m % n)[..., None, None]
+    nn = np.asarray(nn % n)[..., None, None]
+    k = np.arange(n)
+    a = k[:, None]
+    s = (k[None, :] - a) % n
+    h = np.exp(2j * np.pi * np.outer(k, k) / n) @ half_phase_exponents(n) / n
+    return np.exp(-2j * np.pi * ((m * s) % n) / n) * h[(a - nn) % n, s]
+
+
 class WeylWignerBasis:
     """All N² phase-point operators for one dimension.
 
@@ -81,11 +109,7 @@ class WeylWignerBasis:
         _check_dim(n)
         self.dim = int(n)
         k = np.arange(self.dim)
-        words = weyl_word(self.dim, k[:, None], k[None, :])  # U^r V^s for all (r, s)
-        labels = np.exp(-2j * np.pi * np.outer(k, k) / self.dim)  # v^{-k·m} table
-        # phases[m, n, r, s] = h(r,s) · v^{-s·m} · v^{-r·n}
-        phases = np.einsum("rs,ms,nr->mnrs", half_phase_exponents(self.dim), labels, labels)
-        self.deltas = np.einsum("mnrs,rsac->mnac", phases, words) / self.dim
+        self.deltas = phase_point(self.dim, k[:, None], k[None, :])
 
     def delta(self, m: int, n: int) -> np.ndarray:
         """Operator at phase point (m, n); indices are taken mod N."""
@@ -172,19 +196,19 @@ def phase_space_symbol(a, b, c):
     return 2 * (symplectic_area(a, b) + symplectic_area(b, c) + symplectic_area(c, a))
 
 
-def delta_product(a, b, basis: WeylWignerBasis) -> np.ndarray:
+def delta_product(n: int, a, b) -> np.ndarray:
     """Product Δ_a·Δ_b via the closed form v^{2Ω(a,b)}·Δ_{a-b}·F² (odd N).
 
     The exponent 2Ω(a,b) = 2(p·n - m·q) is the pinned convention; tests
     check the result against the direct matrix product.
     """
-    n = basis.dim
+    _check_dim(n)
     if n % 2 == 0:
         raise ValueError("the closed-form product rule is defined only for odd dimensions")
     m, nn = int(a[0]) % n, int(a[1]) % n
     p, q = int(b[0]) % n, int(b[1]) % n
     phase = np.exp(2j * np.pi * (2 * symplectic_area((m, nn), (p, q))) / n)
-    return phase * basis.deltas[(m - p) % n, (nn - q) % n] @ parity_operator(n)
+    return phase * phase_point(n, m - p, nn - q) @ parity_operator(n)
 
 
 class StructureConstants:
@@ -217,10 +241,9 @@ class StructureConstants:
         m, n, p, q, r, s = np.ix_(k, k, k, k, k, k)
         return self.value((m, n), (p, q), (r, s))
 
-    def commutator(self, a, b, basis: WeylWignerBasis) -> np.ndarray:
+    def commutator(self, a, b) -> np.ndarray:
         """Reconstruct [Δ_a, Δ_b] from the structure constants."""
-        if basis.dim != self.dim:
-            raise ValueError("basis dimension does not match")
         k = np.arange(self.dim)
-        lam = self.value(a, b, (k[:, None], k[None, :]))
-        return self.prefactor * np.einsum("rs,rsab->ab", lam, basis.deltas)
+        c = (k[:, None], k[None, :])
+        lam = self.value(a, b, c)
+        return self.prefactor * np.einsum("rs,rsab->ab", lam, phase_point(self.dim, *c))

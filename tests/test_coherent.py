@@ -67,6 +67,28 @@ def test_symplectic_phase_factor(n):
                     assert abs(residue.imag) <= 1e-12
 
 
+def test_half_phases_match_high_precision_reference():
+    """Every displacement entry and symplectic phase at N = 64 is e^{iπk/N} for
+    an integer k; compare against a 40-digit table of those values."""
+    mpmath = pytest.importorskip("mpmath")
+    n = 64
+    with mpmath.workdps(40):
+        table = np.array([complex(mpmath.expjpi(mpmath.mpf(k) / n)) for k in range(2 * n)])
+    k = np.arange(n)
+    a, c, nn = k[:, None, None], k[None, :, None], k[None, None, :]
+    worst = 0.0
+    for m in range(n):
+        # D_mn[a, c] = e^{-iπ·m·n/N}·v^{m·a} where a ≡ c + n, else 0
+        d = displacement(n, m, k)  # [n, a, c]
+        expected = np.where(a == (c + nn) % n, table[(2 * m * a - m * nn) % (2 * n)], 0)
+        worst = max(worst, np.max(np.abs(d.transpose(1, 2, 0) - expected)))
+        # symplectic phase e^{iπ(rq - ps)/N} with p = m
+        q, r, s = k[:, None, None], k[None, :, None], k[None, None, :]
+        phase = symplectic_phase(n, m, q, r, s)
+        worst = max(worst, np.max(np.abs(phase - table[(r * q - m * s) % (2 * n)])))
+    assert worst <= 2e-15
+
+
 @pytest.mark.parametrize("n", range(1, 17))
 def test_closed_form_broadcasts_like_scalar_calls(n):
     """One call over label grids gives exactly the N⁴ scalar results."""

@@ -41,6 +41,17 @@ def test_h0_counts_quanta_on_interior():
     np.testing.assert_allclose(diag[: DIM - 1], np.arange(DIM - 1) + 0.5, atol=1e-12)
 
 
+@pytest.mark.parametrize("dim", (2, 3, 8, 64, 256))
+def test_generators_match_quadrature_products(dim):
+    """h0, g and k against their defining products of the quadratures."""
+    space = FockSpace(dim)
+    q, p = space.q, space.p
+    oracle = ((q @ q + p @ p) / 2, (q @ p + p @ q) / 2, (q @ q - p @ p) / 2)
+    for built, expected in zip((space.h0, space.g, space.k), oracle):
+        np.testing.assert_allclose(built, expected, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(space.num, space.adag @ space.a)
+
+
 def test_sl2_closure_away_from_edge():
     h0, g, k = sl2_generators(DIM)
     block = slice(0, DIM - 2)

@@ -34,6 +34,16 @@ def test_shift_and_clock_definitions():
     np.testing.assert_allclose(np.diag(u), np.exp(2j * np.pi * np.arange(4) / 4))
 
 
+def test_shift_and_clock_match_explicit_matrices():
+    """V and U are weyl_word(n, 0, 1) and weyl_word(n, 1, 0), bit for bit."""
+    for n in range(1, 70):
+        v = np.zeros((n, n), dtype=complex)
+        v[(np.arange(n) - 1) % n, np.arange(n)] = 1.0
+        u = np.diag(np.exp(2j * np.pi * np.arange(n) / n))
+        assert np.array_equal(position_shift(n), v)
+        assert np.array_equal(momentum_shift(n), u)
+
+
 @pytest.mark.parametrize("n", DIMS)
 def test_order_n_and_unitarity(n):
     v = position_shift(n)

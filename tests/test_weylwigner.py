@@ -10,6 +10,8 @@ matrix arithmetic.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpl import (
     Kinematics,
@@ -20,12 +22,15 @@ from qpl import (
     hs_inner,
     normalize,
     parity_operator,
+    phase_point,
     phase_space_symbol,
     random_density,
     random_hermitian,
     symplectic_area,
     wigner_map,
 )
+from qpl.schwinger import weyl_word
+from qpl.weylwigner import half_phase_exponents
 
 RNG = np.random.default_rng(20240818)
 
@@ -39,6 +44,64 @@ DELTA_2 = {
     (1, 0): np.array([[2, -1 - 1j], [-1 + 1j, 0]]) / 2,
     (1, 1): np.array([[0, -1 + 1j], [-1 - 1j, 2]]) / 2,
 }
+
+
+def double_sum_basis(n):
+    """Brute-force oracle: Δ_mn = (1/N) Σ_rs h(r,s) v^{-s·m} v^{-r·n} U^r V^s.
+
+    Stores all N² operators as an (N, N, N, N) array through an N⁶
+    contraction; use only at small N.
+    """
+    k = np.arange(n)
+    words = weyl_word(n, k[:, None], k[None, :])  # U^r V^s for all (r, s)
+    labels = np.exp(-2j * np.pi * np.outer(k, k) / n)  # v^{-k·m} table
+    # phases[m, n, r, s] = h(r,s) · v^{-s·m} · v^{-r·n}
+    phases = np.einsum("rs,ms,nr->mnrs", half_phase_exponents(n), labels, labels)
+    return np.einsum("mnrs,rsac->mnac", phases, words) / n
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_phase_point_matches_double_sum_oracle(n):
+    k = np.arange(n)
+    grid = phase_point(n, k[:, None], k[None, :])
+    np.testing.assert_allclose(grid, double_sum_basis(n), rtol=0, atol=1e-12)
+    assert np.array_equal(WeylWignerBasis(n).deltas, grid)
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 7, 8, 15))
+def test_phase_point_broadcasts_like_scalar_calls(n):
+    k = np.arange(n)
+    grid = phase_point(n, k[:, None], k[None, :])
+    assert grid.shape == (n, n, n, n)
+    big = 10**22 * n
+    for m in range(n):
+        for nn in range(n):
+            assert np.array_equal(phase_point(n, m, nn), grid[m, nn])
+            # labels are taken mod N, however large or negative
+            assert np.array_equal(phase_point(n, m + big, nn - 3 * n), grid[m, nn])
+            assert np.array_equal(phase_point(n, m - big, nn + big), grid[m, nn])
+
+
+DIMS_1_32 = st.integers(min_value=1, max_value=32)
+LABEL = st.tuples(st.integers(), st.integers())
+
+
+@settings(deadline=None)
+@given(n=DIMS_1_32, a=LABEL)
+def test_phase_point_hermitian_unit_trace_property(n, a):
+    d = phase_point(n, *a)
+    np.testing.assert_allclose(d, d.conj().T, rtol=0, atol=1e-12)
+    assert abs(np.trace(d) - 1.0) <= 1e-12
+
+
+@settings(deadline=None)
+@given(n=DIMS_1_32, a=LABEL, b=LABEL)
+def test_phase_point_orthogonality_property(n, a, b):
+    """tr(Δ_a Δ_b) = N·δ_ab, with labels compared mod N."""
+    da, db = phase_point(n, *a), phase_point(n, *b)
+    same = (a[0] - b[0]) % n == 0 and (a[1] - b[1]) % n == 0
+    assert abs(np.trace(da @ db) - n * same) <= 1e-10
+    assert abs(np.trace(da @ da) - n) <= 1e-10
 
 
 def test_two_dimensional_basis_matches_reference_entrywise():
@@ -121,12 +184,12 @@ def test_closed_form_product_rule(n):
     for a in [(m, nn) for m in range(n) for nn in range(n)]:
         for b in [(p, q) for p in range(n) for q in range(n)]:
             direct = basis.deltas[a] @ basis.deltas[b]
-            np.testing.assert_allclose(delta_product(a, b, basis), direct, atol=1e-10)
+            np.testing.assert_allclose(delta_product(n, a, b), direct, atol=1e-10)
 
 
 def test_product_rule_rejected_even():
     with pytest.raises(ValueError):
-        delta_product((0, 0), (1, 1), WeylWignerBasis(4))
+        delta_product(4, (0, 0), (1, 1))
 
 
 @pytest.mark.parametrize("n", (3, 5))
@@ -162,7 +225,7 @@ def test_structure_constants_all_pairs(n):
     for a in labels:
         for b in labels:
             direct = basis.deltas[a] @ basis.deltas[b] - basis.deltas[b] @ basis.deltas[a]
-            np.testing.assert_allclose(sc.commutator(a, b, basis), direct, atol=1e-9)
+            np.testing.assert_allclose(sc.commutator(a, b), direct, atol=1e-9)
 
 
 def test_structure_constants_table_matches_value():
@@ -178,9 +241,8 @@ def test_structure_constants_table_matches_value():
         # labels are taken mod N, however large
         big = 10**22 * n
         assert sc.value((1 + big, 2 - n), (0, 1 + 3 * n), (2, 2)) == table[1, 2, 0, 1, 2, 2]
-        basis = WeylWignerBasis(n)
         np.testing.assert_array_equal(
-            sc.commutator((1 + big, -n), (2 * n, 1), basis), sc.commutator((1, 0), (0, 1), basis)
+            sc.commutator((1 + big, -n), (2 * n, 1)), sc.commutator((1, 0), (0, 1))
         )
 
 
