@@ -54,8 +54,8 @@ EXIT_DEGENERATE = 4
 MAX_REGISTER_DIM = 64  # single cyclic register (wigner, az, nslit, gauss-trace)
 MAX_SYSTEM_DIM = 64
 MAX_POINTER_DIM = 256
-# A request builds two phase-point operators and one N²-term sum, no stored
-# basis; 15 stays until a benchmark run backs a larger cap.
+# A request builds two phase-point operators and one weighted sum through the
+# Weyl moments: O(N³) time, O(N²) memory.  15 stays until a benchmark backs more.
 MAX_STRUCTURE_DIM = 15
 MAX_GRAM_DIM = 16
 

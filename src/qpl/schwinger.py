@@ -38,8 +38,13 @@ def momentum_shift(n: int) -> np.ndarray:
 def dft(n: int) -> np.ndarray:
     """Discrete Fourier matrix F_jk = v^{jk}/√n (positive exponent)."""
     _check_dim(n)
-    j = np.arange(n)
-    return np.exp(2j * np.pi * np.outer(j, j) / n) / np.sqrt(n)
+    return _phase_table(n) / np.sqrt(n)
+
+
+def _phase_table(n: int) -> np.ndarray:
+    """Unnormalized DFT phases Φ[k, j] = v^{k·j}."""
+    k = np.arange(n)
+    return np.exp(2j * np.pi * np.outer(k, k) / n)
 
 
 def weyl_word(n: int, k, j) -> np.ndarray:

@@ -5,16 +5,18 @@ The basis is defined by the double sum
     Δ_mn = (1/N) Σ_{r,s} h(r,s) v^{-s·m} v^{-r·n} U^r V^s
 
 over representatives 0 ≤ r,s ≤ N-1, where h(r,s) is the half phase
-"v^{rs/2}".  Since (U^r V^s)[a, c] = v^{r·a} exactly when s ≡ c - a, the
-sum over s collapses and the one over r becomes a DFT of h:
+"v^{rs/2}".  (U^r V^s)[a, c] = v^{r·a} exactly when s ≡ c - a, so with
+Φ[k, j] = v^{k·j} and the Weyl moments M[r, s] = tr(U^r V^s O):
 
-    Δ_mn[a, c] = v^{-m·s} · H[(a - n) mod N, s],   s = (c - a) mod N,
-    H[t, s]    = (1/N) Σ_r v^{r·t} h(r, s).
+    Δ_mn[a, c]  = v^{-m·s} · (Φ·h/N)[(a - n) mod N, s],   s = (c - a) mod N
+    tr(Δ_mn O)  = (1/N) Σ_{r,s} v^{-m·s} v^{-n·r} h(r,s) M[r, s]
+    Σ c_mn Δ_mn = Σ_{r,s} X[r, s] U^r V^s,   X = h ∘ (Φ̄·c·Φ̄)ᵀ / N
 
-`phase_point` builds Δ from this formula, for odd and even N alike: H is
-one N x N matrix product per call, then each operator costs O(N²).  The
-dense double sum survives only in the test suite, as the brute-force
-oracle.
+`phase_point` builds operators from the first line.  The other two are a
+few N x N matrix products each (O(N³) time, O(N²) memory, odd and even N
+alike) and serve `transform`, `reconstruct`, `wigner_map` and
+`StructureConstants.commutator`.  The dense double sum and the stored
+(N, N, N, N) grid live only in the test suite, as brute-force oracles.
 
 The half phase is the only delicate ingredient:
 
@@ -22,11 +24,11 @@ The half phase is the only delicate ingredient:
     in Z_N.  This yields the full algebra: Δ² = I, the symplectic product
     rule, and the u(N) structure constants below.
   * even N: 2 has no inverse in Z_N, so h(r,s) = e^{iπrs/N} is evaluated
-    at the representatives directly, with the sign flipped on the points
-    {r+s odd, r+s > N} — the minimal repair that keeps every Δ hermitian
-    and the completeness sum Σ Δ O Δ = N·tr(O)·I intact.  (The repair set
-    is empty for N ≤ 2, so the N = 2 basis is the classic textbook one.)
-    Δ² = I is genuinely lost for even N.
+    at the representatives (rs reduced mod 2N), with the sign flipped on
+    the points {r+s odd, r+s > N} — the minimal repair that keeps every Δ
+    hermitian and the completeness sum Σ Δ O Δ = N·tr(O)·I intact.  (The
+    repair set is empty for N ≤ 2, so the N = 2 basis is the classic
+    textbook one.)  Δ² = I is genuinely lost for even N.
 
 Label convention: the first index m pairs with the V-power phase and the
 second index n with the U-power phase.  Equivalently, for odd N,
@@ -51,15 +53,38 @@ tested; see the test suite):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .linalg import as_operator, is_hermitian
-from .schwinger import _check_dim
+from .schwinger import _check_dim, _phase_table
 
 # Prefactor c0 in [Δ_a, Δ_b] = c0 · Σ_c Λ_ab^c · Δ_c, odd N.  Pinned
 # numerically; the value is 2i/N.
 COMMUTATOR_PREFACTOR_NUMERATOR = 2j
+
+
+def _trace_kernel(op: np.ndarray) -> np.ndarray:
+    """N·tr(Δ_mn·O) for every phase point, through the Weyl moments."""
+    n = op.shape[0]
+    s, a = np.ogrid[:n, :n]
+    shifted = op[(a + s) % n, a]  # [s, a]
+    phases = _phase_table(n)
+    moments = phases @ shifted.T  # [r, s]
+    labels = phases.conj()  # v^{-k·j} table
+    return labels @ (labels @ (half_phase_exponents(n) * moments)).T
+
+
+def _sum_kernel(coeffs: np.ndarray) -> np.ndarray:
+    """Σ_mn coeffs[m, n]·Δ_mn, through the Weyl-word coefficients."""
+    n = coeffs.shape[0]
+    phases = _phase_table(n)
+    labels = phases.conj()
+    words = half_phase_exponents(n) * (labels @ coeffs @ labels).T / n  # [r, s]
+    rows = phases @ words  # rows[a, s] = entry [a, (a+s) mod n]
+    a, c = np.ogrid[:n, :n]
+    return rows[a, (c - a) % n]
 
 
 def half_phase_exponents(n: int) -> np.ndarray:
@@ -69,7 +94,7 @@ def half_phase_exponents(n: int) -> np.ndarray:
     if n % 2 == 1:
         inv2 = (n + 1) // 2
         return np.exp(2j * np.pi * ((r * s * inv2) % n) / n)
-    h = np.exp(1j * np.pi * r * s / n)
+    h = np.exp(1j * (np.pi * ((r * s) % (2 * n)) / n))
     flip = ((r + s) % 2 == 1) & (r + s > n)
     return np.where(flip, -h, h)
 
@@ -94,40 +119,42 @@ def phase_point(n: int, m, nn) -> np.ndarray:
     k = np.arange(n)
     a = k[:, None]
     s = (k[None, :] - a) % n
-    h = np.exp(2j * np.pi * np.outer(k, k) / n) @ half_phase_exponents(n) / n
+    h = _phase_table(n) @ half_phase_exponents(n) / n
     return np.exp(-2j * np.pi * ((m * s) % n) / n) * h[(a - nn) % n, s]
 
 
 class WeylWignerBasis:
     """All N² phase-point operators for one dimension.
 
-    `deltas[m, n]` is the operator at phase point (m, n), stored as an
-    (N, N, N, N) complex array.
+    `transform` and `reconstruct` never build the (N, N, N, N) grid
+    `deltas[m, n]`; it is built on first access.
     """
 
     def __init__(self, n: int):
         _check_dim(n)
         self.dim = int(n)
-        k = np.arange(self.dim)
-        self.deltas = phase_point(self.dim, k[:, None], k[None, :])
+
+    @cached_property
+    def deltas(self) -> np.ndarray:
+        return phase_point(self.dim, *np.ogrid[: self.dim, : self.dim])
 
     def delta(self, m: int, n: int) -> np.ndarray:
         """Operator at phase point (m, n); indices are taken mod N."""
-        return self.deltas[m % self.dim, n % self.dim].copy()
+        return phase_point(self.dim, m, n)
 
     def transform(self, op) -> np.ndarray:
         """Coefficient grid O^{mn} = tr(Δ_mn O); complex (N, N) array."""
         op = as_operator(op)
         if op.shape[0] != self.dim:
             raise ValueError(f"operator side {op.shape[0]} does not match basis dim {self.dim}")
-        return np.einsum("mnab,ba->mn", self.deltas, op)
+        return _trace_kernel(op) / self.dim
 
     def reconstruct(self, coeffs) -> np.ndarray:
         """Operator (1/N)·Σ_mn coeffs[m,n]·Δ_mn from a coefficient grid."""
         coeffs = np.asarray(coeffs, dtype=complex)
         if coeffs.shape != (self.dim, self.dim):
             raise ValueError(f"expected a {self.dim}x{self.dim} coefficient grid, got {coeffs.shape}")
-        return np.einsum("mn,mnab->ab", coeffs, self.deltas) / self.dim
+        return _sum_kernel(coeffs) / self.dim
 
 
 @dataclass(frozen=True)
@@ -157,11 +184,10 @@ class WignerMap:
 
 
 def wigner_map(rho) -> WignerMap:
-    """Wigner map of a density operator without materializing the basis.
+    """Wigner map W(m, n) = tr(Δ_mn ρ)/N of a density operator.
 
-    Expands tr(Δ_mn ρ) through the double sum and contracts it as three
-    N x N matrix products (O(N³) time, O(N²) memory), so large grids stay
-    cheap.  Agrees with `WeylWignerBasis.transform(rho).real / N` to rounding.
+    It is `WeylWignerBasis.transform(rho).real / N`: the same moment-space
+    kernel, divided once by N² (O(N³) time, O(N²) memory).
     """
     rho = as_operator(rho)
     n = rho.shape[0]
@@ -170,14 +196,7 @@ def wigner_map(rho) -> WignerMap:
     tr = complex(np.trace(rho))
     if abs(tr - 1.0) > 1e-10:
         raise ValueError(f"wigner map requires unit trace, got trace {tr:.3g}")
-    idx = np.arange(n)
-    # moments[r, s] = tr(U^r V^s ρ) = Σ_a v^{r·a} · ρ[(a+s) mod n, a]
-    shifted = rho[(idx[:, None] + idx[None, :]) % n, idx[None, :]]  # [s, a]
-    phases = np.exp(2j * np.pi * np.outer(idx, idx) / n)
-    moments = phases @ shifted.T
-    labels = phases.conj()  # v^{-k·j} table
-    inner = labels @ (half_phase_exponents(n) * moments)  # [n, s]
-    grid = labels @ inner.T / n**2
+    grid = _trace_kernel(rho) / n**2
     return WignerMap(dim=n, values=grid.real.copy())
 
 
@@ -243,7 +262,5 @@ class StructureConstants:
 
     def commutator(self, a, b) -> np.ndarray:
         """Reconstruct [Δ_a, Δ_b] from the structure constants."""
-        k = np.arange(self.dim)
-        c = (k[:, None], k[None, :])
-        lam = self.value(a, b, c)
-        return self.prefactor * np.einsum("rs,rsab->ab", lam, phase_point(self.dim, *c))
+        lam = self.value(a, b, np.ogrid[: self.dim, : self.dim])
+        return self.prefactor * _sum_kernel(lam)

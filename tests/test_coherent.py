@@ -18,6 +18,7 @@ from qpl import (
     reference_state,
     symplectic_phase,
 )
+from qpl.weylwigner import half_phase_exponents
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -87,6 +88,19 @@ def test_half_phases_match_high_precision_reference():
         phase = symplectic_phase(n, m, q, r, s)
         worst = max(worst, np.max(np.abs(phase - table[(r * q - m * s) % (2 * n)])))
     assert worst <= 2e-15
+
+
+@pytest.mark.parametrize("n", (16, 32, 64))
+def test_half_phase_exponents_match_high_precision_reference(n):
+    """Even N: h(r,s) = ±e^{iπ·rs/N}, the sign flipped where r+s is odd and
+    exceeds N; compare against a 40-digit table of e^{iπk/N}."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        table = np.array([complex(mpmath.expjpi(mpmath.mpf(k) / n)) for k in range(2 * n)])
+    r, s = np.ogrid[:n, :n]
+    flip = ((r + s) % 2 == 1) & (r + s > n)
+    expected = np.where(flip, -1, 1) * table[(r * s) % (2 * n)]
+    assert np.max(np.abs(half_phase_exponents(n) - expected)) <= 2e-15
 
 
 @pytest.mark.parametrize("n", range(1, 17))

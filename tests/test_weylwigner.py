@@ -8,9 +8,11 @@ structure-constant prefactor 2i/N are regression-tested against direct
 matrix arithmetic.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from qpl import (
@@ -19,6 +21,7 @@ from qpl import (
     WeylWignerBasis,
     basis_ket,
     delta_product,
+    displacement,
     hs_inner,
     normalize,
     parity_operator,
@@ -86,7 +89,6 @@ DIMS_1_32 = st.integers(min_value=1, max_value=32)
 LABEL = st.tuples(st.integers(), st.integers())
 
 
-@settings(deadline=None)
 @given(n=DIMS_1_32, a=LABEL)
 def test_phase_point_hermitian_unit_trace_property(n, a):
     d = phase_point(n, *a)
@@ -94,7 +96,6 @@ def test_phase_point_hermitian_unit_trace_property(n, a):
     assert abs(np.trace(d) - 1.0) <= 1e-12
 
 
-@settings(deadline=None)
 @given(n=DIMS_1_32, a=LABEL, b=LABEL)
 def test_phase_point_orthogonality_property(n, a, b):
     """tr(Δ_a Δ_b) = N·δ_ab, with labels compared mod N."""
@@ -314,3 +315,113 @@ def test_hs_inner_against_basis():
     basis = WeylWignerBasis(4)
     assert hs_inner(basis.delta(1, 2), basis.delta(1, 2)) == pytest.approx(4.0, abs=1e-10)
     assert abs(hs_inner(basis.delta(1, 2), basis.delta(2, 1))) <= 1e-10
+
+
+# --------------------------------------------------------------------------
+# moment-space kernels against the dense phase-point grid
+
+
+def dense_grid(n):
+    """All N² operators from `phase_point`, stored as an (N, N, N, N) array."""
+    k = np.arange(n)
+    return phase_point(n, k[:, None], k[None, :])
+
+
+def assert_relclose(actual, expected, rtol=1e-12):
+    assert np.max(np.abs(actual - expected)) <= rtol * np.max(np.abs(expected))
+
+
+def random_complex(n, rng):
+    return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+
+
+@pytest.mark.parametrize("n", list(range(1, 17)) + [31, 32])
+def test_kernels_match_dense_grid_oracle(n):
+    rng = np.random.default_rng(n)
+    grid = dense_grid(n)
+    basis = WeylWignerBasis(n)
+    for _ in range(3):
+        op = random_complex(n, rng)  # non-hermitian
+        assert_relclose(basis.transform(op), np.einsum("mnab,ba->mn", grid, op))
+        coeffs = random_complex(n, rng)
+        assert_relclose(
+            basis.reconstruct(coeffs), np.einsum("mn,mnab->ab", coeffs, grid) / n
+        )
+        rho = random_density(n, rng)
+        dense_w = np.einsum("mnab,ba->mn", grid, rho).real / n
+        assert_relclose(wigner_map(rho).values, dense_w)
+    if n % 2 == 1 and n > 1:
+        sc = StructureConstants(n)
+        k = np.arange(n)
+        labels = [((1, 0), (0, 1)), ((-1, 2 * n), (n + 3, -n))]
+        for a, b in labels:
+            lam = sc.value(a, b, (k[:, None], k[None, :]))
+            dense = sc.prefactor * np.einsum("rs,rsab->ab", lam, grid)
+            assert_relclose(sc.commutator(a, b), dense)
+
+
+DIMS_1_64 = st.integers(min_value=1, max_value=64)
+SEED = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+@given(n=DIMS_1_64, seed=SEED)
+def test_reconstruct_inverts_transform_property(n, seed):
+    op = random_complex(n, np.random.default_rng(seed))
+    basis = WeylWignerBasis(n)
+    np.testing.assert_allclose(basis.reconstruct(basis.transform(op)), op, rtol=0, atol=1e-10)
+
+
+@given(n=st.integers(min_value=1, max_value=31).map(lambda k: 2 * k + 1), a=LABEL, b=LABEL)
+def test_commutator_matches_direct_product_property(n, a, b):
+    da, db = phase_point(n, *a), phase_point(n, *b)
+    np.testing.assert_allclose(
+        StructureConstants(n).commutator(a, b), da @ db - db @ da, rtol=0, atol=1e-10
+    )
+
+
+@given(n=DIMS_1_64, seed=SEED)
+def test_wigner_normalization_and_marginals_property(n, seed):
+    rho = random_density(n, np.random.default_rng(seed))
+    w = wigner_map(rho).values
+    f = Kinematics(n).F  # columns are the momentum kets |v_m>
+    assert abs(w.sum() - 1.0) <= 1e-10
+    momentum = np.einsum("am,ab,bm->m", f.conj(), rho, f).real
+    np.testing.assert_allclose(w.sum(axis=1), momentum, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(w.sum(axis=0), np.diag(rho).real, rtol=0, atol=1e-10)
+
+
+@given(n=DIMS_1_64, seed=SEED, shift=LABEL)
+def test_wigner_covariance_under_displacement_property(n, seed, shift):
+    """W of D_jk ρ D_jk† is W of ρ translated by (j, k), labels mod N."""
+    rho = random_density(n, np.random.default_rng(seed))
+    d = displacement(n, *shift)
+    moved = wigner_map(d @ rho @ d.conj().T).values
+    np.testing.assert_allclose(
+        moved, np.roll(wigner_map(rho).values, [x % n for x in shift], axis=(0, 1)),
+        rtol=0,
+        atol=1e-12,
+    )
+
+
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_contractions_allocate_no_quartic_array():
+    """Peak traced memory stays well below one N⁴-entry complex array."""
+    n = 15
+    assert traced_peak(StructureConstants(n).commutator, (1, 0), (0, 1)) < n**4 * 16 / 4
+    n = 64
+    rho = random_density(n, RNG)
+    assert traced_peak(wigner_map, rho) < n**4 * 16 / 4
+
+
+def test_transform_and_reconstruct_leave_the_grid_unbuilt():
+    basis = WeylWignerBasis(8)
+    basis.reconstruct(basis.transform(random_complex(8, RNG)))
+    assert "deltas" not in vars(basis)
