@@ -63,16 +63,26 @@ SUPPORT_TOL = 1e-12
 MATCH_TOL = 1e-9
 
 
-class UsageError(Exception):
+class _CliError(Exception):
+    """An error `main` reports on stderr and turns into `exit_code`."""
+
+    exit_code = EXIT_USAGE
+
+
+class UsageError(_CliError):
     """Bad selector, malformed config, or invalid argument combination."""
 
 
-class BoundsError(Exception):
+class BoundsError(_CliError):
     """Parameter outside the documented resource bounds."""
 
+    exit_code = EXIT_BOUNDS
 
-class DegeneracyError(Exception):
+
+class DegeneracyError(_CliError):
     """Mathematically degenerate configuration (zero overlap, zero probability)."""
+
+    exit_code = EXIT_DEGENERATE
 
 
 # --------------------------------------------------------------------------
@@ -199,14 +209,28 @@ def _parse_pair(text: str, what: str) -> tuple[int, int]:
     return _parse_int(parts[0], what), _parse_int(parts[1], what)
 
 
+def _check_range(value: int, lo: int, hi: int, what: str) -> None:
+    if not lo <= value <= hi:
+        raise BoundsError(f"{what} must lie in {lo}..{hi}, got {value}")
+
+
 # --------------------------------------------------------------------------
 # command runners: each returns (json payload, csv header, csv rows)
 
 
+def _grid_rows(name: str, grid) -> list[tuple]:
+    """(name, row, column, value) for every grid entry, row-major."""
+    return [(name, r, c, value) for r, row in enumerate(grid) for c, value in enumerate(row)]
+
+
+def _complex_rows(name: str, values) -> list[tuple]:
+    """(name, index, re, im) for every entry; real entries get im = 0."""
+    return [(name, k, z.real, z.imag) for k, z in enumerate(values)]
+
+
 def run_wigner(args):
     n = args.n
-    if n < 1 or n > MAX_REGISTER_DIM:
-        raise BoundsError(f"wigner dimension must lie in 1..{MAX_REGISTER_DIM}, got {n}")
+    _check_range(n, 1, MAX_REGISTER_DIM, "wigner dimension")
     seed = resolve_seed(args.seed)
     rng = np.random.default_rng(seed)
     rho = parse_density_selector(args.state, n, rng)
@@ -225,7 +249,7 @@ def run_wigner(args):
         "total": wm.total,
         "values": values,
     }
-    rows = [("value", m, nn, values[m, nn]) for m in range(n) for nn in range(n)]
+    rows = _grid_rows("value", values)
     rows += [("marginal_momentum", m, "", marg_momentum[m]) for m in range(n)]
     rows += [("marginal_position", "", nn, marg_position[nn]) for nn in range(n)]
     rows += [
@@ -240,8 +264,7 @@ def run_gauss_trace(args):
     nmin, nmax = args.nmin, args.nmax
     if nmin < 1 or nmin > nmax:
         raise UsageError(f"need 1 <= NMIN <= NMAX, got {nmin}..{nmax}")
-    if nmax > MAX_REGISTER_DIM:
-        raise BoundsError(f"NMAX must be <= {MAX_REGISTER_DIM}, got {nmax}")
+    _check_range(nmax, 1, MAX_REGISTER_DIM, "NMAX")
     entries = []
     rows = []
     for n in range(nmin, nmax + 1):
@@ -254,11 +277,14 @@ def run_gauss_trace(args):
     return payload, ["n", "trace_re", "trace_im", "closed_re", "closed_im", "match"], rows
 
 
-_WEAK_REQUIRED = ("system_dim", "pre", "post", "obs", "eps")
-_WEAK_OPTIONAL = ("pointer", "pointer_dim", "pointer_gen", "halving", "seed")
+# Every weak config key and its default; None marks a required key.  The
+# default seed 0 still yields to QPL_SEED and --seed.
+_WEAK_KEYS = dict.fromkeys(("system_dim", "pre", "post", "obs", "eps"))
+_WEAK_KEYS.update(pointer="vacuum", pointer_dim="64", pointer_gen="p", halving="true", seed="0")
 
 
 def _read_config(path: str) -> dict[str, str]:
+    """Config entries, with the `_WEAK_KEYS` default for every key left out."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -277,33 +303,30 @@ def _read_config(path: str) -> dict[str, str]:
             raise UsageError(f"{path}:{lineno}: expected key = value, got {raw!r}")
         if key in entries:
             raise UsageError(f"{path}:{lineno}: duplicate key {key!r}")
-        if key not in _WEAK_REQUIRED and key not in _WEAK_OPTIONAL:
+        if key not in _WEAK_KEYS:
             raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
         entries[key] = value
-    missing = [key for key in _WEAK_REQUIRED if key not in entries]
+    missing = [key for key, default in _WEAK_KEYS.items() if default is None and key not in entries]
     if missing:
         raise UsageError(f"{path}: missing required keys: {', '.join(missing)}")
-    return entries
+    return {**_WEAK_KEYS, **entries}
 
 
 def run_weak(args):
     conf = _read_config(args.config)
     system_dim = _parse_int(conf["system_dim"], "system_dim")
-    if system_dim < 2 or system_dim > MAX_SYSTEM_DIM:
-        raise BoundsError(f"system_dim must lie in 2..{MAX_SYSTEM_DIM}, got {system_dim}")
-    pointer_dim = _parse_int(conf.get("pointer_dim", "64"), "pointer_dim")
-    if pointer_dim < 2 or pointer_dim > MAX_POINTER_DIM:
-        raise BoundsError(f"pointer_dim must lie in 2..{MAX_POINTER_DIM}, got {pointer_dim}")
+    _check_range(system_dim, 2, MAX_SYSTEM_DIM, "system_dim")
+    pointer_dim = _parse_int(conf["pointer_dim"], "pointer_dim")
+    _check_range(pointer_dim, 2, MAX_POINTER_DIM, "pointer_dim")
     eps = _parse_float(conf["eps"], "eps")
     if eps < 0:
         raise UsageError(f"eps must be nonnegative, got {eps}")
-    halving = _parse_bool(conf.get("halving", "true"), "halving")
-    config_seed = _parse_int(conf["seed"], "seed") if "seed" in conf else None
-    seed = resolve_seed(args.seed, config_seed)
+    halving = _parse_bool(conf["halving"], "halving")
+    seed = resolve_seed(args.seed, _parse_int(conf["seed"], "seed"))
     rng = np.random.default_rng(seed)
 
     space = FockSpace(pointer_dim)
-    pointer_spec = conf.get("pointer", "vacuum")
+    pointer_spec = conf["pointer"]
     coherent_z = None
     if pointer_spec == "vacuum":
         pointer = space.vacuum()
@@ -316,7 +339,7 @@ def run_weak(args):
     else:
         raise UsageError(f"unknown pointer selector {pointer_spec!r}")
 
-    gen_key = conf.get("pointer_gen", "p")
+    gen_key = conf["pointer_gen"]
     generators = {
         "q": space.q,
         "p": space.p,
@@ -433,8 +456,7 @@ def run_az(args):
         raise UsageError(f"factor dimensions must be positive, got {na} x {nb}")
     if gcd(na, nb) != 1:
         raise UsageError(f"factor dimensions {na} and {nb} share a factor; they must be coprime")
-    if na * nb > MAX_REGISTER_DIM:
-        raise BoundsError(f"product dimension must be <= {MAX_REGISTER_DIM}, got {na * nb}")
+    _check_range(na * nb, 1, MAX_REGISTER_DIM, "product dimension")
     state = az_state(na, nb, j, sigma)
     cell_shift = [2 * np.pi * a / na for a in range(na)]
     cell_clock = [2 * np.pi * b / nb for b in range(nb)]
@@ -453,24 +475,20 @@ def run_az(args):
         "tensor": state.tensor,
         "vector": state.vector,
     }
-    rows = [("amplitude", k, state.vector[k].real, state.vector[k].imag) for k in range(na * nb)]
-    rows += [
-        ("tensor_amplitude", k, state.tensor[k].real, state.tensor[k].imag)
-        for k in range(na * nb)
-    ]
+    rows = _complex_rows("amplitude", state.vector)
+    rows += _complex_rows("tensor_amplitude", state.tensor)
     rows += [
         ("shift_phase", "", state.shift_phase, 0.0),
         ("clock_phase", "", state.clock_phase, 0.0),
     ]
-    rows += [("cell_shift_phase", a, cell_shift[a], 0.0) for a in range(na)]
-    rows += [("cell_clock_phase", b, cell_clock[b], 0.0) for b in range(nb)]
+    rows += _complex_rows("cell_shift_phase", cell_shift)
+    rows += _complex_rows("cell_clock_phase", cell_clock)
     return payload, ["quantity", "index", "re", "im"], rows
 
 
 def run_nslit(args):
     n = args.n
-    if n < 1 or n > MAX_REGISTER_DIM:
-        raise BoundsError(f"register size must lie in 1..{MAX_REGISTER_DIM}, got {n}")
+    _check_range(n, 1, MAX_REGISTER_DIM, "register size")
     seed = resolve_seed(args.seed)
     rng = np.random.default_rng(seed)
     if args.potential == "random":
@@ -506,10 +524,10 @@ def run_nslit(args):
         "support_ok": support_ok,
         "support_stride": stride,
     }
-    rows = [("potential", k, samples[k], 0.0) for k in range(period)]
-    rows += [("position", k, psi[k].real, psi[k].imag) for k in range(n)]
-    rows += [("momentum", k, momentum[k].real, momentum[k].imag) for k in range(n)]
-    rows += [("support", i, support[i], 0.0) for i in range(len(support))]
+    rows = _complex_rows("potential", samples)
+    rows += _complex_rows("position", psi)
+    rows += _complex_rows("momentum", momentum)
+    rows += _complex_rows("support", support)
     rows += [
         ("support_stride", "", stride, 0.0),
         ("support_ok", "", 1.0 if support_ok else 0.0, 0.0),
@@ -519,15 +537,13 @@ def run_nslit(args):
 
 def run_structure_constants(args):
     n = args.n
-    if n % 2 == 0 or n < 3 or n > MAX_STRUCTURE_DIM:
-        raise BoundsError(
-            f"structure constants need an odd dimension in 3..{MAX_STRUCTURE_DIM}, got {n}"
-        )
+    _check_range(n, 3, MAX_STRUCTURE_DIM, "structure-constants dimension")
+    if n % 2 == 0:
+        raise BoundsError(f"structure constants need an odd dimension, got {n}")
     a = tuple(x % n for x in _parse_pair(args.a, "label a"))
     b = tuple(x % n for x in _parse_pair(args.b, "label b"))
     sc = StructureConstants(n)
-    da = phase_point(n, *a)
-    db = phase_point(n, *b)
+    da, db = phase_point(n, *np.transpose([a, b]))
     direct = da @ db - db @ da
     reconstructed = sc.commutator(a, b)
     residual = float(np.max(np.abs(direct - reconstructed)))
@@ -541,7 +557,7 @@ def run_structure_constants(args):
         "n": n,
         "prefactor": complex(sc.prefactor),
     }
-    rows = [("lambda", r, s, lam[r, s]) for r in range(n) for s in range(n)]
+    rows = _grid_rows("lambda", lam)
     rows += [
         ("a_m", "", "", a[0]),
         ("a_n", "", "", a[1]),
@@ -556,8 +572,7 @@ def run_structure_constants(args):
 
 def run_coherent_gram(args):
     n = args.n
-    if n < 1 or n > MAX_GRAM_DIM:
-        raise BoundsError(f"coherent-gram dimension must lie in 1..{MAX_GRAM_DIM}, got {n}")
+    _check_range(n, 1, MAX_GRAM_DIM, "coherent-gram dimension")
     family = CoherentFamily(n)
     gram = family.gram()
     identity_residual = float(
@@ -578,14 +593,8 @@ def run_coherent_gram(args):
         "n": n,
         "one_shared_magnitude": float((n + 2 * rt) / (2 * (n + rt))),
     }
-    rows = [
-        ("predicted_magnitude", dp, dq, predicted_mag[dp, dq])
-        for dp in range(n)
-        for dq in range(n)
-    ]
-    rows += [
-        ("direct_magnitude", dp, dq, direct_mag[dp, dq]) for dp in range(n) for dq in range(n)
-    ]
+    rows = _grid_rows("predicted_magnitude", predicted_mag)
+    rows += _grid_rows("direct_magnitude", direct_mag)
     rows += [
         ("identity_residual", "", "", identity_residual),
         ("max_closed_residual", "", "", max_closed_residual),
@@ -671,10 +680,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
     try:
@@ -684,15 +695,9 @@ def main(argv=None) -> int:
             Path(args.out).write_text(text, newline="")
         else:
             sys.stdout.write(text)
-    except UsageError as exc:
+    except _CliError as exc:
         print(f"qpl: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except BoundsError as exc:
-        print(f"qpl: {exc}", file=sys.stderr)
-        return EXIT_BOUNDS
-    except DegeneracyError as exc:
-        print(f"qpl: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
+        return exc.exit_code
     except OSError as exc:
         print(f"qpl: cannot write output: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -88,10 +88,6 @@ class FockSpace:
             raise ValueError(f"scale parameter {xi:.3g} outside [{SCALE_MIN:.3g}, {SCALE_MAX:.3g}]")
         return unitary_exp(self.g, -np.log(xi))
 
-    def mean(self, op, psi) -> complex:
-        psi = as_ket(psi)
-        return complex(psi.conj() @ op @ psi)
-
     def variance(self, op, psi) -> float:
         psi = as_ket(psi)
         m = (psi.conj() @ op @ psi).real

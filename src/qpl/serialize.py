@@ -30,6 +30,8 @@ def format_float(x: float) -> str:
 
 
 def _render(obj) -> str:
+    if isinstance(obj, (float, np.floating)):  # the common case, tested first
+        return format_float(float(obj))
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, (bool, np.bool_)):
@@ -38,8 +40,6 @@ def _render(obj) -> str:
         return "null"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return format_float(float(obj))
     if isinstance(obj, (complex, np.complexfloating)):
         z = complex(obj)
         return _render({"im": z.imag, "re": z.real})
@@ -65,12 +65,8 @@ def canonical_json(obj) -> str:
 def _cell(value) -> str:
     if isinstance(value, str):
         return value
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format_float(float(value))
+    if isinstance(value, (bool, int, float, np.bool_, np.integer, np.floating)):
+        return _render(value)
     raise TypeError(f"CSV cells must be scalars, got {type(value).__name__}")
 
 

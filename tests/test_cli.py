@@ -58,6 +58,27 @@ PINNED_RUNS = (
 )
 
 
+# Whole outputs pinned byte for byte: golden file -> argv.
+WHOLE_OUTPUTS = {
+    "az_2_3_1_2.csv": ["az", "2", "3", "1", "2", "--format", "csv"],
+    "coherent_gram_n3.csv": ["coherent-gram", "--n", "3", "--format", "csv"],
+    "gauss_trace_1_9.csv": ["gauss-trace", "1", "9", "--format", "csv"],
+    "nslit_n6_p3.csv": ["nslit", "--n", "6", "--potential", "0.3,1.1,2.0", "--format", "csv"],
+    "wigner_n5_random.csv": ["wigner", "--n", "5", "--state", "random", "--format", "csv"],
+}
+
+# Weak runs pinned byte for byte in both formats: golden stem -> config text.
+# The first relies on every default; the second sets each optional key and
+# reaches the annihilator block.
+WEAK_GOLDENS = {
+    "weak_vacuum_p": "system_dim = 3\npre = random\npost = random\nobs = number\neps = 0.05\n",
+    "weak_coherent_n": (
+        "system_dim = 2\npre = u0\npost = amps:1,1\nobs = sz\neps = 0.02\n"
+        "pointer = coherent:1+0.5j\npointer_dim = 48\npointer_gen = n\nhalving = false\nseed = 3\n"
+    ),
+}
+
+
 def pinned_fields(command, out, fmt):
     """The pinned fields of one output, numbers kept as their printed text."""
     keys, quantities = PINNED_FIELDS[command]
@@ -128,6 +149,20 @@ class TestGoldenOutputs:
         golden = json.loads((GOLDEN / name).read_text(), parse_float=str, parse_int=str)
         out, _ = run_cli(capsys, argv + ["--format", fmt])
         assert pinned_fields(argv[0], out, fmt) == golden[" ".join(argv)][fmt]
+
+    @pytest.mark.parametrize("name", sorted(WHOLE_OUTPUTS))
+    def test_whole_output_matches_golden(self, capsys, monkeypatch, name):
+        monkeypatch.delenv("QPL_SEED", raising=False)
+        out, _ = run_cli(capsys, WHOLE_OUTPUTS[name])
+        assert out == (GOLDEN / name).read_bytes().decode()
+
+    @pytest.mark.parametrize("fmt", ("json", "csv"))
+    @pytest.mark.parametrize("name", sorted(WEAK_GOLDENS))
+    def test_weak_output_matches_golden(self, capsys, monkeypatch, tmp_path, name, fmt):
+        monkeypatch.delenv("QPL_SEED", raising=False)
+        cfg = weak_config(tmp_path, WEAK_GOLDENS[name])
+        out, _ = run_cli(capsys, ["weak", "--config", cfg, "--format", fmt])
+        assert out == (GOLDEN / f"{name}.{fmt}").read_bytes().decode()
 
 
 DETERMINISTIC_COMMANDS = (
@@ -434,14 +469,51 @@ EXIT_CODE_CASES = (
     (["structure-constants", "--n", "5", "--a", "x"], EXIT_USAGE),
     (["coherent-gram", "--n", "0"], EXIT_BOUNDS),
     (["coherent-gram", "--n", "17"], EXIT_BOUNDS),
+    (["weak", "--config", "system_dim = 1"], EXIT_BOUNDS),
+    (["weak", "--config", f"system_dim = {MAX_SYSTEM_DIM + 1}"], EXIT_BOUNDS),
+    (["weak", "--config", "pointer_dim = 1"], EXIT_BOUNDS),
+    (["weak", "--config", f"pointer_dim = {MAX_POINTER_DIM + 1}"], EXIT_BOUNDS),
 )
+
+# A weak config that runs cleanly; EXIT_CODE_CASES give one `key = value`
+# line after --config that replaces its entry.
+WEAK_BASE = {"system_dim": "2", "pre": "u0", "post": "u0", "obs": "number", "eps": "1e-3"}
+
+
+def with_config_file(tmp_path, argv):
+    """argv with the `key = value` after --config swapped for a WEAK_BASE file."""
+    if "--config" not in argv:
+        return argv
+    i = argv.index("--config") + 1
+    key, _, value = argv[i].partition(" = ")
+    entries = {**WEAK_BASE, key: value}
+    text = "".join(f"{k} = {v}\n" for k, v in entries.items())
+    return argv[:i] + [weak_config(tmp_path, text)] + argv[i + 1 :]
 
 
 class TestExitCodes:
     @pytest.mark.parametrize("argv,code", EXIT_CODE_CASES, ids=lambda v: str(v))
-    def test_error_paths(self, capsys, argv, code):
-        _, err = run_cli(capsys, argv, expect=code)
+    def test_error_paths(self, capsys, tmp_path, argv, code):
+        _, err = run_cli(capsys, with_config_file(tmp_path, argv), expect=code)
         assert err.startswith("qpl:")
+
+    def test_main_is_reentrant(self, capsys, monkeypatch):
+        """Usage errors, --help and flags leave nothing behind for the next call."""
+        monkeypatch.delenv("QPL_SEED", raising=False)
+        argv = ["wigner", "--n", "3", "--state", "random", "--format", "csv"]
+        fresh = subprocess.run([sys.executable, "-m", "qpl.cli", *argv], capture_output=True)
+        assert fresh.returncode == EXIT_OK
+        interruptions = (
+            (["wigner", "--n", "x", "--state", "u0"], EXIT_USAGE),
+            (["wigner", "--frobnicate"], EXIT_USAGE),
+            (["wigner", "--help"], EXIT_OK),
+            (["--help"], EXIT_OK),
+            (argv + ["--seed", "7", "--format", "json"], EXIT_OK),
+        )
+        for other, code in interruptions:
+            first = run_cli(capsys, other, expect=code)
+            assert run_cli(capsys, other, expect=code) == first
+            assert run_cli(capsys, argv) == (fresh.stdout.decode(), "")
 
     def test_missing_subcommand_is_usage(self, capsys):
         assert main([]) == EXIT_USAGE

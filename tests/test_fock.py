@@ -5,6 +5,7 @@ import pytest
 
 from qpl import (
     FockSpace,
+    expectation,
     is_unitary,
     sl2_generators,
 )
@@ -87,8 +88,8 @@ def test_displacement_unitary_and_guard():
 @pytest.mark.parametrize("z", (0.3, 1.0 + 1.0j, -2.0 + 0.5j, 3.0, 3j))
 def test_coherent_moments(z):
     psi = SPACE.coherent(z)
-    assert SPACE.mean(SPACE.num, psi).real == pytest.approx(abs(z) ** 2, abs=1e-6)
-    assert SPACE.mean(SPACE.a, psi) == pytest.approx(z, abs=1e-6)
+    assert expectation(SPACE.num, psi).real == pytest.approx(abs(z) ** 2, abs=1e-6)
+    assert expectation(SPACE.a, psi) == pytest.approx(z, abs=1e-6)
     # minimal uncertainty in both quadratures
     assert SPACE.variance(SPACE.q, psi) == pytest.approx(0.5, abs=1e-6)
     assert SPACE.variance(SPACE.p, psi) == pytest.approx(0.5, abs=1e-6)
