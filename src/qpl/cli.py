@@ -34,7 +34,7 @@ from .coherent import CoherentFamily, coherent_overlap_closed, coherent_state
 from .fock import FockSpace
 from .linalg import basis_ket, random_density, random_ket
 from .modular import az_state, momentum_amplitudes, nslit_evolve
-from .schwinger import Kinematics, gauss_trace, gauss_trace_closed_form
+from .schwinger import dft, gauss_trace, gauss_trace_closed_form
 from .serialize import canonical_json, csv_text
 from .weak import (
     FactoredEvolution,
@@ -148,7 +148,7 @@ def parse_ket_selector(spec: str, dim: int, rng: np.random.Generator) -> np.ndar
             raise UsageError(f"selector {spec!r} is out of range for dimension {dim}")
         if spec[0] == "u":
             return basis_ket(dim, k)
-        return Kinematics(dim).momentum_state(k)
+        return dft(dim)[:, k].copy()  # a strided view would round later products differently
     if spec.startswith("coherent:"):
         parts = spec[len("coherent:") :].split(",")
         if len(parts) != 2:
@@ -366,11 +366,11 @@ def run_weak(args):
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
-    evolution = FactoredEvolution(cfg)
+    evolution = FactoredEvolution(cfg.obs, cfg.pointer_gen, cfg.pre, cfg.pointer)
     try:
         ow = weak_value(cfg)
-        selected = evolution.post_selected(eps)
-        half_selected = evolution.post_selected(eps / 2) if halving else None
+        selected = evolution.post_selected(eps, cfg.post)
+        half_selected = evolution.post_selected(eps / 2, cfg.post) if halving else None
     except ValueError as exc:
         raise DegeneracyError(str(exc)) from exc
     probability = selected.probability

@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import basis_ket, normalize
-from .schwinger import Kinematics, _check_dim, weyl_word
+from .schwinger import _check_dim, dft, weyl_word
 
 
 def displacement(n: int, m, nn) -> np.ndarray:
@@ -48,9 +48,7 @@ def reference_state(n: int) -> np.ndarray:
 
     The pre-normalization squared norm is 2 + 2/√N.
     """
-    kin = Kinematics(n)
-    raw = basis_ket(n, 0) + kin.F[:, 0]
-    return normalize(raw)
+    return normalize(basis_ket(n, 0) + dft(n)[:, 0])
 
 
 def coherent_state(n: int, m: int, nn: int) -> np.ndarray:

@@ -45,6 +45,22 @@ def as_operator(entries) -> np.ndarray:
     return op
 
 
+def as_unit_ket(amplitudes, what: str) -> np.ndarray:
+    """`as_ket`, then require unit norm (within 1e-10); `what` names the ket in the error."""
+    psi = as_ket(amplitudes)
+    if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
+        raise ValueError(f"{what} must be normalized")
+    return psi
+
+
+def as_hermitian(entries, what: str) -> np.ndarray:
+    """`as_operator`, then require A = A† within HERMITIAN_TOL; `what` names A in the error."""
+    op = as_operator(entries)
+    if np.max(np.abs(op - op.conj().T)) > HERMITIAN_TOL:
+        raise ValueError(f"{what} must be hermitian")
+    return op
+
+
 def normalize(psi) -> np.ndarray:
     """Return psi / ||psi||.  Errors on (numerically) zero vectors."""
     psi = as_ket(psi)
@@ -123,9 +139,7 @@ def unitary_exp(h, t: float) -> np.ndarray:
     Uses a full eigendecomposition rather than a series expansion, so the
     result is unitary to spectral accuracy for any t.
     """
-    h = as_operator(h)
-    if not is_hermitian(h):
-        raise ValueError("generator passed to unitary_exp is not hermitian")
+    h = as_hermitian(h, "generator passed to unitary_exp")
     w, v = np.linalg.eigh(h)
     return (v * np.exp(-1j * t * w)) @ v.conj().T
 

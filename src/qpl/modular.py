@@ -19,8 +19,8 @@ from math import gcd
 
 import numpy as np
 
-from .linalg import as_ket, tensor
-from .schwinger import Kinematics
+from .linalg import as_ket, basis_ket, tensor
+from .schwinger import dft
 
 
 def _check_factors(na: int, nb: int):
@@ -108,11 +108,9 @@ def az_state(na: int, nb: int, j: int, sigma: int) -> AzState:
     _check_factors(na, nb)
     j %= na
     sigma %= nb
-    momentum = Kinematics(na).momentum_state(j)
-    position = np.zeros(nb, dtype=complex)
-    position[sigma] = 1.0
-    pair = tensor(momentum, position)
-    vector = crt_permutation(na, nb).T @ pair
+    pair = tensor(dft(na)[:, j], basis_ket(nb, sigma))
+    idx = np.arange(na * nb)
+    vector = pair[(idx % na) * nb + idx % nb]  # crt_permutation(na, nb).T @ pair
     shift_phase, clock_phase = modular_cell_coords(na, nb, j, sigma)
     return AzState(
         na=na,
@@ -146,12 +144,11 @@ def nslit_evolve(n: int, samples) -> np.ndarray:
     period = samples.size
     if n % period != 0:
         raise ValueError(f"period {period} does not divide register size {n}")
-    kin = Kinematics(n)
     tiled = np.tile(samples, n // period)
-    return np.exp(-1j * tiled) * kin.momentum_state(0)
+    return np.exp(-1j * tiled) * dft(n)[:, 0]
 
 
 def momentum_amplitudes(state) -> np.ndarray:
     """Coefficients of a ket in the momentum basis (columns of F)."""
     state = as_ket(state)
-    return Kinematics(state.shape[0]).F.conj().T @ state
+    return dft(state.shape[0]).conj().T @ state

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 
 import numpy as np
 
@@ -21,11 +22,9 @@ FLOAT_DIGITS = 12
 
 def format_float(x: float) -> str:
     """Canonical decimal text for a finite float."""
-    x = float(x)
-    if not np.isfinite(x):
+    x = float(x) + 0.0  # adding +0.0 collapses -0.0
+    if not math.isfinite(x):
         raise ValueError(f"cannot serialize non-finite value {x!r}")
-    if x == 0.0:
-        x = 0.0  # collapse -0.0
     return format(x, f".{FLOAT_DIGITS}g")
 
 

@@ -3,18 +3,19 @@
 A run couples a system observable O to a pointer generator R through the
 exact unitary exp(-i·ε·O⊗R), then post-selects the system on |β⟩.
 
-The exact evolution is computed factor by factor (`FactoredEvolution`).
-With O = V·diag(o)·V† and R = W·diag(r)·W†, the coupling is diagonal in
-the product eigenbasis |o_k⟩⊗|r_j⟩ with phases exp(-i·ε·o_k·r_j), so the
-post-selected pointer is
+The exact evolution has one implementation, `FactoredEvolution`.  With
+O = V·diag(o)·V† and R = W·diag(r)·W†, the coupling is diagonal in the
+product eigenbasis |o_k⟩⊗|r_j⟩, so |o_k⟩ carries the pointer branch
+W·exp(-i·ε·o_k·r)·W†|φ⟩ and the post-selected pointer is
 
     ⟨β|⊗I·exp(-i·ε·O⊗R)·|α⟩⊗|φ⟩ = Σ_k ⟨β|o_k⟩⟨o_k|α⟩·W·exp(-i·ε·o_k·r)·W†|φ⟩
 
-at the cost of one eigendecomposition per factor and an (np × ns) phase
-table per ε; no composite matrix is formed.  `pre_measurement` and
-`qubit_pointer_profile` use the same phase table.  `evolve_exact` builds
-the dense composite unitary and is kept only as the brute-force oracle the
-tests compare against.
+from one eigendecomposition per factor; no composite matrix is formed.
+`pre_measurement` mixes the branches with weights |⟨o_k|α⟩|², and
+`qubit_pointer_profile` is the two-branch case P = |v_1⟩⟨v_1|: |v_0⟩
+carries |α⟩ and |v_1⟩ carries exp(-iλO)|α⟩.  The dense composite oracle
+the tests use, `evolve_exact` and `post_select`, stays here while the
+benchmark harness in `perfbench/` wraps it.
 
 For small ε the conditioned pointer mean of an observable M moves by
 
@@ -38,10 +39,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .linalg import (
+    as_hermitian,
     as_ket,
     as_operator,
+    as_unit_ket,
     expectation,
-    is_hermitian,
+    hs_inner,
     tensor,
     unitary_exp,
 )
@@ -70,30 +73,20 @@ class WeakConfig:
     eps: float
 
     def __post_init__(self):
-        pre = as_ket(self.pre)
-        post = as_ket(self.post)
-        obs = as_operator(self.obs)
-        gen = as_operator(self.pointer_gen)
-        pointer = as_ket(self.pointer)
+        pre = as_unit_ket(self.pre, "pre state")
+        post = as_unit_ket(self.post, "post state")
+        obs = as_hermitian(self.obs, "system observable")
+        gen = as_hermitian(self.pointer_gen, "pointer generator")
+        pointer = as_unit_ket(self.pointer, "pointer state")
         if pre.shape != post.shape or obs.shape[0] != pre.shape[0]:
             raise ValueError("system state and observable dimensions do not match")
         if gen.shape[0] != pointer.shape[0]:
             raise ValueError("pointer state and generator dimensions do not match")
-        for name, ket in (("pre", pre), ("post", post), ("pointer", pointer)):
-            if abs(np.linalg.norm(ket) - 1.0) > 1e-10:
-                raise ValueError(f"{name} state must be normalized")
-        if not is_hermitian(obs):
-            raise ValueError("system observable must be hermitian")
-        if not is_hermitian(gen):
-            raise ValueError("pointer generator must be hermitian")
         if not np.isfinite(self.eps) or self.eps < 0:
             raise ValueError(f"coupling eps must be a finite nonnegative real, got {self.eps!r}")
-        object.__setattr__(self, "pre", pre)
-        object.__setattr__(self, "post", post)
-        object.__setattr__(self, "obs", obs)
-        object.__setattr__(self, "pointer_gen", gen)
-        object.__setattr__(self, "pointer", pointer)
-        object.__setattr__(self, "eps", float(self.eps))
+        validated = dict(pre=pre, post=post, obs=obs, pointer_gen=gen, pointer=pointer)
+        for name, value in {**validated, "eps": float(self.eps)}.items():
+            object.__setattr__(self, name, value)
 
     def with_eps(self, eps: float) -> "WeakConfig":
         return replace(self, eps=eps)
@@ -126,30 +119,33 @@ def weak_value(cfg: WeakConfig) -> complex:
     return complex(cfg.post.conj() @ cfg.obs @ cfg.pre) / denom
 
 
-def _coupling_phases(t: float, gen_values, obs_values) -> np.ndarray:
-    """exp(-i·t·r_j·o_k): rows follow the eigenvalues r_j of the pointer
-    generator, columns the eigenvalues o_k of the system observable."""
-    return np.exp(-1j * t * np.outer(gen_values, obs_values))
-
-
 class FactoredEvolution:
-    """exp(-i·ε·O⊗R)·(|α⟩⊗|φ⟩) post-selected on ⟨β|, from the factor spectra.
+    """exp(-i·t·O⊗R)·(|α⟩⊗|φ⟩) from the factor spectra, for any coupling t.
 
-    Both eigendecompositions are taken once at construction; each call of
-    `post_selected` then costs an (np × ns) phase table and one pointer-side
-    matrix-vector product.
+    Both eigendecompositions, ⟨o_k|α⟩ and W†|φ⟩ are taken once at
+    construction; each later call costs an (np × ns) phase table and
+    pointer-side products, and no composite matrix is formed.
     """
 
-    def __init__(self, cfg: WeakConfig):
-        self.obs_values, obs_vectors = np.linalg.eigh(cfg.obs)
-        self.gen_values, self.gen_vectors = np.linalg.eigh(cfg.pointer_gen)
-        # ⟨β|o_k⟩⟨o_k|α⟩ per eigenvector of O; |φ⟩ in the eigenbasis of R
-        self.amplitudes = (cfg.post.conj() @ obs_vectors) * (obs_vectors.conj().T @ cfg.pre)
-        self.pointer_coeffs = self.gen_vectors.conj().T @ cfg.pointer
+    def __init__(self, obs, gen, pre, pointer):
+        self.obs_values, self.obs_vectors = np.linalg.eigh(obs)
+        self.gen_values, self.gen_vectors = np.linalg.eigh(gen)
+        self.pre_coeffs = self.obs_vectors.conj().T @ pre  # ⟨o_k|α⟩
+        self.pointer_coeffs = self.gen_vectors.conj().T @ pointer  # |φ⟩ in the eigenbasis of R
 
-    def post_selected(self, eps: float) -> PostSelection:
-        phases = _coupling_phases(eps, self.gen_values, self.obs_values)
-        return PostSelection.of(self.gen_vectors @ (self.pointer_coeffs * (phases @ self.amplitudes)))
+    def _coupling_phases(self, t: float) -> np.ndarray:
+        """exp(-i·t·r_j·o_k): rows follow the eigenvalues r_j of R, columns o_k."""
+        return np.exp(-1j * t * np.outer(self.gen_values, self.obs_values))
+
+    def branches(self, t: float) -> np.ndarray:
+        """Column k is the pointer exp(-i·t·o_k·R)|φ⟩ carried by |o_k⟩."""
+        return self.gen_vectors @ (self._coupling_phases(t) * self.pointer_coeffs[:, None])
+
+    def post_selected(self, t: float, post) -> PostSelection:
+        """The pointer left by ⟨β|⊗I on the evolved state, for |β⟩ = `post`."""
+        amplitudes = (post.conj() @ self.obs_vectors) * self.pre_coeffs  # ⟨β|o_k⟩⟨o_k|α⟩
+        phases = self._coupling_phases(t)
+        return PostSelection.of(self.gen_vectors @ (self.pointer_coeffs * (phases @ amplitudes)))
 
 
 def evolve_exact(cfg: WeakConfig) -> np.ndarray:
@@ -176,17 +172,19 @@ def conditioned_shift(selection: PostSelection, pointer, m) -> complex:
     return expectation(m, selection.normalized) - expectation(m, pointer)
 
 
+def _post_selected(cfg: WeakConfig) -> PostSelection:
+    evolution = FactoredEvolution(cfg.obs, cfg.pointer_gen, cfg.pre, cfg.pointer)
+    return evolution.post_selected(cfg.eps, cfg.post)
+
+
 def selection_probability(cfg: WeakConfig) -> float:
-    return FactoredEvolution(cfg).post_selected(cfg.eps).probability
+    return _post_selected(cfg).probability
 
 
 def measured_shift(cfg: WeakConfig, m) -> float:
     """Exact conditioned shift ⟨M⟩_final - ⟨M⟩_initial of a hermitian M."""
-    m = as_operator(m)
-    if not is_hermitian(m):
-        raise ValueError("measured_shift expects a hermitian pointer observable")
-    final = FactoredEvolution(cfg).post_selected(cfg.eps)
-    return float(conditioned_shift(final, cfg.pointer, m).real)
+    m = as_hermitian(m, "pointer observable of measured_shift")
+    return float(conditioned_shift(_post_selected(cfg), cfg.pointer, m).real)
 
 
 def predicted_shift(cfg: WeakConfig, m) -> float:
@@ -215,8 +213,7 @@ def shift_residual(cfg: WeakConfig, m) -> float:
 
 def annihilator_shift(cfg: WeakConfig, a) -> complex:
     """Exact conditioned shift of the (non-hermitian) lowering operator."""
-    final = FactoredEvolution(cfg).post_selected(cfg.eps)
-    return complex(conditioned_shift(final, cfg.pointer, as_operator(a)))
+    return complex(conditioned_shift(_post_selected(cfg), cfg.pointer, as_operator(a)))
 
 
 def annihilator_shift_prediction(cfg: WeakConfig, z: complex) -> complex:
@@ -241,22 +238,15 @@ def pre_measurement(alpha, obs, lam: float, space, pointer=None) -> PreMeasureme
     eigenvalue o_j of the observable, and its position mean sits at
     ⟨Q⟩_φ + λ·⟨O⟩_α.
     """
-    alpha = as_ket(alpha)
-    obs = as_operator(obs)
-    if not is_hermitian(obs):
-        raise ValueError("pre_measurement expects a hermitian observable")
-    if abs(np.linalg.norm(alpha) - 1.0) > 1e-10:
-        raise ValueError("system state must be normalized")
-    phi = space.vacuum() if pointer is None else as_ket(pointer)
-    obs_values, obs_vectors = np.linalg.eigh(obs)
-    weights = np.abs(obs_vectors.conj().T @ alpha) ** 2
-    p_values, p_vectors = np.linalg.eigh(space.p)
-    # column j is the branch exp(-i·λ·o_j·P)|φ⟩, applied in the eigenbasis of P
-    phases = _coupling_phases(lam, p_values, obs_values)
-    branches = p_vectors @ (phases * (p_vectors.conj().T @ phi)[:, None])
-    reduced = (branches * weights) @ branches.conj().T
-    position_mean = float(np.trace(reduced @ space.q).real)
-    purity = float(np.trace(reduced @ reduced).real)
+    alpha = as_unit_ket(alpha, "system state")
+    obs = as_hermitian(obs, "observable of pre_measurement")
+    phi = space.vacuum() if pointer is None else as_unit_ket(pointer, "pointer state")
+    evolution = FactoredEvolution(obs, space.p, alpha, phi)
+    branches = evolution.branches(lam)
+    reduced = (branches * np.abs(evolution.pre_coeffs) ** 2) @ branches.conj().T
+    # reduced and q are hermitian, so tr(ρ·q) = tr(ρ†·q) and tr(ρ²) = tr(ρ†·ρ)
+    position_mean = hs_inner(reduced, space.q).real
+    purity = hs_inner(reduced, reduced).real
     return PreMeasurement(reduced=reduced, position_mean=position_mean, purity=purity)
 
 
@@ -303,31 +293,24 @@ def qubit_pointer_profile(pre, obs, coupling: float, theta: float, phases, post=
     after tracing out the system (post=None) or after post-selecting the
     system on `post`.
     """
-    pre = as_ket(pre)
-    obs = as_operator(obs)
-    if not is_hermitian(obs):
-        raise ValueError("system observable must be hermitian")
+    pre = as_unit_ket(pre, "pre state")
+    obs = as_hermitian(obs, "system observable")
     phases = np.asarray(phases, dtype=float)
     if phases.ndim != 1 or phases.size < 3:
         raise ValueError("need a 1-D scan of at least 3 phases")
-    obs_values, obs_vectors = np.linalg.eigh(obs)
-    pre_coeffs = obs_vectors.conj().T @ pre
-    # P has eigenvalues (0, 1) on |v_0⟩, |v_1⟩: branch k keeps the |v_0⟩
-    # amplitude and multiplies the |v_1⟩ amplitude by e^{-iλ·o_k}.  Pointer
-    # kets are held in the v basis, where the reference ket is (1, 1)/√2.
-    kicks = _coupling_phases(coupling, np.array([0.0, 1.0]), obs_values)
-    if post is not None:
-        selected = kicks @ ((as_ket(post).conj() @ obs_vectors) * pre_coeffs)
-    reference = np.ones(2) / np.sqrt(2)
-    probs = np.empty(phases.size)
-    for i, phi in enumerate(phases):
-        pointer = np.array([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)])
-        if post is None:
-            overlaps = reference @ (kicks * pointer[:, None])
-            probs[i] = float(np.abs(pre_coeffs) ** 2 @ np.abs(overlaps) ** 2)
-        else:
-            sel = PostSelection.of(pointer * selected)
-            probs[i] = float(abs(reference @ sel.normalized) ** 2)
+    # Pointer kets are held in the v basis, where P = diag(0, 1) and the
+    # reference ket is (1, 1)/√2.  The azimuth diag(1, e^{iφ}) commutes with
+    # the coupling, so each scanned pointer is the φ = 0 one, rotated: branch
+    # by branch (weights |⟨o_k|α⟩|²) without `post`, or once selected.
+    start = np.array([np.cos(theta / 2), np.sin(theta / 2)])
+    evolution = FactoredEvolution(obs, np.diag([0.0, 1.0]), pre, start)
+    azimuths = np.exp(1j * phases[:, None] * np.array([0.0, 1.0]))
+    if post is None:
+        overlaps = azimuths @ evolution.branches(coupling) / np.sqrt(2)
+        probs = np.abs(overlaps) ** 2 @ np.abs(evolution.pre_coeffs) ** 2
+    else:
+        selected = evolution.post_selected(coupling, as_ket(post))
+        probs = np.abs(azimuths @ selected.normalized) ** 2 / 2
     harmonic = complex(np.sum(probs * np.exp(1j * phases)))
     maximizer = float(np.angle(harmonic)) % (2 * np.pi)
     modulation = 2 * abs(harmonic) / phases.size

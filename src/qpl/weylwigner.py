@@ -57,7 +57,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import as_operator, is_hermitian
+from .linalg import as_hermitian, as_operator
 from .schwinger import _check_dim, _phase_table
 
 # Prefactor c0 in [Δ_a, Δ_b] = c0 · Σ_c Λ_ab^c · Δ_c, odd N.  Pinned
@@ -189,10 +189,8 @@ def wigner_map(rho) -> WignerMap:
     It is `WeylWignerBasis.transform(rho).real / N`: the same moment-space
     kernel, divided once by N² (O(N³) time, O(N²) memory).
     """
-    rho = as_operator(rho)
+    rho = as_hermitian(rho, "wigner map input")
     n = rho.shape[0]
-    if not is_hermitian(rho):
-        raise ValueError("wigner map requires a hermitian input")
     tr = complex(np.trace(rho))
     if abs(tr - 1.0) > 1e-10:
         raise ValueError(f"wigner map requires unit trace, got trace {tr:.3g}")

@@ -23,6 +23,7 @@ from qpl import (
     tensor,
     unitary_exp,
 )
+from qpl.linalg import as_hermitian, as_unit_ket
 
 RNG = np.random.default_rng(20240817)
 
@@ -61,6 +62,29 @@ def test_dagger_and_hs_inner():
     np.testing.assert_allclose(hs_inner(a, b), np.trace(dagger(a) @ b), atol=1e-12)
     with pytest.raises(ValueError):
         hs_inner(a, np.eye(3))
+
+
+def test_as_hermitian_returns_the_operator_or_names_it():
+    h = random_hermitian(4, RNG)
+    out = as_hermitian(h.tolist(), "generator")
+    assert out.dtype == complex and np.array_equal(out, h)
+    as_hermitian(h + 1e-11j * np.eye(4), "generator")  # inside HERMITIAN_TOL
+    with pytest.raises(ValueError, match="generator must be hermitian"):
+        as_hermitian(h + 1e-6j * np.eye(4), "generator")
+    with pytest.raises(ValueError, match="square"):
+        as_hermitian(np.ones((2, 3)), "generator")
+
+
+def test_as_unit_ket_returns_the_ket_or_names_it():
+    psi = random_ket(5, RNG)
+    out = as_unit_ket(list(psi), "pointer state")
+    assert out.dtype == complex and np.array_equal(out, psi)
+    as_unit_ket(psi * (1 + 1e-11), "pointer state")  # inside the 1e-10 norm tolerance
+    for scale in (0.0, 1 + 1e-9, 2.0):
+        with pytest.raises(ValueError, match="pointer state must be normalized"):
+            as_unit_ket(scale * psi, "pointer state")
+    with pytest.raises(ValueError, match="non-finite"):
+        as_unit_ket([np.nan, 1.0], "pointer state")
 
 
 def test_hermitian_unitary_predicates():

@@ -267,10 +267,10 @@ class TestFactoredEvolution:
                 pointer=pointer,
                 eps=0.0,
             )
-            evolution = FactoredEvolution(cfg)
+            evolution = FactoredEvolution(cfg.obs, cfg.pointer_gen, cfg.pre, cfg.pointer)
             for eps in (0.0, 1e-3, 0.3, 3.0):
                 oracle = post_select(evolve_exact(cfg.with_eps(eps)), cfg.post, pointer_dim)
-                factored = evolution.post_selected(eps)
+                factored = evolution.post_selected(eps, cfg.post)
                 assert np.max(np.abs(factored.raw - oracle.raw)) <= 1e-12
                 assert np.max(np.abs(factored.normalized - oracle.normalized)) <= 1e-12
                 assert abs(factored.probability - oracle.probability) <= 1e-12
@@ -285,7 +285,9 @@ class TestFactoredEvolution:
             eps=EPS,
         )
         with pytest.raises(ValueError, match="zero probability"):
-            FactoredEvolution(cfg).post_selected(EPS)
+            FactoredEvolution(cfg.obs, cfg.pointer_gen, cfg.pre, cfg.pointer).post_selected(
+                EPS, cfg.post
+            )
 
 
 class TestShiftFormulas:
@@ -501,9 +503,29 @@ class TestPreMeasurement:
         )
         assert np.linalg.norm(record.reduced - rho) < 1e-12
 
+    @pytest.mark.parametrize("system_dim", (2, 3, 4))
+    @pytest.mark.parametrize("pointer_kind", ("vacuum", "coherent"))
+    @pytest.mark.parametrize("lam", (0.0, 0.3, 1.5))
+    def test_matches_dense_partial_trace(self, system_dim, pointer_kind, lam):
+        rng = np.random.default_rng(60 + system_dim)
+        obs = random_hermitian(system_dim, rng)
+        alpha = random_ket(system_dim, rng)
+        pointer = VACUUM if pointer_kind == "vacuum" else SPACE.coherent(COHERENT_Z)
+        record = pre_measurement(alpha, obs, lam, SPACE, pointer=pointer)
+        state = unitary_exp(tensor(obs, SPACE.p), lam) @ tensor(alpha, pointer)
+        rho = partial_trace(np.outer(state, state.conj()), (system_dim, POINTER_DIM), keep=1)
+        assert np.max(np.abs(record.reduced - rho)) <= 1e-12
+        assert abs(record.position_mean - np.trace(rho @ SPACE.q).real) <= 1e-12
+        assert abs(record.purity - np.trace(rho @ rho).real) <= 1e-12
+
     def test_rejects_non_hermitian_observable(self):
         with pytest.raises(ValueError):
             pre_measurement(basis_ket(2, 0), SPACE.a[:2, :2], 1.0, SPACE)
+
+    def test_rejects_unnormalized_pointer(self):
+        # a scaled pointer used to give a reduced state of trace 9
+        with pytest.raises(ValueError, match="pointer state must be normalized"):
+            pre_measurement(basis_ket(2, 0), np.diag([1.0, -1.0]), 1.0, SPACE, pointer=3 * VACUUM)
 
 
 class TestPancharatnamPhase:
@@ -618,6 +640,44 @@ class TestQubitPointerProfile:
         assert abs(scan.maximizer) < 1e-9 or abs(
             scan.maximizer - 2 * np.pi
         ) < 1e-9
+
+    @pytest.mark.parametrize("system_dim", (2, 3))
+    @pytest.mark.parametrize("selected", (False, True))
+    def test_matches_dense_per_phase_oracle(self, system_dim, selected):
+        rng = np.random.default_rng(77 + system_dim)
+        pre, post = random_ket(system_dim, rng), random_ket(system_dim, rng)
+        obs = random_hermitian(system_dim, rng)
+        coupling, theta = 1.3, 2.1
+        phases = self.PHASES[::12]
+        scan = qubit_pointer_profile(
+            pre, obs, coupling, theta, phases, post=post if selected else None
+        )
+        reference = np.ones(2) / np.sqrt(2)
+        unitary = unitary_exp(tensor(obs, np.diag([0.0, 1.0])), coupling)
+        for phi, probability in zip(phases, scan.probabilities):
+            pointer = np.array([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)])
+            state = unitary @ tensor(pre, pointer)
+            if selected:
+                expected = abs(reference @ post_select(state, post, 2).normalized) ** 2
+            else:
+                rho = partial_trace(np.outer(state, state.conj()), (system_dim, 2), keep=1)
+                expected = (reference @ rho @ reference).real
+            assert abs(probability - expected) <= 1e-12
+
+    def test_zero_surviving_population_raises(self):
+        with pytest.raises(ValueError, match="zero probability"):
+            qubit_pointer_profile(
+                basis_ket(2, 0), np.diag([1.0, -1.0]), 0.7, 0.9, self.PHASES, post=basis_ket(2, 1)
+            )
+
+    @pytest.mark.parametrize("selected", (False, True))
+    def test_rejects_unnormalized_pre(self, selected):
+        # a doubled pre used to give "probabilities" up to 3.55 on this scan
+        rng = np.random.default_rng(1)
+        pre, obs = random_ket(2, rng), random_hermitian(2, rng)
+        post = random_ket(2, rng) if selected else None
+        with pytest.raises(ValueError, match="pre state must be normalized"):
+            qubit_pointer_profile(2 * pre, obs, 0.7, 0.9, self.PHASES, post=post)
 
     def test_polar_pointer_flattens_profile(self):
         rng = np.random.default_rng(76)
