@@ -13,7 +13,6 @@ from .linalg import (
     basis_ket,
     commutator,
     anticommutator,
-    dagger,
     expectation,
     hs_inner,
     is_hermitian,
@@ -32,8 +31,6 @@ from .schwinger import (
     dft,
     gauss_trace,
     gauss_trace_closed_form,
-    momentum_shift,
-    position_shift,
     weyl_relation_defect,
 )
 from .weylwigner import (
@@ -56,7 +53,7 @@ from .coherent import (
     reference_state,
     symplectic_phase,
 )
-from .fock import FockSpace, sl2_generators
+from .fock import FockSpace
 from .weak import (
     FactoredEvolution,
     PointerScan,

@@ -51,8 +51,8 @@ def reference_state(n: int) -> np.ndarray:
     return normalize(basis_ket(n, 0) + dft(n)[:, 0])
 
 
-def coherent_state(n: int, m: int, nn: int) -> np.ndarray:
-    """Family member |m,n⟩ = D_mn|0⟩."""
+def coherent_state(n: int, m, nn) -> np.ndarray:
+    """Family member |m,n⟩ = D_mn|0⟩; array labels give a stack of kets."""
     return displacement(n, m, nn) @ reference_state(n)
 
 
@@ -88,17 +88,13 @@ def coherent_overlap_closed(n: int, p, q, r, s):
 
 
 class CoherentFamily:
-    """All N² coherent states of one dimension, flat index i = m·N + n."""
+    """All N² coherent states of one dimension: states[m, n] is |m,n⟩, flat index m·N + n."""
 
     def __init__(self, n: int):
         _check_dim(n)
         self.dim = int(n)
-        self.ref = reference_state(self.dim)
         k = np.arange(self.dim)
-        self.states = displacement(self.dim, k[:, None], k[None, :]) @ self.ref
-
-    def state(self, m: int, nn: int) -> np.ndarray:
-        return self.states[m % self.dim, nn % self.dim].copy()
+        self.states = coherent_state(self.dim, k[:, None], k[None, :])
 
     def gram(self) -> np.ndarray:
         """Gram matrix G[i,j] = ⟨state_i|state_j⟩ over the flat index."""

@@ -1,11 +1,12 @@
 """Truncated single bosonic mode.
 
-The ladder operator acts as a|n⟩ = √n|n-1⟩ on number states 0..D-1, with
-the raising operator cut off at the top level (a†|D-1⟩ = 0).  Quadratures
-are Q = (a + a†)/√2 and P = (a - a†)/(i√2), so [Q,P] = iI exactly on the
+The ladder operator acts as a|n⟩ = √n|n-1⟩ on number states 0..D-1
+(|n⟩ is basis_ket(D, n); FockSpace.vacuum() is |0⟩), with the raising
+operator cut off at the top level (a†|D-1⟩ = 0).  Quadratures are
+Q = (a + a†)/√2 and P = (a - a†)/(i√2), so [Q,P] = iI exactly on the
 interior indices 0..D-2 and Var_Q(|0⟩) = 1/2.
 
-The sl(2,R)-like generators are
+The sl(2,R)-like generators, the FockSpace attributes h0, g and k, are
 
     h0 = (Q² + P²)/2      (equals N + I/2 on the interior)
     g  = (QP + PQ)/2
@@ -25,14 +26,13 @@ import numpy as np
 
 from .linalg import as_ket, basis_ket, unitary_exp
 
-DEFAULT_DIM = 64
 SCALE_MIN, SCALE_MAX = 1.0 / 3.0, 3.0
 
 
 class FockSpace:
     """Operator bundle for one truncated mode of dimension `dim` ≥ 2."""
 
-    def __init__(self, dim: int = DEFAULT_DIM):
+    def __init__(self, dim: int):
         if not isinstance(dim, (int, np.integer)) or dim < 2:
             raise ValueError(f"truncation dimension must be an integer >= 2, got {dim!r}")
         self.dim = int(dim)
@@ -54,9 +54,6 @@ class FockSpace:
 
     def vacuum(self) -> np.ndarray:
         return basis_ket(self.dim, 0)
-
-    def number_state(self, n: int) -> np.ndarray:
-        return basis_ket(self.dim, n)
 
     def rotation(self, theta: float) -> np.ndarray:
         """Fractional Fourier operator F_θ = diag(e^{iθn})."""
@@ -93,12 +90,3 @@ class FockSpace:
         m = (psi.conj() @ op @ psi).real
         m2 = (psi.conj() @ op @ (op @ psi)).real
         return float(m2 - m * m)
-
-
-def sl2_generators(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(h0, g, k) for dimension ≥ 4 (smaller spaces cannot hold quadratics)."""
-    if dim < 4:
-        raise ValueError(f"sl(2) generators need dimension >= 4, got {dim}")
-    space = FockSpace(dim)
-    return space.h0, space.g, space.k
-

@@ -70,20 +70,15 @@ def normalize(psi) -> np.ndarray:
     return psi / nrm
 
 
-def dagger(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(a, dtype=complex).conj().T
-
-
-def is_hermitian(a, tol: float = HERMITIAN_TOL) -> bool:
+def is_hermitian(a) -> bool:
     a = as_operator(a)
-    return bool(np.max(np.abs(a - a.conj().T)) <= tol)
+    return bool(np.max(np.abs(a - a.conj().T)) <= HERMITIAN_TOL)
 
 
-def is_unitary(a, tol: float = UNITARY_TOL) -> bool:
+def is_unitary(a) -> bool:
     a = as_operator(a)
     eye = np.eye(a.shape[0])
-    return bool(np.max(np.abs(a.conj().T @ a - eye)) <= tol)
+    return bool(np.max(np.abs(a.conj().T @ a - eye)) <= UNITARY_TOL)
 
 
 def hs_inner(a, b) -> complex:

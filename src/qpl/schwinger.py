@@ -16,24 +16,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import basis_ket
-
-
-def root_of_unity(n: int) -> complex:
-    """Primitive N-th root exp(2πi/N)."""
-    _check_dim(n)
-    return complex(np.exp(2j * np.pi / n))
-
-
-def position_shift(n: int) -> np.ndarray:
-    """Cyclic shift V with V e_k = e_{(k-1) mod n}."""
-    return weyl_word(n, 0, 1)
-
-
-def momentum_shift(n: int) -> np.ndarray:
-    """Clock U = diag(v^k); shifts momentum states: U|v_k⟩ = |v_{k+1}⟩."""
-    return weyl_word(n, 1, 0)
-
 
 def dft(n: int) -> np.ndarray:
     """Discrete Fourier matrix F_jk = v^{jk}/√n (positive exponent)."""
@@ -66,7 +48,8 @@ def weyl_relation_defect(n: int, j: int, k: int) -> float:
     """Max entrywise error in V^j U^k = v^{jk} U^k V^j."""
     vj = weyl_word(n, 0, j)
     uk = weyl_word(n, k, 0)
-    phase = np.exp(2j * np.pi * (j * k) / n)
+    # v^{jk} depends on j·k only mod n; reduce first, as weyl_word does
+    phase = np.exp(2j * np.pi * (((j % n) * (k % n)) % n) / n)
     return float(np.max(np.abs(vj @ uk - phase * (uk @ vj))))
 
 
@@ -93,26 +76,19 @@ class Kinematics:
     """Shift/clock/Fourier triple for one dimension n.
 
     Attributes:
-        dim:   the dimension n
-        omega: primitive root exp(2πi/n)
-        V:     position shift matrix
-        U:     clock matrix
-        F:     DFT matrix (columns are momentum kets)
+        dim: the dimension n
+        V:   position shift, V|u_k⟩ = |u_{k-1 mod n}⟩ (weyl_word(n, 0, 1))
+        U:   clock diag(v^k), U|v_k⟩ = |v_{k+1}⟩ (weyl_word(n, 1, 0))
+        F:   DFT matrix; column k is the momentum ket |v_k⟩, and the
+             position ket |u_k⟩ is basis_ket(n, k)
     """
 
     def __init__(self, n: int):
         _check_dim(n)
         self.dim = n
-        self.omega = root_of_unity(n)
-        self.V = position_shift(n)
-        self.U = momentum_shift(n)
+        self.V = weyl_word(n, 0, 1)
+        self.U = weyl_word(n, 1, 0)
         self.F = dft(n)
-
-    def position_state(self, k: int) -> np.ndarray:
-        return basis_ket(self.dim, k % self.dim)
-
-    def momentum_state(self, k: int) -> np.ndarray:
-        return self.F[:, k % self.dim].copy()
 
 
 def _check_dim(n: int) -> None:

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qpl import (
     CoherentFamily,
@@ -54,6 +56,16 @@ def test_overlap_closed_form_every_pair(n):
                     direct = coherent_overlap(n, p, q, r, s)
                     closed = coherent_overlap_closed(n, p, q, r, s)
                     assert abs(direct - closed) <= 1e-12
+
+
+LABEL = st.integers(min_value=-(10**12), max_value=10**12)
+
+
+@given(n=st.integers(min_value=1, max_value=16), p=LABEL, q=LABEL, r=LABEL, s=LABEL)
+def test_overlap_closed_form_any_labels_property(n, p, q, r, s):
+    """Closed form against the direct overlap for negative and out-of-range labels."""
+    direct = coherent_overlap(n, p, q, r, s)
+    assert abs(direct - coherent_overlap_closed(n, p, q, r, s)) <= 1e-12
 
 
 @pytest.mark.parametrize("n", (3, 4, 5))
@@ -138,9 +150,9 @@ def test_family_states_match_functional_form():
     for m in range(4):
         for nn in range(4):
             np.testing.assert_allclose(
-                family.state(m, nn), coherent_state(4, m, nn), atol=1e-12
+                family.states[m, nn], coherent_state(4, m, nn), atol=1e-12
             )
-            assert np.linalg.norm(family.state(m, nn)) == pytest.approx(1.0, abs=1e-12)
+            assert np.linalg.norm(family.states[m, nn]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_gram_is_hermitian_psd():

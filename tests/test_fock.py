@@ -5,22 +5,22 @@ import pytest
 
 from qpl import (
     FockSpace,
+    basis_ket,
     expectation,
     is_unitary,
-    sl2_generators,
 )
 
 DIM = 64
 SPACE = FockSpace(DIM)
 
 
-def test_ladder_action_on_number_states():
+def test_ladder_action_on_fock_basis():
     for n in range(1, DIM):
         np.testing.assert_allclose(
-            SPACE.a @ SPACE.number_state(n), np.sqrt(n) * SPACE.number_state(n - 1), atol=1e-14
+            SPACE.a @ basis_ket(DIM, n), np.sqrt(n) * basis_ket(DIM, n - 1), atol=1e-14
         )
     # raising operator annihilates the top level in the truncated space
-    np.testing.assert_allclose(SPACE.adag @ SPACE.number_state(DIM - 1), np.zeros(DIM))
+    np.testing.assert_allclose(SPACE.adag @ basis_ket(DIM, DIM - 1), np.zeros(DIM))
     np.testing.assert_allclose(SPACE.a @ SPACE.vacuum(), np.zeros(DIM))
 
 
@@ -54,7 +54,7 @@ def test_generators_match_quadrature_products(dim):
 
 
 def test_sl2_closure_away_from_edge():
-    h0, g, k = sl2_generators(DIM)
+    h0, g, k = SPACE.h0, SPACE.g, SPACE.k
     block = slice(0, DIM - 2)
     for left, right, expected in (
         (h0, g, 2j * k),
@@ -63,11 +63,6 @@ def test_sl2_closure_away_from_edge():
     ):
         comm = left @ right - right @ left
         np.testing.assert_allclose(comm[block, block], expected[block, block], atol=1e-12)
-
-
-def test_sl2_needs_room():
-    with pytest.raises(ValueError):
-        sl2_generators(3)
 
 
 def test_vacuum_quadrature_variances():

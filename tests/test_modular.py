@@ -193,8 +193,8 @@ class TestLatticeStates:
         na, nb = 2, 3
         state = az_state(na, nb, 0, 0)
         kin_b = Kinematics(nb)
-        comb = sum(kin_b.momentum_state(s) for s in range(nb)) / np.sqrt(nb)
-        expected = tensor(Kinematics(na).momentum_state(0), comb)
+        comb = sum(kin_b.F[:, s] for s in range(nb)) / np.sqrt(nb)
+        expected = tensor(Kinematics(na).F[:, 0], comb)
         assert np.allclose(state.tensor, expected, atol=1e-12)
 
     def test_labels_wrap(self):
@@ -210,11 +210,11 @@ class TestLatticeStates:
 class TestNSlit:
     def test_zero_potential_is_identity(self):
         out = nslit_evolve(6, np.zeros(2))
-        assert np.allclose(out, Kinematics(6).momentum_state(0), atol=1e-15)
+        assert np.allclose(out, Kinematics(6).F[:, 0], atol=1e-15)
 
     def test_constant_potential_is_global_phase(self):
         out = nslit_evolve(6, np.full(3, 0.7))
-        flat = Kinematics(6).momentum_state(0)
+        flat = Kinematics(6).F[:, 0]
         assert abs(abs(flat.conj() @ out) - 1.0) < 1e-12
 
     def test_frozen_two_slit_support(self):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from qpl import (
     CoherentFamily,
@@ -13,8 +15,6 @@ from qpl import (
     gauss_trace,
     gauss_trace_closed_form,
     is_unitary,
-    momentum_shift,
-    position_shift,
     weyl_relation_defect,
 )
 from qpl.schwinger import weyl_word
@@ -23,31 +23,32 @@ DIMS = (1, 2, 3, 4, 5, 7, 8, 12)
 
 
 def test_shift_and_clock_definitions():
-    v = position_shift(4)
+    v = Kinematics(4).V
     # V|u_k⟩ = |u_{k-1}⟩, cyclically
     for k in range(4):
         e = np.zeros(4)
         e[k] = 1
         out = v @ e
         assert out[(k - 1) % 4] == 1.0
-    u = momentum_shift(4)
+    u = Kinematics(4).U
     np.testing.assert_allclose(np.diag(u), np.exp(2j * np.pi * np.arange(4) / 4))
 
 
 def test_shift_and_clock_match_explicit_matrices():
-    """V and U are weyl_word(n, 0, 1) and weyl_word(n, 1, 0), bit for bit."""
+    """Kinematics V and U equal the explicit shift and clock, bit for bit."""
     for n in range(1, 70):
         v = np.zeros((n, n), dtype=complex)
         v[(np.arange(n) - 1) % n, np.arange(n)] = 1.0
         u = np.diag(np.exp(2j * np.pi * np.arange(n) / n))
-        assert np.array_equal(position_shift(n), v)
-        assert np.array_equal(momentum_shift(n), u)
+        kin = Kinematics(n)
+        assert np.array_equal(kin.V, v)
+        assert np.array_equal(kin.U, u)
 
 
 @pytest.mark.parametrize("n", DIMS)
 def test_order_n_and_unitarity(n):
-    v = position_shift(n)
-    u = momentum_shift(n)
+    kin = Kinematics(n)
+    v, u = kin.V, kin.U
     eye = np.eye(n)
     np.testing.assert_allclose(np.linalg.matrix_power(v, n), eye, atol=1e-12)
     np.testing.assert_allclose(np.linalg.matrix_power(u, n), eye, atol=1e-12)
@@ -60,6 +61,18 @@ def test_weyl_relation_all_powers(n):
     for j in range(n):
         for k in range(n):
             assert weyl_relation_defect(n, j, k) <= 1e-12
+
+
+@given(
+    n=st.integers(min_value=1, max_value=64),
+    j=st.integers(min_value=-(10**12), max_value=10**12),
+    k=st.integers(min_value=-(10**12), max_value=10**12),
+)
+@example(n=63, j=10**9, k=10**9 + 1)
+@example(n=64, j=2**40 + 3, k=2**20 + 5)
+def test_weyl_relation_any_labels_property(n, j, k):
+    """v^{jk} is taken at j·k mod N, so large labels report no false defect."""
+    assert weyl_relation_defect(n, j, k) <= 1e-12
 
 
 @pytest.mark.parametrize("n", DIMS)
@@ -82,7 +95,7 @@ def test_fourier_properties(n):
     assert is_unitary(f)
     np.testing.assert_allclose(np.linalg.matrix_power(f, 4), np.eye(n), atol=1e-10)
     # F diagonalizes the shift: the columns of F are momentum states
-    v = position_shift(n)
+    v = Kinematics(n).V
     for j in range(n):
         np.testing.assert_allclose(
             v @ f[:, j], np.exp(2j * np.pi * j / n) * f[:, j], atol=1e-12
@@ -97,11 +110,6 @@ def test_fourier_exchanges_shift_and_clock():
 
 
 def test_kinematics_states():
-    kin = Kinematics(5)
-    for k in range(5):
-        e = kin.position_state(k)
-        assert e[k] == 1.0
-        np.testing.assert_allclose(kin.momentum_state(k), kin.F[:, k])
     with pytest.raises(ValueError):
         Kinematics(0)
     with pytest.raises(ValueError):

@@ -279,7 +279,7 @@ def test_wigner_marginals(n):
         rho = random_density(n, RNG)
         w = wigner_map(rho).values
         momentum = np.array(
-            [kin.momentum_state(m).conj() @ rho @ kin.momentum_state(m) for m in range(n)]
+            [kin.F[:, m].conj() @ rho @ kin.F[:, m] for m in range(n)]
         ).real
         position = np.diag(rho).real
         np.testing.assert_allclose(w.sum(axis=1), momentum, atol=1e-10)
