@@ -14,10 +14,12 @@ output is canonical (sorted keys, 12 significant digits, complex numbers
 as {im, re} objects) so identical inputs produce byte-identical bytes;
 CSV output is RFC 4180 with a header row.  The QPL_SEED environment
 variable, when set, overrides both the --seed flag and any seed found in
-a config file.
+a config file; every seed given must be a nonnegative integer.
 
-Exit codes: 0 success, 2 usage or validation error, 3 resource bound
-violation, 4 domain degeneracy (e.g. orthogonal pre/post selections).
+Exit codes: 0 success, 2 usage or validation error (a negative seed, an
+nslit period that does not divide N, checked before sampling), 3 resource
+bound violation (a weak run that overflows float range), 4 domain
+degeneracy (e.g. orthogonal pre/post selections).
 """
 
 from __future__ import annotations
@@ -89,55 +91,37 @@ class DegeneracyError(_CliError):
 # shared parsing helpers
 
 
-def _parse_int(text: str, what: str) -> int:
-    try:
-        return int(text)
-    except ValueError as exc:
-        raise UsageError(f"{what} must be an integer, got {text!r}") from exc
+_BOOL_WORDS = dict.fromkeys(("true", "yes", "1"), True) | dict.fromkeys(("false", "no", "0"), False)
+# Each kind of value: how it is read from text, and what a bad text must be instead.
+_KINDS = {
+    int: (int, "an integer"),
+    float: (float, "a number"),
+    complex: (lambda t: complex(t.strip().replace(" ", "")), "a complex number like 0.5+0.5j"),
+    bool: (lambda t: _BOOL_WORDS[t.strip().lower()], "true or false"),
+}
 
 
-def _parse_float(text: str, what: str) -> float:
+def _parse_number(text: str, kind: type, what: str):
+    """`text` read as `kind`, one of `_KINDS`; a float or complex must be finite."""
+    read, description = _KINDS[kind]
     try:
-        value = float(text)
-    except ValueError as exc:
-        raise UsageError(f"{what} must be a number, got {text!r}") from exc
-    if not np.isfinite(value):
+        value = read(text)
+    except (KeyError, ValueError) as exc:
+        raise UsageError(f"{what} must be {description}, got {text!r}") from exc
+    if isinstance(value, (float, complex)) and not np.isfinite(value):
         raise UsageError(f"{what} must be finite, got {text!r}")
     return value
 
 
-def _parse_complex(text: str, what: str) -> complex:
-    try:
-        value = complex(text.strip().replace(" ", ""))
-    except ValueError as exc:
-        raise UsageError(f"{what} must be a complex number like 0.5+0.5j, got {text!r}") from exc
-    if not np.isfinite(value.real) or not np.isfinite(value.imag):
-        raise UsageError(f"{what} must be finite, got {text!r}")
-    return value
-
-
-def _parse_bool(text: str, what: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("true", "yes", "1"):
-        return True
-    if lowered in ("false", "no", "0"):
-        return False
-    raise UsageError(f"{what} must be true or false, got {text!r}")
-
-
-def resolve_seed(flag_seed, config_seed=None) -> int:
-    """Seed precedence: QPL_SEED env var, then --seed, then config, then 0."""
+def resolve_seed(flag_seed: int | None, config_seed: str = "0") -> int:
+    """QPL_SEED, else --seed, else the config seed (default 0); each one given must be >= 0."""
     env = os.environ.get("QPL_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise UsageError(f"QPL_SEED must be an integer, got {env!r}") from exc
-    if flag_seed is not None:
-        return int(flag_seed)
-    if config_seed is not None:
-        return int(config_seed)
-    return 0
+    seeds = {"seed": _parse_number(config_seed, int, "seed"), "--seed": flag_seed}
+    seeds["QPL_SEED"] = None if env is None else _parse_number(env, int, "QPL_SEED")
+    for what, seed in seeds.items():
+        if seed is not None and seed < 0:
+            raise UsageError(f"{what} must be nonnegative, got {seed}")
+    return next(seed for seed in reversed(seeds.values()) if seed is not None)
 
 
 def parse_ket_selector(spec: str, dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -150,17 +134,12 @@ def parse_ket_selector(spec: str, dim: int, rng: np.random.Generator) -> np.ndar
             return basis_ket(dim, k)
         return dft(dim)[:, k].copy()  # a strided view would round later products differently
     if spec.startswith("coherent:"):
-        parts = spec[len("coherent:") :].split(",")
-        if len(parts) != 2:
-            raise UsageError(f"coherent selector needs two labels like coherent:1,2, got {spec!r}")
-        m = _parse_int(parts[0], "coherent label m")
-        nn = _parse_int(parts[1], "coherent label n")
-        return coherent_state(dim, m, nn)
+        return coherent_state(dim, *_parse_pair(spec[len("coherent:") :], "coherent label m,n"))
     if spec.startswith("amps:"):
         tokens = spec[len("amps:") :].split(",")
         if len(tokens) != dim:
             raise UsageError(f"amps selector needs {dim} entries, got {len(tokens)}")
-        vec = np.array([_parse_complex(t, "amplitude") for t in tokens])
+        vec = np.array([_parse_number(t, complex, "amplitude") for t in tokens])
         norm = np.linalg.norm(vec)
         if norm <= 1e-12:
             raise UsageError("amps selector has zero norm")
@@ -192,7 +171,8 @@ def parse_obs_selector(spec: str, dim: int) -> np.ndarray:
         tokens = spec[len("diag:") :].split(",")
         if len(tokens) != dim:
             raise UsageError(f"diag observable needs {dim} entries, got {len(tokens)}")
-        return np.diag(np.array([_parse_float(t, "diagonal entry") for t in tokens], dtype=complex))
+        entries = [_parse_number(t, float, "diagonal entry") for t in tokens]
+        return np.diag(np.array(entries, dtype=complex))
     if spec == "number":
         return np.diag(np.arange(dim).astype(complex))
     if spec in _PAULI:
@@ -206,7 +186,7 @@ def _parse_pair(text: str, what: str) -> tuple[int, int]:
     parts = text.split(",")
     if len(parts) != 2:
         raise UsageError(f"{what} must be two integers like 1,0, got {text!r}")
-    return _parse_int(parts[0], what), _parse_int(parts[1], what)
+    return _parse_number(parts[0], int, what), _parse_number(parts[1], int, what)
 
 
 def _check_range(value: int, lo: int, hi: int, what: str) -> None:
@@ -294,12 +274,8 @@ def _read_config(path: str) -> dict[str, str]:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise UsageError(f"{path}:{lineno}: expected key = value, got {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if not key or not value:
+        key, sep, value = (part.strip() for part in line.partition("="))
+        if not (sep and key and value):
             raise UsageError(f"{path}:{lineno}: expected key = value, got {raw!r}")
         if key in entries:
             raise UsageError(f"{path}:{lineno}: duplicate key {key!r}")
@@ -312,17 +288,29 @@ def _read_config(path: str) -> dict[str, str]:
     return {**_WEAK_KEYS, **entries}
 
 
+def _triple(measured, predicted) -> dict:
+    """A measured shift, its first-order prediction and their distance."""
+    return {"measured": measured, "predicted": predicted, "residual": abs(measured - predicted)}
+
+
+def _triple_rows(name: str, triple: dict) -> list[tuple]:
+    """`<name>_measured` and `<name>_predicted` as (re, im), then `<name>_residual`."""
+    rows = [(f"{name}_{k}", triple[k].real, triple[k].imag) for k in ("measured", "predicted")]
+    return [*rows, (f"{name}_residual", triple["residual"], 0.0)]
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is reported by value, below
 def run_weak(args):
     conf = _read_config(args.config)
-    system_dim = _parse_int(conf["system_dim"], "system_dim")
+    system_dim = _parse_number(conf["system_dim"], int, "system_dim")
     _check_range(system_dim, 2, MAX_SYSTEM_DIM, "system_dim")
-    pointer_dim = _parse_int(conf["pointer_dim"], "pointer_dim")
+    pointer_dim = _parse_number(conf["pointer_dim"], int, "pointer_dim")
     _check_range(pointer_dim, 2, MAX_POINTER_DIM, "pointer_dim")
-    eps = _parse_float(conf["eps"], "eps")
+    eps = _parse_number(conf["eps"], float, "eps")
     if eps < 0:
         raise UsageError(f"eps must be nonnegative, got {eps}")
-    halving = _parse_bool(conf["halving"], "halving")
-    seed = resolve_seed(args.seed, _parse_int(conf["seed"], "seed"))
+    halving = _parse_number(conf["halving"], bool, "halving")
+    seed = resolve_seed(args.seed, conf["seed"])
     rng = np.random.default_rng(seed)
 
     space = FockSpace(pointer_dim)
@@ -331,7 +319,7 @@ def run_weak(args):
     if pointer_spec == "vacuum":
         pointer = space.vacuum()
     elif pointer_spec.startswith("coherent:"):
-        coherent_z = _parse_complex(pointer_spec[len("coherent:") :], "pointer displacement")
+        coherent_z = _parse_number(pointer_spec.partition(":")[2], complex, "pointer displacement")
         try:
             pointer = space.coherent(coherent_z)
         except ValueError as exc:
@@ -375,36 +363,40 @@ def run_weak(args):
         raise DegeneracyError(str(exc)) from exc
     probability = selected.probability
 
+    quadratures = {"q": space.q, "p": space.p}
+    predicted = {name: predicted_shift(cfg, observable) for name, observable in quadratures.items()}
+    if coherent_z is not None and gen_key == "n":
+        predicted["a"] = annihilator_shift_prediction(cfg, coherent_z)
+    # A coupling past float range leaves one of these without a finite modulus;
+    # every number measured from a finite post-selected pointer is bounded.
+    named = {"weak value": ow, "probability": probability}
+    named.update((f"{name} predicted shift", value) for name, value in predicted.items())
+    overflowed = [what for what, value in named.items() if not np.isfinite(np.abs(value))]
+    if overflowed:
+        raise BoundsError(f"weak run overflows at eps = {eps}: {', '.join(overflowed)} not finite")
+
     spectral_radius = float(np.max(np.abs(evolution.obs_values)))
     amplified = bool(abs(ow) > spectral_radius + 1e-12)
-
-    def shift(selection, at, observable):
-        measured = conditioned_shift(selection, pointer, observable).real
-        predicted = predicted_shift(at, observable)
-        return {"measured": measured, "predicted": predicted, "residual": abs(measured - predicted)}
-
-    quadratures = (("q", space.q), ("p", space.p))
-    shifts = {name: shift(selected, cfg, observable) for name, observable in quadratures}
+    shifts = {
+        name: _triple(conditioned_shift(selected, pointer, observable).real, predicted[name])
+        for name, observable in quadratures.items()
+    }
 
     halving_block = None
     if halving:
         half = cfg.with_eps(eps / 2)
         halving_block = {}
-        for name, observable in quadratures:
+        for name, observable in quadratures.items():
             full_resid = shifts[name]["residual"]
-            half_resid = shift(half_selected, half, observable)["residual"]
+            measured = conditioned_shift(half_selected, pointer, observable).real
+            half_resid = _triple(measured, predicted_shift(half, observable))["residual"]
             ratio = None if full_resid < 1e-14 else half_resid / full_resid
             halving_block[name] = {"half_residual": half_resid, "ratio": ratio}
 
     annihilator = None
-    if coherent_z is not None and gen_key == "n":
+    if "a" in predicted:
         measured_a = complex(conditioned_shift(selected, pointer, space.a))
-        predicted_a = annihilator_shift_prediction(cfg, coherent_z)
-        annihilator = {
-            "measured": measured_a,
-            "predicted": predicted_a,
-            "residual": abs(measured_a - predicted_a),
-        }
+        annihilator = _triple(measured_a, predicted["a"])
 
     payload = {
         "amplified": amplified,
@@ -432,21 +424,13 @@ def run_weak(args):
         ("eps", eps, 0.0),
     ]
     for name in ("q", "p"):
-        rows += [
-            (f"{name}_measured", shifts[name]["measured"], 0.0),
-            (f"{name}_predicted", shifts[name]["predicted"], 0.0),
-            (f"{name}_residual", shifts[name]["residual"], 0.0),
-        ]
+        rows += _triple_rows(name, shifts[name])
         if halving_block is not None:
             ratio = halving_block[name]["ratio"]
             rows.append((f"{name}_half_residual", halving_block[name]["half_residual"], 0.0))
             rows.append((f"{name}_halving_ratio", "" if ratio is None else ratio, 0.0))
     if annihilator is not None:
-        rows += [
-            ("a_measured", annihilator["measured"].real, annihilator["measured"].imag),
-            ("a_predicted", annihilator["predicted"].real, annihilator["predicted"].imag),
-            ("a_residual", annihilator["residual"], 0.0),
-        ]
+        rows += _triple_rows("a", annihilator)
     return payload, ["quantity", "re", "im"], rows
 
 
@@ -496,18 +480,17 @@ def run_nslit(args):
             raise UsageError("--potential random requires --period")
         if args.period < 1:
             raise UsageError(f"period must be positive, got {args.period}")
-        samples = rng.uniform(0.0, 2 * np.pi, args.period)
+        period = args.period
     else:
-        samples = np.array(
-            [_parse_float(t, "potential sample") for t in args.potential.split(",")]
-        )
-        if args.period is not None and args.period != samples.size:
-            raise UsageError(
-                f"--period {args.period} disagrees with {samples.size} potential samples"
-            )
-    period = samples.size
-    if n % period != 0:
+        tokens = args.potential.split(",")
+        samples = np.array([_parse_number(t, float, "potential sample") for t in tokens])
+        period = samples.size
+        if args.period is not None and args.period != period:
+            raise UsageError(f"--period {args.period} disagrees with {period} potential samples")
+    if n % period != 0:  # checked before a random potential draws `period` samples
         raise UsageError(f"period {period} does not divide register size {n}")
+    if args.potential == "random":
+        samples = rng.uniform(0.0, 2 * np.pi, period)
     psi = nslit_evolve(n, samples)
     momentum = momentum_amplitudes(psi)
     stride = n // period

@@ -1,12 +1,19 @@
 """Command-line interface: golden outputs, determinism, exit codes."""
 
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from qpl import dft
 from qpl.cli import (
@@ -261,6 +268,26 @@ class TestSeedPrecedence:
         )
         assert "QPL_SEED" in err
 
+    @pytest.mark.parametrize(
+        "flag,env,config_line,source",
+        (
+            (["--seed", "-1"], None, "", "--seed"),
+            ([], "-2", "", "QPL_SEED"),
+            ([], None, "seed = -3\n", "seed"),
+        ),
+        ids=("flag", "env", "config"),
+    )
+    def test_negative_seed_is_usage_error(
+        self, capsys, monkeypatch, tmp_path, flag, env, config_line, source
+    ):
+        monkeypatch.delenv("QPL_SEED", raising=False)
+        if env is not None:
+            monkeypatch.setenv("QPL_SEED", env)
+        text = "system_dim = 2\npre = random\npost = random\nobs = sz\neps = 1e-3\n"
+        argv = ["weak", "--config", weak_config(tmp_path, text + config_line), *flag]
+        _, err = run_cli(capsys, argv, expect=EXIT_USAGE)
+        assert err.startswith(f"qpl: {source} must be nonnegative")
+
 
 class TestWeakCommand:
     def test_payload_reports_weak_value_and_shifts(self, capsys, tmp_path):
@@ -383,6 +410,53 @@ class TestWeakCommand:
         out, _ = run_cli(capsys, ["weak", "--config", cfg])
         assert json.loads(out)["pre"] == "u0"
 
+    @pytest.mark.parametrize(
+        "lines,quantity",
+        (
+            ("eps = 1e308\nobs = sz\npost = amps:1,1\n", "probability"),
+            ("eps = 1e302\nobs = sx\npost = amps:0.0000001,1\n", "q predicted shift"),
+        ),
+        ids=("pointer", "prediction"),
+    )
+    def test_overflowing_run_exits_bounds(self, capsys, tmp_path, lines, quantity):
+        cfg = weak_config(tmp_path, "system_dim = 2\npointer_dim = 8\npre = u0\n" + lines)
+        _, err = run_cli(capsys, ["weak", "--config", cfg], expect=EXIT_BOUNDS)
+        assert err.startswith("qpl: weak run overflows") and quantity in err
+
+
+SEEDS = st.none() | st.integers(-(2**63), 2**63)
+KETS = st.sampled_from(("u0", "u1", "v1", "random", "amps:1,1", "amps:0.0000001,1"))
+
+
+@given(
+    flag=SEEDS,
+    env=SEEDS,
+    config_seed=SEEDS,
+    eps=st.floats().map(str),
+    obs=st.sampled_from(("sx", "sy", "sz", "number")),
+    pre=KETS,
+    post=KETS,
+)
+@example(flag=None, env=None, config_seed=None, eps="1e308", obs="sz", pre="u0", post="amps:1,1")
+@example(flag=None, env=None, config_seed=None, eps="inf", obs="sz", pre="u0", post="u0")
+@example(flag=None, env=None, config_seed=None, eps="-0.0", obs="sx", pre="u0", post="u0")
+def test_weak_cli_never_raises(flag, env, config_seed, eps, obs, pre, post):
+    """Any seed from any source and any eps text end in a documented exit code."""
+    text = f"system_dim = 2\npointer_dim = 8\npre = {pre}\npost = {post}\n"
+    text += f"obs = {obs}\neps = {eps}\n"
+    if config_seed is not None:
+        text += f"seed = {config_seed}\n"
+    with tempfile.TemporaryDirectory() as work, mock.patch.dict(os.environ):
+        os.environ.pop("QPL_SEED", None)
+        if env is not None:
+            os.environ["QPL_SEED"] = str(env)
+        path = Path(work) / "weak.cfg"
+        path.write_text(text)
+        argv = ["weak", "--config", str(path)] + ([] if flag is None else ["--seed", str(flag)])
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_BOUNDS, EXIT_DEGENERATE)
+
 
 class TestSubcommandPayloads:
     def test_uniform_mixture_has_flat_map(self, capsys):
@@ -463,6 +537,8 @@ EXIT_CODE_CASES = (
     (["nslit", "--n", "6", "--potential", "random"], EXIT_USAGE),
     (["nslit", "--n", "6", "--potential", "0,1", "--period", "3"], EXIT_USAGE),
     (["nslit", "--n", "6", "--potential", "0,oops"], EXIT_USAGE),
+    # checked before drawing: 2**40 samples would need 8 TiB
+    (["nslit", "--n", "6", "--potential", "random", "--period", str(2**40)], EXIT_USAGE),
     (["nslit", "--n", "0", "--potential", "0"], EXIT_BOUNDS),
     (["structure-constants", "--n", "4"], EXIT_BOUNDS),
     (["structure-constants", "--n", "17"], EXIT_BOUNDS),
