@@ -37,7 +37,7 @@ from .fock import FockSpace
 from .linalg import basis_ket, random_density, random_ket
 from .modular import az_state, momentum_amplitudes, nslit_evolve
 from .schwinger import dft, gauss_trace, gauss_trace_closed_form
-from .serialize import canonical_json, csv_text
+from .serialize import Block, canonical_json, csv_text
 from .weak import (
     FactoredEvolution,
     WeakConfig,
@@ -195,66 +195,43 @@ def _check_range(value: int, lo: int, hi: int, what: str) -> None:
 
 
 # --------------------------------------------------------------------------
-# command runners: each returns (json payload, csv header, csv rows)
+# command runners: each returns its output as one ordered list of blocks
 
 
-def _grid_rows(name: str, grid) -> list[tuple]:
-    """(name, row, column, value) for every grid entry, row-major."""
-    return [(name, r, c, value) for r, row in enumerate(grid) for c, value in enumerate(row)]
+def _echo(**inputs) -> list[Block]:
+    """Inputs a payload repeats: JSON only."""
+    return [Block(key, value, None) for key, value in inputs.items()]
 
 
-def _complex_rows(name: str, values) -> list[tuple]:
-    """(name, index, re, im) for every entry; real entries get im = 0."""
-    return [(name, k, z.real, z.imag) for k, z in enumerate(values)]
-
-
-def run_wigner(args):
+def run_wigner(args, seed):
     n = args.n
     _check_range(n, 1, MAX_REGISTER_DIM, "wigner dimension")
-    seed = resolve_seed(args.seed)
-    rng = np.random.default_rng(seed)
-    rho = parse_density_selector(args.state, n, rng)
+    rho = parse_density_selector(args.state, n, np.random.default_rng(seed))
     wm = wigner_map(rho)
     values = wm.values
-    marg_momentum = values.sum(axis=1)
-    marg_position = values.sum(axis=0)
-    payload = {
-        "dim": n,
-        "marginal_momentum": marg_momentum,
-        "marginal_position": marg_position,
-        "min_value": wm.min_value,
-        "negativity": wm.negativity,
-        "seed": seed,
-        "state": args.state,
-        "total": wm.total,
-        "values": values,
-    }
-    rows = _grid_rows("value", values)
-    rows += [("marginal_momentum", m, "", marg_momentum[m]) for m in range(n)]
-    rows += [("marginal_position", "", nn, marg_position[nn]) for nn in range(n)]
-    rows += [
-        ("total", "", "", wm.total),
-        ("negativity", "", "", wm.negativity),
-        ("min_value", "", "", wm.min_value),
+    return [
+        Block("values", values, "value"),
+        Block("marginal_momentum", values.sum(axis=1)),
+        Block("marginal_position", values.sum(axis=0), axis=1),
+        Block("total", wm.total),
+        Block("negativity", wm.negativity),
+        Block("min_value", wm.min_value),
+        *_echo(dim=n, seed=seed, state=args.state),
     ]
-    return payload, ["quantity", "m", "n", "value"], rows
 
 
-def run_gauss_trace(args):
+def run_gauss_trace(args, seed):
     nmin, nmax = args.nmin, args.nmax
     if nmin < 1 or nmin > nmax:
         raise UsageError(f"need 1 <= NMIN <= NMAX, got {nmin}..{nmax}")
     _check_range(nmax, 1, MAX_REGISTER_DIM, "NMAX")
     entries = []
-    rows = []
     for n in range(nmin, nmax + 1):
         trace = gauss_trace(n)
         closed = gauss_trace_closed_form(n)
         match = bool(abs(trace - closed) <= MATCH_TOL)
-        entries.append({"closed_form": closed, "match": match, "n": n, "trace": trace})
-        rows.append((n, trace.real, trace.imag, closed.real, closed.imag, match))
-    payload = {"entries": entries, "nmax": nmax, "nmin": nmin}
-    return payload, ["n", "trace_re", "trace_im", "closed_re", "closed_im", "match"], rows
+        entries.append({"n": n, "trace": trace, "closed_form": closed, "match": match})
+    return [Block("entries", entries), *_echo(nmax=nmax, nmin=nmin)]
 
 
 # Every weak config key and its default; None marks a required key.  The
@@ -293,15 +270,9 @@ def _triple(measured, predicted) -> dict:
     return {"measured": measured, "predicted": predicted, "residual": abs(measured - predicted)}
 
 
-def _triple_rows(name: str, triple: dict) -> list[tuple]:
-    """`<name>_measured` and `<name>_predicted` as (re, im), then `<name>_residual`."""
-    rows = [(f"{name}_{k}", triple[k].real, triple[k].imag) for k in ("measured", "predicted")]
-    return [*rows, (f"{name}_residual", triple["residual"], 0.0)]
-
-
 @np.errstate(over="ignore", invalid="ignore")  # an overflow is reported by value, below
-def run_weak(args):
-    conf = _read_config(args.config)
+def run_weak(args, seed):
+    conf = args.entries
     system_dim = _parse_number(conf["system_dim"], int, "system_dim")
     _check_range(system_dim, 2, MAX_SYSTEM_DIM, "system_dim")
     pointer_dim = _parse_number(conf["pointer_dim"], int, "pointer_dim")
@@ -310,7 +281,6 @@ def run_weak(args):
     if eps < 0:
         raise UsageError(f"eps must be nonnegative, got {eps}")
     halving = _parse_number(conf["halving"], bool, "halving")
-    seed = resolve_seed(args.seed, conf["seed"])
     rng = np.random.default_rng(seed)
 
     space = FockSpace(pointer_dim)
@@ -328,14 +298,7 @@ def run_weak(args):
         raise UsageError(f"unknown pointer selector {pointer_spec!r}")
 
     gen_key = conf["pointer_gen"]
-    generators = {
-        "q": space.q,
-        "p": space.p,
-        "n": space.num,
-        "h0": space.h0,
-        "g": space.g,
-        "k": space.k,
-    }
+    generators = {"q": space.q, "p": space.p, "n": space.num, "h0": space.h0, "g": space.g, "k": space.k}
     if gen_key not in generators:
         raise UsageError(f"pointer_gen must be one of {sorted(generators)}, got {gen_key!r}")
 
@@ -343,14 +306,7 @@ def run_weak(args):
     pre = parse_ket_selector(conf["pre"], system_dim, rng)
     post = parse_ket_selector(conf["post"], system_dim, rng)
     try:
-        cfg = WeakConfig(
-            pre=pre,
-            post=post,
-            obs=obs,
-            pointer_gen=generators[gen_key],
-            pointer=pointer,
-            eps=eps,
-        )
+        cfg = WeakConfig(pre, post, obs, generators[gen_key], pointer, eps)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -376,65 +332,35 @@ def run_weak(args):
         raise BoundsError(f"weak run overflows at eps = {eps}: {', '.join(overflowed)} not finite")
 
     spectral_radius = float(np.max(np.abs(evolution.obs_values)))
-    amplified = bool(abs(ow) > spectral_radius + 1e-12)
-    shifts = {
-        name: _triple(conditioned_shift(selected, pointer, observable).real, predicted[name])
-        for name, observable in quadratures.items()
-    }
-
-    halving_block = None
-    if halving:
-        half = cfg.with_eps(eps / 2)
-        halving_block = {}
-        for name, observable in quadratures.items():
-            full_resid = shifts[name]["residual"]
+    blocks = [
+        Block("weak_value", ow),
+        Block("probability", probability),
+        Block("spectral_radius", spectral_radius),
+        Block("amplified", bool(abs(ow) > spectral_radius + 1e-12)),
+        Block("eps", eps),
+    ]
+    half = cfg.with_eps(eps / 2) if halving else None
+    for name, observable in quadratures.items():
+        shift = _triple(conditioned_shift(selected, pointer, observable).real, predicted[name])
+        blocks.append(Block(f"shifts.{name}", shift, name))
+        if halving:
             measured = conditioned_shift(half_selected, pointer, observable).real
-            half_resid = _triple(measured, predicted_shift(half, observable))["residual"]
-            ratio = None if full_resid < 1e-14 else half_resid / full_resid
-            halving_block[name] = {"half_residual": half_resid, "ratio": ratio}
-
+            half_resid = abs(measured - predicted_shift(half, observable))
+            ratio = None if shift["residual"] < 1e-14 else half_resid / shift["residual"]
+            record = {"half_residual": half_resid, "ratio": ratio}
+            blocks.append(Block(f"halving.{name}", record, name, ("half_residual", "halving_ratio")))
+    if not halving:
+        blocks.append(Block("halving", None))
     annihilator = None
     if "a" in predicted:
         measured_a = complex(conditioned_shift(selected, pointer, space.a))
         annihilator = _triple(measured_a, predicted["a"])
-
-    payload = {
-        "amplified": amplified,
-        "annihilator": annihilator,
-        "eps": eps,
-        "halving": halving_block,
-        "obs": conf["obs"],
-        "pointer": pointer_spec,
-        "pointer_dim": pointer_dim,
-        "pointer_gen": gen_key,
-        "post": conf["post"],
-        "pre": conf["pre"],
-        "probability": probability,
-        "seed": seed,
-        "shifts": shifts,
-        "spectral_radius": spectral_radius,
-        "system_dim": system_dim,
-        "weak_value": ow,
-    }
-    rows = [
-        ("weak_value", ow.real, ow.imag),
-        ("probability", probability, 0.0),
-        ("spectral_radius", spectral_radius, 0.0),
-        ("amplified", 1.0 if amplified else 0.0, 0.0),
-        ("eps", eps, 0.0),
-    ]
-    for name in ("q", "p"):
-        rows += _triple_rows(name, shifts[name])
-        if halving_block is not None:
-            ratio = halving_block[name]["ratio"]
-            rows.append((f"{name}_half_residual", halving_block[name]["half_residual"], 0.0))
-            rows.append((f"{name}_halving_ratio", "" if ratio is None else ratio, 0.0))
-    if annihilator is not None:
-        rows += _triple_rows("a", annihilator)
-    return payload, ["quantity", "re", "im"], rows
+    blocks.append(Block("annihilator", annihilator, "a"))
+    selectors = {key: conf[key] for key in ("obs", "pointer", "pointer_gen", "post", "pre")}
+    return blocks + _echo(**selectors, pointer_dim=pointer_dim, seed=seed, system_dim=system_dim)
 
 
-def run_az(args):
+def run_az(args, seed):
     na, nb, j, sigma = args.na, args.nb, args.j, args.sigma
     if na < 1 or nb < 1:
         raise UsageError(f"factor dimensions must be positive, got {na} x {nb}")
@@ -442,39 +368,21 @@ def run_az(args):
         raise UsageError(f"factor dimensions {na} and {nb} share a factor; they must be coprime")
     _check_range(na * nb, 1, MAX_REGISTER_DIM, "product dimension")
     state = az_state(na, nb, j, sigma)
-    cell_shift = [2 * np.pi * a / na for a in range(na)]
-    cell_clock = [2 * np.pi * b / nb for b in range(nb)]
-    payload = {
-        "cell_grid": {
-            "clock_phases": cell_clock,
-            "selected": [state.j, state.sigma],
-            "shift_phases": cell_shift,
-        },
-        "clock_phase": state.clock_phase,
-        "j": state.j,
-        "na": na,
-        "nb": nb,
-        "shift_phase": state.shift_phase,
-        "sigma": state.sigma,
-        "tensor": state.tensor,
-        "vector": state.vector,
-    }
-    rows = _complex_rows("amplitude", state.vector)
-    rows += _complex_rows("tensor_amplitude", state.tensor)
-    rows += [
-        ("shift_phase", "", state.shift_phase, 0.0),
-        ("clock_phase", "", state.clock_phase, 0.0),
+    return [
+        Block("vector", state.vector, "amplitude"),
+        Block("tensor", state.tensor, "tensor_amplitude"),
+        Block("shift_phase", state.shift_phase),
+        Block("clock_phase", state.clock_phase),
+        Block("cell_grid.shift_phases", 2 * np.pi * np.arange(na) / na, "cell_shift_phase"),
+        Block("cell_grid.clock_phases", 2 * np.pi * np.arange(nb) / nb, "cell_clock_phase"),
+        Block("cell_grid.selected", [state.j, state.sigma], None),
+        *_echo(j=state.j, na=na, nb=nb, sigma=state.sigma),
     ]
-    rows += _complex_rows("cell_shift_phase", cell_shift)
-    rows += _complex_rows("cell_clock_phase", cell_clock)
-    return payload, ["quantity", "index", "re", "im"], rows
 
 
-def run_nslit(args):
+def run_nslit(args, seed):
     n = args.n
     _check_range(n, 1, MAX_REGISTER_DIM, "register size")
-    seed = resolve_seed(args.seed)
-    rng = np.random.default_rng(seed)
     if args.potential == "random":
         if args.period is None:
             raise UsageError("--potential random requires --period")
@@ -490,35 +398,23 @@ def run_nslit(args):
     if n % period != 0:  # checked before a random potential draws `period` samples
         raise UsageError(f"period {period} does not divide register size {n}")
     if args.potential == "random":
-        samples = rng.uniform(0.0, 2 * np.pi, period)
+        samples = np.random.default_rng(seed).uniform(0.0, 2 * np.pi, period)
     psi = nslit_evolve(n, samples)
     momentum = momentum_amplitudes(psi)
     stride = n // period
-    support = [k for k in range(n) if abs(momentum[k]) > SUPPORT_TOL]
-    support_ok = all(k % stride == 0 for k in support)
-    payload = {
-        "momentum": momentum,
-        "n": n,
-        "period": period,
-        "position": psi,
-        "potential": samples,
-        "seed": seed,
-        "support": support,
-        "support_ok": support_ok,
-        "support_stride": stride,
-    }
-    rows = _complex_rows("potential", samples)
-    rows += _complex_rows("position", psi)
-    rows += _complex_rows("momentum", momentum)
-    rows += _complex_rows("support", support)
-    rows += [
-        ("support_stride", "", stride, 0.0),
-        ("support_ok", "", 1.0 if support_ok else 0.0, 0.0),
+    support = np.flatnonzero(np.abs(momentum) > SUPPORT_TOL)
+    return [
+        Block("potential", samples),
+        Block("position", psi),
+        Block("momentum", momentum),
+        Block("support", support),
+        Block("support_stride", stride),
+        Block("support_ok", bool(np.all(support % stride == 0))),
+        *_echo(n=n, period=period, seed=seed),
     ]
-    return payload, ["quantity", "index", "re", "im"], rows
 
 
-def run_structure_constants(args):
+def run_structure_constants(args, seed):
     n = args.n
     _check_range(n, 3, MAX_STRUCTURE_DIM, "structure-constants dimension")
     if n % 2 == 0:
@@ -527,75 +423,37 @@ def run_structure_constants(args):
     b = tuple(x % n for x in _parse_pair(args.b, "label b"))
     sc = StructureConstants(n)
     da, db = phase_point(n, *np.transpose([a, b]))
-    direct = da @ db - db @ da
-    reconstructed = sc.commutator(a, b)
-    residual = float(np.max(np.abs(direct - reconstructed)))
-    k = np.arange(n)
-    lam = sc.value(a, b, (k[:, None], k[None, :]))
-    payload = {
-        "a": list(a),
-        "b": list(b),
-        "lambda": lam,
-        "max_residual": residual,
-        "n": n,
-        "prefactor": complex(sc.prefactor),
-    }
-    rows = _grid_rows("lambda", lam)
-    rows += [
-        ("a_m", "", "", a[0]),
-        ("a_n", "", "", a[1]),
-        ("b_m", "", "", b[0]),
-        ("b_n", "", "", b[1]),
-        ("prefactor_re", "", "", sc.prefactor.real),
-        ("prefactor_im", "", "", sc.prefactor.imag),
-        ("max_residual", "", "", residual),
+    lam = sc.value(a, b, np.ogrid[:n, :n])
+    residual = float(np.max(np.abs(da @ db - db @ da - sc.commutator(a, b, lam))))
+    return [
+        Block("lambda", lam),
+        Block("a", list(a), parts=("m", "n")),
+        Block("b", list(b), parts=("m", "n")),
+        Block("prefactor", complex(sc.prefactor), parts=("re", "im")),
+        Block("max_residual", residual),
+        *_echo(n=n),
     ]
-    return payload, ["quantity", "cm", "cn", "value"], rows
 
 
-def run_coherent_gram(args):
+def run_coherent_gram(args, seed):
     n = args.n
     _check_range(n, 1, MAX_GRAM_DIM, "coherent-gram dimension")
     family = CoherentFamily(n)
     gram = family.gram()
-    identity_residual = float(
-        np.max(np.abs(family.identity_resolution() - n * np.eye(n)))
-    )
+    identity_residual = float(np.max(np.abs(family.identity_resolution() - n * np.eye(n))))
     m, nn = np.divmod(np.arange(n * n), n)  # flat index i = m·N + n
     closed = coherent_overlap_closed(n, m[:, None], nn[:, None], m[None, :], nn[None, :])
-    max_closed_residual = float(np.max(np.abs(gram - closed)))
-    predicted_mag = np.abs(closed[0]).reshape(n, n)  # the phase on row (0, 0) is exactly 1
-    direct_mag = np.abs(gram[0, :].reshape(n, n))
     rt = np.sqrt(n)
-    payload = {
-        "generic_scale": float(1 / (rt + 1)),
-        "identity_residual": identity_residual,
-        "magnitude_direct": direct_mag,
-        "magnitude_predicted": predicted_mag,
-        "max_closed_residual": max_closed_residual,
-        "n": n,
-        "one_shared_magnitude": float((n + 2 * rt) / (2 * (n + rt))),
-    }
-    rows = _grid_rows("predicted_magnitude", predicted_mag)
-    rows += _grid_rows("direct_magnitude", direct_mag)
-    rows += [
-        ("identity_residual", "", "", identity_residual),
-        ("max_closed_residual", "", "", max_closed_residual),
-        ("one_shared_magnitude", "", "", payload["one_shared_magnitude"]),
-        ("generic_scale", "", "", payload["generic_scale"]),
+    return [
+        # the phase on row (0, 0) is exactly 1
+        Block("magnitude_predicted", np.abs(closed[0]).reshape(n, n), "predicted_magnitude"),
+        Block("magnitude_direct", np.abs(gram[0, :].reshape(n, n)), "direct_magnitude"),
+        Block("identity_residual", identity_residual),
+        Block("max_closed_residual", float(np.max(np.abs(gram - closed)))),
+        Block("one_shared_magnitude", float((n + 2 * rt) / (2 * (n + rt)))),
+        Block("generic_scale", float(1 / (rt + 1))),
+        *_echo(n=n),
     ]
-    return payload, ["quantity", "dp", "dq", "value"], rows
-
-
-_RUNNERS = {
-    "wigner": run_wigner,
-    "gauss-trace": run_gauss_trace,
-    "weak": run_weak,
-    "az": run_az,
-    "nslit": run_nslit,
-    "structure-constants": run_structure_constants,
-    "coherent-gram": run_coherent_gram,
-}
 
 
 # --------------------------------------------------------------------------
@@ -603,22 +461,22 @@ _RUNNERS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qpl",
-        description="Finite-dimensional phase-space experiments.",
-    )
+    description = "Finite-dimensional phase-space experiments."
+    parser = argparse.ArgumentParser(prog="qpl", description=description)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv"), default="json", help="output format")
     common.add_argument("--out", metavar="FILE", help="write output to FILE instead of stdout")
-    common.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="seed for randomized selectors (QPL_SEED env var takes precedence)",
-    )
+    seed_help = "seed for randomized selectors (QPL_SEED env var takes precedence)"
+    common.add_argument("--seed", type=int, help=seed_help)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("wigner", parents=[common], help="Wigner map of a selected state")
+    def command(name: str, run, header: tuple[str, ...], summary: str) -> argparse.ArgumentParser:
+        """A subcommand with its runner and the columns of its CSV output."""
+        p = sub.add_parser(name, parents=[common], help=summary)
+        p.set_defaults(run=run, header=header)
+        return p
+
+    p = command("wigner", run_wigner, ("quantity", "m", "n", "value"), "Wigner map of a selected state")
     p.add_argument("--n", type=int, required=True, help="register dimension N")
     p.add_argument(
         "--state",
@@ -626,20 +484,22 @@ def build_parser() -> argparse.ArgumentParser:
         help="u<k> | v<k> | coherent:m,n | amps:c0,c1,... | mixed | random",
     )
 
-    p = sub.add_parser("gauss-trace", parents=[common], help="DFT traces vs the closed form")
+    header = ("n", "trace_re", "trace_im", "closed_re", "closed_im", "match")
+    p = command("gauss-trace", run_gauss_trace, header, "DFT traces vs the closed form")
     p.add_argument("nmin", type=int)
     p.add_argument("nmax", type=int)
 
-    p = sub.add_parser("weak", parents=[common], help="weak-measurement run from a config file")
+    p = command("weak", run_weak, ("quantity", "re", "im"), "weak-measurement run from a config file")
     p.add_argument("--config", required=True, metavar="FILE", help="flat key = value config")
 
-    p = sub.add_parser("az", parents=[common], help="modular lattice state on Z_Na x Z_Nb")
+    header = ("quantity", "index", "re", "im")
+    p = command("az", run_az, header, "modular lattice state on Z_Na x Z_Nb")
     p.add_argument("na", type=int)
     p.add_argument("nb", type=int)
     p.add_argument("j", type=int)
     p.add_argument("sigma", type=int)
 
-    p = sub.add_parser("nslit", parents=[common], help="periodic phase mask on the flat state")
+    p = command("nslit", run_nslit, header, "periodic phase mask on the flat state")
     p.add_argument("--n", type=int, required=True, help="register dimension N")
     p.add_argument("--period", type=int, default=None, help="potential period (divides N)")
     p.add_argument(
@@ -648,16 +508,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated real samples of one period, or 'random' (needs --period)",
     )
 
-    p = sub.add_parser(
-        "structure-constants", parents=[common], help="commutator expansion check (odd N)"
-    )
+    header = ("quantity", "cm", "cn", "value")
+    summary = "commutator expansion check (odd N)"
+    p = command("structure-constants", run_structure_constants, header, summary)
     p.add_argument("--n", type=int, required=True, help="odd register dimension N")
     p.add_argument("--a", default="1,0", help="first phase-point label m,n")
     p.add_argument("--b", default="0,1", help="second phase-point label m,n")
 
-    p = sub.add_parser(
-        "coherent-gram", parents=[common], help="coherent overlaps vs their closed form"
-    )
+    header = ("quantity", "dp", "dq", "value")
+    p = command("coherent-gram", run_coherent_gram, header, "coherent overlaps vs their closed form")
     p.add_argument("--n", type=int, required=True, help="register dimension N")
 
     return parser
@@ -672,8 +531,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
     try:
-        payload, header, rows = _RUNNERS[args.command](args)
-        text = canonical_json(payload) if args.format == "json" else csv_text(header, rows)
+        # one seed rule for every subcommand; weak's config file may carry a seed too
+        args.entries = _read_config(args.config) if args.command == "weak" else {"seed": "0"}
+        blocks = args.run(args, resolve_seed(args.seed, args.entries["seed"]))
+        text = canonical_json(blocks) if args.format == "json" else csv_text(args.header, blocks)
         if args.out:
             Path(args.out).write_text(text, newline="")
         else:

@@ -52,8 +52,15 @@ def reference_state(n: int) -> np.ndarray:
 
 
 def coherent_state(n: int, m, nn) -> np.ndarray:
-    """Family member |m,n⟩ = D_mn|0⟩; array labels give a stack of kets."""
-    return displacement(n, m, nn) @ reference_state(n)
+    """Family member |m,n⟩ = D_mn|0⟩; array labels give a stack of kets.
+
+    Row a of D_mn has one entry, v^{-mn/2}·v^{ma} in column a - n: no matrix is formed.
+    """
+    _check_dim(n)
+    m, nn, a = np.asarray(m % n)[..., None], np.asarray(nn % n)[..., None], np.arange(n)
+    half = np.exp(-1j * (np.pi * ((m * nn) % (2 * n)) / n))
+    clock = np.exp(2j * np.pi * ((m * a) % n) / n)
+    return (half * clock) * reference_state(n)[(a - nn) % n]
 
 
 def coherent_overlap(n: int, p: int, q: int, r: int, s: int) -> complex:
@@ -78,13 +85,25 @@ def coherent_overlap_closed(n: int, p, q, r, s):
     differ.  Labels may be integer arrays that broadcast against each other.
     """
     p, q, r, s = (x % n for x in (p, q, r, s))
+    w = 2 * n - 1  # the number of distinct label differences
+    if np.broadcast(p, q, r, s).size < w * w:
+        return symplectic_phase(n, p, q, r, s) * _signed_factor(n, r - p, s - q)
+    # More label pairs than distinct arguments: gather both factors from tables
+    # whose entries are evaluated as above, so each value is the same bit for bit.
+    d = np.arange(1 - n, n)
+    half = np.exp(1j * (np.pi * np.arange(2 * n) / n))
+    factor = _signed_factor(n, d[:, None], d[None, :]).ravel()
+    cell = (r * w + s + (n - 1) * (w + 1)) - (p * w + q)  # flat (r - p, s - q) entry
+    return half[(r * q - p * s) % (2 * n)] * factor[cell]
+
+
+def _signed_factor(n: int, dp, dq):
+    """The real factor of ⟨p,q|r,s⟩ at label differences dp = r - p, dq = s - q."""
     rt = np.sqrt(n)
-    same_p, same_q = p == r, q == s
     # generic case first, then the one-shared and diagonal cases override it
-    factor = np.cos(np.pi * (r - p) * (s - q) / n) / (rt + 1)
-    factor = np.where(same_p | same_q, (n + 2 * rt) / (2 * (n + rt)), factor)
-    factor = np.where(same_p & same_q, 1.0, factor)
-    return symplectic_phase(n, p, q, r, s) * factor
+    factor = np.cos(np.pi * dp * dq / n) / (rt + 1)
+    factor = np.where((dp == 0) | (dq == 0), (n + 2 * rt) / (2 * (n + rt)), factor)
+    return np.where((dp == 0) & (dq == 0), 1.0, factor)
 
 
 class CoherentFamily:

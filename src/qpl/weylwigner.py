@@ -258,7 +258,8 @@ class StructureConstants:
         m, n, p, q, r, s = np.ix_(k, k, k, k, k, k)
         return self.value((m, n), (p, q), (r, s))
 
-    def commutator(self, a, b) -> np.ndarray:
-        """Reconstruct [Δ_a, Δ_b] from the structure constants."""
-        lam = self.value(a, b, np.ogrid[: self.dim, : self.dim])
+    def commutator(self, a, b, lam=None) -> np.ndarray:
+        """Reconstruct [Δ_a, Δ_b] from the structure constants `lam` over every c, if given."""
+        if lam is None:
+            lam = self.value(a, b, np.ogrid[: self.dim, : self.dim])
         return self.prefactor * _sum_kernel(lam)

@@ -86,6 +86,25 @@ WEAK_GOLDENS = {
 }
 
 
+# One run of each subcommand.  The weak config text is written to a file by
+# `one_run`; its output holds the shifts, the halving block and the
+# annihilator block.
+ONE_RUN_PER_COMMAND = (
+    ["wigner", "--n", "5", "--state", "random"],
+    ["gauss-trace", "1", "9"],
+    ["weak", "--config", WEAK_GOLDENS["weak_coherent_n"].replace("halving = false", "halving = true")],
+    ["az", "3", "5", "1", "2"],
+    ["nslit", "--n", "6", "--potential", "0.3,1.1,2.0"],
+    ["structure-constants", "--n", "7", "--a", "1,2", "--b", "3,1"],
+    ["coherent-gram", "--n", "3"],
+)
+
+
+def one_run(tmp_path, argv):
+    """argv with a weak config text replaced by the path of a file holding it."""
+    return [weak_config(tmp_path, arg) if "\n" in arg else arg for arg in argv]
+
+
 def pinned_fields(command, out, fmt):
     """The pinned fields of one output, numbers kept as their printed text."""
     keys, quantities = PINNED_FIELDS[command]
@@ -289,6 +308,18 @@ class TestSeedPrecedence:
         assert err.startswith(f"qpl: {source} must be nonnegative")
 
 
+    @pytest.mark.parametrize("source", ("flag", "env"))
+    @pytest.mark.parametrize("argv", ONE_RUN_PER_COMMAND, ids=lambda a: a[0])
+    def test_every_command_rejects_a_negative_seed(self, capsys, monkeypatch, tmp_path, argv, source):
+        monkeypatch.delenv("QPL_SEED", raising=False)
+        argv = one_run(tmp_path, argv)
+        run_cli(capsys, argv)
+        if source == "env":
+            monkeypatch.setenv("QPL_SEED", "-1")
+        _, err = run_cli(capsys, argv + ["--seed", "-1"] * (source == "flag"), expect=EXIT_USAGE)
+        assert err == f"qpl: {'--seed' if source == 'flag' else 'QPL_SEED'} must be nonnegative, got -1\n"
+
+
 class TestWeakCommand:
     def test_payload_reports_weak_value_and_shifts(self, capsys, tmp_path):
         cfg = weak_config(
@@ -456,6 +487,63 @@ def test_weak_cli_never_raises(flag, env, config_seed, eps, obs, pre, post):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = main(argv)
     assert code in (EXIT_OK, EXIT_USAGE, EXIT_BOUNDS, EXIT_DEGENERATE)
+
+
+# CSV quantity -> JSON key, where they differ; index cells name list entries.
+CSV_KEYS = {
+    "value": "values",
+    "amplitude": "vector",
+    "tensor_amplitude": "tensor",
+    "cell_shift_phase": "cell_grid.shift_phases",
+    "cell_clock_phase": "cell_grid.clock_phases",
+    "predicted_magnitude": "magnitude_predicted",
+    "direct_magnitude": "magnitude_direct",
+    "a_m": "a.0", "a_n": "a.1", "b_m": "b.0", "b_n": "b.1",
+    "prefactor_re": "prefactor.re", "prefactor_im": "prefactor.im",
+    **{f"{x}_{k}": f"shifts.{x}.{k}" for x in "qp" for k in ("measured", "predicted", "residual")},
+    **{f"{x}_half_residual": f"halving.{x}.half_residual" for x in "qp"},
+    **{f"{x}_halving_ratio": f"halving.{x}.ratio" for x in "qp"},
+    **{f"a_{k}": f"annihilator.{k}" for k in ("measured", "predicted", "residual")},
+}
+GAUSS_COLUMNS = ("n", "trace.re", "trace.im", "closed_form.re", "closed_form.im", "match")
+
+
+def flat_json(node, path=""):
+    """{dotted path: printed text} for every number, flag and null in a payload."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return {path: {True: "true", False: "false", None: "null"}.get(node, node)}
+    return {k: v for key, child in items for k, v in flat_json(child, f"{path}.{key}").items()}
+
+
+@pytest.mark.parametrize("argv", ONE_RUN_PER_COMMAND, ids=lambda a: a[0])
+def test_every_csv_number_is_the_same_json_number(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.delenv("QPL_SEED", raising=False)
+    argv = one_run(tmp_path, argv)
+    out, _ = run_cli(capsys, argv)
+    numbers = flat_json(json.loads(out, parse_float=str, parse_int=str))
+    out, _ = run_cli(capsys, argv + ["--format", "csv"])
+    header, *rows = [line.split(",") for line in out.split("\r\n")[:-1]]
+    pairs = []  # (JSON path, CSV cell)
+    for i, row in enumerate(rows):
+        if argv[0] == "gauss-trace":  # a table: its cells print as the JSON does
+            assert row == [numbers[f".entries.{i}.{key}"] for key in GAUSS_COLUMNS]
+            continue
+        values = row[-2:] if header[-2:] == ["re", "im"] else row[-1:]
+        path = "." + ".".join([CSV_KEYS.get(row[0], row[0]), *filter(None, row[1 : -len(values)])])
+        if path + ".re" in numbers:
+            pairs += [(path + ".re", values[0]), (path + ".im", values[1])]
+        else:
+            pairs.append((path, values[0]))
+            assert values[1:] in ([], ["0"]), row
+    for path, cell in pairs:
+        printed = numbers[path]  # every CSV number has its JSON twin; flags print as 1 or 0
+        assert cell == {"true": "1", "false": "0", "null": ""}.get(printed, printed), path
+    if argv[0] == "weak":
+        assert {".annihilator.measured.re", ".halving.q.ratio"} <= {path for path, _ in pairs}
 
 
 class TestSubcommandPayloads:

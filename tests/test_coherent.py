@@ -128,6 +128,23 @@ def test_closed_form_broadcasts_like_scalar_calls(n):
     assert np.array_equal(shifted, table)
 
 
+@pytest.mark.parametrize("n", range(1, 65))
+def test_closed_form_tables_match_the_direct_form(n):
+    """A call over (4N)² label pairs gathers from tables; one over 4N pairs does not."""
+    p, q, r, s = np.random.default_rng(n).integers(-3 * n, 3 * n, size=(4, 4 * n))
+    table = coherent_overlap_closed(n, p[:, None], q[:, None], r[None, :], s[None, :])
+    rows = np.array([coherent_overlap_closed(n, p[i], q[i], r, s) for i in range(4 * n)])
+    assert np.array_equal(table, rows)
+
+
+@pytest.mark.parametrize("n", range(1, 65))
+def test_family_states_equal_the_matrix_form(n):
+    """The index form of |m,n⟩ is D_mn|0⟩ computed as a matrix product, bit for bit."""
+    states, ref, k = CoherentFamily(n).states, reference_state(n), np.arange(n)
+    for m in range(n):
+        assert np.array_equal(states[m], displacement(n, m, k) @ ref)
+
+
 @pytest.mark.parametrize("n", (3, 4, 5))
 def test_overlap_magnitude_cases(n):
     for p in range(n):

@@ -2,6 +2,7 @@
 
 Usage:
     python tools/bytecheck.py SRC_DIR [SEED]
+    python tools/bytecheck.py SRC_DIR [SEED] --against OTHER_SRC_DIR
 
 Imports `qpl` from SRC_DIR (the directory that holds the `qpl` package),
 draws a corpus of argv from SEED (default 7) and runs each one through
@@ -12,19 +13,25 @@ For each subcommand it prints the number of runs, the count per exit code
 and a sha256 over (argv, exit code, stdout, stderr) of every run in order.
 
 Two source trees print the same lines for a seed exactly when every run of
-that corpus gives the same bytes on both.  Weak configs are written under a
-temporary working directory with fixed relative names, so paths in error
-messages do not differ between runs, and BLAS runs on one thread.  Needs
-only the standard library and qpl.
+that corpus gives the same bytes on both.  `--against OTHER_SRC_DIR` makes
+that comparison itself: it runs the corpus on both trees, each in its own
+child process (`--runs` prints one digest per run), prints `same` or
+`differs` per subcommand with the first differing argv, and exits 1 when
+any run differs.  Weak configs are written under a temporary working
+directory with fixed relative names, so paths in error messages do not
+differ between runs, and BLAS runs on one thread.  Needs only the standard
+library and qpl.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
 import os
 import random
+import subprocess
 import sys
 import tempfile
 from collections import Counter
@@ -218,7 +225,8 @@ def run(main, argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-def bytecheck(src_dir: str, seed: int) -> list[str]:
+def runs(src_dir: str, seed: int):
+    """(subcommand, argv text, exit code, record of argv, exit code, stdout, stderr) per run."""
     sys.path.insert(0, os.path.abspath(src_dir))
     os.environ.pop("QPL_SEED", None)
     os.environ["COLUMNS"] = "80"  # argparse wraps help text to the terminal width
@@ -228,8 +236,6 @@ def bytecheck(src_dir: str, seed: int) -> list[str]:
         os.environ[var] = "1"
     from qpl.cli import main
 
-    digests = {}
-    counts: dict[str, Counter] = {}
     start = os.getcwd()
     cases, files = corpus(seed)
     with tempfile.TemporaryDirectory() as work:
@@ -243,10 +249,17 @@ def bytecheck(src_dir: str, seed: int) -> list[str]:
                     full = argv + ["--format", fmt] if argv else argv
                     code, out, err = run(main, full)
                     record = "\0".join([" ".join(full), str(code), out, err]) + "\0"
-                    digests.setdefault(command, hashlib.sha256()).update(record.encode())
-                    counts.setdefault(command, Counter())[code] += 1
+                    yield command, " ".join(full), code, record.encode()
         finally:
             os.chdir(start)
+
+
+def bytecheck(src_dir: str, seed: int) -> list[str]:
+    digests = {}
+    counts: dict[str, Counter] = {}
+    for command, _, code, record in runs(src_dir, seed):
+        digests.setdefault(command, hashlib.sha256()).update(record)
+        counts.setdefault(command, Counter())[code] += 1
     lines = []
     for command in sorted(digests):
         tally = counts[command]
@@ -257,12 +270,47 @@ def bytecheck(src_dir: str, seed: int) -> list[str]:
     return lines
 
 
+def _child_runs(src_dir: str, seed: int) -> dict[str, list[tuple[str, str]]]:
+    """Per subcommand, the (argv, digest) of every run of SRC_DIR, from a child process."""
+    child = [sys.executable, os.path.abspath(__file__), src_dir, str(seed), "--runs"]
+    out = subprocess.run(child, capture_output=True, text=True, check=True).stdout
+    per_command: dict[str, list[tuple[str, str]]] = {}
+    for line in out.splitlines():
+        command, digest, argv = line.split("\t")
+        per_command.setdefault(command, []).append((argv, digest))
+    return per_command
+
+
+def compare(src_dir: str, other_dir: str, seed: int) -> tuple[list[str], bool]:
+    """`same` or `differs` per subcommand, and whether every run matched."""
+    ours, theirs = _child_runs(src_dir, seed), _child_runs(other_dir, seed)
+    lines, same = [], True
+    for command in sorted(set(ours) | set(theirs)):
+        a, b = ours.get(command, []), theirs.get(command, [])
+        first = next((x[0] for x, y in zip(a, b) if x != y), None)
+        if first is None and len(a) != len(b):
+            first = f"{len(a)} runs against {len(b)}"
+        same &= first is None
+        lines.append(f"{command} same" if first is None else f"{command} differs: first at {first}")
+    return lines, same
+
+
 def cli(argv: list[str]) -> int:
-    if len(argv) not in (1, 2):
-        print("usage: python tools/bytecheck.py SRC_DIR [SEED]", file=sys.stderr)
-        return 2
-    seed = int(argv[1]) if len(argv) == 2 else 7
-    print("\n".join(bytecheck(argv[0], seed)))
+    parser = argparse.ArgumentParser(prog="bytecheck.py", description=__doc__.splitlines()[0])
+    parser.add_argument("src_dir")
+    parser.add_argument("seed", nargs="?", type=int, default=7)
+    parser.add_argument("--against", metavar="OTHER_SRC_DIR", help="compare run by run with this tree")
+    parser.add_argument("--runs", action="store_true", help="print one digest per run")
+    args = parser.parse_args(argv)
+    if args.against:
+        lines, same = compare(args.src_dir, args.against, args.seed)
+        print("\n".join(lines))
+        return 0 if same else 1
+    if args.runs:
+        for command, text, _, record in runs(args.src_dir, args.seed):
+            print(f"{command}\t{hashlib.sha256(record).hexdigest()}\t{text}")
+        return 0
+    print("\n".join(bytecheck(args.src_dir, args.seed)))
     return 0
 
 
