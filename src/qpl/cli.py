@@ -57,8 +57,8 @@ MAX_REGISTER_DIM = 64  # single cyclic register (wigner, az, nslit, gauss-trace)
 MAX_SYSTEM_DIM = 64
 MAX_POINTER_DIM = 256
 # A request builds two phase-point operators and one weighted sum through the
-# Weyl moments: O(N³) time, O(N²) memory.  15 stays until a benchmark backs more.
-MAX_STRUCTURE_DIM = 15
+# Weyl moments: O(N³) time, O(N²) memory, a few ms at the register cap.
+MAX_STRUCTURE_DIM = 63
 MAX_GRAM_DIM = 16
 
 SUPPORT_TOL = 1e-12

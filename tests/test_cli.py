@@ -582,6 +582,12 @@ class TestSubcommandPayloads:
         lam = np.array(payload["lambda"])
         assert lam.shape == (7, 7)
 
+    def test_structure_constants_run_at_the_register_cap(self, capsys):
+        out, _ = run_cli(capsys, ["structure-constants", "--n", "63", "--a", "40,11", "--b", "2,62"])
+        payload = json.loads(out)
+        assert payload["max_residual"] < 1e-9
+        assert np.array(payload["lambda"]).shape == (63, 63)
+
     @pytest.mark.parametrize("fmt", ("json", "csv"))
     @pytest.mark.parametrize(
         "label,reduced",
@@ -629,7 +635,8 @@ EXIT_CODE_CASES = (
     (["nslit", "--n", "6", "--potential", "random", "--period", str(2**40)], EXIT_USAGE),
     (["nslit", "--n", "0", "--potential", "0"], EXIT_BOUNDS),
     (["structure-constants", "--n", "4"], EXIT_BOUNDS),
-    (["structure-constants", "--n", "17"], EXIT_BOUNDS),
+    (["structure-constants", "--n", "64"], EXIT_BOUNDS),
+    (["structure-constants", "--n", "65"], EXIT_BOUNDS),
     (["structure-constants", "--n", "5", "--a", "x"], EXIT_USAGE),
     (["coherent-gram", "--n", "0"], EXIT_BOUNDS),
     (["coherent-gram", "--n", "17"], EXIT_BOUNDS),
