@@ -86,24 +86,20 @@ def coherent_overlap_closed(n: int, p, q, r, s):
     """
     p, q, r, s = (x % n for x in (p, q, r, s))
     w = 2 * n - 1  # the number of distinct label differences
-    if np.broadcast(p, q, r, s).size < w * w:
-        return symplectic_phase(n, p, q, r, s) * _signed_factor(n, r - p, s - q)
-    # More label pairs than distinct arguments: gather both factors from tables
-    # whose entries are evaluated as above, so each value is the same bit for bit.
-    d = np.arange(1 - n, n)
-    half = np.exp(1j * (np.pi * np.arange(2 * n) / n))
-    factor = _signed_factor(n, d[:, None], d[None, :]).ravel()
-    cell = (r * w + s + (n - 1) * (w + 1)) - (p * w + q)  # flat (r - p, s - q) entry
-    return half[(r * q - p * s) % (2 * n)] * factor[cell]
-
-
-def _signed_factor(n: int, dp, dq):
-    """The real factor of ⟨p,q|r,s⟩ at label differences dp = r - p, dq = s - q."""
+    # With more label pairs than distinct differences, the factors are gathered
+    # from tables of the same expressions, so each value is the same bit for bit.
+    gather = np.broadcast(p, q, r, s).size >= w * w
+    dp, dq = np.ogrid[1 - n : n, 1 - n : n] if gather else (r - p, s - q)
     rt = np.sqrt(n)
     # generic case first, then the one-shared and diagonal cases override it
     factor = np.cos(np.pi * dp * dq / n) / (rt + 1)
     factor = np.where((dp == 0) | (dq == 0), (n + 2 * rt) / (2 * (n + rt)), factor)
-    return np.where((dp == 0) & (dq == 0), 1.0, factor)
+    factor = np.where((dp == 0) & (dq == 0), 1.0, factor)
+    if not gather:
+        return symplectic_phase(n, p, q, r, s) * factor
+    half = np.exp(1j * (np.pi * np.arange(2 * n) / n))
+    cell = (r * w + s + (n - 1) * (w + 1)) - (p * w + q)  # flat (r - p, s - q) entry
+    return half[(r * q - p * s) % (2 * n)] * factor.ravel()[cell]
 
 
 class CoherentFamily:

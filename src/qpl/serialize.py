@@ -4,9 +4,8 @@ A command's output is one ordered list of `Block`s.  Both formats derive
 from it: a JSON object with sorted keys and complex numbers as {"im": ...,
 "re": ...} objects, and RFC 4180 CSV (CRLF line endings, quoting only when
 needed).  Identical inputs give identical bytes: every float goes through
-one canonical format (12 significant digits, negative zero collapsed), and
-an array is checked and formatted whole, one `isfinite` over it and one
-format call per entry.
+one format (12 significant digits, negative zero collapsed), and an array
+is checked and formatted whole, one `isfinite` and one call per entry.
 """
 
 from __future__ import annotations
@@ -21,6 +20,7 @@ import numpy as np
 
 FLOAT_DIGITS = 12
 _FORMAT = f"{{:.{FLOAT_DIGITS}g}}".format
+_SPECIAL = frozenset(',"\r\n')  # characters that make a CSV cell need quotes
 
 
 def format_float(x: float) -> str:
@@ -43,13 +43,12 @@ class Block(NamedTuple):
     """One named quantity of a command's output.
 
     `value` is a scalar, a string, None (JSON null, no CSV rows), a 1-D or
-    2-D array, a dict of scalars (a record) or a list of records (a table,
-    one CSV row per record).  A dot in `key` nests the JSON object.  `name`
-    is the CSV quantity, the key when empty; None keeps the block out of the
-    CSV.  A record, or a value given `parts`, prints one row per component,
-    `<name>_<part>`: a record's entries (named by its keys by default), a
-    complex number's re and im, or a sequence's items.  `axis` is the index
-    column that a vector's entries count along.
+    2-D array, a record (a dict of scalars) or a table (a list of records,
+    one CSV row each).  A dot in `key` nests JSON objects.  `name` is the
+    CSV quantity: the key when empty, JSON only when None.  A record, or a
+    value given `parts`, prints one row per component, `<name>_<part>`: its
+    entries (named by key by default), a complex number's re and im, or a
+    sequence's items.  `axis` is the index column a vector counts along.
     """
 
     key: str
@@ -90,8 +89,7 @@ def _render(obj) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (complex, np.complexfloating)):
-        z = complex(obj)
-        return _render({"im": z.imag, "re": z.real})
+        return _render({"im": obj.imag, "re": obj.real})
     if isinstance(obj, np.ndarray):
         return _array_json(obj)
     if isinstance(obj, (list, tuple)):
@@ -110,37 +108,38 @@ def canonical_json(blocks) -> str:
     """The blocks as one canonical JSON object (trailing newline)."""
     payload: dict = {}
     for block in blocks:
-        *outer, last = block.key.split(".")
-        node = payload
-        for key in outer:
-            node = node.setdefault(key, {})
-        node[last] = block.value
+        node, key = payload, block.key
+        while "." in key:
+            outer, key = key.split(".", 1)
+            node = node.setdefault(outer, {})
+        node[key] = block.value
     return _render(payload) + "\n"
 
 
 def _quote(text: str) -> str:
-    if any(c in text for c in ',"\r\n'):
-        return '"' + text.replace('"', '""') + '"'
-    return text
+    if _SPECIAL.isdisjoint(text):
+        return text
+    return '"' + text.replace('"', '""') + '"'
 
 
 def _cells(value) -> tuple[str, ...]:
     """CSV cells of one scalar: its JSON text, or re and im for a complex number."""
+    if isinstance(value, (float, np.floating)):  # the common case, tested first
+        return (format_float(value),)
     if isinstance(value, str):
         return (_quote(value),)
     if isinstance(value, (complex, np.complexfloating)):
         return format_float(value.real), format_float(value.imag)
-    if isinstance(value, (bool, int, float, np.bool_, np.integer, np.floating)):
+    if isinstance(value, (bool, int, np.bool_, np.integer)):
         return (_render(value),)
     raise TypeError(f"CSV cells must be scalars, got {type(value).__name__}")
 
 
 def _value_cells(value, complex_slot: bool) -> tuple[str, ...]:
     """Value columns hold a number: a flag is 1 or 0, None is empty, a real value has im 0."""
-    if value is None or isinstance(value, (bool, np.bool_)):
-        cells = ("" if value is None else str(int(value)),)
-    else:
-        cells = _cells(value)
+    if isinstance(value, (bool, np.bool_)):
+        value = int(value)
+    cells = ("",) if value is None else _cells(value)
     return cells + ("0",) if complex_slot and len(cells) == 1 else cells
 
 
@@ -157,11 +156,11 @@ def _components(block: Block) -> list[tuple[str, object]]:
 
 
 @functools.lru_cache(maxsize=128)
-def _row_prefixes(name: str, shape: tuple[int, ...], indices: int, axis: int) -> list[str]:
+def _row_prefixes(name: str, shape: tuple[int, ...], indices: int, axis: int) -> tuple[str, ...]:
     """`name,<index cells>,` for every entry of an array of `shape`, row-major."""
     blanks = ("",) * indices
     cells = itertools.product(*(tuple(map(str, range(size))) for size in shape))
-    return [",".join((name, *blanks[:axis], *i, *blanks[axis + len(i) :], "")) for i in cells]
+    return tuple(",".join((name, *blanks[:axis], *i, *blanks[axis + len(i) :], "")) for i in cells)
 
 
 def _array_rows(block: Block, indices: int, complex_slot: bool) -> list[str]:

@@ -260,6 +260,5 @@ class StructureConstants:
 
     def commutator(self, a, b, lam=None) -> np.ndarray:
         """Reconstruct [Δ_a, Δ_b] from the structure constants `lam` over every c, if given."""
-        if lam is None:
-            lam = self.value(a, b, np.ogrid[: self.dim, : self.dim])
+        lam = self.value(a, b, np.ogrid[: self.dim, : self.dim]) if lam is None else lam
         return self.prefactor * _sum_kernel(lam)
