@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import basis_ket, normalize
-from .schwinger import _check_dim, dft, weyl_word
+from .schwinger import _check_dim, dft, roots, weyl_word
 
 
 def displacement(n: int, m, nn) -> np.ndarray:
@@ -38,8 +38,7 @@ def displacement(n: int, m, nn) -> np.ndarray:
     _check_dim(n)
     m = m % n
     nn = nn % n
-    # e^{-iπx/N} has period 2N in x; reducing first keeps the argument small
-    half = np.exp(-1j * (np.pi * ((m * nn) % (2 * n)) / n))
+    half = roots(2 * n)[(-m * nn) % (2 * n)]  # e^{-iπ·m·n/N}
     return np.asarray(half)[..., None, None] * weyl_word(n, m, -nn)
 
 
@@ -58,8 +57,7 @@ def coherent_state(n: int, m, nn) -> np.ndarray:
     """
     _check_dim(n)
     m, nn, a = np.asarray(m % n)[..., None], np.asarray(nn % n)[..., None], np.arange(n)
-    half = np.exp(-1j * (np.pi * ((m * nn) % (2 * n)) / n))
-    clock = np.exp(2j * np.pi * ((m * a) % n) / n)
+    half, clock = roots(2 * n)[(-m * nn) % (2 * n)], roots(n)[(m * a) % n]
     return (half * clock) * reference_state(n)[(a - nn) % n]
 
 
@@ -74,7 +72,7 @@ def symplectic_phase(n: int, p, q, r, s):
     Labels may be integer arrays that broadcast against each other.
     """
     p, q, r, s = (x % n for x in (p, q, r, s))
-    return np.exp(1j * (np.pi * ((r * q - p * s) % (2 * n)) / n))
+    return roots(2 * n)[(r * q - p * s) % (2 * n)]
 
 
 def coherent_overlap_closed(n: int, p, q, r, s):
@@ -86,20 +84,14 @@ def coherent_overlap_closed(n: int, p, q, r, s):
     """
     p, q, r, s = (x % n for x in (p, q, r, s))
     w = 2 * n - 1  # the number of distinct label differences
-    # With more label pairs than distinct differences, the factors are gathered
-    # from tables of the same expressions, so each value is the same bit for bit.
-    gather = np.broadcast(p, q, r, s).size >= w * w
-    dp, dq = np.ogrid[1 - n : n, 1 - n : n] if gather else (r - p, s - q)
+    dp, dq = np.ogrid[1 - n : n, 1 - n : n]  # the factor is tabulated over these, then gathered
     rt = np.sqrt(n)
     # generic case first, then the one-shared and diagonal cases override it
-    factor = np.cos(np.pi * dp * dq / n) / (rt + 1)
+    factor = roots(2 * n)[(dp * dq) % (2 * n)].real / (rt + 1)
     factor = np.where((dp == 0) | (dq == 0), (n + 2 * rt) / (2 * (n + rt)), factor)
     factor = np.where((dp == 0) & (dq == 0), 1.0, factor)
-    if not gather:
-        return symplectic_phase(n, p, q, r, s) * factor
-    half = np.exp(1j * (np.pi * np.arange(2 * n) / n))
     cell = (r * w + s + (n - 1) * (w + 1)) - (p * w + q)  # flat (r - p, s - q) entry
-    return half[(r * q - p * s) % (2 * n)] * factor.ravel()[cell]
+    return symplectic_phase(n, p, q, r, s) * factor.ravel()[cell]
 
 
 class CoherentFamily:

@@ -2,7 +2,9 @@
 
 Conventions (fixed once for the whole package):
 
-    v = exp(+2πi/N)                       root of unity
+    v = exp(+2πi/N)                       root of unity; every phase v^x is
+                                          gathered from one exact table roots(N)
+                                          at x mod N (half phases: roots(2N), x mod 2N)
     V|u_k⟩ = |u_{k-1 mod N}⟩              position shift
     U|u_k⟩ = v^k |u_k⟩                    clock; shifts momentum states up
     F_jk = v^{jk} / √N                    DFT; columns are momentum kets
@@ -14,7 +16,26 @@ eigenvalue v^k, and F^4 = I.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
+
+
+@lru_cache(maxsize=256)
+def roots(n: int) -> np.ndarray:
+    """Read-only table v^x = exp(2πi·x/n), x = 0..n-1, exact where v^x is 1, i, -1 or -i.
+
+    Up to a half turn each angle is whole quarter turns, taken exactly, plus a
+    rest within ±π/4; the other half is the conjugate, v^{n-x} = conj(v^x).
+    """
+    _check_dim(n)
+    x = np.arange(n // 2 + 1)
+    # 2πx/n = quarter·π/2 + π·(rest - n)/(4n)
+    quarter, rest = np.divmod(8 * x + n, 2 * n)
+    first = np.array([1, 1j, -1, -1j])[quarter] * np.exp(0.25j * np.pi * (rest - n) / n)
+    table = np.concatenate([first, first[1 : (n + 1) // 2][::-1].conj()])
+    table.flags.writeable = False
+    return table
 
 
 def dft(n: int) -> np.ndarray:
@@ -26,7 +47,7 @@ def dft(n: int) -> np.ndarray:
 def _phase_table(n: int) -> np.ndarray:
     """Unnormalized DFT phases Φ[k, j] = v^{k·j}."""
     k = np.arange(n)
-    return np.exp(2j * np.pi * np.outer(k, k) / n)
+    return roots(n)[np.outer(k, k) % n]
 
 
 def weyl_word(n: int, k, j) -> np.ndarray:
@@ -40,26 +61,23 @@ def weyl_word(n: int, k, j) -> np.ndarray:
     j = np.asarray(j % n)[..., None, None]
     a = np.arange(n)[:, None]
     c = np.arange(n)[None, :]
-    clock = np.exp(2j * np.pi * ((k * a) % n) / n)
-    return np.where(a == (c - j) % n, clock, 0)
+    return np.where(a == (c - j) % n, roots(n)[(k * a) % n], 0)
 
 
 def weyl_relation_defect(n: int, j: int, k: int) -> float:
     """Max entrywise error in V^j U^k = v^{jk} U^k V^j."""
-    vj = weyl_word(n, 0, j)
-    uk = weyl_word(n, k, 0)
-    # v^{jk} depends on j·k only mod n; reduce first, as weyl_word does
-    phase = np.exp(2j * np.pi * (((j % n) * (k % n)) % n) / n)
+    vj, uk = weyl_word(n, 0, j), weyl_word(n, k, 0)
+    phase = roots(n)[(j % n) * (k % n) % n]
     return float(np.max(np.abs(vj @ uk - phase * (uk @ vj))))
 
 
 def gauss_trace(n: int) -> complex:
-    """Trace of the DFT matrix, computed directly from the matrix.
+    """Trace of the DFT matrix, the Gauss sum (1/√n)·Σ_j v^{j²} over its diagonal.
 
-    Equals (1/√n)·Σ_j exp(2πi j²/n).  For odd n this matches
-    gauss_trace_closed_form; for even n it does not (see that function).
+    For odd n this matches gauss_trace_closed_form; for even n it does not
+    (see that function).
     """
-    return complex(np.trace(dft(n)))
+    return complex(roots(n)[np.arange(n) ** 2 % n].sum() / np.sqrt(n))
 
 
 def gauss_trace_closed_form(n: int) -> complex:

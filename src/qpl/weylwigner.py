@@ -58,7 +58,7 @@ from functools import cached_property
 import numpy as np
 
 from .linalg import as_hermitian, as_operator
-from .schwinger import _check_dim, _phase_table
+from .schwinger import _check_dim, _phase_table, roots
 
 # Prefactor c0 in [Δ_a, Δ_b] = c0 · Σ_c Λ_ab^c · Δ_c, odd N.  Pinned
 # numerically; the value is 2i/N.
@@ -93,8 +93,8 @@ def half_phase_exponents(n: int) -> np.ndarray:
     s = np.arange(n)[None, :]
     if n % 2 == 1:
         inv2 = (n + 1) // 2
-        return np.exp(2j * np.pi * ((r * s * inv2) % n) / n)
-    h = np.exp(1j * (np.pi * ((r * s) % (2 * n)) / n))
+        return roots(n)[(r * s * inv2) % n]
+    h = roots(2 * n)[(r * s) % (2 * n)]
     flip = ((r + s) % 2 == 1) & (r + s > n)
     return np.where(flip, -h, h)
 
@@ -120,7 +120,7 @@ def phase_point(n: int, m, nn) -> np.ndarray:
     a = k[:, None]
     s = (k[None, :] - a) % n
     h = _phase_table(n) @ half_phase_exponents(n) / n
-    return np.exp(-2j * np.pi * ((m * s) % n) / n) * h[(a - nn) % n, s]
+    return roots(n)[(-m * s) % n] * h[(a - nn) % n, s]
 
 
 class WeylWignerBasis:
@@ -224,7 +224,7 @@ def delta_product(n: int, a, b) -> np.ndarray:
         raise ValueError("the closed-form product rule is defined only for odd dimensions")
     m, nn = int(a[0]) % n, int(a[1]) % n
     p, q = int(b[0]) % n, int(b[1]) % n
-    phase = np.exp(2j * np.pi * (2 * symplectic_area((m, nn), (p, q))) / n)
+    phase = roots(n)[2 * symplectic_area((m, nn), (p, q)) % n]
     return phase * phase_point(n, m - p, nn - q) @ parity_operator(n)
 
 

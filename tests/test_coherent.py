@@ -130,7 +130,8 @@ def test_closed_form_broadcasts_like_scalar_calls(n):
 
 @pytest.mark.parametrize("n", range(1, 65))
 def test_closed_form_tables_match_the_direct_form(n):
-    """A call over (4N)² label pairs gathers from tables; one over 4N pairs does not."""
+    """Every call gathers from one table over the label differences, so a call over
+    (4N)² label pairs equals its 4N calls over 4N pairs, bit for bit."""
     p, q, r, s = np.random.default_rng(n).integers(-3 * n, 3 * n, size=(4, 4 * n))
     table = coherent_overlap_closed(n, p[:, None], q[:, None], r[None, :], s[None, :])
     rows = np.array([coherent_overlap_closed(n, p[i], q[i], r, s) for i in range(4 * n)])
@@ -184,6 +185,8 @@ def test_even_dimensions_admit_orthogonal_pairs(n):
     # closed-form witness: labels (0,0) and (1, n/2) make the cosine vanish
     witness = coherent_overlap(n, 0, 0, 1, n // 2)
     assert abs(witness) <= 1e-10
+    # the closed form takes the cosine at a quarter turn, which is exactly 0
+    assert coherent_overlap_closed(n, 0, 0, 1, n // 2) == 0
     gram = CoherentFamily(n).gram()
     off = gram[~np.eye(n * n, dtype=bool)]
     assert np.min(np.abs(off)) <= 1e-10

@@ -17,7 +17,7 @@ from qpl import (
     is_unitary,
     weyl_relation_defect,
 )
-from qpl.schwinger import weyl_word
+from qpl.schwinger import roots, weyl_word
 
 DIMS = (1, 2, 3, 4, 5, 7, 8, 12)
 
@@ -39,10 +39,56 @@ def test_shift_and_clock_match_explicit_matrices():
     for n in range(1, 70):
         v = np.zeros((n, n), dtype=complex)
         v[(np.arange(n) - 1) % n, np.arange(n)] = 1.0
-        u = np.diag(np.exp(2j * np.pi * np.arange(n) / n))
+        u = np.diag(roots(n))
         kin = Kinematics(n)
         assert np.array_equal(kin.V, v)
         assert np.array_equal(kin.U, u)
+
+
+def test_roots_match_high_precision_reference():
+    """roots(m)[x] = exp(2πi·x/m) against a 40-digit table, m up to 128."""
+    mpmath = pytest.importorskip("mpmath")
+    worst = 0.0
+    with mpmath.workdps(40):
+        for m in range(1, 129):
+            exact = np.array([complex(mpmath.expjpi(mpmath.mpf(2 * x) / m)) for x in range(m)])
+            worst = max(worst, np.max(np.abs(roots(m) - exact)))
+    assert worst <= 1e-15
+
+
+@pytest.mark.parametrize("m", range(1, 129))
+def test_roots_symmetries_are_exact(m):
+    """v^{m-x} = conj(v^x), and the quarter turns are 1, i, -1, -i, bit for bit."""
+    table = roots(m)
+    assert np.array_equal(table[(-np.arange(m)) % m], table.conj())
+    turns = {0: 1, m / 4: 1j, m / 2: -1, 3 * m / 4: -1j}
+    for x, value in turns.items():
+        if x == int(x):
+            assert np.array_equal(table[int(x)], value)
+
+
+def test_roots_table_is_read_only():
+    """The cached table is shared by every caller, so it refuses writes."""
+    table = roots(8)
+    before = table.copy()
+    with pytest.raises(ValueError):
+        table[1] = 0
+    assert np.array_equal(roots(8), before)
+
+
+def test_dft_matches_high_precision_reference():
+    """Every entry of dft(N), N up to 64, against 40-digit v^{jk}/√N; and F⁴ = I."""
+    mpmath = pytest.importorskip("mpmath")
+    worst = worst_f4 = 0.0
+    with mpmath.workdps(40):
+        for n in range(1, 65):
+            exact = [complex(mpmath.expjpi(mpmath.mpf(2 * x) / n) / mpmath.sqrt(n)) for x in range(n)]
+            k = np.arange(n)
+            f = dft(n)
+            worst = max(worst, np.max(np.abs(f - np.array(exact)[np.outer(k, k) % n])))
+            worst_f4 = max(worst_f4, np.max(np.abs(np.linalg.matrix_power(f, 4) - np.eye(n))))
+    assert worst <= 1e-15
+    assert worst_f4 <= 1e-14
 
 
 @pytest.mark.parametrize("n", DIMS)

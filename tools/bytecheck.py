@@ -15,9 +15,12 @@ and a sha256 over (argv, exit code, stdout, stderr) of every run in order.
 Two source trees print the same lines for a seed exactly when every run of
 that corpus gives the same bytes on both.  `--against OTHER_SRC_DIR` makes
 that comparison itself: it runs the corpus on both trees, each in its own
-child process (`--runs` prints one digest per run), prints `same` or
-`differs` per subcommand with the first differing argv, and exits 1 when
-any run differs.  Weak configs are written under a temporary working
+child process (`--runs` prints one JSON line per run), and prints `same` or
+`differs` per subcommand.  A differing subcommand also gets the number of
+differing runs, the first differing argv, and the largest absolute change of
+any printed number with the argv where it happens; runs whose exit code or
+text outside the numbers differ are counted separately.  It exits 1 when any
+run differs.  Weak configs are written under a temporary working
 directory with fixed relative names, so paths in error messages do not
 differ between runs, and BLAS runs on one thread.  Needs only the standard
 library and qpl.
@@ -29,8 +32,10 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -97,7 +102,7 @@ def _nslit(rng: random.Random) -> list[str]:
 
 
 def _structure_constants(rng: random.Random) -> list[str]:
-    n = rng.choice((2, 4, 17)) if rng.random() < 0.1 else rng.choice((3, 5, 7, 9, 11, 13, 15))
+    n = rng.choice((2, 4, 64, 65)) if rng.random() < 0.1 else rng.randrange(3, 64, 2)
     argv = ["structure-constants", "--n", str(n)]
     for flag in ("--a", "--b"):
         if rng.random() < 0.8:
@@ -226,7 +231,10 @@ def run(main, argv: list[str]) -> tuple[int, str, str]:
 
 
 def runs(src_dir: str, seed: int):
-    """(subcommand, argv text, exit code, record of argv, exit code, stdout, stderr) per run."""
+    """(subcommand, argv text, exit code, stdout + stderr, record) per run.
+
+    The record joins argv, exit code, stdout and stderr; the digests hash it.
+    """
     sys.path.insert(0, os.path.abspath(src_dir))
     os.environ.pop("QPL_SEED", None)
     os.environ["COLUMNS"] = "80"  # argparse wraps help text to the terminal width
@@ -249,7 +257,7 @@ def runs(src_dir: str, seed: int):
                     full = argv + ["--format", fmt] if argv else argv
                     code, out, err = run(main, full)
                     record = "\0".join([" ".join(full), str(code), out, err]) + "\0"
-                    yield command, " ".join(full), code, record.encode()
+                    yield command, " ".join(full), code, out + err, record.encode()
         finally:
             os.chdir(start)
 
@@ -257,7 +265,7 @@ def runs(src_dir: str, seed: int):
 def bytecheck(src_dir: str, seed: int) -> list[str]:
     digests = {}
     counts: dict[str, Counter] = {}
-    for command, _, code, record in runs(src_dir, seed):
+    for command, _, code, _, record in runs(src_dir, seed):
         digests.setdefault(command, hashlib.sha256()).update(record)
         counts.setdefault(command, Counter())[code] += 1
     lines = []
@@ -270,15 +278,30 @@ def bytecheck(src_dir: str, seed: int) -> list[str]:
     return lines
 
 
-def _child_runs(src_dir: str, seed: int) -> dict[str, list[tuple[str, str]]]:
-    """Per subcommand, the (argv, digest) of every run of SRC_DIR, from a child process."""
+def _child_runs(src_dir: str, seed: int) -> dict[str, list[list]]:
+    """Per subcommand, [argv, digest, exit code, stdout + stderr] of every run of SRC_DIR, from a child process."""
     child = [sys.executable, os.path.abspath(__file__), src_dir, str(seed), "--runs"]
     out = subprocess.run(child, capture_output=True, text=True, check=True).stdout
-    per_command: dict[str, list[tuple[str, str]]] = {}
+    per_command: dict[str, list[list]] = {}
     for line in out.splitlines():
-        command, digest, argv = line.split("\t")
-        per_command.setdefault(command, []).append((argv, digest))
+        command, *run = json.loads(line)
+        per_command.setdefault(command, []).append(run)
     return per_command
+
+
+NUMBER = re.compile(r"-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def largest_change(ours: list, theirs: list) -> float | None:
+    """Largest absolute change of any printed number between two runs of one argv.
+
+    None when the runs differ in exit code or in text outside their numbers.
+    """
+    (_, _, code_a, a), (_, _, code_b, b) = ours, theirs
+    if code_a != code_b or NUMBER.sub("#", a) != NUMBER.sub("#", b):
+        return None
+    changes = (abs(float(x) - float(y)) for x, y in zip(NUMBER.findall(a), NUMBER.findall(b)))
+    return max(changes, default=0.0)
 
 
 def compare(src_dir: str, other_dir: str, seed: int) -> tuple[list[str], bool]:
@@ -287,11 +310,24 @@ def compare(src_dir: str, other_dir: str, seed: int) -> tuple[list[str], bool]:
     lines, same = [], True
     for command in sorted(set(ours) | set(theirs)):
         a, b = ours.get(command, []), theirs.get(command, [])
-        first = next((x[0] for x, y in zip(a, b) if x != y), None)
-        if first is None and len(a) != len(b):
-            first = f"{len(a)} runs against {len(b)}"
-        same &= first is None
-        lines.append(f"{command} same" if first is None else f"{command} differs: first at {first}")
+        differing = [(x, y) for x, y in zip(a, b) if x[1] != y[1]]
+        if not differing and len(a) == len(b):
+            lines.append(f"{command} same")
+            continue
+        same = False
+        line = f"{command} differs: {len(differing)} of {len(a)} runs"
+        if len(a) != len(b):
+            line += f" against {len(b)}"
+        if differing:
+            line += f", first at {differing[0][0][0]}"
+        changes = [(largest_change(x, y), x[0]) for x, y in differing]
+        numeric = [pair for pair in changes if pair[0] is not None]
+        if numeric:
+            line += "; largest printed-number change {:.3g} at {}".format(*max(numeric))
+        other = [argv for change, argv in changes if change is None]
+        if other:
+            line += f"; {len(other)} differ beyond their numbers, first at {other[0]}"
+        lines.append(line)
     return lines, same
 
 
@@ -307,8 +343,8 @@ def cli(argv: list[str]) -> int:
         print("\n".join(lines))
         return 0 if same else 1
     if args.runs:
-        for command, text, _, record in runs(args.src_dir, args.seed):
-            print(f"{command}\t{hashlib.sha256(record).hexdigest()}\t{text}")
+        for command, text, code, printed, record in runs(args.src_dir, args.seed):
+            print(json.dumps([command, text, hashlib.sha256(record).hexdigest(), code, printed]))
         return 0
     print("\n".join(bytecheck(args.src_dir, args.seed)))
     return 0
