@@ -298,19 +298,19 @@ def run_weak(args, seed):
         raise UsageError(f"unknown pointer selector {pointer_spec!r}")
 
     gen_key = conf["pointer_gen"]
-    generators = {"q": space.q, "p": space.p, "n": space.num, "h0": space.h0, "g": space.g, "k": space.k}
-    if gen_key not in generators:
-        raise UsageError(f"pointer_gen must be one of {sorted(generators)}, got {gen_key!r}")
+    if gen_key not in space.GENERATORS:
+        raise UsageError(f"pointer_gen must be one of {sorted(space.GENERATORS)}, got {gen_key!r}")
+    generator = getattr(space, space.GENERATORS[gen_key])
 
     obs = parse_obs_selector(conf["obs"], system_dim)
     pre = parse_ket_selector(conf["pre"], system_dim, rng)
     post = parse_ket_selector(conf["post"], system_dim, rng)
     try:
-        cfg = WeakConfig(pre, post, obs, generators[gen_key], pointer, eps)
+        cfg = WeakConfig(pre, post, obs, generator, pointer, eps)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
-    evolution = FactoredEvolution(cfg.obs, cfg.pointer_gen, cfg.pre, cfg.pointer)
+    evolution = FactoredEvolution(cfg.obs, space.spectrum(gen_key), cfg.pre, cfg.pointer)
     try:
         ow = weak_value(cfg)
         selected = evolution.post_selected(eps, cfg.post)

@@ -24,6 +24,8 @@ ones never do.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .linalg import basis_ket, normalize
@@ -84,14 +86,21 @@ def coherent_overlap_closed(n: int, p, q, r, s):
     """
     p, q, r, s = (x % n for x in (p, q, r, s))
     w = 2 * n - 1  # the number of distinct label differences
-    dp, dq = np.ogrid[1 - n : n, 1 - n : n]  # the factor is tabulated over these, then gathered
+    cell = (r * w + s + (n - 1) * (w + 1)) - (p * w + q)  # flat (r - p, s - q) entry
+    return symplectic_phase(n, p, q, r, s) * _overlap_factors(n)[cell]
+
+
+@lru_cache(maxsize=64)
+def _overlap_factors(n: int) -> np.ndarray:
+    """Read-only flat table of the signed factor over (r - p, s - q) in (1-N..N-1)², row-major."""
+    dp, dq = np.ogrid[1 - n : n, 1 - n : n]
     rt = np.sqrt(n)
     # generic case first, then the one-shared and diagonal cases override it
     factor = roots(2 * n)[(dp * dq) % (2 * n)].real / (rt + 1)
     factor = np.where((dp == 0) | (dq == 0), (n + 2 * rt) / (2 * (n + rt)), factor)
-    factor = np.where((dp == 0) & (dq == 0), 1.0, factor)
-    cell = (r * w + s + (n - 1) * (w + 1)) - (p * w + q)  # flat (r - p, s - q) entry
-    return symplectic_phase(n, p, q, r, s) * factor.ravel()[cell]
+    table = np.where((dp == 0) & (dq == 0), 1.0, factor).ravel()
+    table.flags.writeable = False
+    return table
 
 
 class CoherentFamily:

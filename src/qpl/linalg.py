@@ -135,8 +135,12 @@ def unitary_exp(h, t: float) -> np.ndarray:
     result is unitary to spectral accuracy for any t.
     """
     h = as_hermitian(h, "generator passed to unitary_exp")
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * t * w)) @ v.conj().T
+    return spectral_exp(*np.linalg.eigh(h), t)
+
+
+def spectral_exp(values, vectors, t: float) -> np.ndarray:
+    """exp(-i t H) for H = vectors·diag(values)·vectors† with unitary `vectors`."""
+    return (vectors * np.exp(-1j * t * values)) @ vectors.conj().T
 
 
 def commutator(a, b) -> np.ndarray:

@@ -10,12 +10,14 @@ W·exp(-i·ε·o_k·r)·W†|φ⟩ and the post-selected pointer is
 
     ⟨β|⊗I·exp(-i·ε·O⊗R)·|α⟩⊗|φ⟩ = Σ_k ⟨β|o_k⟩⟨o_k|α⟩·W·exp(-i·ε·o_k·r)·W†|φ⟩
 
-from one eigendecomposition per factor; no composite matrix is formed.
-`pre_measurement` mixes the branches with weights |⟨o_k|α⟩|², and
-`qubit_pointer_profile` is the two-branch case P = |v_1⟩⟨v_1|: |v_0⟩
-carries |α⟩ and |v_1⟩ carries exp(-iλO)|α⟩.  The dense composite oracle
-the tests use, `evolve_exact` and `post_select`, stays here while the
-benchmark harness in `perfbench/` wraps it.
+from one spectrum per factor; no composite matrix is formed.  The pointer
+spectrum comes in as (r, W): a truncated mode supplies it from the
+structure of its generators (`FockSpace.spectrum`), with no complex
+eigendecomposition.  `pre_measurement` mixes the branches with weights
+|⟨o_k|α⟩|², and `qubit_pointer_profile` is the two-branch case
+P = |v_1⟩⟨v_1|: |v_0⟩ carries |α⟩ and |v_1⟩ carries exp(-iλO)|α⟩.  The
+dense composite oracle the tests use, `evolve_exact` and `post_select`,
+stays here while the benchmark harness in `perfbench/` wraps it.
 
 For small ε the conditioned pointer mean of an observable M moves by
 
@@ -122,20 +124,27 @@ def weak_value(cfg: WeakConfig) -> complex:
 class FactoredEvolution:
     """exp(-i·t·O⊗R)·(|α⟩⊗|φ⟩) from the factor spectra, for any coupling t.
 
-    Both eigendecompositions, ⟨o_k|α⟩ and W†|φ⟩ are taken once at
-    construction; each later call costs an (np × ns) phase table and
-    pointer-side products, and no composite matrix is formed.
+    FactoredEvolution(obs, gen_spectrum, pre, pointer): `gen_spectrum` is
+    the pointer generator as its spectrum, a pair (r, W) with
+    R = W·diag(r)·W† and W unitary, such as `FockSpace.spectrum(key)` or
+    `np.linalg.eigh(R)`.  The observable is diagonalized here, and ⟨o_k|α⟩
+    and W†|φ⟩ are taken once at construction; each later call costs an
+    (np × ns) phase table and pointer-side products, and no composite
+    matrix is formed.
     """
 
-    def __init__(self, obs, gen, pre, pointer):
+    def __init__(self, obs, gen_spectrum, pre, pointer):
         self.obs_values, self.obs_vectors = np.linalg.eigh(obs)
-        self.gen_values, self.gen_vectors = np.linalg.eigh(gen)
+        self.gen_values, self.gen_vectors = gen_spectrum
         self.pre_coeffs = self.obs_vectors.conj().T @ pre  # ⟨o_k|α⟩
         self.pointer_coeffs = self.gen_vectors.conj().T @ pointer  # |φ⟩ in the eigenbasis of R
 
     def _coupling_phases(self, t: float) -> np.ndarray:
-        """exp(-i·t·r_j·o_k): rows follow the eigenvalues r_j of R, columns o_k."""
-        return np.exp(-1j * t * np.outer(self.gen_values, self.obs_values))
+        """exp(-i·t·r_j·o_k): rows follow the eigenvalues r_j of R, columns o_k.
+
+        t scales o_k before the product, so t·r_j·o_k stays finite whenever it is.
+        """
+        return np.exp(-1j * np.outer(self.gen_values, t * self.obs_values))
 
     def branches(self, t: float) -> np.ndarray:
         """Column k is the pointer exp(-i·t·o_k·R)|φ⟩ carried by |o_k⟩."""
@@ -173,7 +182,7 @@ def conditioned_shift(selection: PostSelection, pointer, m) -> complex:
 
 
 def _post_selected(cfg: WeakConfig) -> PostSelection:
-    evolution = FactoredEvolution(cfg.obs, cfg.pointer_gen, cfg.pre, cfg.pointer)
+    evolution = FactoredEvolution(cfg.obs, np.linalg.eigh(cfg.pointer_gen), cfg.pre, cfg.pointer)
     return evolution.post_selected(cfg.eps, cfg.post)
 
 
@@ -241,7 +250,7 @@ def pre_measurement(alpha, obs, lam: float, space, pointer=None) -> PreMeasureme
     alpha = as_unit_ket(alpha, "system state")
     obs = as_hermitian(obs, "observable of pre_measurement")
     phi = space.vacuum() if pointer is None else as_unit_ket(pointer, "pointer state")
-    evolution = FactoredEvolution(obs, space.p, alpha, phi)
+    evolution = FactoredEvolution(obs, space.spectrum("p"), alpha, phi)
     branches = evolution.branches(lam)
     reduced = (branches * np.abs(evolution.pre_coeffs) ** 2) @ branches.conj().T
     # reduced and q are hermitian, so tr(ρ·q) = tr(ρ†·q) and tr(ρ²) = tr(ρ†·ρ)
@@ -303,7 +312,7 @@ def qubit_pointer_profile(pre, obs, coupling: float, theta: float, phases, post=
     # the coupling, so each scanned pointer is the φ = 0 one, rotated: branch
     # by branch (weights |⟨o_k|α⟩|²) without `post`, or once selected.
     start = np.array([np.cos(theta / 2), np.sin(theta / 2)])
-    evolution = FactoredEvolution(obs, np.diag([0.0, 1.0]), pre, start)
+    evolution = FactoredEvolution(obs, (np.array([0.0, 1.0]), np.eye(2)), pre, start)
     azimuths = np.exp(1j * phases[:, None] * np.array([0.0, 1.0]))
     if post is None:
         overlaps = azimuths @ evolution.branches(coupling) / np.sqrt(2)

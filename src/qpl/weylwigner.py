@@ -243,14 +243,14 @@ class StructureConstants:
         self.prefactor = COMMUTATOR_PREFACTOR_NUMERATOR / self.dim
 
     def value(self, a, b, c):
-        """Λ_ab^c = sin((2π/N)·{a,b,c}).
+        """Λ_ab^c = sin((2π/N)·{a,b,c}), read as Im v^s from `roots(N)` at s = {a,b,c} mod N.
 
         Labels are taken mod N first; coordinates may be integer arrays
         that broadcast against each other.
         """
         n = self.dim
         a, b, c = ((x % n, y % n) for x, y in (a, b, c))
-        return np.sin(2 * np.pi * phase_space_symbol(a, b, c) / n)
+        return roots(n)[phase_space_symbol(a, b, c) % n].imag
 
     def table(self) -> np.ndarray:
         """Full tensor Λ[m,n,p,q,r,s] over (Z_N x Z_N)³."""

@@ -321,6 +321,34 @@ class TestSeedPrecedence:
 
 
 class TestWeakCommand:
+    @pytest.mark.parametrize("pointer", ("vacuum", "coherent:1.5-0.5j"))
+    @pytest.mark.parametrize("gen_key", ("q", "p", "n", "h0", "g", "k"))
+    def test_pointer_spectra_need_no_complex_eigh(
+        self, capsys, monkeypatch, tmp_path, pointer, gen_key
+    ):
+        """No complex eigendecomposition of pointer size, and none at all for a
+        vacuum pointer under the diagonal generators n and h0."""
+        dim = 40
+        calls = []
+        eigh = np.linalg.eigh
+
+        def recording_eigh(a, *args, **kwargs):
+            calls.append((np.shape(a)[0], np.iscomplexobj(a)))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+        cfg = weak_config(
+            tmp_path,
+            "system_dim = 3\npre = random\npost = random\nobs = number\neps = 0.05\n"
+            f"pointer = {pointer}\npointer_dim = {dim}\npointer_gen = {gen_key}\n",
+        )
+        run_cli(capsys, ["weak", "--config", cfg])
+        pointer_side = [call for call in calls if call[0] != 3]  # 3: the observable
+        # only real ones: the q spectrum (size 40) and the two k blocks (size 20)
+        assert set(pointer_side) <= {(dim, False), (dim // 2, False)}
+        if pointer == "vacuum" and gen_key in ("n", "h0"):
+            assert pointer_side == []
+
     def test_payload_reports_weak_value_and_shifts(self, capsys, tmp_path):
         cfg = weak_config(
             tmp_path,

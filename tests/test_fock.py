@@ -1,5 +1,7 @@
 """Tests for the truncated bosonic mode."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,9 @@ from qpl import (
     basis_ket,
     expectation,
     is_unitary,
+    unitary_exp,
 )
+from qpl.schwinger import roots
 
 DIM = 64
 SPACE = FockSpace(DIM)
@@ -123,3 +127,69 @@ def test_scale_guard():
 def test_truncation_needs_two_levels():
     with pytest.raises(ValueError):
         FockSpace(1)
+
+
+@pytest.mark.parametrize("dim", (2, 3, 8, 64, 256))
+@pytest.mark.parametrize("key", sorted(FockSpace.GENERATORS))
+def test_spectrum_diagonalizes_the_dense_generator(dim, key):
+    space = FockSpace(dim)
+    values, vectors = space.spectrum(key)
+    dense = getattr(space, FockSpace.GENERATORS[key])
+    assert np.max(np.abs((vectors * values) @ vectors.conj().T - dense)) <= 1e-12
+    assert np.max(np.abs(vectors.conj().T @ vectors - np.eye(dim))) <= 1e-12
+    # only the rotated generators carry complex vectors
+    assert np.iscomplexobj(vectors) == (key in ("p", "g"))
+    assert not values.flags.writeable and not vectors.flags.writeable
+    assert space.spectrum(key)[1] is vectors
+
+
+def test_spectrum_rejects_unknown_generators():
+    with pytest.raises(ValueError, match="unknown generator"):
+        SPACE.spectrum("num")
+
+
+def test_rotated_spectra_gather_exact_phases():
+    """p = R(π/2)·q·R(π/2)† and g = R(π/4)·k·R(π/4)†, phases i^n and e^{iπn/4} from `roots`."""
+    levels = np.arange(256)
+    space = FockSpace(256)
+    for key, base, turns in (("p", "q", 4), ("g", "k", 8)):
+        values, vectors = space.spectrum(key)
+        base_values, base_vectors = space.spectrum(base)
+        assert np.array_equal(values, base_values)
+        assert np.array_equal(vectors, roots(turns)[levels % turns][:, None] * base_vectors)
+
+
+def dense_displacement(space, z):
+    """Oracle: exp(z·a† - z̄·a) from one dense eigendecomposition of its generator."""
+    return unitary_exp(1j * (z * space.adag - np.conjugate(z) * space.a), 1.0)
+
+
+# All four quadrants, and |z| = √dim - 3 on the guard boundary (5 at 64, 13 at 256).
+@pytest.mark.parametrize(
+    "dim,z",
+    [(16, z) for z in (0.3 + 0.2j, -0.4 + 0.1j, -0.2 - 0.3j, 0.1 - 0.45j)]
+    + [(64, z) for z in (5, 3 + 4j, -4 + 3j, -3 - 4j, 4 - 3j, -5j)]
+    + [(256, z) for z in (13, 5 + 12j, -12 + 5j, -5 - 12j, 12 - 5j)],
+)
+def test_displacement_and_coherent_match_dense_oracle(dim, z):
+    space = FockSpace(dim)
+    oracle = dense_displacement(space, z)
+    assert np.max(np.abs(space.displacement(z) - oracle)) <= 1e-12
+    assert np.max(np.abs(space.coherent(z) - oracle[:, 0])) <= 1e-12
+    if (abs(z) + 3) ** 2 == dim:
+        with pytest.raises(ValueError):
+            space.coherent(z * 1.001)  # just past the boundary
+
+
+def test_construction_allocates_no_dense_matrix():
+    """FockSpace keeps diagonals; a D×D operator is built on its first access."""
+    tracemalloc.start()
+    try:
+        space = FockSpace(256)
+        built = tracemalloc.get_traced_memory()[1]
+        assert space.q.shape == (256, 256)
+        with_q = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert built < 256 * 256  # a complex 256 × 256 matrix is 1 MiB
+    assert with_q >= 256 * 256 * 16

@@ -44,8 +44,6 @@ GENERATORS = {
     "k": SPACE.k,
 }
 
-GENERATOR_ATTRS = {"q": "q", "p": "p", "n": "num", "h0": "h0", "g": "g", "k": "k"}
-
 # Frozen sweep configs: seeded random selections per system size.
 SYSTEM_SEEDS = ((2, 11), (3, 12))
 COHERENT_Z = 0.8 + 0.6j
@@ -246,7 +244,7 @@ class TestFactoredEvolution:
     SIZES = ((2, 64), (3, 8), (4, 16), (5, 32), (6, 24))
 
     @pytest.mark.parametrize("system_dim,pointer_dim", SIZES)
-    @pytest.mark.parametrize("gen_key", sorted(GENERATOR_ATTRS))
+    @pytest.mark.parametrize("gen_key", sorted(FockSpace.GENERATORS))
     @pytest.mark.parametrize("obs_kind", ("hermitian", "diagonal"))
     def test_matches_dense_oracle(self, system_dim, pointer_dim, gen_key, obs_kind):
         space = FockSpace(pointer_dim)
@@ -263,11 +261,11 @@ class TestFactoredEvolution:
                 pre=random_ket(system_dim, rng),
                 post=random_ket(system_dim, rng),
                 obs=obs,
-                pointer_gen=getattr(space, GENERATOR_ATTRS[gen_key]),
+                pointer_gen=getattr(space, FockSpace.GENERATORS[gen_key]),
                 pointer=pointer,
                 eps=0.0,
             )
-            evolution = FactoredEvolution(cfg.obs, cfg.pointer_gen, cfg.pre, cfg.pointer)
+            evolution = FactoredEvolution(cfg.obs, space.spectrum(gen_key), cfg.pre, cfg.pointer)
             for eps in (0.0, 1e-3, 0.3, 3.0):
                 oracle = post_select(evolve_exact(cfg.with_eps(eps)), cfg.post, pointer_dim)
                 factored = evolution.post_selected(eps, cfg.post)
@@ -285,9 +283,22 @@ class TestFactoredEvolution:
             eps=EPS,
         )
         with pytest.raises(ValueError, match="zero probability"):
-            FactoredEvolution(cfg.obs, cfg.pointer_gen, cfg.pre, cfg.pointer).post_selected(
+            FactoredEvolution(cfg.obs, SPACE.spectrum("p"), cfg.pre, cfg.pointer).post_selected(
                 EPS, cfg.post
             )
+
+    @pytest.mark.parametrize(
+        "pointer", (VACUUM, normalize(np.random.default_rng(5).normal(size=POINTER_DIM) + 0j))
+    )
+    def test_huge_observable_stays_finite(self, pointer):
+        """t·r·o is finite although r·o overflows: at t = 0 the pointer comes back unchanged."""
+        evolution = FactoredEvolution(
+            np.diag([1e307, -1e307]), SPACE.spectrum("n"), basis_ket(2, 0), pointer
+        )
+        selected = evolution.post_selected(0.0, basis_ket(2, 0))
+        assert np.array_equal(selected.raw, pointer)
+        np.testing.assert_allclose(selected.normalized, pointer, rtol=0, atol=1e-15)
+        assert np.all(np.isfinite(evolution.post_selected(1e-3, basis_ket(2, 0)).raw))
 
 
 class TestShiftFormulas:

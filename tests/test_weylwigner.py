@@ -247,6 +247,24 @@ def test_structure_constants_table_matches_value():
         )
 
 
+def test_structure_constants_match_high_precision_reference():
+    """Λ at N = 63 for 300 seeded label pairs and every c, against 40-digit
+    sines taken at the unreduced symbols."""
+    mpmath = pytest.importorskip("mpmath")
+    n = 63
+    sc = StructureConstants(n)
+    pairs = np.random.default_rng(63).integers(0, n, size=(300, 4))
+    m, nn, p, q = (pairs[:, i, None, None] for i in range(4))
+    c = np.ogrid[:n, :n]
+    symbols = phase_space_symbol((m, nn), (p, q), c)
+    unique, inverse = np.unique(symbols, return_inverse=True)
+    with mpmath.workdps(40):
+        sines = np.array([float(mpmath.sin(2 * mpmath.pi * int(x) / n)) for x in unique])
+    values = sc.value((m, nn), (p, q), c)
+    assert values.shape == (300, n, n)
+    assert np.max(np.abs(values - sines[inverse].reshape(symbols.shape))) <= 1e-15
+
+
 def test_structure_constants_reject_even():
     with pytest.raises(ValueError):
         StructureConstants(4)

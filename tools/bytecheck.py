@@ -17,8 +17,9 @@ that corpus gives the same bytes on both.  `--against OTHER_SRC_DIR` makes
 that comparison itself: it runs the corpus on both trees, each in its own
 child process (`--runs` prints one JSON line per run), and prints `same` or
 `differs` per subcommand.  A differing subcommand also gets the number of
-differing runs, the first differing argv, and the largest absolute change of
-any printed number with the argv where it happens; runs whose exit code or
+differing runs, the first differing argv, and one line per printed field (a
+JSON key path, or a CSV quantity and column) with the largest absolute
+change of that field and the argv where it happens; runs whose exit code or
 text outside the numbers differ are counted separately.  It exits 1 when any
 run differs.  Weak configs are written under a temporary working
 directory with fixed relative names, so paths in error messages do not
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -292,20 +294,63 @@ def _child_runs(src_dir: str, seed: int) -> dict[str, list[list]]:
 NUMBER = re.compile(r"-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 
-def largest_change(ours: list, theirs: list) -> float | None:
-    """Largest absolute change of any printed number between two runs of one argv.
+def printed_fields(argv: str, code: int, printed: str) -> list[tuple[str, str]]:
+    """(field, number text) for every number a run printed, in order.
+
+    A field of a successful run is its JSON key path, with each list index
+    written [*], or its CSV `quantity.column` (just the column when the
+    first column is not `quantity`).  Any other text is the one field
+    `text`, holding the numbers NUMBER finds in it.
+    """
+    if code == 0 and argv.endswith("--format json"):
+        with contextlib.suppress(ValueError):
+            return list(_json_fields(json.loads(printed, parse_float=str, parse_int=str), ""))
+    if code == 0 and argv.endswith("--format csv"):
+        header, *rows = csv.reader(io.StringIO(printed, newline=""))
+        named = header[0] == "quantity"
+        return [
+            (f"{row[0]}.{column}" if named else column, value)
+            for row in rows
+            for column, value in zip(header, row)
+            if NUMBER.fullmatch(value)
+        ]
+    return [("text", number) for number in NUMBER.findall(printed)]
+
+
+def _json_fields(node, path: str):
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _json_fields(value, f"{path}.{key}" if path else key)
+    elif isinstance(node, list):
+        for value in node:
+            yield from _json_fields(value, f"{path}[*]")
+    elif isinstance(node, str) and NUMBER.fullmatch(node):
+        yield path, node
+
+
+def field_changes(ours: list, theirs: list) -> dict[str, float] | None:
+    """Largest absolute change per printed field between two runs of one argv.
 
     None when the runs differ in exit code or in text outside their numbers.
     """
-    (_, _, code_a, a), (_, _, code_b, b) = ours, theirs
+    (argv, _, code_a, a), (_, _, code_b, b) = ours, theirs
     if code_a != code_b or NUMBER.sub("#", a) != NUMBER.sub("#", b):
         return None
-    changes = (abs(float(x) - float(y)) for x, y in zip(NUMBER.findall(a), NUMBER.findall(b)))
-    return max(changes, default=0.0)
+    fields_a, fields_b = printed_fields(argv, code_a, a), printed_fields(argv, code_b, b)
+    if [f for f, _ in fields_a] != [f for f, _ in fields_b]:
+        return None
+    changes: dict[str, float] = {}
+    for (field, x), (_, y) in zip(fields_a, fields_b):
+        changes[field] = max(changes.get(field, 0.0), abs(float(x) - float(y)))
+    return changes
 
 
 def compare(src_dir: str, other_dir: str, seed: int) -> tuple[list[str], bool]:
-    """`same` or `differs` per subcommand, and whether every run matched."""
+    """`same` or `differs` per subcommand, and whether every run matched.
+
+    Under a differing subcommand, one indented line per printed field that
+    changed gives its largest absolute change and the argv where it happens.
+    """
     ours, theirs = _child_runs(src_dir, seed), _child_runs(other_dir, seed)
     lines, same = [], True
     for command in sorted(set(ours) | set(theirs)):
@@ -320,14 +365,21 @@ def compare(src_dir: str, other_dir: str, seed: int) -> tuple[list[str], bool]:
             line += f" against {len(b)}"
         if differing:
             line += f", first at {differing[0][0][0]}"
-        changes = [(largest_change(x, y), x[0]) for x, y in differing]
-        numeric = [pair for pair in changes if pair[0] is not None]
-        if numeric:
-            line += "; largest printed-number change {:.3g} at {}".format(*max(numeric))
-        other = [argv for change, argv in changes if change is None]
+        largest: dict[str, tuple[float, str]] = {}
+        other = []
+        for x, y in differing:
+            changes = field_changes(x, y)
+            if changes is None:
+                other.append(x[0])
+                continue
+            for field, change in changes.items():
+                if change > largest.get(field, (0.0, ""))[0]:
+                    largest[field] = (change, x[0])
         if other:
             line += f"; {len(other)} differ beyond their numbers, first at {other[0]}"
         lines.append(line)
+        for field, (change, argv) in sorted(largest.items(), key=lambda item: -item[1][0]):
+            lines.append(f"  {field} {change:.3g} at {argv}")
     return lines, same
 
 
