@@ -4,8 +4,10 @@ A command's output is one ordered list of `Block`s.  Both formats derive
 from it: a JSON object with sorted keys and complex numbers as {"im": ...,
 "re": ...} objects, and RFC 4180 CSV (CRLF line endings, quoting only when
 needed).  Identical inputs give identical bytes: every float goes through
-one format (12 significant digits, negative zero collapsed), and an array
-is checked and formatted whole, one `isfinite` and one call per entry.
+one format (12 significant digits, negative zero collapsed).  A numeric
+array is checked whole with one `isfinite` and rendered with one `%`
+operation on a template cached per shape and kind (per CSV quantity, index
+count and axis for CSV rows), so no Python code runs per entry.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 FLOAT_DIGITS = 12
-_FORMAT = f"{{:.{FLOAT_DIGITS}g}}".format
+_FLOAT = f"%.{FLOAT_DIGITS}g"  # one float, as a `%` template field
 _SPECIAL = frozenset(',"\r\n')  # characters that make a CSV cell need quotes
 
 
@@ -28,15 +30,7 @@ def format_float(x: float) -> str:
     x = float(x) + 0.0  # adding +0.0 collapses -0.0
     if not math.isfinite(x):
         raise ValueError(f"cannot serialize non-finite value {x!r}")
-    return _FORMAT(x)
-
-
-def format_floats(a) -> list[str]:
-    """`format_float` of every entry of a real array, in row-major order."""
-    a = np.asarray(a, dtype=float)
-    if not np.isfinite(a).all():
-        format_float(a[~np.isfinite(a)][0])  # raises, naming the first non-finite entry
-    return list(map(_FORMAT, (a + 0.0).ravel().tolist()))
+    return _FLOAT % x
 
 
 class Block(NamedTuple):
@@ -58,23 +52,37 @@ class Block(NamedTuple):
     axis: int = 0
 
 
-def _entries(a: np.ndarray, pair: str) -> list[str]:
-    """Canonical text of every entry of an array, row-major; `pair` formats re and im."""
+# The template field of one array entry, by dtype kind.  A complex entry takes
+# two values: (im, re) in JSON, (re, im) in CSV.
+_JSON_ENTRY = {"i": "%d", "u": "%d", "f": _FLOAT, "c": f'{{"im":{_FLOAT},"re":{_FLOAT}}}'}
+_CSV_ENTRY = {"i": "%d", "u": "%d", "f": _FLOAT, "c": f"{_FLOAT},{_FLOAT}"}
+
+
+def _values(a: np.ndarray, im_first: bool) -> tuple:
+    """The template arguments of a numeric array, row-major; a complex entry gives two."""
     if a.dtype.kind in "iu":
-        return list(map(str, a.ravel().tolist()))
+        return tuple(a.ravel().tolist())
+    if not np.isfinite(a).all():
+        parts = np.concatenate((a.real.ravel(), a.imag.ravel()))
+        format_float(parts[~np.isfinite(parts)][0])  # raises, naming the first non-finite entry
+    a = a + 0.0  # collapses -0.0, in both parts of a complex entry
     if a.dtype.kind == "c":
-        return list(map(pair.format, format_floats(a.real), format_floats(a.imag)))
-    return format_floats(a)
+        a = np.stack((a.imag, a.real) if im_first else (a.real, a.imag), axis=-1)
+    return tuple(a.ravel().tolist())
+
+
+@functools.lru_cache(maxsize=256)
+def _json_template(entry: str, shape: tuple[int, ...]) -> str:
+    """Nested JSON lists of `shape` with one `entry` field per array entry."""
+    for size in reversed(shape):  # close the innermost lists first
+        entry = "[" + ",".join([entry] * size) + "]"
+    return entry
 
 
 def _array_json(a: np.ndarray) -> str:
     if a.dtype.kind not in "fiuc":
         return _render(a.tolist())
-    texts = _entries(a, '{{"im":{1},"re":{0}}}')
-    for axis in range(a.ndim - 1, -1, -1):  # close the innermost lists first
-        size, count = a.shape[axis], math.prod(a.shape[:axis])
-        texts = ["[" + ",".join(texts[i * size : (i + 1) * size]) + "]" for i in range(count)]
-    return texts[0]
+    return _json_template(_JSON_ENTRY[a.dtype.kind], a.shape) % _values(a, im_first=True)
 
 
 def _render(obj) -> str:
@@ -155,22 +163,24 @@ def _components(block: Block) -> list[tuple[str, object]]:
     return [(f"{name}_{part}", v) for part, v in zip(block.parts or block.value, value)]
 
 
-@functools.lru_cache(maxsize=128)
-def _row_prefixes(name: str, shape: tuple[int, ...], indices: int, axis: int) -> tuple[str, ...]:
-    """`name,<index cells>,` for every entry of an array of `shape`, row-major."""
-    blanks = ("",) * indices
+@functools.lru_cache(maxsize=256)
+def _csv_template(name: str, entry: str, shape: tuple[int, ...], indices: int, axis: int) -> str:
+    """`name,<index cells>,<entry>` for every entry of an array of `shape`, CRLF-joined."""
+    name, blanks = name.replace("%", "%%"), ("",) * indices
     cells = itertools.product(*(tuple(map(str, range(size))) for size in shape))
-    return tuple(",".join((name, *blanks[:axis], *i, *blanks[axis + len(i) :], "")) for i in cells)
+    return "\r\n".join(
+        ",".join((name, *blanks[:axis], *i, *blanks[axis + len(i) :], entry)) for i in cells
+    )
 
 
-def _array_rows(block: Block, indices: int, complex_slot: bool) -> list[str]:
+def _array_rows(block: Block, indices: int, complex_slot: bool) -> str:
     a, name = block.value, _quote(block.name or block.key)
     if not 1 <= a.ndim <= indices - block.axis or (a.dtype.kind == "c" and not complex_slot):
         raise TypeError(f"{name}: a {a.ndim}-D {a.dtype} array does not fit the CSV columns")
-    values = _entries(a, "{},{}")
-    if complex_slot and a.dtype.kind != "c":
-        values = [v + ",0" for v in values]
-    return [p + v for p, v in zip(_row_prefixes(name, a.shape, indices, block.axis), values)]
+    if a.dtype.kind not in "iufc":  # a flag or object array prints as floats
+        a = a.astype(float)
+    entry = _CSV_ENTRY[a.dtype.kind] + (",0" if complex_slot and a.dtype.kind != "c" else "")
+    return _csv_template(name, entry, a.shape, indices, block.axis) % _values(a, im_first=False)
 
 
 def csv_text(header, blocks) -> str:
@@ -186,7 +196,9 @@ def csv_text(header, blocks) -> str:
         if block.name is None or block.value is None:
             continue
         if isinstance(block.value, np.ndarray):
-            lines += _array_rows(block, len(blanks), complex_slot)
+            chunk = _array_rows(block, len(blanks), complex_slot)
+            if chunk:  # an empty array has no rows
+                lines.append(chunk)
             continue
         if isinstance(block.value, list) and not block.parts:  # a table: one row per record
             rows = [tuple(c for v in record.values() for c in _cells(v)) for record in block.value]

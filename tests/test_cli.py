@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -15,14 +16,16 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from qpl import dft
+from qpl import CoherentFamily, coherent_overlap_closed, dft
 from qpl.cli import (
     EXIT_BOUNDS,
     EXIT_DEGENERATE,
     EXIT_OK,
     EXIT_USAGE,
+    MAX_GRAM_DIM,
     MAX_POINTER_DIM,
     MAX_SYSTEM_DIM,
+    _closed_form_check,
     main,
 )
 
@@ -641,6 +644,25 @@ class TestSubcommandPayloads:
         predicted = np.array(payload["magnitude_predicted"])
         direct = np.array(payload["magnitude_direct"])
         assert np.allclose(predicted, direct, atol=1e-10)
+
+    @pytest.mark.parametrize("n", range(1, MAX_GRAM_DIM + 1))
+    def test_row_blocked_closed_form_check_is_the_one_shot_check(self, n):
+        gram = CoherentFamily(n).gram()
+        m, nn = np.divmod(np.arange(n * n), n)
+        closed = coherent_overlap_closed(n, m[:, None], nn[:, None], m[None, :], nn[None, :])
+        row, residual = _closed_form_check(n, gram)
+        assert np.array_equal(row, closed[0])
+        assert np.array_equal(residual, np.max(np.abs(gram - closed)))
+
+    def test_coherent_gram_at_the_cap_holds_no_full_closed_form_table(self, capsys):
+        tracemalloc.start()
+        try:
+            run_cli(capsys, ["coherent-gram", "--n", str(MAX_GRAM_DIM)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the Gram matrix itself is 1 MiB; one more N⁴ complex table would be another
+        assert peak < 2 * 2**20
 
 
 EXIT_CODE_CASES = (

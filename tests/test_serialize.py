@@ -1,12 +1,15 @@
 """Canonical renderers: CSV cells share the JSON scalar forms, arrays render whole."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from qpl.serialize import Block, canonical_json, csv_text, format_float, format_floats
+from qpl.serialize import Block, canonical_json, csv_text, format_float
 
 SCALARS = (True, np.bool_(False), 7, np.int64(-3), 0.1, np.float64(1e-20), -0.0, 2.5e17)
 EDGES = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
@@ -16,6 +19,50 @@ EDGES = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
 def json_text(value) -> str:
     """The JSON text `canonical_json` prints for one value."""
     return canonical_json([Block("v", value)])[len('{"v":') : -len("}\n")]
+
+
+# Oracle: an entry-by-entry array renderer, one `str.format` call per float.
+
+
+def format_floats(a) -> list[str]:
+    """Every entry of a real array through `str.format`, row-major; raises on a non-finite one."""
+    texts = []
+    for x in np.asarray(a, dtype=float).ravel().tolist():
+        format_float(x)  # raises, naming the entry, when it is not finite
+        texts.append("{:.12g}".format(x + 0.0))
+    return texts
+
+
+def entries(a: np.ndarray, pair: str) -> list[str]:
+    """Text of every entry of a numeric array, row-major; `pair` formats re and im."""
+    if a.dtype.kind in "iu":
+        return list(map(str, a.ravel().tolist()))
+    if a.dtype.kind == "c":
+        return list(map(pair.format, format_floats(a.real), format_floats(a.imag)))
+    return format_floats(a)
+
+
+def oracle_json(a: np.ndarray) -> str:
+    texts = entries(a, '{{"im":{1},"re":{0}}}')
+    for axis in range(a.ndim - 1, -1, -1):  # close the innermost lists first
+        size, count = a.shape[axis], math.prod(a.shape[:axis])
+        texts = ["[" + ",".join(texts[i * size : (i + 1) * size]) + "]" for i in range(count)]
+    return texts[0]
+
+
+def oracle_csv(header: list[str], name: str, a: np.ndarray, axis: int) -> str:
+    complex_slot = header[-2:] == ["re", "im"]
+    values = entries(a, "{},{}")
+    if complex_slot and a.dtype.kind != "c":
+        values = [v + ",0" for v in values]
+    blanks = ("",) * (len(header) - (3 if complex_slot else 2))
+    quoted = '"' + name.replace('"', '""') + '"' if set(name) & set(',"\r\n') else name
+    cells = itertools.product(*(map(str, range(size)) for size in a.shape))
+    rows = [
+        ",".join((quoted, *blanks[:axis], *i, *blanks[axis + len(i) :], v))
+        for i, v in zip(cells, values)
+    ]
+    return "\r\n".join([",".join(header), *rows]) + "\r\n"
 
 
 def test_csv_cells_render_scalars_as_json_does():
@@ -41,6 +88,10 @@ def test_csv_cells_render_scalars_as_json_does():
 def test_format_float_edge_values(value, text):
     assert format_float(value) == text
     assert format_floats(np.array([value, value])) == [text, text]
+    assert json_text(np.array([value, value])) == f"[{text},{text}]"
+    assert csv_text(["quantity", "i", "value"], [Block("v", np.array([value]))]) == (
+        f"quantity,i,value\r\nv,0,{text}\r\n"
+    )
 
 
 @pytest.mark.parametrize("value", (float("inf"), -float("inf"), float("nan"), np.float64("nan")))
@@ -56,22 +107,53 @@ def test_csv_cells_reject_non_scalars(cell):
         csv_text(["x"], [Block("rows", [{"x": cell}])])
 
 
-finite_arrays = hnp.arrays(
-    np.float64,
-    hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=6),
-    elements=st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(EDGES)),
+SHAPES = hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=6)
+FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(EDGES))
+finite_arrays = hnp.arrays(np.float64, SHAPES, elements=FLOATS)
+numeric_arrays = st.one_of(
+    finite_arrays,
+    hnp.arrays(np.complex128, SHAPES, elements=st.builds(complex, FLOATS, FLOATS)),
+    hnp.arrays(st.sampled_from((np.int64, np.int8, np.uint64)), SHAPES),
 )
+# CSV quantity names: `%` must print literally; `,` and `"` make the cell quoted
+names = st.text(alphabet='ab%,"_ ', min_size=1, max_size=6)
 
 
 @given(finite_arrays)
 @example(np.array(EDGES))
 @example(np.array([[-0.0, 5e-324], [-1e308, 1e16 - 2]]))
 def test_block_formatter_is_format_float_entry_by_entry(a):
-    assert format_floats(a) == [format_float(x) for x in a.ravel()]
+    assert json_text(a) == oracle_json(a)
     # the whole-array JSON path agrees with rendering one Python float at a time
     assert json_text(a) == json_text(a.tolist())
     z = a - 1j * a
     assert json_text(z) == json_text(z.tolist())
+
+
+@given(numeric_arrays)
+@example(np.array(-0.0))
+@example(np.array(5e-324 - 0.0j))
+@example(np.array([complex(-0.0, -0.0), complex(5e-324, -1e308)]))
+@example(np.zeros((2, 0, 3), complex))
+@example(np.array([], np.int64))
+def test_json_array_template_matches_the_entry_by_entry_render(a):
+    assert json_text(a) == oracle_json(a)
+
+
+@given(numeric_arrays, names, st.booleans(), st.integers(0, 1))
+@example(np.array([-0.0, 5e-324]), "100%", False, 0)
+@example(np.array([-0.0, 5e-324]), "%d%%s", True, 1)
+@example(np.array([[1 - 0.0j, -0.0 + 5e-324j]]), 'a,"b"%', True, 0)
+@example(np.arange(6).reshape(1, 2, 3), "%", False, 0)
+@example(np.zeros((0, 2)), "e", True, 0)
+def test_csv_array_template_matches_the_entry_by_entry_render(a, name, complex_slot, axis):
+    header = ["quantity", *(f"i{k}" for k in range(a.ndim + axis))]
+    header += ["re", "im"] if complex_slot else ["value"]
+    if a.ndim == 0 or (a.dtype.kind == "c" and not complex_slot):
+        with pytest.raises(TypeError):
+            csv_text(header, [Block("v", a, name, axis=axis)])
+        return
+    assert csv_text(header, [Block("v", a, name, axis=axis)]) == oracle_csv(header, name, a, axis)
 
 
 @pytest.mark.parametrize("bad", (np.inf, -np.inf, np.nan))
