@@ -28,8 +28,15 @@ diagonal; q is the real Jacobi matrix of the Hermite polynomials, whose
 eigenvalues are the Gauss–Hermite nodes; k splits into real tridiagonal
 blocks on the even and the odd levels; p and g are q and k rotated, with
 the phases i^n and e^{iπn/4} gathered from `schwinger.roots`.  It returns
-read-only (values, vectors) with generator = vectors·diag(values)·vectors†,
-computed once per instance.  The dense operators are built on first access.
+read-only (values, vectors) with generator = vectors·diag(values)·vectors†.
+
+The dense operators are read-only and built on first access.  What depends
+only on the dimension — the real q and k spectra and the dense q and p — is
+computed once per dimension and shared by every FockSpace of that size:
+each is held by an `lru_cache` of the last CACHED_DIMS = 4 dimensions, at
+most 3 MiB per dimension at the pointer cap of 256 (q and p 1 MiB each, the
+q and k vectors 0.5 MiB each), so at most 12 MiB in all.  A FockSpace
+itself holds only its diagonals and what it has built.
 
 The scale operator S_ξ = exp(i·lnξ·g) dilates quadrature statistics by
 Var_Q(S_ξ|0⟩) = ξ⁻²·Var_Q(|0⟩) — the exponent -2 is the pinned direction
@@ -38,7 +45,7 @@ for this generator sign.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -46,11 +53,54 @@ from .linalg import as_ket, basis_ket, spectral_exp
 from .schwinger import roots
 
 SCALE_MIN, SCALE_MAX = 1.0 / 3.0, 3.0
+CACHED_DIMS = 4  # dimensions whose q and k spectra and dense q and p stay cached
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+def _ladder(levels: np.ndarray) -> np.ndarray:
+    """a|n⟩ = √n|n-1⟩ on the levels 0..D-1."""
+    return np.sqrt(levels[1:])
+
+
+def _squared_ladder(levels: np.ndarray) -> np.ndarray:
+    """a²|n⟩ = √(n(n-1))|n-2⟩ on the levels 0..D-1."""
+    return np.sqrt(levels[1:-1] * levels[2:])
 
 
 def _jacobi_eigh(off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Real spectrum of the symmetric tridiagonal matrix with zero diagonal and `off` beside it."""
     return np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+
+
+@lru_cache(maxsize=CACHED_DIMS)
+def _quadratures(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only dense (Q, P) of the mode of dimension `dim`."""
+    a = np.diag(_ladder(np.arange(dim)), 1).astype(complex)
+    adag = a.conj().T
+    return _read_only((a + adag) / np.sqrt(2)), _read_only((a - adag) / (1j * np.sqrt(2)))
+
+
+@lru_cache(maxsize=CACHED_DIMS)
+def _q_spectrum(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only real (values, vectors) of Q: one Jacobi matrix."""
+    values, vectors = _jacobi_eigh(_ladder(np.arange(dim)) / np.sqrt(2))
+    return _read_only(values), _read_only(vectors)
+
+
+@lru_cache(maxsize=CACHED_DIMS)
+def _k_spectrum(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only real (values, vectors) of k: it couples n to n ± 2 only, one block per parity."""
+    squared = _squared_ladder(np.arange(dim))
+    even = _jacobi_eigh(squared[0::2] / 2)
+    odd = _jacobi_eigh(squared[1::2] / 2)
+    vectors = np.zeros((dim, dim))
+    vectors[0::2, : even[0].size] = even[1]
+    vectors[1::2, even[0].size :] = odd[1]
+    return _read_only(np.concatenate([even[0], odd[0]])), _read_only(vectors)
 
 
 class FockSpace:
@@ -65,73 +115,62 @@ class FockSpace:
         self.dim = int(dim)
         # The operators' diagonals; the dense operators are built from them on first access.
         levels = self._levels = np.arange(self.dim)
-        self._ladder = np.sqrt(levels[1:])  # a|n⟩ = √n|n-1⟩
         self._number = np.sqrt(levels) ** 2  # a†a, entries rounded as √k·√k
         self._half_counts = levels + 0.5
         self._half_counts[-1] = (self.dim - 1) / 2  # a a† vanishes on the top level
-        self._squared_ladder = np.sqrt(levels[1:-1] * levels[2:])  # a²|n⟩ = √(n(n-1))|n-2⟩
         self._spectra: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     # Exact in the truncated space: h0 = (a a† + a† a)/2, g = (a² - a†²)/(2i),
-    # k = (a² + a†²)/2.
+    # k = (a² + a†²)/2.  Every dense operator is read-only; q and p are shared
+    # by all modes of one dimension.
 
     @cached_property
     def a(self) -> np.ndarray:
-        return np.diag(self._ladder, 1).astype(complex)
+        return _read_only(np.diag(_ladder(self._levels), 1).astype(complex))
 
     @cached_property
     def adag(self) -> np.ndarray:
-        return self.a.conj().T
+        return _read_only(self.a.conj().T)
 
     @cached_property
     def num(self) -> np.ndarray:
-        return np.diag(self._number).astype(complex)
+        return _read_only(np.diag(self._number).astype(complex))
 
-    @cached_property
+    @property
     def q(self) -> np.ndarray:
-        return (self.a + self.adag) / np.sqrt(2)
+        return _quadratures(self.dim)[0]
 
-    @cached_property
+    @property
     def p(self) -> np.ndarray:
-        return (self.a - self.adag) / (1j * np.sqrt(2))
+        return _quadratures(self.dim)[1]
 
     @cached_property
     def h0(self) -> np.ndarray:
-        return np.diag(self._half_counts).astype(complex)
+        return _read_only(np.diag(self._half_counts).astype(complex))
 
     @cached_property
     def g(self) -> np.ndarray:
-        a2 = np.diag(self._squared_ladder, 2).astype(complex)
-        return (a2 - a2.T) / 2j
+        a2 = np.diag(_squared_ladder(self._levels), 2).astype(complex)
+        return _read_only((a2 - a2.T) / 2j)
 
     @cached_property
     def k(self) -> np.ndarray:
-        a2 = np.diag(self._squared_ladder, 2).astype(complex)
-        return (a2 + a2.T) / 2
+        a2 = np.diag(_squared_ladder(self._levels), 2).astype(complex)
+        return _read_only((a2 + a2.T) / 2)
 
     def spectrum(self, key: str) -> tuple[np.ndarray, np.ndarray]:
         """Read-only (values, vectors) of the generator `key` in GENERATORS; see the module docstring."""
         if key not in self._spectra:
             values, vectors = self._structured_spectrum(key)
-            values.flags.writeable = False
-            vectors.flags.writeable = False
-            self._spectra[key] = (values, vectors)
+            self._spectra[key] = (_read_only(values), _read_only(vectors))
         return self._spectra[key]
 
     def _structured_spectrum(self, key: str) -> tuple[np.ndarray, np.ndarray]:
         if key in ("n", "h0"):
             diagonal = self._number if key == "n" else self._half_counts
             return diagonal, np.eye(self.dim)
-        if key == "q":
-            return _jacobi_eigh(self._ladder / np.sqrt(2))
-        if key == "k":
-            # k couples level n to n ± 2 only: one block per parity
-            even = _jacobi_eigh(self._squared_ladder[0::2] / 2)
-            odd = _jacobi_eigh(self._squared_ladder[1::2] / 2)
-            vectors = np.zeros((self.dim, self.dim))
-            vectors[0::2, : even[0].size] = even[1]
-            vectors[1::2, even[0].size :] = odd[1]
-            return np.concatenate([even[0], odd[0]]), vectors
+        if key in ("q", "k"):
+            return (_q_spectrum if key == "q" else _k_spectrum)(self.dim)
         if key in ("p", "g"):
             # p = R(π/2)·q·R(π/2)† and g = R(π/4)·k·R(π/4)†, with R(θ) = diag(e^{iθn})
             base, turns = ("q", 4) if key == "p" else ("k", 8)

@@ -193,6 +193,34 @@ class TestGoldenOutputs:
         out, _ = run_cli(capsys, ["weak", "--config", cfg, "--format", fmt])
         assert out == (GOLDEN / f"{name}.{fmt}").read_bytes().decode()
 
+    def test_weak_goldens_hold_cold_and_warm(
+        self, capsys, monkeypatch, tmp_path, clear_fock_caches
+    ):
+        """Each weak golden rendered with empty fock caches, then again after
+        weak runs at other pointer dimensions; the csv render of each config
+        reads the arrays its json render cached."""
+        monkeypatch.delenv("QPL_SEED", raising=False)
+        goldens = [(name, fmt) for name in sorted(WEAK_GOLDENS) for fmt in ("json", "csv")]
+
+        def render(name, fmt):
+            cfg = weak_config(tmp_path, WEAK_GOLDENS[name])
+            out, _ = run_cli(capsys, ["weak", "--config", cfg, "--format", fmt])
+            return out == (GOLDEN / f"{name}.{fmt}").read_bytes().decode()
+
+        for name, fmt in goldens:
+            clear_fock_caches()
+            assert render(name, fmt), f"{name}.{fmt} cold"
+        for dim in (2, 40, 256):
+            for gen_key in ("p", "g"):  # the q and the k spectrum
+                cfg = weak_config(
+                    tmp_path,
+                    "system_dim = 2\npre = u0\npost = amps:1,1\nobs = sz\neps = 0.02\n"
+                    f"pointer_dim = {dim}\npointer_gen = {gen_key}\n",
+                )
+                run_cli(capsys, ["weak", "--config", cfg])
+        for name, fmt in goldens:
+            assert render(name, fmt), f"{name}.{fmt} warm"
+
 
 DETERMINISTIC_COMMANDS = (
     ["wigner", "--n", "3", "--state", "random", "--seed", "5"],
@@ -323,34 +351,56 @@ class TestSeedPrecedence:
         assert err == f"qpl: {'--seed' if source == 'flag' else 'QPL_SEED'} must be nonnegative, got -1\n"
 
 
+@pytest.fixture
+def eigh_sizes(monkeypatch):
+    """(size, complex?) of every np.linalg.eigh call made while the test runs."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def recording_eigh(a, *args, **kwargs):
+        calls.append((np.shape(a)[0], np.iscomplexobj(a)))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    return calls
+
+
+def pointer_config(tmp_path, pointer, dim, gen_key):
+    """A weak run with a 3-level observable, so calls of another size are pointer-side."""
+    return weak_config(
+        tmp_path,
+        "system_dim = 3\npre = random\npost = random\nobs = number\neps = 0.05\n"
+        f"pointer = {pointer}\npointer_dim = {dim}\npointer_gen = {gen_key}\n",
+    )
+
+
 class TestWeakCommand:
     @pytest.mark.parametrize("pointer", ("vacuum", "coherent:1.5-0.5j"))
     @pytest.mark.parametrize("gen_key", ("q", "p", "n", "h0", "g", "k"))
     def test_pointer_spectra_need_no_complex_eigh(
-        self, capsys, monkeypatch, tmp_path, pointer, gen_key
+        self, capsys, tmp_path, clear_fock_caches, eigh_sizes, pointer, gen_key
     ):
         """No complex eigendecomposition of pointer size, and none at all for a
         vacuum pointer under the diagonal generators n and h0."""
         dim = 40
-        calls = []
-        eigh = np.linalg.eigh
-
-        def recording_eigh(a, *args, **kwargs):
-            calls.append((np.shape(a)[0], np.iscomplexobj(a)))
-            return eigh(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
-        cfg = weak_config(
-            tmp_path,
-            "system_dim = 3\npre = random\npost = random\nobs = number\neps = 0.05\n"
-            f"pointer = {pointer}\npointer_dim = {dim}\npointer_gen = {gen_key}\n",
-        )
-        run_cli(capsys, ["weak", "--config", cfg])
-        pointer_side = [call for call in calls if call[0] != 3]  # 3: the observable
+        run_cli(capsys, ["weak", "--config", pointer_config(tmp_path, pointer, dim, gen_key)])
+        pointer_side = [call for call in eigh_sizes if call[0] != 3]  # 3: the observable
         # only real ones: the q spectrum (size 40) and the two k blocks (size 20)
         assert set(pointer_side) <= {(dim, False), (dim // 2, False)}
         if pointer == "vacuum" and gen_key in ("n", "h0"):
             assert pointer_side == []
+
+    @pytest.mark.parametrize("pointer", ("vacuum", "coherent:1.5-0.5j"))
+    @pytest.mark.parametrize("gen_key", ("q", "p", "n", "h0", "g", "k"))
+    def test_a_repeated_pointer_dimension_needs_no_pointer_eigh(
+        self, capsys, tmp_path, clear_fock_caches, eigh_sizes, pointer, gen_key
+    ):
+        """The second run at one pointer dimension diagonalizes only the observable."""
+        cfg = pointer_config(tmp_path, pointer, 36, gen_key)
+        run_cli(capsys, ["weak", "--config", cfg])
+        eigh_sizes.clear()
+        run_cli(capsys, ["weak", "--config", cfg])
+        assert eigh_sizes and all(size == 3 for size, _ in eigh_sizes)
 
     def test_payload_reports_weak_value_and_shifts(self, capsys, tmp_path):
         cfg = weak_config(

@@ -181,7 +181,7 @@ def test_displacement_and_coherent_match_dense_oracle(dim, z):
             space.coherent(z * 1.001)  # just past the boundary
 
 
-def test_construction_allocates_no_dense_matrix():
+def test_construction_allocates_no_dense_matrix(clear_fock_caches):
     """FockSpace keeps diagonals; a D×D operator is built on its first access."""
     tracemalloc.start()
     try:
@@ -193,3 +193,65 @@ def test_construction_allocates_no_dense_matrix():
         tracemalloc.stop()
     assert built < 256 * 256  # a complex 256 × 256 matrix is 1 MiB
     assert with_q >= 256 * 256 * 16
+
+
+def bitwise_equal(x, y):
+    """Same dtype, shape and bytes: equal entries, signed zeros included."""
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def uncached_oracle(dim):
+    """The q and k spectra and the dense q and p, built without the fock caches."""
+    levels = np.arange(dim)
+    ladder = np.sqrt(levels[1:])
+    a = np.diag(ladder, 1).astype(complex)
+    adag = a.conj().T
+    q = ladder / np.sqrt(2)
+    q_values, q_vectors = np.linalg.eigh(np.diag(q, 1) + np.diag(q, -1))
+    squared = np.sqrt(levels[1:-1] * levels[2:]) / 2
+    blocks = [
+        np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1)) for off in (squared[0::2], squared[1::2])
+    ]
+    k_vectors = np.zeros((dim, dim))
+    k_vectors[0::2, : blocks[0][0].size] = blocks[0][1]
+    k_vectors[1::2, blocks[0][0].size :] = blocks[1][1]
+    return {
+        "q spectrum": (q_values, q_vectors),
+        "k spectrum": (np.concatenate([blocks[0][0], blocks[1][0]]), k_vectors),
+        "quadratures": ((a + adag) / np.sqrt(2), (a - adag) / (1j * np.sqrt(2))),
+    }
+
+
+@pytest.mark.parametrize("dim", (2, 3, 24, 32, 64, 128, 256))
+def test_modes_of_one_dimension_share_the_uncached_values(dim):
+    """Two modes of one dimension get the same q and k spectra and q and p
+    arrays, bit for bit the arrays an uncached build gives."""
+    def arrays(space):
+        return {
+            "q spectrum": space.spectrum("q"),
+            "k spectrum": space.spectrum("k"),
+            "quadratures": (space.q, space.p),
+        }
+
+    first, second = arrays(FockSpace(dim)), arrays(FockSpace(dim))
+    for name, expected in uncached_oracle(dim).items():
+        for built, other, oracle in zip(first[name], second[name], expected):
+            assert built is other, name
+            assert not built.flags.writeable, name
+            assert np.array_equal(built, oracle) and bitwise_equal(built, oracle), name
+
+
+@pytest.mark.parametrize("name", ("a", "adag", "num", "q", "p", "h0", "g", "k"))
+def test_dense_operators_are_read_only(name):
+    """An in-place write raises; a fresh mode of the same size has the untouched values."""
+    dim = 16
+    operator = getattr(FockSpace(dim), name)
+    before = operator.copy()
+    with pytest.raises(ValueError, match="read-only"):
+        operator[0, 1] = 7.0
+    with pytest.raises(ValueError, match="read-only"):
+        operator += 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        np.multiply(operator, 2.0, out=operator)
+    assert bitwise_equal(operator, before)
+    assert bitwise_equal(getattr(FockSpace(dim), name), before)
