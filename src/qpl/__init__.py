@@ -73,6 +73,7 @@ from .weak import (
     qubit_pointer_profile,
     selection_probability,
     shift_residual,
+    weak_run,
     weak_value,
 )
 from .modular import (

@@ -39,14 +39,7 @@ from .linalg import basis_ket, random_density, random_ket
 from .modular import az_state, momentum_amplitudes, nslit_evolve
 from .schwinger import dft, gauss_trace, gauss_trace_closed_form
 from .serialize import Block, canonical_json, csv_text
-from .weak import (
-    FactoredEvolution,
-    WeakConfig,
-    annihilator_shift_prediction,
-    conditioned_shift,
-    predicted_shift,
-    weak_value,
-)
+from .weak import WeakConfig, weak_run
 from .weylwigner import StructureConstants, phase_point, wigner_map
 
 EXIT_OK = 0
@@ -186,6 +179,19 @@ def parse_obs_selector(spec: str, dim: int) -> np.ndarray:
     raise UsageError(f"unknown observable selector {spec!r}")
 
 
+def parse_pointer_selector(spec: str, space: FockSpace) -> tuple[np.ndarray, complex | None]:
+    """vacuum | coherent:z, as (pointer ket, z or None)"""
+    if spec == "vacuum":
+        return space.vacuum(), None
+    if not spec.startswith("coherent:"):
+        raise UsageError(f"unknown pointer selector {spec!r}")
+    z = _parse_number(spec.partition(":")[2], complex, "pointer displacement")
+    try:
+        return space.coherent(z), z
+    except ValueError as exc:
+        raise BoundsError(str(exc)) from exc
+
+
 def _parse_pair(text: str, what: str) -> tuple[int, int]:
     parts = text.split(",")
     if len(parts) != 2:
@@ -269,12 +275,7 @@ def _read_config(path: str) -> dict[str, str]:
     return {**_WEAK_KEYS, **entries}
 
 
-def _triple(measured, predicted) -> dict:
-    """A measured shift, its first-order prediction and their distance."""
-    return {"measured": measured, "predicted": predicted, "residual": abs(measured - predicted)}
-
-
-@np.errstate(over="ignore", invalid="ignore")  # an overflow is reported by value, below
+@np.errstate(over="ignore", invalid="ignore")  # weak_run reports an overflow by value
 def run_weak(args, seed):
     conf = args.entries
     system_dim = _parse_number(conf["system_dim"], int, "system_dim")
@@ -288,18 +289,7 @@ def run_weak(args, seed):
     rng = np.random.default_rng(seed)
 
     space = FockSpace(pointer_dim)
-    pointer_spec = conf["pointer"]
-    coherent_z = None
-    if pointer_spec == "vacuum":
-        pointer = space.vacuum()
-    elif pointer_spec.startswith("coherent:"):
-        coherent_z = _parse_number(pointer_spec.partition(":")[2], complex, "pointer displacement")
-        try:
-            pointer = space.coherent(coherent_z)
-        except ValueError as exc:
-            raise BoundsError(str(exc)) from exc
-    else:
-        raise UsageError(f"unknown pointer selector {pointer_spec!r}")
+    pointer, coherent_z = parse_pointer_selector(conf["pointer"], space)
 
     gen_key = conf["pointer_gen"]
     if gen_key not in space.GENERATORS:
@@ -314,52 +304,30 @@ def run_weak(args, seed):
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
-    evolution = FactoredEvolution(cfg.obs, space.spectrum(gen_key), cfg.pre, cfg.pointer)
+    lowering = (space.a, coherent_z) if coherent_z is not None and gen_key == "n" else None
+    readouts = {"q": space.q, "p": space.p}
     try:
-        ow = weak_value(cfg)
-        selected = evolution.post_selected(eps, cfg.post)
-        half_selected = evolution.post_selected(eps / 2, cfg.post) if halving else None
+        run = weak_run(cfg, space.spectrum(gen_key), readouts, halving, lowering)
+    except OverflowError as exc:
+        raise BoundsError(str(exc)) from exc
     except ValueError as exc:
         raise DegeneracyError(str(exc)) from exc
-    probability = selected.probability
 
-    quadratures = {"q": space.q, "p": space.p}
-    predicted = {name: predicted_shift(cfg, observable) for name, observable in quadratures.items()}
-    if coherent_z is not None and gen_key == "n":
-        predicted["a"] = annihilator_shift_prediction(cfg, coherent_z)
-    # A coupling past float range leaves one of these without a finite modulus;
-    # every number measured from a finite post-selected pointer is bounded.
-    named = {"weak value": ow, "probability": probability}
-    named.update((f"{name} predicted shift", value) for name, value in predicted.items())
-    overflowed = [what for what, value in named.items() if not np.isfinite(np.abs(value))]
-    if overflowed:
-        raise BoundsError(f"weak run overflows at eps = {eps}: {', '.join(overflowed)} not finite")
-
-    spectral_radius = float(np.max(np.abs(evolution.obs_values)))
     blocks = [
-        Block("weak_value", ow),
-        Block("probability", probability),
-        Block("spectral_radius", spectral_radius),
-        Block("amplified", bool(abs(ow) > spectral_radius + 1e-12)),
+        Block("weak_value", run.weak_value),
+        Block("probability", run.selected.probability),
+        Block("spectral_radius", run.spectral_radius),
+        Block("amplified", bool(abs(run.weak_value) > run.spectral_radius + 1e-12)),
         Block("eps", eps),
     ]
-    half = cfg.with_eps(eps / 2) if halving else None
-    for name, observable in quadratures.items():
-        shift = _triple(conditioned_shift(selected, pointer, observable).real, predicted[name])
+    for name, shift in run.shifts.items():
         blocks.append(Block(f"shifts.{name}", shift, name))
         if halving:
-            measured = conditioned_shift(half_selected, pointer, observable).real
-            half_resid = abs(measured - predicted_shift(half, observable))
-            ratio = None if shift["residual"] < 1e-14 else half_resid / shift["residual"]
-            record = {"half_residual": half_resid, "ratio": ratio}
-            blocks.append(Block(f"halving.{name}", record, name, ("half_residual", "halving_ratio")))
+            parts = ("half_residual", "halving_ratio")
+            blocks.append(Block(f"halving.{name}", run.halving[name], name, parts))
     if not halving:
         blocks.append(Block("halving", None))
-    annihilator = None
-    if "a" in predicted:
-        measured_a = complex(conditioned_shift(selected, pointer, space.a))
-        annihilator = _triple(measured_a, predicted["a"])
-    blocks.append(Block("annihilator", annihilator, "a"))
+    blocks.append(Block("annihilator", run.annihilator, "a"))
     selectors = {key: conf[key] for key in ("obs", "pointer", "pointer_gen", "post", "pre")}
     return blocks + _echo(**selectors, pointer_dim=pointer_dim, seed=seed, system_dim=system_dim)
 

@@ -3,6 +3,14 @@
 A run couples a system observable O to a pointer generator R through the
 exact unitary exp(-i·ε·O⊗R), then post-selects the system on |β⟩.
 
+A weak run has one engine, `weak_run`; the CLI and the library functions
+`selection_probability`, `measured_shift`, `shift_residual` and
+`annihilator_shift` read its `WeakRun` record.  It takes the pointer
+generator as its spectrum (r, W): `FockSpace.spectrum` builds that from
+structure, with no complex eigendecomposition, and the library functions
+use `WeakConfig.pointer_spectrum`, one `np.linalg.eigh` per config that its
+`with_eps` copies share.
+
 The exact evolution has one implementation, `FactoredEvolution`.  With
 O = V·diag(o)·V† and R = W·diag(r)·W†, the coupling is diagonal in the
 product eigenbasis |o_k⟩⊗|r_j⟩, so |o_k⟩ carries the pointer branch
@@ -10,23 +18,22 @@ W·exp(-i·ε·o_k·r)·W†|φ⟩ and the post-selected pointer is
 
     ⟨β|⊗I·exp(-i·ε·O⊗R)·|α⟩⊗|φ⟩ = Σ_k ⟨β|o_k⟩⟨o_k|α⟩·W·exp(-i·ε·o_k·r)·W†|φ⟩
 
-from one spectrum per factor; no composite matrix is formed.  The pointer
-spectrum comes in as (r, W): a truncated mode supplies it from the
-structure of its generators (`FockSpace.spectrum`), with no complex
-eigendecomposition.  `pre_measurement` mixes the branches with weights
-|⟨o_k|α⟩|², and `qubit_pointer_profile` is the two-branch case
-P = |v_1⟩⟨v_1|: |v_0⟩ carries |α⟩ and |v_1⟩ carries exp(-iλO)|α⟩.  The
-dense composite oracle the tests use, `evolve_exact` and `post_select`,
-stays here while the benchmark harness in `perfbench/` wraps it.
+from one spectrum per factor; no composite matrix is formed.
+`pre_measurement` mixes the branches with weights |⟨o_k|α⟩|², and
+`qubit_pointer_profile` is the two-branch case P = |v_1⟩⟨v_1|: |v_0⟩
+carries |α⟩ and |v_1⟩ carries exp(-iλO)|α⟩.  The dense composite oracle
+the tests use, `evolve_exact` and `post_select`, stays here while the
+benchmark harness in `perfbench/` wraps it.
 
 For small ε the conditioned pointer mean of an observable M moves by
 
     ΔM = ε·[Im(O_w)·(⟨{M,R}⟩ - 2⟨R⟩⟨M⟩) - i·Re(O_w)·⟨[M,R]⟩]
 
 where O_w = ⟨β|O|α⟩/⟨β|α⟩ is the weak value and all pointer moments are
-taken in the initial pointer state.  The exact simulation is kept fully
-separate from this first-order formula so the two can be compared; their
-difference shrinks quadratically in ε.
+taken in the initial pointer state.  The formula is linear in ε, so the
+prediction at ε/2 is the same moments times ε/2.  The exact simulation is
+kept separate from it so the two can be compared; their difference
+shrinks quadratically in ε.
 
 For a coherent pointer |z⟩ coupled through the number operator, the mean
 of the lowering operator moves by Δ⟨a⟩ = -i·ε·z·O_w to first order (the
@@ -36,7 +43,8 @@ pair ΔQ = ε√2|z|·Re O_w, ΔP = ε√2|z|·Im O_w).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import copy
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,14 +92,29 @@ class WeakConfig:
             raise ValueError("system state and observable dimensions do not match")
         if gen.shape[0] != pointer.shape[0]:
             raise ValueError("pointer state and generator dimensions do not match")
-        if not np.isfinite(self.eps) or self.eps < 0:
-            raise ValueError(f"coupling eps must be a finite nonnegative real, got {self.eps!r}")
         validated = dict(pre=pre, post=post, obs=obs, pointer_gen=gen, pointer=pointer)
-        for name, value in {**validated, "eps": float(self.eps)}.items():
+        for name, value in validated.items():
             object.__setattr__(self, name, value)
+        self._set_eps(self.eps)
+        object.__setattr__(self, "_spectrum", [])  # filled once; with_eps copies share it
+
+    def _set_eps(self, eps) -> None:
+        if not np.isfinite(eps) or eps < 0:
+            raise ValueError(f"coupling eps must be a finite nonnegative real, got {eps!r}")
+        object.__setattr__(self, "eps", float(eps))
+
+    @property
+    def pointer_spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """np.linalg.eigh(pointer_gen), taken once for this config and its `with_eps` copies."""
+        if not self._spectrum:
+            self._spectrum.append(np.linalg.eigh(self.pointer_gen))
+        return self._spectrum[0]
 
     def with_eps(self, eps: float) -> "WeakConfig":
-        return replace(self, eps=eps)
+        """This run at coupling `eps`: only eps is checked, everything else is shared."""
+        moved = copy.copy(self)
+        moved._set_eps(eps)
+        return moved
 
 
 @dataclass(frozen=True)
@@ -181,25 +204,8 @@ def conditioned_shift(selection: PostSelection, pointer, m) -> complex:
     return expectation(m, selection.normalized) - expectation(m, pointer)
 
 
-def _post_selected(cfg: WeakConfig) -> PostSelection:
-    evolution = FactoredEvolution(cfg.obs, np.linalg.eigh(cfg.pointer_gen), cfg.pre, cfg.pointer)
-    return evolution.post_selected(cfg.eps, cfg.post)
-
-
-def selection_probability(cfg: WeakConfig) -> float:
-    return _post_selected(cfg).probability
-
-
-def measured_shift(cfg: WeakConfig, m) -> float:
-    """Exact conditioned shift ⟨M⟩_final - ⟨M⟩_initial of a hermitian M."""
-    m = as_hermitian(m, "pointer observable of measured_shift")
-    return float(conditioned_shift(_post_selected(cfg), cfg.pointer, m).real)
-
-
-def predicted_shift(cfg: WeakConfig, m) -> float:
-    """First-order shift formula evaluated in the initial pointer state."""
-    m = as_operator(m)
-    ow = weak_value(cfg)
+def _shift_rate(cfg: WeakConfig, ow: complex, m) -> complex:
+    """ΔM/ε of the first-order formula; ε·rate is the predicted shift at any ε."""
     phi = cfg.pointer
     # matrix-vector products only: ⟨φ|MR|φ⟩ = (φ†M)·(Rφ) and, R being
     # hermitian, ⟨φ|RM|φ⟩ = (Rφ)†·(Mφ)
@@ -207,27 +213,102 @@ def predicted_shift(cfg: WeakConfig, m) -> float:
     r_phi = cfg.pointer_gen @ phi
     mr = (phi.conj() @ m) @ r_phi
     rm = r_phi.conj() @ m_phi
-    anti = mr + rm
-    mean_r = phi.conj() @ r_phi
-    mean_m = phi.conj() @ m_phi
-    comm = mr - rm
-    value = cfg.eps * (ow.imag * (anti - 2 * mean_r * mean_m) - 1j * ow.real * comm)
-    return float(value.real)
+    anti = mr + rm - 2 * (phi.conj() @ r_phi) * (phi.conj() @ m_phi)
+    return ow.imag * anti - 1j * ow.real * (mr - rm)
 
 
-def shift_residual(cfg: WeakConfig, m) -> float:
-    """|measured - predicted|; shrinks as ε² when the formula applies."""
-    return abs(measured_shift(cfg, m) - predicted_shift(cfg, m))
-
-
-def annihilator_shift(cfg: WeakConfig, a) -> complex:
-    """Exact conditioned shift of the (non-hermitian) lowering operator."""
-    return complex(conditioned_shift(_post_selected(cfg), cfg.pointer, as_operator(a)))
+def predicted_shift(cfg: WeakConfig, m) -> float:
+    """First-order shift formula evaluated in the initial pointer state."""
+    return float((cfg.eps * _shift_rate(cfg, weak_value(cfg), as_operator(m))).real)
 
 
 def annihilator_shift_prediction(cfg: WeakConfig, z: complex) -> complex:
     """First-order form -i·ε·z·O_w for a coherent pointer |z⟩ with R = N."""
     return -1j * cfg.eps * complex(z) * weak_value(cfg)
+
+
+def _triple(measured, predicted) -> dict:
+    return {"measured": measured, "predicted": predicted, "residual": abs(measured - predicted)}
+
+
+@dataclass(frozen=True)
+class WeakRun:
+    """A weak run, exact and to first order; `weak_run` says what each field holds."""
+
+    weak_value: complex
+    spectral_radius: float  # max |o_k|: a weak value beyond it is amplified
+    selected: PostSelection
+    half_selected: PostSelection | None
+    shifts: dict[str, dict]
+    halving: dict[str, dict] | None
+    annihilator: dict | None
+
+
+def weak_run(cfg: WeakConfig, spectrum, readouts: dict, halving=False, annihilator=None) -> WeakRun:
+    """Evolve `cfg` by `FactoredEvolution` from the pointer generator `spectrum` = (r, W).
+
+    `shifts[name]` holds the measured and predicted shift of each hermitian
+    readout and their distance, the residual.  `halving` adds `half_selected`,
+    the pointer at ε/2, and `halving[name]`: the residual there and its ratio
+    to the one at ε (~1/4 for a quadratic remainder, None below 1e-14).
+    `annihilator` = (a, z) adds that triple for ⟨a⟩ of a coherent pointer |z⟩
+    under R = N.  Raises ValueError when pre ⟂ post or nothing survives, and
+    OverflowError when ε past float range leaves the weak value, the
+    probability or a prediction not finite.
+    """
+    ow = weak_value(cfg)
+    evolution = FactoredEvolution(cfg.obs, spectrum, cfg.pre, cfg.pointer)
+    selected = evolution.post_selected(cfg.eps, cfg.post)
+    half_selected = evolution.post_selected(cfg.eps / 2, cfg.post) if halving else None
+    rates = {name: _shift_rate(cfg, ow, m) for name, m in readouts.items()}
+    predicted = {name: float((cfg.eps * rate).real) for name, rate in rates.items()}
+    # every number measured from a finite post-selected pointer is bounded
+    named = {"weak value": ow, "probability": selected.probability}
+    named.update((f"{name} predicted shift", value) for name, value in predicted.items())
+    if annihilator is not None:
+        named["a predicted shift"] = annihilator_shift_prediction(cfg, annihilator[1])
+    overflowed = ", ".join(what for what, value in named.items() if not np.isfinite(np.abs(value)))
+    if overflowed:
+        raise OverflowError(f"weak run overflows at eps = {cfg.eps}: {overflowed} not finite")
+
+    phi, shifts, halves = cfg.pointer, {}, ({} if halving else None)
+    for name, m in readouts.items():
+        shift = shifts[name] = _triple(conditioned_shift(selected, phi, m).real, predicted[name])
+        if halving:
+            measured = conditioned_shift(half_selected, phi, m).real
+            half = abs(measured - float((cfg.eps / 2 * rates[name]).real))
+            ratio = None if shift["residual"] < 1e-14 else half / shift["residual"]
+            halves[name] = {"half_residual": half, "ratio": ratio}
+    if annihilator is not None:
+        measured = complex(conditioned_shift(selected, phi, annihilator[0]))
+        annihilator = _triple(measured, named["a predicted shift"])
+    radius = float(np.max(np.abs(evolution.obs_values)))
+    return WeakRun(ow, radius, selected, half_selected, shifts, halves, annihilator)
+
+
+def selection_probability(cfg: WeakConfig) -> float:
+    return weak_run(cfg, cfg.pointer_spectrum, {}).selected.probability
+
+
+def _readout(cfg: WeakConfig, m) -> dict:
+    m = as_hermitian(m, "pointer observable of measured_shift")
+    return weak_run(cfg, cfg.pointer_spectrum, {"m": m}).shifts["m"]
+
+
+def measured_shift(cfg: WeakConfig, m) -> float:
+    """Exact conditioned shift ⟨M⟩_final - ⟨M⟩_initial of a hermitian M."""
+    return _readout(cfg, m)["measured"]
+
+
+def shift_residual(cfg: WeakConfig, m) -> float:
+    """|measured - predicted|; shrinks as ε² when the formula applies."""
+    return _readout(cfg, m)["residual"]
+
+
+def annihilator_shift(cfg: WeakConfig, a) -> complex:
+    """Exact conditioned shift of the (non-hermitian) lowering operator."""
+    selected = weak_run(cfg, cfg.pointer_spectrum, {}).selected
+    return complex(conditioned_shift(selected, cfg.pointer, as_operator(a)))
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ PUBLIC = [
     "pre_measurement", "predicted_shift", "projector", "qubit_pointer_profile",
     "random_density", "random_hermitian", "random_ket", "reference_state",
     "selection_probability", "shift_residual", "symplectic_area", "symplectic_phase",
-    "tensor", "unitary_exp", "weak_value", "weyl_relation_defect", "wigner_map",
+    "tensor", "unitary_exp", "weak_run", "weak_value", "weyl_relation_defect", "wigner_map",
 ]
 
 

@@ -351,20 +351,6 @@ class TestSeedPrecedence:
         assert err == f"qpl: {'--seed' if source == 'flag' else 'QPL_SEED'} must be nonnegative, got -1\n"
 
 
-@pytest.fixture
-def eigh_sizes(monkeypatch):
-    """(size, complex?) of every np.linalg.eigh call made while the test runs."""
-    calls = []
-    eigh = np.linalg.eigh
-
-    def recording_eigh(a, *args, **kwargs):
-        calls.append((np.shape(a)[0], np.iscomplexobj(a)))
-        return eigh(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
-    return calls
-
-
 def pointer_config(tmp_path, pointer, dim, gen_key):
     """A weak run with a 3-level observable, so calls of another size are pointer-side."""
     return weak_config(

@@ -27,6 +27,7 @@ from qpl import (
     shift_residual,
     tensor,
     unitary_exp,
+    weak_run,
     weak_value,
 )
 
@@ -108,6 +109,10 @@ class TestWeakConfig:
                 pointer=VACUUM,
                 eps=-1.0,
             )
+        cfg = make_config(2, 11, "p", VACUUM)
+        for eps in (-1.0, float("nan")):
+            with pytest.raises(ValueError):
+                cfg.with_eps(eps)
 
     def test_with_eps_replaces_only_coupling(self):
         cfg = make_config(2, 11, "p", VACUUM)
@@ -268,10 +273,11 @@ class TestFactoredEvolution:
             evolution = FactoredEvolution(cfg.obs, space.spectrum(gen_key), cfg.pre, cfg.pointer)
             for eps in (0.0, 1e-3, 0.3, 3.0):
                 oracle = post_select(evolve_exact(cfg.with_eps(eps)), cfg.post, pointer_dim)
-                factored = evolution.post_selected(eps, cfg.post)
-                assert np.max(np.abs(factored.raw - oracle.raw)) <= 1e-12
-                assert np.max(np.abs(factored.normalized - oracle.normalized)) <= 1e-12
-                assert abs(factored.probability - oracle.probability) <= 1e-12
+                run = weak_run(cfg.with_eps(eps), space.spectrum(gen_key), {})
+                for factored in (evolution.post_selected(eps, cfg.post), run.selected):
+                    assert np.max(np.abs(factored.raw - oracle.raw)) <= 1e-12
+                    assert np.max(np.abs(factored.normalized - oracle.normalized)) <= 1e-12
+                    assert abs(factored.probability - oracle.probability) <= 1e-12
 
     def test_zero_probability_post_selection_raises(self):
         cfg = WeakConfig(
@@ -299,6 +305,60 @@ class TestFactoredEvolution:
         assert np.array_equal(selected.raw, pointer)
         np.testing.assert_allclose(selected.normalized, pointer, rtol=0, atol=1e-15)
         assert np.all(np.isfinite(evolution.post_selected(1e-3, basis_ket(2, 0)).raw))
+
+
+class TestWeakRun:
+    @pytest.mark.parametrize("gen_key", sorted(FockSpace.GENERATORS))
+    def test_structured_spectrum_needs_no_pointer_eigh(self, eigh_sizes, gen_key):
+        """From `FockSpace.spectrum`, only the 3-level observable is diagonalized."""
+        space, z = FockSpace(256), 1.5 - 0.5j
+        rng = np.random.default_rng(7)
+        cfg = WeakConfig(
+            pre=random_ket(3, rng),
+            post=random_ket(3, rng),
+            obs=random_hermitian(3, rng),
+            pointer_gen=getattr(space, FockSpace.GENERATORS[gen_key]),
+            pointer=space.coherent(z),
+            eps=EPS,
+        )
+        spectrum = space.spectrum(gen_key)
+        assert (256, True) not in eigh_sizes
+        eigh_sizes.clear()
+        readouts = {"q": space.q, "p": space.p}
+        weak_run(cfg, spectrum, readouts, halving=True, annihilator=(space.a, z))
+        assert eigh_sizes == [(3, True)]
+
+    @pytest.mark.parametrize("gen_key", sorted(GENERATORS))
+    def test_halving_flow_diagonalizes_the_generator_once(self, eigh_sizes, gen_key):
+        """The acceptance flow: shift_residual on cfg and cfg.with_eps(ε/2), for q and p."""
+        cfg = make_config(2, 11, gen_key, SPACE.coherent(COHERENT_Z))
+        for readout in (SPACE.q, SPACE.p):
+            shift_residual(cfg, readout)
+            shift_residual(cfg.with_eps(EPS / 2), readout)
+        assert eigh_sizes.count((POINTER_DIM, True)) == 1
+
+    @pytest.mark.parametrize("gen_key", ("n", "q"))
+    def test_record_holds_what_the_library_functions_return(self, gen_key):
+        cfg = make_config(3, 12, gen_key, SPACE.coherent(COHERENT_Z))
+        readouts = {"q": SPACE.q, "p": SPACE.p}
+        run = weak_run(cfg, cfg.pointer_spectrum, readouts, True, (SPACE.a, COHERENT_Z))
+        half = cfg.with_eps(EPS / 2)
+        assert run.weak_value == weak_value(cfg)
+        assert run.selected.probability == selection_probability(cfg)
+        for name, m in readouts.items():
+            assert run.shifts[name]["measured"] == measured_shift(cfg, m)
+            assert run.shifts[name]["predicted"] == predicted_shift(cfg, m)
+            assert run.shifts[name]["residual"] == shift_residual(cfg, m)
+            assert run.halving[name]["half_residual"] == shift_residual(half, m)
+            assert run.halving[name]["ratio"] == shift_residual(half, m) / shift_residual(cfg, m)
+        assert run.annihilator["measured"] == annihilator_shift(cfg, SPACE.a)
+        assert run.annihilator["predicted"] == annihilator_shift_prediction(cfg, COHERENT_Z)
+
+    def test_overflow_raises(self):
+        cfg = make_config(2, 11, "p", VACUUM, eps=1e308)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(OverflowError, match="weak run overflows at eps = 1e"):
+                weak_run(cfg, SPACE.spectrum("p"), {"q": SPACE.q})
 
 
 class TestShiftFormulas:

@@ -1,8 +1,8 @@
 """Byte check of the qpl CLI: one digest per subcommand over a seeded corpus.
 
 Usage:
-    python tools/bytecheck.py SRC_DIR [SEED]
-    python tools/bytecheck.py SRC_DIR [SEED] --against OTHER_SRC_DIR
+    python tools/bytecheck.py SRC_DIR [SEED] [--threads N] [--order ORDER]
+    python tools/bytecheck.py SRC_DIR [SEED] --against OTHER_SRC_DIR [--threads N] [--order ORDER]
 
 Imports `qpl` from SRC_DIR (the directory that holds the `qpl` package),
 draws a corpus of argv from SEED (default 7) and runs each one through
@@ -10,21 +10,31 @@ draws a corpus of argv from SEED (default 7) and runs each one through
 `--format csv`.  The corpus covers all seven subcommands, valid runs and
 invalid ones (usage, bounds and degeneracy errors, exit codes 2, 3 and 4).
 For each subcommand it prints the number of runs, the count per exit code
-and a sha256 over (argv, exit code, stdout, stderr) of every run in order.
+and a sha256 over (argv, exit code, stdout, stderr) of every run in corpus
+order.
+
+`--threads N` sets the OpenBLAS (and OpenMP, MKL) thread count of the runs,
+before numpy is first imported; the default is 1.  `--order` sets the order
+the runs execute in: `given` (the default) is corpus order, `shuffled` a
+permutation drawn from SEED, and `cold` is corpus order with every qpl
+`lru_cache` emptied before each run.  Results are hashed in corpus order
+whatever the execution order, so each option prints the same digests as the
+defaults exactly when the printed bytes depend on neither the thread count
+nor the history of the process.
 
 Two source trees print the same lines for a seed exactly when every run of
 that corpus gives the same bytes on both.  `--against OTHER_SRC_DIR` makes
 that comparison itself: it runs the corpus on both trees, each in its own
-child process (`--runs` prints one JSON line per run), and prints `same` or
-`differs` per subcommand.  A differing subcommand also gets the number of
-differing runs, the first differing argv, and one line per printed field (a
-JSON key path, or a CSV quantity and column) with the largest absolute
-change of that field and the argv where it happens; runs whose exit code or
-text outside the numbers differ are counted separately.  It exits 1 when any
-run differs.  Weak configs are written under a temporary working
-directory with fixed relative names, so paths in error messages do not
-differ between runs, and BLAS runs on one thread.  Needs only the standard
-library and qpl.
+child process (`--runs` prints one JSON line per run) with the same
+`--threads` and `--order`, and prints `same` or `differs` per subcommand.  A
+differing subcommand also gets the number of differing runs, the first
+differing argv, and one line per printed field (a JSON key path, or a CSV
+quantity and column) with the largest absolute change of that field and the
+argv where it happens; runs whose exit code or text outside the numbers
+differ are counted separately.  It exits 1 when any run differs.  Weak
+configs are written under a temporary working directory with fixed relative
+names, so paths in error messages do not differ between runs.  Needs only
+the standard library and qpl.
 """
 
 from __future__ import annotations
@@ -232,42 +242,64 @@ def run(main, argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-def runs(src_dir: str, seed: int):
-    """(subcommand, argv text, exit code, stdout + stderr, record) per run.
+ORDERS = ("given", "shuffled", "cold")
+
+
+def _qpl_caches() -> list:
+    """Every `lru_cache` at module level in the imported qpl modules."""
+    modules = [m for name, m in sys.modules.items() if name == "qpl" or name.startswith("qpl.")]
+    found = {id(f): f for m in modules for f in vars(m).values() if hasattr(f, "cache_clear")}
+    return list(found.values())
+
+
+def runs(src_dir: str, seed: int, threads: int = 1, order: str = "given"):
+    """(subcommand, argv text, exit code, stdout + stderr, record) per run, in corpus order.
 
     The record joins argv, exit code, stdout and stderr; the digests hash it.
+    The runs execute in `order` (see the module docstring) on `threads` BLAS threads.
     """
     sys.path.insert(0, os.path.abspath(src_dir))
     os.environ.pop("QPL_SEED", None)
     os.environ["COLUMNS"] = "80"  # argparse wraps help text to the terminal width
-    # At the weak caps the printed rounding noise depends on the BLAS thread
-    # count, so pin it before numpy is first imported.
+    # The thread count must be set before numpy is first imported.
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = "1"
+        os.environ[var] = str(threads)
     from qpl.cli import main
 
+    caches = _qpl_caches() if order == "cold" else []
     start = os.getcwd()
     cases, files = corpus(seed)
+    plan = [
+        (command, argv + ["--format", fmt] if argv else argv)
+        for command, argv in cases
+        for fmt in ("json", "csv")
+    ]
+    schedule = list(range(len(plan)))
+    if order == "shuffled":
+        random.Random(seed).shuffle(schedule)
+    results = {}
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
         try:
             for path, text in files.items():
                 with open(path, "w") as fh:
                     fh.write(text)
-            for command, argv in cases:
-                for fmt in ("json", "csv"):
-                    full = argv + ["--format", fmt] if argv else argv
-                    code, out, err = run(main, full)
-                    record = "\0".join([" ".join(full), str(code), out, err]) + "\0"
-                    yield command, " ".join(full), code, out + err, record.encode()
+            for i in schedule:
+                for cache in caches:
+                    cache.cache_clear()
+                results[i] = run(main, plan[i][1])
         finally:
             os.chdir(start)
+    for i, (command, full) in enumerate(plan):
+        code, out, err = results[i]
+        record = "\0".join([" ".join(full), str(code), out, err]) + "\0"
+        yield command, " ".join(full), code, out + err, record.encode()
 
 
-def bytecheck(src_dir: str, seed: int) -> list[str]:
+def bytecheck(src_dir: str, seed: int, threads: int = 1, order: str = "given") -> list[str]:
     digests = {}
     counts: dict[str, Counter] = {}
-    for command, _, code, _, record in runs(src_dir, seed):
+    for command, _, code, _, record in runs(src_dir, seed, threads, order):
         digests.setdefault(command, hashlib.sha256()).update(record)
         counts.setdefault(command, Counter())[code] += 1
     lines = []
@@ -280,9 +312,10 @@ def bytecheck(src_dir: str, seed: int) -> list[str]:
     return lines
 
 
-def _child_runs(src_dir: str, seed: int) -> dict[str, list[list]]:
+def _child_runs(src_dir: str, seed: int, threads: int, order: str) -> dict[str, list[list]]:
     """Per subcommand, [argv, digest, exit code, stdout + stderr] of every run of SRC_DIR, from a child process."""
     child = [sys.executable, os.path.abspath(__file__), src_dir, str(seed), "--runs"]
+    child += ["--threads", str(threads), "--order", order]
     out = subprocess.run(child, capture_output=True, text=True, check=True).stdout
     per_command: dict[str, list[list]] = {}
     for line in out.splitlines():
@@ -345,13 +378,14 @@ def field_changes(ours: list, theirs: list) -> dict[str, float] | None:
     return changes
 
 
-def compare(src_dir: str, other_dir: str, seed: int) -> tuple[list[str], bool]:
-    """`same` or `differs` per subcommand, and whether every run matched.
+def compare(src_dir: str, other_dir: str, seed: int, threads: int = 1, order: str = "given"):
+    """(`same` or `differs` per subcommand, whether every run matched).
 
     Under a differing subcommand, one indented line per printed field that
     changed gives its largest absolute change and the argv where it happens.
     """
-    ours, theirs = _child_runs(src_dir, seed), _child_runs(other_dir, seed)
+    ours = _child_runs(src_dir, seed, threads, order)
+    theirs = _child_runs(other_dir, seed, threads, order)
     lines, same = [], True
     for command in sorted(set(ours) | set(theirs)):
         a, b = ours.get(command, []), theirs.get(command, [])
@@ -389,16 +423,21 @@ def cli(argv: list[str]) -> int:
     parser.add_argument("seed", nargs="?", type=int, default=7)
     parser.add_argument("--against", metavar="OTHER_SRC_DIR", help="compare run by run with this tree")
     parser.add_argument("--runs", action="store_true", help="print one digest per run")
+    parser.add_argument("--threads", type=int, default=1, help="BLAS threads per run (default 1)")
+    parser.add_argument("--order", choices=ORDERS, default="given", help="run execution order")
     args = parser.parse_args(argv)
+    if not 1 <= args.threads <= 64:
+        parser.error(f"--threads must lie in 1..64, got {args.threads}")
+    settings = (args.src_dir, args.seed, args.threads, args.order)
     if args.against:
-        lines, same = compare(args.src_dir, args.against, args.seed)
+        lines, same = compare(args.src_dir, args.against, *settings[1:])
         print("\n".join(lines))
         return 0 if same else 1
     if args.runs:
-        for command, text, code, printed, record in runs(args.src_dir, args.seed):
+        for command, text, code, printed, record in runs(*settings):
             print(json.dumps([command, text, hashlib.sha256(record).hexdigest(), code, printed]))
         return 0
-    print("\n".join(bytecheck(args.src_dir, args.seed)))
+    print("\n".join(bytecheck(*settings)))
     return 0
 
 
