@@ -3,13 +3,14 @@
 A run couples a system observable O to a pointer generator R through the
 exact unitary exp(-i·ε·O⊗R), then post-selects the system on |β⟩.
 
-A weak run has one engine, `weak_run`; the CLI and the library functions
-`selection_probability`, `measured_shift`, `shift_residual` and
-`annihilator_shift` read its `WeakRun` record.  It takes the pointer
-generator as its spectrum (r, W): `FockSpace.spectrum` builds that from
-structure, with no complex eigendecomposition, and the library functions
-use `WeakConfig.pointer_spectrum`, one `np.linalg.eigh` per config that its
-`with_eps` copies share.
+A weak run has one engine, `weak_run`, which the CLI reads.  It takes the
+pointer generator as its spectrum (r, W), such as `FockSpace.spectrum(key)`,
+built from structure with no complex eigendecomposition.  The library
+functions `selection_probability`, `measured_shift`, `shift_residual` and
+`annihilator_shift` post-select through the same `FactoredEvolution` from
+`WeakConfig.pointer_spectrum`: one `np.linalg.eigh` per config, shared by
+its `with_eps` copies.  Only `shift_residual` needs the weak value, so the
+other three hold for orthogonal pre and post selections too.
 
 The exact evolution has one implementation, `FactoredEvolution`.  With
 O = V·diag(o)·V† and R = W·diag(r)·W†, the coupling is diagonal in the
@@ -238,24 +239,27 @@ class WeakRun:
     weak_value: complex
     spectral_radius: float  # max |o_k|: a weak value beyond it is amplified
     selected: PostSelection
-    half_selected: PostSelection | None
     shifts: dict[str, dict]
     halving: dict[str, dict] | None
     annihilator: dict | None
 
 
 def weak_run(cfg: WeakConfig, spectrum, readouts: dict, halving=False, annihilator=None) -> WeakRun:
-    """Evolve `cfg` by `FactoredEvolution` from the pointer generator `spectrum` = (r, W).
+    """Evolve `cfg` by `FactoredEvolution` from the spectrum (r, W) of its pointer generator.
+
+    The predictions read `cfg.pointer_gen` itself, so `spectrum` must
+    diagonalize it: pointer_gen = W·diag(r)·W†.
 
     `shifts[name]` holds the measured and predicted shift of each hermitian
-    readout and their distance, the residual.  `halving` adds `half_selected`,
-    the pointer at ε/2, and `halving[name]`: the residual there and its ratio
-    to the one at ε (~1/4 for a quadratic remainder, None below 1e-14).
-    `annihilator` = (a, z) adds that triple for ⟨a⟩ of a coherent pointer |z⟩
-    under R = N.  Raises ValueError when pre ⟂ post or nothing survives, and
-    OverflowError when ε past float range leaves the weak value, the
+    readout and their distance, the residual.  `halving` adds `halving[name]`:
+    the residual at ε/2 and its ratio to the one at ε (~1/4 for a quadratic
+    remainder, None below 1e-14).  `annihilator` = (a, z) adds that triple
+    for ⟨a⟩ of a coherent pointer |z⟩ under R = N.  Raises ValueError for a
+    readout that is not hermitian, when pre ⟂ post or when nothing survives,
+    and OverflowError when ε past float range leaves the weak value, the
     probability or a prediction not finite.
     """
+    readouts = {name: as_hermitian(m, f"readout {name!r}") for name, m in readouts.items()}
     ow = weak_value(cfg)
     evolution = FactoredEvolution(cfg.obs, spectrum, cfg.pre, cfg.pointer)
     selected = evolution.post_selected(cfg.eps, cfg.post)
@@ -283,32 +287,32 @@ def weak_run(cfg: WeakConfig, spectrum, readouts: dict, halving=False, annihilat
         measured = complex(conditioned_shift(selected, phi, annihilator[0]))
         annihilator = _triple(measured, named["a predicted shift"])
     radius = float(np.max(np.abs(evolution.obs_values)))
-    return WeakRun(ow, radius, selected, half_selected, shifts, halves, annihilator)
+    return WeakRun(ow, radius, selected, shifts, halves, annihilator)
+
+
+def _post_selected(cfg: WeakConfig) -> PostSelection:
+    evolution = FactoredEvolution(cfg.obs, cfg.pointer_spectrum, cfg.pre, cfg.pointer)
+    return evolution.post_selected(cfg.eps, cfg.post)
 
 
 def selection_probability(cfg: WeakConfig) -> float:
-    return weak_run(cfg, cfg.pointer_spectrum, {}).selected.probability
-
-
-def _readout(cfg: WeakConfig, m) -> dict:
-    m = as_hermitian(m, "pointer observable of measured_shift")
-    return weak_run(cfg, cfg.pointer_spectrum, {"m": m}).shifts["m"]
+    return _post_selected(cfg).probability
 
 
 def measured_shift(cfg: WeakConfig, m) -> float:
     """Exact conditioned shift ⟨M⟩_final - ⟨M⟩_initial of a hermitian M."""
-    return _readout(cfg, m)["measured"]
+    m = as_hermitian(m, "pointer observable of measured_shift")
+    return float(conditioned_shift(_post_selected(cfg), cfg.pointer, m).real)
 
 
 def shift_residual(cfg: WeakConfig, m) -> float:
     """|measured - predicted|; shrinks as ε² when the formula applies."""
-    return _readout(cfg, m)["residual"]
+    return abs(measured_shift(cfg, m) - predicted_shift(cfg, m))
 
 
 def annihilator_shift(cfg: WeakConfig, a) -> complex:
     """Exact conditioned shift of the (non-hermitian) lowering operator."""
-    selected = weak_run(cfg, cfg.pointer_spectrum, {}).selected
-    return complex(conditioned_shift(selected, cfg.pointer, as_operator(a)))
+    return complex(conditioned_shift(_post_selected(cfg), cfg.pointer, as_operator(a)))
 
 
 @dataclass(frozen=True)

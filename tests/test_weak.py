@@ -10,6 +10,7 @@ from qpl import (
     annihilator_shift,
     annihilator_shift_prediction,
     basis_ket,
+    conditioned_shift,
     evolve_exact,
     expectation,
     fs_speed_check,
@@ -183,6 +184,27 @@ class TestWeakValue:
             weak_value(cfg)
 
 
+    @pytest.mark.parametrize("gen_key", ("q", "p"))
+    def test_orthogonal_selections_keep_the_exact_quantities(self, gen_key):
+        """No weak value, but the exact post-selection at ε > 0 is well defined."""
+        cfg = WeakConfig(
+            pre=basis_ket(2, 0),
+            post=basis_ket(2, 1),
+            obs=np.array([[0.0, 1.0], [1.0, 0.0]]),
+            pointer_gen=GENERATORS[gen_key],
+            pointer=SPACE.coherent(COHERENT_Z),
+            eps=0.1,
+        )
+        oracle = post_select(evolve_exact(cfg), cfg.post, POINTER_DIM)
+        assert 1e-4 < oracle.probability < 0.1
+        assert abs(selection_probability(cfg) - oracle.probability) <= 1e-12
+        for m in (SPACE.q, SPACE.p):
+            exact = conditioned_shift(oracle, cfg.pointer, m).real
+            assert abs(measured_shift(cfg, m) - exact) <= 1e-10
+        exact_a = conditioned_shift(oracle, cfg.pointer, SPACE.a)
+        assert abs(annihilator_shift(cfg, SPACE.a) - exact_a) <= 1e-10
+
+
 class TestEvolveAndPostSelect:
     def test_zero_coupling_leaves_product_state(self):
         cfg = make_config(2, 21, "p", VACUUM, eps=0.0)
@@ -353,6 +375,11 @@ class TestWeakRun:
             assert run.halving[name]["ratio"] == shift_residual(half, m) / shift_residual(cfg, m)
         assert run.annihilator["measured"] == annihilator_shift(cfg, SPACE.a)
         assert run.annihilator["predicted"] == annihilator_shift_prediction(cfg, COHERENT_Z)
+
+    def test_rejects_a_non_hermitian_readout(self):
+        cfg = make_config(2, 11, "p", VACUUM)
+        with pytest.raises(ValueError, match="readout 'a' must be hermitian"):
+            weak_run(cfg, SPACE.spectrum("p"), {"q": SPACE.q, "a": SPACE.a})
 
     def test_overflow_raises(self):
         cfg = make_config(2, 11, "p", VACUUM, eps=1e308)
