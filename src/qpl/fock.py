@@ -49,7 +49,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .linalg import as_ket, basis_ket, spectral_exp
+from .linalg import as_hermitian, as_ket, basis_ket, spectral_exp
 from .schwinger import roots
 
 SCALE_MIN, SCALE_MAX = 1.0 / 3.0, 3.0
@@ -221,7 +221,9 @@ class FockSpace:
         return spectral_exp(*self.spectrum("g"), -np.log(xi))
 
     def variance(self, op, psi) -> float:
-        psi = as_ket(psi)
+        op, psi = as_hermitian(op, "operator of FockSpace.variance"), as_ket(psi)
+        if op.shape[0] != self.dim or psi.shape[0] != self.dim:
+            raise ValueError(f"operator and ket need side {self.dim}, got {op.shape[0]} and {psi.shape[0]}")
         m = (psi.conj() @ op @ psi).real
         m2 = (psi.conj() @ op @ (op @ psi)).real
         return float(m2 - m * m)

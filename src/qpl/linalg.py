@@ -1,8 +1,10 @@
 """Dense complex linear algebra for finite-dimensional quantum systems.
 
 Kets are one-dimensional complex ndarrays and operators are square
-two-dimensional complex ndarrays.  All functions are pure: inputs are
-validated, copied where needed, and never mutated.
+two-dimensional complex ndarrays.  All functions are pure.  Each input is
+checked once, where it enters: a public function passes each array from its
+caller through one `as_*` validator, and qpl hands arrays it has checked or
+built to private kernels that do not check them again.
 
 Tolerance policy: algebraic identities on dimensions up to 64 are held to
 1e-10 absolute error; approximate identities on the truncated bosonic mode
@@ -30,7 +32,7 @@ def as_ket(amplitudes) -> np.ndarray:
     psi = np.asarray(amplitudes, dtype=complex)
     if psi.ndim != 1 or psi.size == 0:
         raise ValueError(f"ket must be a non-empty 1-D array, got shape {psi.shape}")
-    if not np.all(np.isfinite(psi.real) & np.isfinite(psi.imag)):
+    if not np.isfinite(psi).all():
         raise ValueError("ket contains non-finite amplitudes")
     return psi
 
@@ -40,7 +42,7 @@ def as_operator(entries) -> np.ndarray:
     op = np.asarray(entries, dtype=complex)
     if op.ndim != 2 or op.shape[0] != op.shape[1] or op.shape[0] == 0:
         raise ValueError(f"operator must be a non-empty square matrix, got shape {op.shape}")
-    if not np.all(np.isfinite(op.real) & np.isfinite(op.imag)):
+    if not np.isfinite(op).all():
         raise ValueError("operator contains non-finite entries")
     return op
 
@@ -53,10 +55,14 @@ def as_unit_ket(amplitudes, what: str) -> np.ndarray:
     return psi
 
 
+def _hermitian(op: np.ndarray) -> bool:
+    return bool(np.max(np.abs(op - op.conj().T)) <= HERMITIAN_TOL)
+
+
 def as_hermitian(entries, what: str) -> np.ndarray:
     """`as_operator`, then require A = A† within HERMITIAN_TOL; `what` names A in the error."""
     op = as_operator(entries)
-    if np.max(np.abs(op - op.conj().T)) > HERMITIAN_TOL:
+    if not _hermitian(op):
         raise ValueError(f"{what} must be hermitian")
     return op
 
@@ -71,14 +77,12 @@ def normalize(psi) -> np.ndarray:
 
 
 def is_hermitian(a) -> bool:
-    a = as_operator(a)
-    return bool(np.max(np.abs(a - a.conj().T)) <= HERMITIAN_TOL)
+    return _hermitian(as_operator(a))
 
 
 def is_unitary(a) -> bool:
     a = as_operator(a)
-    eye = np.eye(a.shape[0])
-    return bool(np.max(np.abs(a.conj().T @ a - eye)) <= UNITARY_TOL)
+    return bool(np.max(np.abs(a.conj().T @ a - np.eye(a.shape[0]))) <= UNITARY_TOL)
 
 
 def hs_inner(a, b) -> complex:
@@ -87,8 +91,7 @@ def hs_inner(a, b) -> complex:
     Computed as the entrywise sum Σ conj(A_ij)·B_ij, which is the same
     thing without forming the product matrix.
     """
-    a = as_operator(a)
-    b = as_operator(b)
+    a, b = as_operator(a), as_operator(b)
     if a.shape != b.shape:
         raise ValueError(f"operator shapes differ: {a.shape} vs {b.shape}")
     return complex(np.vdot(a, b))
@@ -100,8 +103,7 @@ def tensor(a, b) -> np.ndarray:
     Composite indices are row-major: basis ket i of the product space is
     i = i_a·N_b + i_b for factor indices (i_a, i_b).
     """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
     if a.ndim != b.ndim or a.ndim not in (1, 2):
         raise ValueError("tensor expects two kets or two operators")
     return np.kron(a, b)
@@ -144,21 +146,18 @@ def spectral_exp(values, vectors, t: float) -> np.ndarray:
 
 
 def commutator(a, b) -> np.ndarray:
-    a = as_operator(a)
-    b = as_operator(b)
+    a, b = as_operator(a), as_operator(b)
     return a @ b - b @ a
 
 
 def anticommutator(a, b) -> np.ndarray:
-    a = as_operator(a)
-    b = as_operator(b)
+    a, b = as_operator(a), as_operator(b)
     return a @ b + b @ a
 
 
 def expectation(op, psi) -> complex:
     """⟨psi|op|psi⟩ for a (not necessarily normalized) ket."""
-    op = as_operator(op)
-    psi = as_ket(psi)
+    op, psi = as_operator(op), as_ket(psi)
     return complex(psi.conj() @ op @ psi)
 
 

@@ -49,16 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    as_hermitian,
-    as_ket,
-    as_operator,
-    as_unit_ket,
-    expectation,
-    hs_inner,
-    tensor,
-    unitary_exp,
-)
+from .linalg import as_hermitian, as_ket, as_operator, as_unit_ket, spectral_exp, tensor, unitary_exp
 
 ORTHOGONAL_TOL = 1e-12
 
@@ -193,8 +184,7 @@ def evolve_exact(cfg: WeakConfig) -> np.ndarray:
 
 def post_select(state, post, pointer_dim: int) -> PostSelection:
     """Apply ⟨β|⊗I to a composite ket and normalize the surviving pointer."""
-    state = as_ket(state)
-    post = as_ket(post)
+    state, post = as_ket(state), as_ket(post)
     if post.shape[0] * pointer_dim != state.shape[0]:
         raise ValueError("composite state does not factor into post x pointer dimensions")
     return PostSelection.of(post.conj() @ state.reshape(post.shape[0], pointer_dim))
@@ -202,7 +192,12 @@ def post_select(state, post, pointer_dim: int) -> PostSelection:
 
 def conditioned_shift(selection: PostSelection, pointer, m) -> complex:
     """⟨M⟩ in the post-selected pointer minus ⟨M⟩ in the initial pointer."""
-    return expectation(m, selection.normalized) - expectation(m, pointer)
+    return _shift(as_ket(selection.normalized), as_ket(pointer), as_operator(m))
+
+
+def _shift(psi: np.ndarray, phi: np.ndarray, m: np.ndarray) -> complex:
+    """⟨ψ|M|ψ⟩ − ⟨φ|M|φ⟩ for checked arrays, each term associated as (ψ†M)ψ."""
+    return complex(psi.conj() @ m @ psi) - complex(phi.conj() @ m @ phi)
 
 
 def _shift_rate(cfg: WeakConfig, ow: complex, m) -> complex:
@@ -260,6 +255,7 @@ def weak_run(cfg: WeakConfig, spectrum, readouts: dict, halving=False, annihilat
     probability or a prediction not finite.
     """
     readouts = {name: as_hermitian(m, f"readout {name!r}") for name, m in readouts.items()}
+    lowering = None if annihilator is None else as_operator(annihilator[0])
     ow = weak_value(cfg)
     evolution = FactoredEvolution(cfg.obs, spectrum, cfg.pre, cfg.pointer)
     selected = evolution.post_selected(cfg.eps, cfg.post)
@@ -277,14 +273,14 @@ def weak_run(cfg: WeakConfig, spectrum, readouts: dict, halving=False, annihilat
 
     phi, shifts, halves = cfg.pointer, {}, ({} if halving else None)
     for name, m in readouts.items():
-        shift = shifts[name] = _triple(conditioned_shift(selected, phi, m).real, predicted[name])
+        shift = shifts[name] = _triple(_shift(selected.normalized, phi, m).real, predicted[name])
         if halving:
-            measured = conditioned_shift(half_selected, phi, m).real
+            measured = _shift(half_selected.normalized, phi, m).real
             half = abs(measured - float((cfg.eps / 2 * rates[name]).real))
             ratio = None if shift["residual"] < 1e-14 else half / shift["residual"]
             halves[name] = {"half_residual": half, "ratio": ratio}
     if annihilator is not None:
-        measured = complex(conditioned_shift(selected, phi, annihilator[0]))
+        measured = _shift(selected.normalized, phi, lowering)
         annihilator = _triple(measured, named["a predicted shift"])
     radius = float(np.max(np.abs(evolution.obs_values)))
     return WeakRun(ow, radius, selected, shifts, halves, annihilator)
@@ -302,17 +298,19 @@ def selection_probability(cfg: WeakConfig) -> float:
 def measured_shift(cfg: WeakConfig, m) -> float:
     """Exact conditioned shift ⟨M⟩_final - ⟨M⟩_initial of a hermitian M."""
     m = as_hermitian(m, "pointer observable of measured_shift")
-    return float(conditioned_shift(_post_selected(cfg), cfg.pointer, m).real)
+    return float(_shift(_post_selected(cfg).normalized, cfg.pointer, m).real)
 
 
 def shift_residual(cfg: WeakConfig, m) -> float:
     """|measured - predicted|; shrinks as ε² when the formula applies."""
-    return abs(measured_shift(cfg, m) - predicted_shift(cfg, m))
+    m = as_hermitian(m, "pointer observable of shift_residual")
+    measured = float(_shift(_post_selected(cfg).normalized, cfg.pointer, m).real)
+    return abs(measured - float((cfg.eps * _shift_rate(cfg, weak_value(cfg), m)).real))
 
 
 def annihilator_shift(cfg: WeakConfig, a) -> complex:
     """Exact conditioned shift of the (non-hermitian) lowering operator."""
-    return complex(conditioned_shift(_post_selected(cfg), cfg.pointer, as_operator(a)))
+    return _shift(_post_selected(cfg).normalized, cfg.pointer, as_operator(a))
 
 
 @dataclass(frozen=True)
@@ -339,8 +337,8 @@ def pre_measurement(alpha, obs, lam: float, space, pointer=None) -> PreMeasureme
     branches = evolution.branches(lam)
     reduced = (branches * np.abs(evolution.pre_coeffs) ** 2) @ branches.conj().T
     # reduced and q are hermitian, so tr(ρ·q) = tr(ρ†·q) and tr(ρ²) = tr(ρ†·ρ)
-    position_mean = hs_inner(reduced, space.q).real
-    purity = hs_inner(reduced, reduced).real
+    position_mean = float(np.vdot(reduced, space.q).real)
+    purity = float(np.vdot(reduced, reduced).real)
     return PreMeasurement(reduced=reduced, position_mean=position_mean, purity=purity)
 
 
@@ -351,9 +349,7 @@ def pancharatnam_phase(x, y, z) -> float:
     antisymmetric under swapping any two of them.  Errors when the
     triangle is degenerate (some pairwise overlap vanishes).
     """
-    x = as_ket(x)
-    y = as_ket(y)
-    z = as_ket(z)
+    x, y, z = as_ket(x), as_ket(y), as_ket(z)
     xz = complex(x.conj() @ z)
     zy = complex(z.conj() @ y)
     yx = complex(y.conj() @ x)
@@ -418,14 +414,14 @@ def fs_speed_check(h, psi, dt: float) -> tuple[float, float]:
     ds² = ⟨dψ|dψ⟩ - |⟨ψ|dψ⟩|², and ds/dt converges to
     δE = sqrt(⟨H²⟩ - ⟨H⟩²) as dt → 0.
     """
-    h = as_operator(h)
+    h = as_hermitian(h, "hamiltonian of fs_speed_check")
     psi = as_ket(psi)
     if dt <= 0:
         raise ValueError("step dt must be positive")
-    dpsi = unitary_exp(h, dt) @ psi - psi
+    dpsi = spectral_exp(*np.linalg.eigh(h), dt) @ psi - psi
     ds2 = float((dpsi.conj() @ dpsi).real - abs(psi.conj() @ dpsi) ** 2)
     speed = np.sqrt(max(ds2, 0.0)) / dt
-    mean = float(expectation(h, psi).real)
-    mean2 = float(expectation(h @ h, psi).real)
+    mean = float((psi.conj() @ h @ psi).real)
+    mean2 = float((psi.conj() @ (h @ h) @ psi).real)
     delta_e = float(np.sqrt(max(mean2 - mean * mean, 0.0)))
     return float(speed), delta_e

@@ -63,6 +63,7 @@ from .schwinger import _check_dim, _phase_table, roots
 # Prefactor c0 in [Δ_a, Δ_b] = c0 · Σ_c Λ_ab^c · Δ_c, odd N.  Pinned
 # numerically; the value is 2i/N.
 COMMUTATOR_PREFACTOR_NUMERATOR = 2j
+TABLE_MAX_ENTRIES = 2**24  # bound on the N⁶ entries of `StructureConstants.table`: N ≤ 15
 
 
 def _trace_kernel(op: np.ndarray) -> np.ndarray:
@@ -253,7 +254,9 @@ class StructureConstants:
         return roots(n)[phase_space_symbol(a, b, c) % n].imag
 
     def table(self) -> np.ndarray:
-        """Full tensor Λ[m,n,p,q,r,s] over (Z_N x Z_N)³."""
+        """Full tensor Λ[m,n,p,q,r,s] over (Z_N x Z_N)³; refused past TABLE_MAX_ENTRIES."""
+        if self.dim**6 > TABLE_MAX_ENTRIES:
+            raise ValueError(f"table has N^6 = {self.dim**6} entries, over {TABLE_MAX_ENTRIES}")
         k = np.arange(self.dim)
         m, n, p, q, r, s = np.ix_(k, k, k, k, k, k)
         return self.value((m, n), (p, q), (r, s))

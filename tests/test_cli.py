@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -387,6 +388,23 @@ class TestWeakCommand:
         eigh_sizes.clear()
         run_cli(capsys, ["weak", "--config", cfg])
         assert eigh_sizes and all(size == 3 for size, _ in eigh_sizes)
+
+    def test_a_request_checks_each_input_once(self, capsys, tmp_path, validator_calls):
+        """obs, generator, q and p are checked as hermitian, pre, post and pointer as
+        unit kets and the lowering operator once; the shifts reuse the checked arrays."""
+        cfg = weak_config(
+            tmp_path,
+            "system_dim = 4\npre = random\npost = random\nobs = number\neps = 1e-3\n"
+            "pointer = coherent:0.5+0.5j\npointer_dim = 64\npointer_gen = n\nhalving = true\n",
+        )
+        run_cli(capsys, ["weak", "--config", cfg])
+        calls = Counter(call.name for call in validator_calls if call.caller != "as_hermitian")
+        assert calls["as_hermitian"] == 4
+        assert calls["as_unit_ket"] == 3
+        assert calls["as_operator"] == 1
+        assert calls["expectation"] == 0
+        lowering = [call for call in validator_calls if call.name == "as_operator"]
+        assert [call.module for call in lowering if call.caller is None] == ["qpl.weak"]
 
     def test_payload_reports_weak_value_and_shifts(self, capsys, tmp_path):
         cfg = weak_config(

@@ -75,6 +75,23 @@ def test_vacuum_quadrature_variances():
     assert SPACE.variance(SPACE.p, v) == pytest.approx(0.5, abs=1e-12)
 
 
+EIGHT = FockSpace(8)
+
+
+@pytest.mark.parametrize(
+    "op, psi",
+    (
+        (EIGHT.a, EIGHT.vacuum()),  # not hermitian
+        (np.diag([1.0, -1.0]), basis_ket(2, 0)),  # a 2-level pair on the 8-level space
+        (np.full((8, 8), np.nan), EIGHT.vacuum()),
+    ),
+    ids=("non-hermitian", "wrong-side", "nan"),
+)
+def test_variance_rejects_an_operator_it_cannot_take(op, psi):
+    with pytest.raises(ValueError):
+        EIGHT.variance(op, psi)
+
+
 def test_displacement_unitary_and_guard():
     d = SPACE.displacement(1.0 + 0.5j)
     assert is_unitary(d)

@@ -501,6 +501,40 @@ class TestHalvingSweep:
             assert abs(predicted_shift(cfg, readout)) < 1e-12
 
 
+class TestChecksOnce:
+    """Each library call checks the arrays its caller hands it once, and only those."""
+
+    @staticmethod
+    def top_level(calls):
+        return [call.name for call in calls if call.caller is None]
+
+    @pytest.mark.parametrize(
+        "call, checked",
+        (
+            (lambda cfg: measured_shift(cfg, SPACE.q), "as_hermitian"),
+            (lambda cfg: shift_residual(cfg, SPACE.q), "as_hermitian"),
+            (lambda cfg: annihilator_shift(cfg, SPACE.a), "as_operator"),
+        ),
+        ids=("measured_shift", "shift_residual", "annihilator_shift"),
+    )
+    def test_shift_functions_check_their_operator_once(self, validator_calls, call, checked):
+        cfg = make_config(2, 41, "n", SPACE.coherent(COHERENT_Z))
+        validator_calls.clear()
+        call(cfg)
+        assert self.top_level(validator_calls) == [checked]
+
+    def test_fs_speed_check_checks_h_and_psi_once(self, validator_calls):
+        rng = np.random.default_rng(83)
+        h, psi = random_hermitian(4, rng), random_ket(4, rng)
+        validator_calls.clear()
+        fs_speed_check(h, psi, 1e-3)
+        assert self.top_level(validator_calls) == ["as_hermitian", "as_ket"]
+
+    def test_pre_measurement_checks_one_operator(self, validator_calls):
+        pre_measurement(basis_ket(2, 0), np.diag([1.0, -1.0]), 1.0, SPACE)
+        assert sum(call.name == "as_operator" for call in validator_calls) == 1
+
+
 class TestAnnihilatorShift:
     def test_matches_first_order_prediction(self):
         cfg = make_config(2, 41, "n", SPACE.coherent(COHERENT_Z))
@@ -827,6 +861,10 @@ class TestStateSpaceSpeed:
         s1, e1 = fs_speed_check(h + 3.7 * np.eye(4), psi, 1e-3)
         assert abs(s0 - s1) < 1e-10
         assert abs(e0 - e1) < 1e-10
+
+    def test_rejects_a_non_hermitian_hamiltonian_by_name(self):
+        with pytest.raises(ValueError, match="hamiltonian of fs_speed_check must be hermitian"):
+            fs_speed_check(SPACE.a, VACUUM, 1e-3)
 
     def test_rejects_non_positive_step(self):
         with pytest.raises(ValueError):

@@ -33,7 +33,7 @@ from qpl import (
     wigner_map,
 )
 from qpl.schwinger import weyl_word
-from qpl.weylwigner import half_phase_exponents
+from qpl.weylwigner import TABLE_MAX_ENTRIES, half_phase_exponents
 
 RNG = np.random.default_rng(20240818)
 
@@ -245,6 +245,14 @@ def test_structure_constants_table_matches_value():
         np.testing.assert_array_equal(
             sc.commutator((1 + big, -n), (2 * n, 1)), sc.commutator((1, 0), (0, 1))
         )
+
+
+def test_structure_constants_table_is_refused_past_its_bound():
+    """N⁶ entries: N = 15 is the largest odd N inside the bound, and N = 17
+    (24 million entries) is refused before anything is allocated."""
+    assert 15**6 <= TABLE_MAX_ENTRIES < 17**6
+    with pytest.raises(ValueError, match="entries"):
+        StructureConstants(17).table()
 
 
 def test_structure_constants_match_high_precision_reference():
