@@ -300,14 +300,14 @@ def run_weak(args, seed):
     pre = parse_ket_selector(conf["pre"], system_dim, rng)
     post = parse_ket_selector(conf["post"], system_dim, rng)
     try:
-        cfg = WeakConfig(pre, post, obs, generator, pointer, eps)
+        cfg = WeakConfig(pre, post, obs, generator, pointer, eps, space.spectrum(gen_key))
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
     lowering = (space.a, coherent_z) if coherent_z is not None and gen_key == "n" else None
     readouts = {"q": space.q, "p": space.p}
     try:
-        run = weak_run(cfg, space.spectrum(gen_key), readouts, halving, lowering)
+        run = weak_run(cfg, readouts, halving, lowering)
     except OverflowError as exc:
         raise BoundsError(str(exc)) from exc
     except ValueError as exc:

@@ -179,7 +179,7 @@ def basis_ket(n: int, k: int) -> np.ndarray:
 def random_ket(n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-ish random pure state: normalized complex gaussian vector."""
     x = rng.normal(size=n) + 1j * rng.normal(size=n)
-    return normalize(x)
+    return x / np.linalg.norm(x)
 
 
 def random_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:

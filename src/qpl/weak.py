@@ -3,14 +3,14 @@
 A run couples a system observable O to a pointer generator R through the
 exact unitary exp(-i·ε·O⊗R), then post-selects the system on |β⟩.
 
-A weak run has one engine, `weak_run`, which the CLI reads.  It takes the
-pointer generator as its spectrum (r, W), such as `FockSpace.spectrum(key)`,
-built from structure with no complex eigendecomposition.  The library
-functions `selection_probability`, `measured_shift`, `shift_residual` and
-`annihilator_shift` post-select through the same `FactoredEvolution` from
-`WeakConfig.pointer_spectrum`: one `np.linalg.eigh` per config, shared by
-its `with_eps` copies.  Only `shift_residual` needs the weak value, so the
-other three hold for orthogonal pre and post selections too.
+A `WeakConfig` takes the pointer generator R with its spectrum (r, W), such
+as `FockSpace.spectrum(key)` (no complex eigendecomposition), or diagonalizes
+R itself.  It checks the pair once and holds the run's one `FactoredEvolution`,
+shared by its `with_eps` copies.  The engine `weak_run`, which the CLI reads,
+and `selection_probability`, `measured_shift`, `shift_residual` and
+`annihilator_shift` all post-select through it.  Only `shift_residual` needs
+the weak value, so the other three hold for orthogonal pre and post
+selections too.
 
 The exact evolution has one implementation, `FactoredEvolution`.  With
 O = V·diag(o)·V† and R = W·diag(r)·W†, the coupling is diagonal in the
@@ -52,6 +52,7 @@ import numpy as np
 from .linalg import as_hermitian, as_ket, as_operator, as_unit_ket, spectral_exp, tensor, unitary_exp
 
 ORTHOGONAL_TOL = 1e-12
+PAIRING_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -65,6 +66,9 @@ class WeakConfig:
         pointer_gen: hermitian pointer generator R
         pointer:     normalized initial pointer state |φ⟩
         eps:         coupling strength ε ≥ 0
+        pointer_spectrum: (r, W) with R = W·diag(r)·W†, such as `FockSpace.spectrum(key)`,
+                     held to max|W·(r∘W†φ) − R·φ| ≤ PAIRING_TOL·max|r|, which a
+                     non-finite entry fails; None runs np.linalg.eigh(R)
     """
 
     pre: np.ndarray
@@ -73,6 +77,7 @@ class WeakConfig:
     pointer_gen: np.ndarray
     pointer: np.ndarray
     eps: float
+    pointer_spectrum: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
         pre = as_unit_ket(self.pre, "pre state")
@@ -88,19 +93,23 @@ class WeakConfig:
         for name, value in validated.items():
             object.__setattr__(self, name, value)
         self._set_eps(self.eps)
-        object.__setattr__(self, "_spectrum", [])  # filled once; with_eps copies share it
+        given = self.pointer_spectrum is not None
+        values, vectors = map(np.asarray, self.pointer_spectrum) if given else np.linalg.eigh(gen)
+        if values.shape != pointer.shape or vectors.shape != gen.shape:
+            raise ValueError("pointer_spectrum must be (r, W): r as long as the pointer, W shaped as R")
+        evolution = FactoredEvolution(obs, (values, vectors), pre, pointer)
+        r_phi = gen @ pointer
+        if given:  # an eigh pair of gen diagonalizes it by construction
+            residual = np.abs(vectors @ (values * evolution.pointer_coeffs) - r_phi).max()
+            if not residual <= PAIRING_TOL * np.abs(values).max():
+                raise ValueError(f"pointer_spectrum does not diagonalize pointer_gen: R·φ is off by {residual:.3g}")
+        object.__setattr__(self, "_evolution", evolution)  # with_eps copies share it
+        object.__setattr__(self, "_r_phi", r_phi)
 
     def _set_eps(self, eps) -> None:
         if not np.isfinite(eps) or eps < 0:
             raise ValueError(f"coupling eps must be a finite nonnegative real, got {eps!r}")
         object.__setattr__(self, "eps", float(eps))
-
-    @property
-    def pointer_spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        """np.linalg.eigh(pointer_gen), taken once for this config and its `with_eps` copies."""
-        if not self._spectrum:
-            self._spectrum.append(np.linalg.eigh(self.pointer_gen))
-        return self._spectrum[0]
 
     def with_eps(self, eps: float) -> "WeakConfig":
         """This run at coupling `eps`: only eps is checked, everything else is shared."""
@@ -205,8 +214,7 @@ def _shift_rate(cfg: WeakConfig, ow: complex, m) -> complex:
     phi = cfg.pointer
     # matrix-vector products only: ⟨φ|MR|φ⟩ = (φ†M)·(Rφ) and, R being
     # hermitian, ⟨φ|RM|φ⟩ = (Rφ)†·(Mφ)
-    m_phi = m @ phi
-    r_phi = cfg.pointer_gen @ phi
+    m_phi, r_phi = m @ phi, cfg._r_phi
     mr = (phi.conj() @ m) @ r_phi
     rm = r_phi.conj() @ m_phi
     anti = mr + rm - 2 * (phi.conj() @ r_phi) * (phi.conj() @ m_phi)
@@ -239,11 +247,8 @@ class WeakRun:
     annihilator: dict | None
 
 
-def weak_run(cfg: WeakConfig, spectrum, readouts: dict, halving=False, annihilator=None) -> WeakRun:
-    """Evolve `cfg` by `FactoredEvolution` from the spectrum (r, W) of its pointer generator.
-
-    The predictions read `cfg.pointer_gen` itself, so `spectrum` must
-    diagonalize it: pointer_gen = W·diag(r)·W†.
+def weak_run(cfg: WeakConfig, readouts: dict, halving=False, annihilator=None) -> WeakRun:
+    """Evolve `cfg` exactly, through its `FactoredEvolution`, and to first order.
 
     `shifts[name]` holds the measured and predicted shift of each hermitian
     readout and their distance, the residual.  `halving` adds `halving[name]`:
@@ -256,8 +261,7 @@ def weak_run(cfg: WeakConfig, spectrum, readouts: dict, halving=False, annihilat
     """
     readouts = {name: as_hermitian(m, f"readout {name!r}") for name, m in readouts.items()}
     lowering = None if annihilator is None else as_operator(annihilator[0])
-    ow = weak_value(cfg)
-    evolution = FactoredEvolution(cfg.obs, spectrum, cfg.pre, cfg.pointer)
+    ow, evolution = weak_value(cfg), cfg._evolution
     selected = evolution.post_selected(cfg.eps, cfg.post)
     half_selected = evolution.post_selected(cfg.eps / 2, cfg.post) if halving else None
     rates = {name: _shift_rate(cfg, ow, m) for name, m in readouts.items()}
@@ -286,31 +290,26 @@ def weak_run(cfg: WeakConfig, spectrum, readouts: dict, halving=False, annihilat
     return WeakRun(ow, radius, selected, shifts, halves, annihilator)
 
 
-def _post_selected(cfg: WeakConfig) -> PostSelection:
-    evolution = FactoredEvolution(cfg.obs, cfg.pointer_spectrum, cfg.pre, cfg.pointer)
-    return evolution.post_selected(cfg.eps, cfg.post)
-
-
 def selection_probability(cfg: WeakConfig) -> float:
-    return _post_selected(cfg).probability
+    return cfg._evolution.post_selected(cfg.eps, cfg.post).probability
 
 
 def measured_shift(cfg: WeakConfig, m) -> float:
     """Exact conditioned shift ⟨M⟩_final - ⟨M⟩_initial of a hermitian M."""
     m = as_hermitian(m, "pointer observable of measured_shift")
-    return float(_shift(_post_selected(cfg).normalized, cfg.pointer, m).real)
+    return float(_shift(cfg._evolution.post_selected(cfg.eps, cfg.post).normalized, cfg.pointer, m).real)
 
 
 def shift_residual(cfg: WeakConfig, m) -> float:
     """|measured - predicted|; shrinks as ε² when the formula applies."""
     m = as_hermitian(m, "pointer observable of shift_residual")
-    measured = float(_shift(_post_selected(cfg).normalized, cfg.pointer, m).real)
+    measured = float(_shift(cfg._evolution.post_selected(cfg.eps, cfg.post).normalized, cfg.pointer, m).real)
     return abs(measured - float((cfg.eps * _shift_rate(cfg, weak_value(cfg), m)).real))
 
 
 def annihilator_shift(cfg: WeakConfig, a) -> complex:
     """Exact conditioned shift of the (non-hermitian) lowering operator."""
-    return _shift(_post_selected(cfg).normalized, cfg.pointer, as_operator(a))
+    return _shift(cfg._evolution.post_selected(cfg.eps, cfg.post).normalized, cfg.pointer, as_operator(a))
 
 
 @dataclass(frozen=True)

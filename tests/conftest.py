@@ -21,10 +21,11 @@ settings.load_profile("qpl")
 
 @pytest.fixture
 def clear_fock_caches():
-    """Empty the per-dimension fock caches now; the returned function empties them again."""
+    """Empty every `lru_cache` defined in qpl.fock now; the returned function empties them again."""
+    caches = [f for f in vars(fock).values() if hasattr(f, "cache_clear") and f.__module__ == "qpl.fock"]
 
     def clear():
-        for cache in (fock._quadratures, fock._q_spectrum, fock._k_spectrum):
+        for cache in caches:
             cache.cache_clear()
 
     clear()

@@ -402,6 +402,7 @@ class TestWeakCommand:
         assert calls["as_hermitian"] == 4
         assert calls["as_unit_ket"] == 3
         assert calls["as_operator"] == 1
+        assert calls["as_ket"] == 3
         assert calls["expectation"] == 0
         lowering = [call for call in validator_calls if call.name == "as_operator"]
         assert [call.module for call in lowering if call.caller is None] == ["qpl.weak"]

@@ -45,13 +45,14 @@ GENERATORS = {
     "g": SPACE.g,
     "k": SPACE.k,
 }
+P_VALUES, P_VECTORS = SPACE.spectrum("p")
 
 # Frozen sweep configs: seeded random selections per system size.
 SYSTEM_SEEDS = ((2, 11), (3, 12))
 COHERENT_Z = 0.8 + 0.6j
 
 
-def make_config(system_dim, seed, gen_key, pointer, eps=EPS):
+def make_config(system_dim, seed, gen_key, pointer, eps=EPS, pointer_spectrum=None):
     rng = np.random.default_rng(seed)
     pre = random_ket(system_dim, rng)
     post = random_ket(system_dim, rng)
@@ -63,6 +64,7 @@ def make_config(system_dim, seed, gen_key, pointer, eps=EPS):
         pointer_gen=GENERATORS[gen_key],
         pointer=pointer,
         eps=eps,
+        pointer_spectrum=pointer_spectrum,
     )
 
 
@@ -114,6 +116,56 @@ class TestWeakConfig:
         for eps in (-1.0, float("nan")):
             with pytest.raises(ValueError):
                 cfg.with_eps(eps)
+
+    def test_rejects_the_spectrum_of_another_generator(self):
+        """A config on p run with the q spectrum: a wrong q-shift, 5.39e-5 for 7.91e-4."""
+        space, rng = FockSpace(64), np.random.default_rng(3)
+        pre, post, obs = random_ket(3, rng), random_ket(3, rng), random_hermitian(3, rng)
+        pointer = space.coherent(0.5 + 0.5j)
+        with pytest.raises(ValueError, match="pointer_spectrum"):
+            WeakConfig(pre, post, obs, space.p, pointer, EPS, pointer_spectrum=space.spectrum("q"))
+        cfg = WeakConfig(pre, post, obs, space.p, pointer, EPS, pointer_spectrum=space.spectrum("p"))
+        assert measured_shift(cfg, space.q) == pytest.approx(7.91e-4, rel=1e-3)
+
+    @pytest.mark.parametrize(
+        "spectrum",
+        (
+            (P_VALUES[:-1], P_VECTORS),
+            (P_VALUES, P_VECTORS[:, :-1]),
+            (np.where(np.arange(POINTER_DIM) == 5, np.nan, P_VALUES), P_VECTORS),
+            (P_VALUES, np.where(np.eye(POINTER_DIM) > 0, np.inf, P_VECTORS)),
+        ),
+        ids=("short-values", "narrow-vectors", "nan-value", "inf-vectors"),
+    )
+    def test_rejects_a_malformed_spectrum(self, spectrum):
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="pointer_spectrum"):
+            make_config(2, 11, "p", VACUUM, pointer_spectrum=spectrum)
+
+    @pytest.mark.parametrize("dim", (2, 3, 16, 64, 128, 256))
+    def test_each_fock_spectrum_pairs_only_with_its_generator(self, dim):
+        """Every key is accepted.  A wrong key is refused unless R·φ cannot tell the
+        two apart, and then the runs are the same: at dimension 2, g = k = 0 and
+        N|0⟩ = 0, so n, g and k on the vacuum, and g and k on any pointer."""
+        space, rng = FockSpace(dim), np.random.default_rng(dim)
+        pre, post, obs = random_ket(3, rng), random_ket(3, rng), random_hermitian(3, rng)
+        pointers = {"vacuum": space.vacuum(), "random": random_ket(dim, rng)}
+        if dim >= 16:  # the displacement guard needs (|z|+3)² ≤ dim
+            pointers["coherent"] = space.coherent(COHERENT_Z)
+        blind = set()
+        if dim == 2:
+            blind = {("vacuum", gen, key) for gen in "ngk" for key in "ngk"}
+            blind |= {(name, gen, key) for name in pointers for gen, key in ("gk", "kg")}
+        for name, pointer in pointers.items():
+            for gen, attr in FockSpace.GENERATORS.items():
+                cfg = WeakConfig(pre, post, obs, getattr(space, attr), pointer, 0.3, space.spectrum(gen))
+                for key in FockSpace.GENERATORS.keys() - {gen}:
+                    if (name, gen, key) not in blind:
+                        with pytest.raises(ValueError, match="pointer_spectrum"):
+                            WeakConfig(pre, post, obs, cfg.pointer_gen, pointer, 0.3, space.spectrum(key))
+                        continue
+                    wrong = WeakConfig(pre, post, obs, cfg.pointer_gen, pointer, 0.3, space.spectrum(key))
+                    raw, oracle = weak_run(wrong, {}).selected.raw, weak_run(cfg, {}).selected.raw
+                    np.testing.assert_allclose(raw, oracle, rtol=0, atol=1e-15)
 
     def test_with_eps_replaces_only_coupling(self):
         cfg = make_config(2, 11, "p", VACUUM)
@@ -291,11 +343,12 @@ class TestFactoredEvolution:
                 pointer_gen=getattr(space, FockSpace.GENERATORS[gen_key]),
                 pointer=pointer,
                 eps=0.0,
+                pointer_spectrum=space.spectrum(gen_key),
             )
             evolution = FactoredEvolution(cfg.obs, space.spectrum(gen_key), cfg.pre, cfg.pointer)
             for eps in (0.0, 1e-3, 0.3, 3.0):
                 oracle = post_select(evolve_exact(cfg.with_eps(eps)), cfg.post, pointer_dim)
-                run = weak_run(cfg.with_eps(eps), space.spectrum(gen_key), {})
+                run = weak_run(cfg.with_eps(eps), {})
                 for factored in (evolution.post_selected(eps, cfg.post), run.selected):
                     assert np.max(np.abs(factored.raw - oracle.raw)) <= 1e-12
                     assert np.max(np.abs(factored.normalized - oracle.normalized)) <= 1e-12
@@ -335,35 +388,39 @@ class TestWeakRun:
         """From `FockSpace.spectrum`, only the 3-level observable is diagonalized."""
         space, z = FockSpace(256), 1.5 - 0.5j
         rng = np.random.default_rng(7)
+        pointer_gen, pointer = getattr(space, FockSpace.GENERATORS[gen_key]), space.coherent(z)
+        spectrum = space.spectrum(gen_key)
+        assert (256, True) not in eigh_sizes
+        eigh_sizes.clear()
         cfg = WeakConfig(
             pre=random_ket(3, rng),
             post=random_ket(3, rng),
             obs=random_hermitian(3, rng),
-            pointer_gen=getattr(space, FockSpace.GENERATORS[gen_key]),
-            pointer=space.coherent(z),
+            pointer_gen=pointer_gen,
+            pointer=pointer,
             eps=EPS,
+            pointer_spectrum=spectrum,
         )
-        spectrum = space.spectrum(gen_key)
-        assert (256, True) not in eigh_sizes
-        eigh_sizes.clear()
         readouts = {"q": space.q, "p": space.p}
-        weak_run(cfg, spectrum, readouts, halving=True, annihilator=(space.a, z))
+        weak_run(cfg, readouts, halving=True, annihilator=(space.a, z))
         assert eigh_sizes == [(3, True)]
 
     @pytest.mark.parametrize("gen_key", sorted(GENERATORS))
     def test_halving_flow_diagonalizes_the_generator_once(self, eigh_sizes, gen_key):
-        """The acceptance flow: shift_residual on cfg and cfg.with_eps(ε/2), for q and p."""
+        """The acceptance flow: shift_residual on cfg and cfg.with_eps(ε/2), for q and p;
+        the generator and the observable are each diagonalized once."""
         cfg = make_config(2, 11, gen_key, SPACE.coherent(COHERENT_Z))
         for readout in (SPACE.q, SPACE.p):
             shift_residual(cfg, readout)
             shift_residual(cfg.with_eps(EPS / 2), readout)
         assert eigh_sizes.count((POINTER_DIM, True)) == 1
+        assert eigh_sizes.count((2, True)) == 1
 
     @pytest.mark.parametrize("gen_key", ("n", "q"))
     def test_record_holds_what_the_library_functions_return(self, gen_key):
         cfg = make_config(3, 12, gen_key, SPACE.coherent(COHERENT_Z))
         readouts = {"q": SPACE.q, "p": SPACE.p}
-        run = weak_run(cfg, cfg.pointer_spectrum, readouts, True, (SPACE.a, COHERENT_Z))
+        run = weak_run(cfg, readouts, True, (SPACE.a, COHERENT_Z))
         half = cfg.with_eps(EPS / 2)
         assert run.weak_value == weak_value(cfg)
         assert run.selected.probability == selection_probability(cfg)
@@ -379,13 +436,13 @@ class TestWeakRun:
     def test_rejects_a_non_hermitian_readout(self):
         cfg = make_config(2, 11, "p", VACUUM)
         with pytest.raises(ValueError, match="readout 'a' must be hermitian"):
-            weak_run(cfg, SPACE.spectrum("p"), {"q": SPACE.q, "a": SPACE.a})
+            weak_run(cfg, {"q": SPACE.q, "a": SPACE.a})
 
     def test_overflow_raises(self):
         cfg = make_config(2, 11, "p", VACUUM, eps=1e308)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(OverflowError, match="weak run overflows at eps = 1e"):
-                weak_run(cfg, SPACE.spectrum("p"), {"q": SPACE.q})
+                weak_run(cfg, {"q": SPACE.q})
 
 
 class TestShiftFormulas:
