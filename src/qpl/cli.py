@@ -33,10 +33,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .coherent import CoherentFamily, coherent_overlap_closed, coherent_state
+from .coherent import CoherentFamily, _closed_form_check, coherent_state
 from .fock import FockSpace
 from .linalg import basis_ket, random_density, random_ket
-from .modular import az_state, momentum_amplitudes, nslit_evolve
+from .modular import _momentum_amplitudes, az_state, nslit_evolve
 from .schwinger import dft, gauss_trace, gauss_trace_closed_form
 from .serialize import Block, canonical_json, csv_text
 from .weak import WeakConfig, weak_run
@@ -54,9 +54,6 @@ MAX_POINTER_DIM = 256
 # Weyl moments: O(N³) time, O(N²) memory, a few ms at the register cap.
 MAX_STRUCTURE_DIM = 63
 MAX_GRAM_DIM = 16
-# The closed-form check of a Gram matrix runs over row blocks of at most this many
-# overlaps, so its N⁴ temporaries never exceed ~64 KiB each.
-GRAM_CHECK_PAIRS = 4096
 
 SUPPORT_TOL = 1e-12
 MATCH_TOL = 1e-9
@@ -372,7 +369,7 @@ def run_nslit(args, seed):
     if args.potential == "random":
         samples = np.random.default_rng(seed).uniform(0.0, 2 * np.pi, period)
     psi = nslit_evolve(n, samples)
-    momentum = momentum_amplitudes(psi)
+    momentum = _momentum_amplitudes(psi)
     stride = n // period
     support = np.flatnonzero(np.abs(momentum) > SUPPORT_TOL)
     return [
@@ -405,23 +402,6 @@ def run_structure_constants(args, seed):
         Block("max_residual", residual),
         *_echo(n=n),
     ]
-
-
-def _closed_form_check(n: int, gram: np.ndarray) -> tuple[np.ndarray, float]:
-    """Row 0 of the closed-form overlap table and max |gram − closed| over all of it.
-
-    The table is evaluated over blocks of at most `GRAM_CHECK_PAIRS` entries, whole rows each.
-    """
-    m, nn = np.divmod(np.arange(n * n), n)  # flat index i = m·N + n
-    step = max(1, GRAM_CHECK_PAIRS // (n * n))
-    peaks = []
-    for start in range(0, n * n, step):
-        rows = slice(start, start + step)
-        closed = coherent_overlap_closed(n, m[rows, None], nn[rows, None], m, nn)
-        if start == 0:
-            row0 = closed[0]
-        peaks.append(np.max(np.abs(gram[rows] - closed)))
-    return row0, float(np.max(peaks))
 
 
 def run_coherent_gram(args, seed):

@@ -20,6 +20,12 @@ pair agrees, and cos(π(r-p)(s-q)/N)/(√N + 1) when both differ.  The cosine
 vanishes at half-integer arguments, which exist exactly when N is even:
 even dimensions admit orthogonal pairs of distinct coherent states, odd
 ones never do.
+
+Both factors come from per-N tables: the phase from `roots(2N)` at
+(rq − ps) mod 2N, the magnitude from `_overlap_factors(N)` at the cell
+(r − p, s − q).  `_closed_form_check` compares a whole Gram matrix with the
+closed form through index tables built from N×N ones: one gather per entry
+from the product of those two tables, no modular arithmetic per entry.
 """
 
 from __future__ import annotations
@@ -101,6 +107,32 @@ def _overlap_factors(n: int) -> np.ndarray:
     table = np.where((dp == 0) & (dq == 0), 1.0, factor).ravel()
     table.flags.writeable = False
     return table
+
+
+def _closed_form_check(n: int, gram: np.ndarray) -> tuple[np.ndarray, float]:
+    """Row 0 of the closed-form overlap table and max |gram − closed| over all of it.
+
+    `gram` is indexed by flat labels (p·N + q, r·N + s), as `CoherentFamily.gram`
+    returns it.  The table is `coherent_overlap_closed(n, p, q, r, s)` bit for bit: the
+    same phase·factor products, gathered from their outer-product table at
+    (qr mod 2N − ps mod 2N)·(2N − 1)² + cell(r − p, s − q).  The phase part lies in
+    (−2N, 2N), so a negative index wraps to its residue, and the cell splits into a
+    [p, r] and a [q, s] part.  The check runs one p at a time, N³ ≤ 4096 entries, so no
+    N⁴ temporary is formed; a NaN in `gram` gives a NaN residual.
+    """
+    w, k = 2 * n - 1, np.arange(n)
+    products = np.multiply.outer(roots(2 * n), _overlap_factors(n)).ravel()
+    phase = (np.multiply.outer(k, k) % (2 * n)) * (w * w)  # [q, r] or [p, s]
+    rows = phase[None, :, :] + ((k - k[:, None] + n - 1) * w + n - 1)[:, None, :]  # [p, q, r]
+    cols = (k - k[:, None])[None, :, :] - phase[:, None, :]  # [p, q, s]
+    gram = gram.reshape(n, n, n, n)
+    peaks = np.empty(n)
+    for p in range(n):
+        closed = products[rows[p][:, :, None] + cols[p][:, None, :]]  # [q, r, s]
+        if p == 0:
+            row0 = closed[0].ravel()
+        peaks[p] = np.max(np.abs(gram[p] - closed))
+    return row0, float(np.max(peaks))
 
 
 class CoherentFamily:

@@ -150,5 +150,9 @@ def nslit_evolve(n: int, samples) -> np.ndarray:
 
 def momentum_amplitudes(state) -> np.ndarray:
     """Coefficients of a ket in the momentum basis (columns of F)."""
-    state = as_ket(state)
-    return dft(state.shape[0]).conj().T @ state
+    return _momentum_amplitudes(as_ket(state))
+
+
+def _momentum_amplitudes(psi: np.ndarray) -> np.ndarray:
+    """F†ψ for a checked or qpl-built complex ket ψ."""
+    return dft(psi.shape[0]).conj().T @ psi

@@ -26,9 +26,9 @@ from qpl.cli import (
     MAX_GRAM_DIM,
     MAX_POINTER_DIM,
     MAX_SYSTEM_DIM,
-    _closed_form_check,
     main,
 )
+from qpl.coherent import _closed_form_check
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -658,6 +658,11 @@ class TestSubcommandPayloads:
         assert payload["support_ok"] is True
         assert all(k % 3 == 0 for k in payload["support"])
 
+    def test_nslit_request_runs_no_validator(self, capsys, validator_calls):
+        """The register ket is built by qpl, so nothing re-checks it."""
+        run_cli(capsys, ["nslit", "--n", "12", "--potential", "0.3,1.1,2.0"])
+        assert validator_calls == []
+
     def test_structure_constants_reconstruction_residual(self, capsys):
         out, _ = run_cli(
             capsys, ["structure-constants", "--n", "7", "--a", "1,2", "--b", "3,1"]
@@ -708,6 +713,20 @@ class TestSubcommandPayloads:
         row, residual = _closed_form_check(n, gram)
         assert np.array_equal(row, closed[0])
         assert np.array_equal(residual, np.max(np.abs(gram - closed)))
+
+    def test_closed_form_check_keeps_a_nan_residual(self):
+        gram = CoherentFamily(MAX_GRAM_DIM).gram()
+        gram[100, 7] = np.nan
+        assert np.isnan(_closed_form_check(MAX_GRAM_DIM, gram)[1])
+
+    # the first and last flat entry of every block of one p, the Gram's first and last among them
+    @pytest.mark.parametrize("block", range(MAX_GRAM_DIM))
+    @pytest.mark.parametrize("end", (0, MAX_GRAM_DIM**3 - 1))
+    def test_closed_form_check_compares_every_block_edge(self, block, end):
+        gram = CoherentFamily(MAX_GRAM_DIM).gram()
+        entry = block * MAX_GRAM_DIM**3 + end
+        gram.flat[entry] += 1e-6
+        assert _closed_form_check(MAX_GRAM_DIM, gram)[1] >= 0.99e-6
 
     def test_coherent_gram_at_the_cap_holds_no_full_closed_form_table(self, capsys):
         tracemalloc.start()

@@ -8,7 +8,8 @@ Imports `qpl` from SRC_DIR (the directory that holds the `qpl` package),
 draws a corpus of argv from SEED (default 7) and runs each one through
 `qpl.cli.main` in this process, once with `--format json` and once with
 `--format csv`.  The corpus covers all seven subcommands, valid runs and
-invalid ones (usage, bounds and degeneracy errors, exit codes 2, 3 and 4).
+invalid ones (usage, bounds and degeneracy errors, exit codes 2, 3 and 4),
+and every coherent-gram N from 1 to its cap at each seed.
 For each subcommand it prints the number of runs, the count per exit code
 and a sha256 over (argv, exit code, stdout, stderr) of every run in corpus
 order.
@@ -231,6 +232,8 @@ def corpus(seed: int) -> tuple[list[tuple[str, list[str]]], dict[str, str]]:
                 path = f"weak{len(files):04d}.conf"
                 files[path], argv[2] = argv[2], path
             cases.append((command, argv))
+        if command == "coherent-gram":  # every N up to the cap, which the draws can miss
+            cases += [(command, ["coherent-gram", "--n", str(n)]) for n in range(1, 17)]
     cases += [(argv[0] if argv and argv[0] in MAKERS else "parser", argv) for argv in PARSER_CASES]
     return cases, files
 
