@@ -35,13 +35,14 @@ from .schwinger import (
 )
 from .weylwigner import (
     StructureConstants,
-    WeylWignerBasis,
     WignerMap,
     delta_product,
     parity_operator,
     phase_point,
     phase_space_symbol,
     symplectic_area,
+    weyl_reconstruct,
+    weyl_transform,
     wigner_map,
 )
 from .coherent import (

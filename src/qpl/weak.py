@@ -415,8 +415,8 @@ def fs_speed_check(h, psi, dt: float) -> tuple[float, float]:
     """
     h = as_hermitian(h, "hamiltonian of fs_speed_check")
     psi = as_ket(psi)
-    if dt <= 0:
-        raise ValueError("step dt must be positive")
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValueError(f"step dt must be positive and finite, got {dt!r}")
     dpsi = spectral_exp(*np.linalg.eigh(h), dt) @ psi - psi
     ds2 = float((dpsi.conj() @ dpsi).real - abs(psi.conj() @ dpsi) ** 2)
     speed = np.sqrt(max(ds2, 0.0)) / dt

@@ -14,9 +14,10 @@ over representatives 0 ≤ r,s ≤ N-1, where h(r,s) is the half phase
 
 `phase_point` builds operators from the first line.  The other two are a
 few N x N matrix products each (O(N³) time, O(N²) memory, odd and even N
-alike) and serve `transform`, `reconstruct`, `wigner_map` and
-`StructureConstants.commutator`.  The dense double sum and the stored
-(N, N, N, N) grid live only in the test suite, as brute-force oracles.
+alike) and serve `weyl_transform`, `weyl_reconstruct`, `wigner_map` and
+`StructureConstants.commutator`.  The dense double sum, the stored
+(N, N, N, N) grid and the N⁶ structure-constant table live only in the
+test suite, as brute-force oracles.
 
 The half phase is the only delicate ingredient:
 
@@ -53,7 +54,6 @@ tested; see the test suite):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -63,7 +63,6 @@ from .schwinger import _check_dim, _phase_table, roots
 # Prefactor c0 in [Δ_a, Δ_b] = c0 · Σ_c Λ_ab^c · Δ_c, odd N.  Pinned
 # numerically; the value is 2i/N.
 COMMUTATOR_PREFACTOR_NUMERATOR = 2j
-TABLE_MAX_ENTRIES = 2**24  # bound on the N⁶ entries of `StructureConstants.table`: N ≤ 15
 
 
 def _trace_kernel(op: np.ndarray) -> np.ndarray:
@@ -124,38 +123,16 @@ def phase_point(n: int, m, nn) -> np.ndarray:
     return roots(n)[(-m * s) % n] * h[(a - nn) % n, s]
 
 
-class WeylWignerBasis:
-    """All N² phase-point operators for one dimension.
+def weyl_transform(op) -> np.ndarray:
+    """Coefficient grid O^{mn} = tr(Δ_mn O) of an N x N operator; complex (N, N) array."""
+    op = as_operator(op)
+    return _trace_kernel(op) / op.shape[0]
 
-    `transform` and `reconstruct` never build the (N, N, N, N) grid
-    `deltas[m, n]`; it is built on first access.
-    """
 
-    def __init__(self, n: int):
-        _check_dim(n)
-        self.dim = int(n)
-
-    @cached_property
-    def deltas(self) -> np.ndarray:
-        return phase_point(self.dim, *np.ogrid[: self.dim, : self.dim])
-
-    def delta(self, m: int, n: int) -> np.ndarray:
-        """Operator at phase point (m, n); indices are taken mod N."""
-        return phase_point(self.dim, m, n)
-
-    def transform(self, op) -> np.ndarray:
-        """Coefficient grid O^{mn} = tr(Δ_mn O); complex (N, N) array."""
-        op = as_operator(op)
-        if op.shape[0] != self.dim:
-            raise ValueError(f"operator side {op.shape[0]} does not match basis dim {self.dim}")
-        return _trace_kernel(op) / self.dim
-
-    def reconstruct(self, coeffs) -> np.ndarray:
-        """Operator (1/N)·Σ_mn coeffs[m,n]·Δ_mn from a coefficient grid."""
-        coeffs = np.asarray(coeffs, dtype=complex)
-        if coeffs.shape != (self.dim, self.dim):
-            raise ValueError(f"expected a {self.dim}x{self.dim} coefficient grid, got {coeffs.shape}")
-        return _sum_kernel(coeffs) / self.dim
+def weyl_reconstruct(coeffs) -> np.ndarray:
+    """Operator (1/N)·Σ_mn coeffs[m,n]·Δ_mn from an N x N coefficient grid."""
+    coeffs = as_operator(coeffs)
+    return _sum_kernel(coeffs) / coeffs.shape[0]
 
 
 @dataclass(frozen=True)
@@ -187,8 +164,9 @@ class WignerMap:
 def wigner_map(rho) -> WignerMap:
     """Wigner map W(m, n) = tr(Δ_mn ρ)/N of a density operator.
 
-    It is `WeylWignerBasis.transform(rho).real / N`: the same moment-space
-    kernel, divided once by N² (O(N³) time, O(N²) memory).
+    It is `weyl_transform(rho).real / N`: the same moment-space kernel,
+    divided once by N² rather than twice by N, which would round differently
+    (O(N³) time, O(N²) memory).
     """
     rho = as_hermitian(rho, "wigner map input")
     n = rho.shape[0]
@@ -253,15 +231,10 @@ class StructureConstants:
         a, b, c = ((x % n, y % n) for x, y in (a, b, c))
         return roots(n)[phase_space_symbol(a, b, c) % n].imag
 
-    def table(self) -> np.ndarray:
-        """Full tensor Λ[m,n,p,q,r,s] over (Z_N x Z_N)³; refused past TABLE_MAX_ENTRIES."""
-        if self.dim**6 > TABLE_MAX_ENTRIES:
-            raise ValueError(f"table has N^6 = {self.dim**6} entries, over {TABLE_MAX_ENTRIES}")
-        k = np.arange(self.dim)
-        m, n, p, q, r, s = np.ix_(k, k, k, k, k, k)
-        return self.value((m, n), (p, q), (r, s))
-
     def commutator(self, a, b, lam=None) -> np.ndarray:
         """Reconstruct [Δ_a, Δ_b] from the structure constants `lam` over every c, if given."""
-        lam = self.value(a, b, np.ogrid[: self.dim, : self.dim]) if lam is None else lam
+        n = self.dim
+        lam = self.value(a, b, np.ogrid[:n, :n]) if lam is None else as_operator(lam)
+        if lam.shape[0] != n:
+            raise ValueError(f"λ grid must be {n}x{n}, got {lam.shape}")
         return self.prefactor * _sum_kernel(lam)

@@ -16,7 +16,6 @@ from qpl import (
     Kinematics,
     StructureConstants,
     WeakConfig,
-    WeylWignerBasis,
     annihilator_shift,
     annihilator_shift_prediction,
     coherent_overlap,
@@ -31,6 +30,7 @@ from qpl import (
     normalize,
     nslit_evolve,
     pancharatnam_phase,
+    phase_point,
     random_density,
     random_hermitian,
     random_ket,
@@ -116,8 +116,7 @@ def test_c03_phase_point_basis():
         (1, 1): np.array([[0, -1 + 1j], [-1 - 1j, 2]]) / 2,
     }
     for n in (2, 3, 4, 5, 7):
-        basis = WeylWignerBasis(n)
-        flat = basis.deltas.reshape(n * n, n, n)
+        flat = phase_point(n, *np.ogrid[:n, :n]).reshape(n * n, n, n)
         for idx in range(n * n):
             d = flat[idx]
             if np.max(np.abs(d - d.conj().T)) > 1e-9:
@@ -140,9 +139,8 @@ def test_c03_phase_point_basis():
             squares = np.einsum("aij,ajk->aik", flat, flat)
             if np.max(np.abs(squares - np.eye(n))) > 1e-9:
                 failures.append(f"involution defect at odd N={n}")
-    basis2 = WeylWignerBasis(2)
     for (m, n_), expected in printed_n2.items():
-        if not np.allclose(basis2.delta(m, n_), expected, atol=1e-12):
+        if not np.allclose(phase_point(2, m, n_), expected, atol=1e-12):
             failures.append(f"N=2 point operator ({m},{n_}) differs from reference")
     _report(3, "phase-point basis identities (N in 2..7) + N=2 block", failures)
 
@@ -151,10 +149,10 @@ def test_c04_structure_constants():
     started = time.perf_counter()
     failures = []
     for n in (3, 5, 7):
-        basis = WeylWignerBasis(n)
         sc = StructureConstants(n)
-        flat = basis.deltas.reshape(n * n, n, n)
-        lam = sc.table().reshape(n * n, n * n, n * n)
+        flat = phase_point(n, *np.ogrid[:n, :n]).reshape(n * n, n, n)
+        m, nn, p, q, r, s = np.ix_(*[np.arange(n)] * 6)
+        lam = sc.value((m, nn), (p, q), (r, s)).reshape(n * n, n * n, n * n)
         products = np.einsum("aij,bjk->abik", flat, flat)
         direct = products - products.transpose(1, 0, 2, 3)
         recon = sc.prefactor * np.einsum("abc,cij->abij", lam, flat)

@@ -11,7 +11,7 @@ import qpl
 PUBLIC = [
     "AzState", "CoherentFamily", "CrtMap", "FactoredEvolution", "FockSpace", "Kinematics",
     "PointerScan", "PostSelection", "PreMeasurement", "StructureConstants", "WeakConfig",
-    "WeylWignerBasis", "WignerMap", "annihilator_shift", "annihilator_shift_prediction",
+    "WignerMap", "annihilator_shift", "annihilator_shift_prediction",
     "anticommutator", "as_ket", "as_operator", "az_state", "basis_ket", "coherent_overlap",
     "coherent_overlap_closed", "coherent_state", "commutator", "conditioned_shift",
     "crt_map", "crt_permutation", "delta_product", "dft", "displacement", "evolve_exact",
@@ -22,7 +22,8 @@ PUBLIC = [
     "pre_measurement", "predicted_shift", "projector", "qubit_pointer_profile",
     "random_density", "random_hermitian", "random_ket", "reference_state",
     "selection_probability", "shift_residual", "symplectic_area", "symplectic_phase",
-    "tensor", "unitary_exp", "weak_run", "weak_value", "weyl_relation_defect", "wigner_map",
+    "tensor", "unitary_exp", "weak_run", "weak_value", "weyl_reconstruct", "weyl_relation_defect", "weyl_transform",
+    "wigner_map",
 ]
 
 

@@ -9,12 +9,12 @@ from qpl import (
     CoherentFamily,
     Kinematics,
     StructureConstants,
-    WeylWignerBasis,
     displacement,
     dft,
     gauss_trace,
     gauss_trace_closed_form,
     is_unitary,
+    phase_point,
     weyl_relation_defect,
 )
 from qpl.schwinger import roots, weyl_word
@@ -162,10 +162,10 @@ def test_kinematics_states():
         Kinematics(-3)
     # the same dimension check guards every construction on Z_N
     for bad in (0, 2.5):
-        for build in (CoherentFamily, WeylWignerBasis, StructureConstants):
+        for build in (CoherentFamily, StructureConstants):
             with pytest.raises(ValueError, match="positive integer"):
                 build(bad)
-        for build in (displacement, weyl_relation_defect):
+        for build in (displacement, phase_point, weyl_relation_defect):
             with pytest.raises(ValueError, match="positive integer"):
                 build(bad, 1, 1)
 

@@ -926,3 +926,8 @@ class TestStateSpaceSpeed:
     def test_rejects_non_positive_step(self):
         with pytest.raises(ValueError):
             fs_speed_check(np.eye(2), basis_ket(2, 0), 0.0)
+
+    @pytest.mark.parametrize("dt", (np.nan, np.inf))
+    def test_rejects_a_non_finite_step(self, dt):
+        with pytest.raises(ValueError, match="step dt must be positive and finite"):
+            fs_speed_check(np.eye(2), basis_ket(2, 0), dt)

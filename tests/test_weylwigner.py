@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from qpl import (
     Kinematics,
     StructureConstants,
-    WeylWignerBasis,
     basis_ket,
     delta_product,
     displacement,
@@ -30,10 +29,12 @@ from qpl import (
     random_density,
     random_hermitian,
     symplectic_area,
+    weyl_reconstruct,
+    weyl_transform,
     wigner_map,
 )
 from qpl.schwinger import weyl_word
-from qpl.weylwigner import TABLE_MAX_ENTRIES, half_phase_exponents
+from qpl.weylwigner import half_phase_exponents
 
 RNG = np.random.default_rng(20240818)
 
@@ -63,12 +64,23 @@ def double_sum_basis(n):
     return np.einsum("mnrs,rsac->mnac", phases, words) / n
 
 
+def dense_grid(n):
+    """All N² operators from `phase_point`, stored as an (N, N, N, N) array."""
+    return phase_point(n, *np.ogrid[:n, :n])
+
+
+def structure_table(sc):
+    """Full tensor Λ[m,n,p,q,r,s] over (Z_N x Z_N)³: N⁶ entries, small N only."""
+    m, n, p, q, r, s = np.ix_(*[np.arange(sc.dim)] * 6)
+    return sc.value((m, n), (p, q), (r, s))
+
+
 @pytest.mark.parametrize("n", range(1, 17))
 def test_phase_point_matches_double_sum_oracle(n):
     k = np.arange(n)
     grid = phase_point(n, k[:, None], k[None, :])
     np.testing.assert_allclose(grid, double_sum_basis(n), rtol=0, atol=1e-12)
-    assert np.array_equal(WeylWignerBasis(n).deltas, grid)
+    assert np.array_equal(dense_grid(n), grid)
 
 
 @pytest.mark.parametrize("n", (1, 2, 3, 4, 7, 8, 15))
@@ -106,51 +118,49 @@ def test_phase_point_orthogonality_property(n, a, b):
 
 
 def test_two_dimensional_basis_matches_reference_entrywise():
-    basis = WeylWignerBasis(2)
     for (m, n), expected in DELTA_2.items():
-        np.testing.assert_allclose(basis.delta(m, n), expected, atol=1e-14)
+        np.testing.assert_allclose(phase_point(2, m, n), expected, atol=1e-14)
 
 
 @pytest.mark.parametrize("n", BASIS_DIMS)
 def test_hermiticity_and_unit_trace(n):
-    basis = WeylWignerBasis(n)
+    grid = dense_grid(n)
     for m in range(n):
         for nn in range(n):
-            d = basis.deltas[m, nn]
+            d = grid[m, nn]
             assert np.max(np.abs(d - d.conj().T)) <= 1e-10
             assert abs(np.trace(d) - 1.0) <= 1e-10
 
 
 @pytest.mark.parametrize("n", BASIS_DIMS)
 def test_orthogonality(n):
-    basis = WeylWignerBasis(n)
-    flat = basis.deltas.reshape(n * n, n * n)
+    flat = dense_grid(n).reshape(n * n, n * n)
     gram = flat.conj() @ flat.T  # hs_inner of every pair
     np.testing.assert_allclose(gram, n * np.eye(n * n), atol=1e-9)
 
 
 @pytest.mark.parametrize("n", BASIS_DIMS)
 def test_completeness_sum(n):
-    basis = WeylWignerBasis(n)
+    grid = dense_grid(n)
     op = random_hermitian(n, RNG) + 1j * random_hermitian(n, RNG)
-    total = np.einsum("mnab,bc,mncd->ad", basis.deltas, op, basis.deltas)
+    total = np.einsum("mnab,bc,mncd->ad", grid, op, grid)
     np.testing.assert_allclose(total, n * np.trace(op) * np.eye(n), atol=1e-9)
 
 
 @pytest.mark.parametrize("n", (1, 3, 5, 7))
 def test_involution_odd(n):
-    basis = WeylWignerBasis(n)
+    grid = dense_grid(n)
     for m in range(n):
         for nn in range(n):
-            d = basis.deltas[m, nn]
+            d = grid[m, nn]
             np.testing.assert_allclose(d @ d, np.eye(n), atol=1e-10)
 
 
 @pytest.mark.parametrize("n", (4, 6, 8))
 def test_involution_genuinely_lost_even(n):
-    basis = WeylWignerBasis(n)
+    grid = dense_grid(n)
     worst = max(
-        np.max(np.abs(basis.deltas[m, nn] @ basis.deltas[m, nn] - np.eye(n)))
+        np.max(np.abs(grid[m, nn] @ grid[m, nn] - np.eye(n)))
         for m in range(n)
         for nn in range(n)
     )
@@ -161,14 +171,14 @@ def test_involution_genuinely_lost_even(n):
 def test_operator_form_odd(n):
     """Δ_mn = V^{-n} U^{2m} V^{-n} F² for odd dimensions."""
     kin = Kinematics(n)
-    basis = WeylWignerBasis(n)
+    grid = dense_grid(n)
     f2 = kin.F @ kin.F
     for m in range(n):
         for nn in range(n):
             vminus = np.linalg.matrix_power(kin.V, (n - nn) % n)
             u2m = np.linalg.matrix_power(kin.U, (2 * m) % n)
             np.testing.assert_allclose(
-                vminus @ u2m @ vminus @ f2, basis.deltas[m, nn], atol=1e-10
+                vminus @ u2m @ vminus @ f2, grid[m, nn], atol=1e-10
             )
 
 
@@ -181,10 +191,10 @@ def test_parity_operator_is_f_squared():
 @pytest.mark.parametrize("n", (3, 5))
 def test_closed_form_product_rule(n):
     """Δ_a Δ_b = v^{2(pn - mq)} Δ_{a-b} F², every pair, odd N."""
-    basis = WeylWignerBasis(n)
+    grid = dense_grid(n)
     for a in [(m, nn) for m in range(n) for nn in range(n)]:
         for b in [(p, q) for p in range(n) for q in range(n)]:
-            direct = basis.deltas[a] @ basis.deltas[b]
+            direct = grid[a] @ grid[b]
             np.testing.assert_allclose(delta_product(n, a, b), direct, atol=1e-10)
 
 
@@ -196,14 +206,14 @@ def test_product_rule_rejected_even():
 @pytest.mark.parametrize("n", (3, 5))
 def test_parity_expansion(n):
     """Δ_pq F² = (1/N) Σ_ks v^{2(ps - kq)} Δ_ks (odd N)."""
-    basis = WeylWignerBasis(n)
+    grid = dense_grid(n)
     f2 = parity_operator(n)
     k = np.arange(n)
     for p in range(n):
         for q in range(n):
             coeff = np.exp(2j * np.pi * 2 * (p * k[None, :] - k[:, None] * q) / n)
-            total = np.einsum("ks,ksab->ab", coeff, basis.deltas) / n
-            np.testing.assert_allclose(total, basis.deltas[p, q] @ f2, atol=1e-10)
+            total = np.einsum("ks,ksab->ab", coeff, grid) / n
+            np.testing.assert_allclose(total, grid[p, q] @ f2, atol=1e-10)
 
 
 def test_symplectic_area_and_symbol():
@@ -220,23 +230,23 @@ def test_symplectic_area_and_symbol():
 @pytest.mark.parametrize("n", (3, 5))
 def test_structure_constants_all_pairs(n):
     sc = StructureConstants(n)
-    basis = WeylWignerBasis(n)
+    grid = dense_grid(n)
     assert sc.prefactor == pytest.approx(2j / n)
     labels = [(m, nn) for m in range(n) for nn in range(n)]
     for a in labels:
         for b in labels:
-            direct = basis.deltas[a] @ basis.deltas[b] - basis.deltas[b] @ basis.deltas[a]
+            direct = grid[a] @ grid[b] - grid[b] @ grid[a]
             np.testing.assert_allclose(sc.commutator(a, b), direct, atol=1e-9)
 
 
 def test_structure_constants_table_matches_value():
     sc = StructureConstants(3)
-    table = sc.table()
+    table = structure_table(sc)
     assert table.shape == (3,) * 6
     assert table[1, 2, 0, 1, 2, 2] == pytest.approx(sc.value((1, 2), (0, 1), (2, 2)))
     for n in (3, 5, 7):
         sc = StructureConstants(n)
-        table = sc.table()
+        table = structure_table(sc)
         m, nn, p, q, r, s = np.meshgrid(*[np.arange(n)] * 6, indexing="ij")
         assert np.array_equal(sc.value((m, nn), (p, q), (r, s)), table)
         # labels are taken mod N, however large
@@ -245,14 +255,6 @@ def test_structure_constants_table_matches_value():
         np.testing.assert_array_equal(
             sc.commutator((1 + big, -n), (2 * n, 1)), sc.commutator((1, 0), (0, 1))
         )
-
-
-def test_structure_constants_table_is_refused_past_its_bound():
-    """N⁶ entries: N = 15 is the largest odd N inside the bound, and N = 17
-    (24 million entries) is refused before anything is allocated."""
-    assert 15**6 <= TABLE_MAX_ENTRIES < 17**6
-    with pytest.raises(ValueError, match="entries"):
-        StructureConstants(17).table()
 
 
 def test_structure_constants_match_high_precision_reference():
@@ -280,21 +282,19 @@ def test_structure_constants_reject_even():
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_transform_reconstruct_roundtrip(n):
-    basis = WeylWignerBasis(n)
     op = RNG.normal(size=(n, n)) + 1j * RNG.normal(size=(n, n))
-    coeffs = basis.transform(op)
-    np.testing.assert_allclose(basis.reconstruct(coeffs), op, atol=1e-9)
+    coeffs = weyl_transform(op)
+    np.testing.assert_allclose(weyl_reconstruct(coeffs), op, atol=1e-9)
 
 
 @pytest.mark.parametrize("n", range(2, 17))
 def test_wigner_normalization_random_densities(n):
-    basis = WeylWignerBasis(n) if n <= 8 else None
     for _ in range(4):
         rho = random_density(n, RNG)
         wm = wigner_map(rho)
         assert abs(wm.total - 1.0) <= 1e-10
-        if basis is not None:
-            np.testing.assert_allclose(basis.transform(rho).real / n, wm.values, atol=1e-12)
+        if n <= 8:
+            np.testing.assert_allclose(weyl_transform(rho).real / n, wm.values, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -332,25 +332,17 @@ def test_wigner_validates_input():
         wigner_map(np.array([[0.5, 0.5], [0.0, 0.5]]))  # not hermitian
     with pytest.raises(ValueError):
         wigner_map(np.eye(2))  # trace 2
-    basis = WeylWignerBasis(2)
     with pytest.raises(ValueError):
-        basis.transform(np.eye(3) / 3)  # dimension mismatch
+        weyl_transform(np.eye(3)[:2])  # not square
 
 
 def test_hs_inner_against_basis():
-    basis = WeylWignerBasis(4)
-    assert hs_inner(basis.delta(1, 2), basis.delta(1, 2)) == pytest.approx(4.0, abs=1e-10)
-    assert abs(hs_inner(basis.delta(1, 2), basis.delta(2, 1))) <= 1e-10
+    assert hs_inner(phase_point(4, 1, 2), phase_point(4, 1, 2)) == pytest.approx(4.0, abs=1e-10)
+    assert abs(hs_inner(phase_point(4, 1, 2), phase_point(4, 2, 1))) <= 1e-10
 
 
 # --------------------------------------------------------------------------
 # moment-space kernels against the dense phase-point grid
-
-
-def dense_grid(n):
-    """All N² operators from `phase_point`, stored as an (N, N, N, N) array."""
-    k = np.arange(n)
-    return phase_point(n, k[:, None], k[None, :])
 
 
 def assert_relclose(actual, expected, rtol=1e-12):
@@ -365,14 +357,11 @@ def random_complex(n, rng):
 def test_kernels_match_dense_grid_oracle(n):
     rng = np.random.default_rng(n)
     grid = dense_grid(n)
-    basis = WeylWignerBasis(n)
     for _ in range(3):
         op = random_complex(n, rng)  # non-hermitian
-        assert_relclose(basis.transform(op), np.einsum("mnab,ba->mn", grid, op))
+        assert_relclose(weyl_transform(op), np.einsum("mnab,ba->mn", grid, op))
         coeffs = random_complex(n, rng)
-        assert_relclose(
-            basis.reconstruct(coeffs), np.einsum("mn,mnab->ab", coeffs, grid) / n
-        )
+        assert_relclose(weyl_reconstruct(coeffs), np.einsum("mn,mnab->ab", coeffs, grid) / n)
         rho = random_density(n, rng)
         dense_w = np.einsum("mnab,ba->mn", grid, rho).real / n
         assert_relclose(wigner_map(rho).values, dense_w)
@@ -393,8 +382,7 @@ SEED = st.integers(min_value=0, max_value=2**32 - 1)
 @given(n=DIMS_1_64, seed=SEED)
 def test_reconstruct_inverts_transform_property(n, seed):
     op = random_complex(n, np.random.default_rng(seed))
-    basis = WeylWignerBasis(n)
-    np.testing.assert_allclose(basis.reconstruct(basis.transform(op)), op, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(weyl_reconstruct(weyl_transform(op)), op, rtol=0, atol=1e-10)
 
 
 @given(n=st.integers(min_value=1, max_value=31).map(lambda k: 2 * k + 1), a=LABEL, b=LABEL)
@@ -444,10 +432,33 @@ def test_contractions_allocate_no_quartic_array():
     assert traced_peak(StructureConstants(n).commutator, (1, 0), (0, 1)) < n**4 * 16 / 4
     n = 64
     rho = random_density(n, RNG)
-    assert traced_peak(wigner_map, rho) < n**4 * 16 / 4
+    op = random_complex(n, RNG)
+    for fn, arg in ((wigner_map, rho), (weyl_transform, op), (weyl_reconstruct, op)):
+        assert traced_peak(fn, arg) < n**4 * 16 / 4
 
 
-def test_transform_and_reconstruct_leave_the_grid_unbuilt():
-    basis = WeylWignerBasis(8)
-    basis.reconstruct(basis.transform(random_complex(8, RNG)))
-    assert "deltas" not in vars(basis)
+@pytest.mark.parametrize(
+    "bad",
+    (
+        np.full((3, 3), np.nan),
+        np.diag([1.0, np.inf, 0.0]),
+        np.ones((2, 3)),
+        np.zeros((0, 0)),
+    ),
+    ids=("nan", "inf", "non-square", "empty"),
+)
+@pytest.mark.parametrize("fn", (weyl_transform, weyl_reconstruct))
+def test_weyl_transform_and_reconstruct_reject_bad_input(fn, bad):
+    with pytest.raises(ValueError, match="non-finite|non-empty square"):
+        fn(bad)
+
+
+def test_commutator_rejects_a_lambda_grid_of_another_side():
+    sc = StructureConstants(5)
+    lam = StructureConstants(3).value((1, 0), (0, 1), np.ogrid[:3, :3])
+    with pytest.raises(ValueError, match="λ grid must be 5x5"):
+        sc.commutator((1, 0), (0, 1), lam)
+    with pytest.raises(ValueError, match="non-empty square"):
+        sc.commutator((1, 0), (0, 1), np.ones((5, 4)))
+    lam = sc.value((1, 0), (0, 1), np.ogrid[:5, :5])
+    assert np.array_equal(sc.commutator((1, 0), (0, 1), lam), sc.commutator((1, 0), (0, 1)))
