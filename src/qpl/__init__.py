@@ -15,7 +15,6 @@ from .linalg import (
     anticommutator,
     expectation,
     hs_inner,
-    is_hermitian,
     is_unitary,
     normalize,
     partial_trace,
@@ -61,19 +60,11 @@ from .weak import (
     PostSelection,
     PreMeasurement,
     WeakConfig,
-    annihilator_shift,
-    annihilator_shift_prediction,
-    conditioned_shift,
     evolve_exact,
     fs_speed_check,
-    measured_shift,
     pancharatnam_phase,
-    post_select,
     pre_measurement,
-    predicted_shift,
     qubit_pointer_profile,
-    selection_probability,
-    shift_residual,
     weak_run,
     weak_value,
 )

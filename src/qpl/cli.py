@@ -39,7 +39,7 @@ from .linalg import basis_ket, random_density, random_ket
 from .modular import _momentum_amplitudes, az_state, nslit_evolve
 from .schwinger import dft, gauss_trace, gauss_trace_closed_form
 from .serialize import Block, canonical_json, csv_text
-from .weak import WeakConfig, weak_run
+from .weak import WeakConfig, weak_run, weak_value
 from .weylwigner import StructureConstants, phase_point, wigner_map
 
 EXIT_OK = 0
@@ -304,6 +304,7 @@ def run_weak(args, seed):
     lowering = (space.a, coherent_z) if coherent_z is not None and gen_key == "n" else None
     readouts = {"q": space.q, "p": space.p}
     try:
+        weak_value(cfg)  # pre ⟂ post is refused before post-selection can fail
         run = weak_run(cfg, readouts, halving, lowering)
     except OverflowError as exc:
         raise BoundsError(str(exc)) from exc

@@ -6,11 +6,9 @@ exact unitary exp(-i·ε·O⊗R), then post-selects the system on |β⟩.
 A `WeakConfig` takes the pointer generator R with its spectrum (r, W), such
 as `FockSpace.spectrum(key)` (no complex eigendecomposition), or diagonalizes
 R itself.  It checks the pair once and holds the run's one `FactoredEvolution`,
-shared by its `with_eps` copies.  The engine `weak_run`, which the CLI reads,
-and `selection_probability`, `measured_shift`, `shift_residual` and
-`annihilator_shift` all post-select through it.  Only `shift_residual` needs
-the weak value, so the other three hold for orthogonal pre and post
-selections too.
+shared by its `with_eps` copies.  `weak_run` post-selects through it and
+returns the exact and first-order record; for orthogonal pre and post it keeps
+the exact quantities and sets the weak value and the predictions to None.
 
 The exact evolution has one implementation, `FactoredEvolution`.  With
 O = V·diag(o)·V† and R = W·diag(r)·W†, the coupling is diagonal in the
@@ -22,9 +20,8 @@ W·exp(-i·ε·o_k·r)·W†|φ⟩ and the post-selected pointer is
 from one spectrum per factor; no composite matrix is formed.
 `pre_measurement` mixes the branches with weights |⟨o_k|α⟩|², and
 `qubit_pointer_profile` is the two-branch case P = |v_1⟩⟨v_1|: |v_0⟩
-carries |α⟩ and |v_1⟩ carries exp(-iλO)|α⟩.  The dense composite oracle
-the tests use, `evolve_exact` and `post_select`, stays here while the
-benchmark harness in `perfbench/` wraps it.
+carries |α⟩ and |v_1⟩ carries exp(-iλO)|α⟩.  `evolve_exact`, the tests' dense
+composite oracle, stays here while the harness in `perfbench/` wraps it by name.
 
 For small ε the conditioned pointer mean of an observable M moves by
 
@@ -49,7 +46,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_hermitian, as_ket, as_operator, as_unit_ket, spectral_exp, tensor, unitary_exp
+from .linalg import as_hermitian, as_ket, as_operator, as_unit_ket, require_finite, require_same_dims
+from .linalg import spectral_exp, tensor, unitary_exp
 
 ORTHOGONAL_TOL = 1e-12
 PAIRING_TOL = 1e-10
@@ -85,10 +83,8 @@ class WeakConfig:
         obs = as_hermitian(self.obs, "system observable")
         gen = as_hermitian(self.pointer_gen, "pointer generator")
         pointer = as_unit_ket(self.pointer, "pointer state")
-        if pre.shape != post.shape or obs.shape[0] != pre.shape[0]:
-            raise ValueError("system state and observable dimensions do not match")
-        if gen.shape[0] != pointer.shape[0]:
-            raise ValueError("pointer state and generator dimensions do not match")
+        require_same_dims(pre=pre, post=post, obs=obs)
+        require_same_dims(pointer=pointer, pointer_gen=gen)
         validated = dict(pre=pre, post=post, obs=obs, pointer_gen=gen, pointer=pointer)
         for name, value in validated.items():
             object.__setattr__(self, name, value)
@@ -125,14 +121,6 @@ class PostSelection:
     raw: np.ndarray
     normalized: np.ndarray
     probability: float
-
-    @classmethod
-    def of(cls, raw: np.ndarray) -> "PostSelection":
-        """Normalize a surviving pointer; errors when nothing survives."""
-        prob = float(np.linalg.norm(raw) ** 2)
-        if prob <= ORTHOGONAL_TOL**2:
-            raise ValueError("post-selection has zero probability on this state")
-        return cls(raw=raw, normalized=raw / np.sqrt(prob), probability=prob)
 
 
 def weak_value(cfg: WeakConfig) -> complex:
@@ -175,10 +163,15 @@ class FactoredEvolution:
         return self.gen_vectors @ (self._coupling_phases(t) * self.pointer_coeffs[:, None])
 
     def post_selected(self, t: float, post) -> PostSelection:
-        """The pointer left by ⟨β|⊗I on the evolved state, for |β⟩ = `post`."""
+        """The pointer left by ⟨β|⊗I on the evolved state, for |β⟩ = `post`, normalized;
+        errors when nothing survives."""
         amplitudes = (post.conj() @ self.obs_vectors) * self.pre_coeffs  # ⟨β|o_k⟩⟨o_k|α⟩
         phases = self._coupling_phases(t)
-        return PostSelection.of(self.gen_vectors @ (self.pointer_coeffs * (phases @ amplitudes)))
+        raw = self.gen_vectors @ (self.pointer_coeffs * (phases @ amplitudes))
+        prob = float(np.linalg.norm(raw) ** 2)
+        if prob <= ORTHOGONAL_TOL**2:
+            raise ValueError("post-selection has zero probability on this state")
+        return PostSelection(raw=raw, normalized=raw / np.sqrt(prob), probability=prob)
 
 
 def evolve_exact(cfg: WeakConfig) -> np.ndarray:
@@ -189,19 +182,6 @@ def evolve_exact(cfg: WeakConfig) -> np.ndarray:
     """
     coupling = tensor(cfg.obs, cfg.pointer_gen)
     return unitary_exp(coupling, cfg.eps) @ tensor(cfg.pre, cfg.pointer)
-
-
-def post_select(state, post, pointer_dim: int) -> PostSelection:
-    """Apply ⟨β|⊗I to a composite ket and normalize the surviving pointer."""
-    state, post = as_ket(state), as_ket(post)
-    if post.shape[0] * pointer_dim != state.shape[0]:
-        raise ValueError("composite state does not factor into post x pointer dimensions")
-    return PostSelection.of(post.conj() @ state.reshape(post.shape[0], pointer_dim))
-
-
-def conditioned_shift(selection: PostSelection, pointer, m) -> complex:
-    """⟨M⟩ in the post-selected pointer minus ⟨M⟩ in the initial pointer."""
-    return _shift(as_ket(selection.normalized), as_ket(pointer), as_operator(m))
 
 
 def _shift(psi: np.ndarray, phi: np.ndarray, m: np.ndarray) -> complex:
@@ -221,25 +201,16 @@ def _shift_rate(cfg: WeakConfig, ow: complex, m) -> complex:
     return ow.imag * anti - 1j * ow.real * (mr - rm)
 
 
-def predicted_shift(cfg: WeakConfig, m) -> float:
-    """First-order shift formula evaluated in the initial pointer state."""
-    return float((cfg.eps * _shift_rate(cfg, weak_value(cfg), as_operator(m))).real)
-
-
-def annihilator_shift_prediction(cfg: WeakConfig, z: complex) -> complex:
-    """First-order form -i·ε·z·O_w for a coherent pointer |z⟩ with R = N."""
-    return -1j * cfg.eps * complex(z) * weak_value(cfg)
-
-
 def _triple(measured, predicted) -> dict:
-    return {"measured": measured, "predicted": predicted, "residual": abs(measured - predicted)}
+    residual = None if predicted is None else abs(measured - predicted)
+    return {"measured": measured, "predicted": predicted, "residual": residual}
 
 
 @dataclass(frozen=True)
 class WeakRun:
     """A weak run, exact and to first order; `weak_run` says what each field holds."""
 
-    weak_value: complex
+    weak_value: complex | None  # None when pre ⟂ post
     spectral_radius: float  # max |o_k|: a weak value beyond it is amplified
     selected: PostSelection
     shifts: dict[str, dict]
@@ -254,62 +225,42 @@ def weak_run(cfg: WeakConfig, readouts: dict, halving=False, annihilator=None) -
     readout and their distance, the residual.  `halving` adds `halving[name]`:
     the residual at ε/2 and its ratio to the one at ε (~1/4 for a quadratic
     remainder, None below 1e-14).  `annihilator` = (a, z) adds that triple
-    for ⟨a⟩ of a coherent pointer |z⟩ under R = N.  Raises ValueError for a
-    readout that is not hermitian, when pre ⟂ post or when nothing survives,
+    for ⟨a⟩ of a coherent pointer |z⟩ under R = N, predicted as -i·ε·z·O_w.
+    If pre ⟂ post, the probability and the measured shifts stay exact, and the
+    weak value and every prediction, residual and ratio are None.  Raises
+    ValueError for a readout that is not hermitian or when nothing survives,
     and OverflowError when ε past float range leaves the weak value, the
     probability or a prediction not finite.
     """
     readouts = {name: as_hermitian(m, f"readout {name!r}") for name, m in readouts.items()}
     lowering = None if annihilator is None else as_operator(annihilator[0])
-    ow, evolution = weak_value(cfg), cfg._evolution
-    selected = evolution.post_selected(cfg.eps, cfg.post)
-    half_selected = evolution.post_selected(cfg.eps / 2, cfg.post) if halving else None
-    rates = {name: _shift_rate(cfg, ow, m) for name, m in readouts.items()}
-    predicted = {name: float((cfg.eps * rate).real) for name, rate in rates.items()}
+    evolution, eps = cfg._evolution, cfg.eps
+    ow = weak_value(cfg) if abs(cfg.post.conj() @ cfg.pre) > ORTHOGONAL_TOL else None
+    selected = evolution.post_selected(eps, cfg.post)
+    half_selected = evolution.post_selected(eps / 2, cfg.post) if halving and ow is not None else None
+    rates = {} if ow is None else {name: _shift_rate(cfg, ow, m) for name, m in readouts.items()}
+    predicted = {name: float((eps * rate).real) for name, rate in rates.items()}
     # every number measured from a finite post-selected pointer is bounded
     named = {"weak value": ow, "probability": selected.probability}
     named.update((f"{name} predicted shift", value) for name, value in predicted.items())
-    if annihilator is not None:
-        named["a predicted shift"] = annihilator_shift_prediction(cfg, annihilator[1])
-    overflowed = ", ".join(what for what, value in named.items() if not np.isfinite(np.abs(value)))
-    if overflowed:
-        raise OverflowError(f"weak run overflows at eps = {cfg.eps}: {overflowed} not finite")
+    if annihilator is not None and ow is not None:
+        named["a predicted shift"] = -1j * eps * complex(annihilator[1]) * ow
+    bad = [what for what, value in named.items() if value is not None and not np.isfinite(np.abs(value))]
+    if bad:
+        raise OverflowError(f"weak run overflows at eps = {eps}: {', '.join(bad)} not finite")
 
-    phi, shifts, halves = cfg.pointer, {}, ({} if halving else None)
+    phi, shifts = cfg.pointer, {}
+    halves = {name: {"half_residual": None, "ratio": None} for name in readouts} if halving else None
     for name, m in readouts.items():
-        shift = shifts[name] = _triple(_shift(selected.normalized, phi, m).real, predicted[name])
-        if halving:
-            measured = _shift(half_selected.normalized, phi, m).real
-            half = abs(measured - float((cfg.eps / 2 * rates[name]).real))
+        shift = shifts[name] = _triple(_shift(selected.normalized, phi, m).real, predicted.get(name))
+        if half_selected is not None:
+            half = abs(_shift(half_selected.normalized, phi, m).real - float((eps / 2 * rates[name]).real))
             ratio = None if shift["residual"] < 1e-14 else half / shift["residual"]
             halves[name] = {"half_residual": half, "ratio": ratio}
     if annihilator is not None:
-        measured = _shift(selected.normalized, phi, lowering)
-        annihilator = _triple(measured, named["a predicted shift"])
+        annihilator = _triple(_shift(selected.normalized, phi, lowering), named.get("a predicted shift"))
     radius = float(np.max(np.abs(evolution.obs_values)))
     return WeakRun(ow, radius, selected, shifts, halves, annihilator)
-
-
-def selection_probability(cfg: WeakConfig) -> float:
-    return cfg._evolution.post_selected(cfg.eps, cfg.post).probability
-
-
-def measured_shift(cfg: WeakConfig, m) -> float:
-    """Exact conditioned shift ⟨M⟩_final - ⟨M⟩_initial of a hermitian M."""
-    m = as_hermitian(m, "pointer observable of measured_shift")
-    return float(_shift(cfg._evolution.post_selected(cfg.eps, cfg.post).normalized, cfg.pointer, m).real)
-
-
-def shift_residual(cfg: WeakConfig, m) -> float:
-    """|measured - predicted|; shrinks as ε² when the formula applies."""
-    m = as_hermitian(m, "pointer observable of shift_residual")
-    measured = float(_shift(cfg._evolution.post_selected(cfg.eps, cfg.post).normalized, cfg.pointer, m).real)
-    return abs(measured - float((cfg.eps * _shift_rate(cfg, weak_value(cfg), m)).real))
-
-
-def annihilator_shift(cfg: WeakConfig, a) -> complex:
-    """Exact conditioned shift of the (non-hermitian) lowering operator."""
-    return _shift(cfg._evolution.post_selected(cfg.eps, cfg.post).normalized, cfg.pointer, as_operator(a))
 
 
 @dataclass(frozen=True)
@@ -332,6 +283,9 @@ def pre_measurement(alpha, obs, lam: float, space, pointer=None) -> PreMeasureme
     alpha = as_unit_ket(alpha, "system state")
     obs = as_hermitian(obs, "observable of pre_measurement")
     phi = space.vacuum() if pointer is None else as_unit_ket(pointer, "pointer state")
+    require_same_dims(alpha=alpha, obs=obs)
+    require_same_dims(pointer=phi, space=space.q)
+    require_finite(lam=lam)
     evolution = FactoredEvolution(obs, space.spectrum("p"), alpha, phi)
     branches = evolution.branches(lam)
     reduced = (branches * np.abs(evolution.pre_coeffs) ** 2) @ branches.conj().T
@@ -349,6 +303,7 @@ def pancharatnam_phase(x, y, z) -> float:
     triangle is degenerate (some pairwise overlap vanishes).
     """
     x, y, z = as_ket(x), as_ket(y), as_ket(z)
+    require_same_dims(x=x, y=y, z=z)
     xz = complex(x.conj() @ z)
     zy = complex(z.conj() @ y)
     yx = complex(y.conj() @ x)
@@ -384,9 +339,12 @@ def qubit_pointer_profile(pre, obs, coupling: float, theta: float, phases, post=
     """
     pre = as_unit_ket(pre, "pre state")
     obs = as_hermitian(obs, "system observable")
+    post = None if post is None else as_ket(post)
+    require_same_dims(pre=pre, post=post, obs=obs)
     phases = np.asarray(phases, dtype=float)
     if phases.ndim != 1 or phases.size < 3:
         raise ValueError("need a 1-D scan of at least 3 phases")
+    require_finite(coupling=coupling, theta=theta, phases=phases)
     # Pointer kets are held in the v basis, where P = diag(0, 1) and the
     # reference ket is (1, 1)/√2.  The azimuth diag(1, e^{iφ}) commutes with
     # the coupling, so each scanned pointer is the φ = 0 one, rotated: branch
@@ -398,7 +356,7 @@ def qubit_pointer_profile(pre, obs, coupling: float, theta: float, phases, post=
         overlaps = azimuths @ evolution.branches(coupling) / np.sqrt(2)
         probs = np.abs(overlaps) ** 2 @ np.abs(evolution.pre_coeffs) ** 2
     else:
-        selected = evolution.post_selected(coupling, as_ket(post))
+        selected = evolution.post_selected(coupling, post)
         probs = np.abs(azimuths @ selected.normalized) ** 2 / 2
     harmonic = complex(np.sum(probs * np.exp(1j * phases)))
     maximizer = float(np.angle(harmonic)) % (2 * np.pi)
@@ -415,6 +373,7 @@ def fs_speed_check(h, psi, dt: float) -> tuple[float, float]:
     """
     h = as_hermitian(h, "hamiltonian of fs_speed_check")
     psi = as_ket(psi)
+    require_same_dims(psi=psi, h=h)
     if not (np.isfinite(dt) and dt > 0):
         raise ValueError(f"step dt must be positive and finite, got {dt!r}")
     dpsi = spectral_exp(*np.linalg.eigh(h), dt) @ psi - psi

@@ -16,8 +16,6 @@ from qpl import (
     Kinematics,
     StructureConstants,
     WeakConfig,
-    annihilator_shift,
-    annihilator_shift_prediction,
     coherent_overlap,
     coherent_overlap_closed,
     dft,
@@ -25,7 +23,6 @@ from qpl import (
     fs_speed_check,
     gauss_trace,
     gauss_trace_closed_form,
-    measured_shift,
     momentum_amplitudes,
     normalize,
     nslit_evolve,
@@ -35,9 +32,9 @@ from qpl import (
     random_hermitian,
     random_ket,
     reference_state,
-    shift_residual,
     tensor,
     unitary_exp,
+    weak_run,
     weak_value,
     wigner_map,
 )
@@ -256,7 +253,7 @@ def test_c08_weak_measurement_first_order():
         "k": space.k,
     }
     eps = 1e-3
-    readouts = (space.q, space.p)
+    readouts = {"q": space.q, "p": space.p}
 
     def build(system_dim, seed, gen_key, pointer):
         rng = np.random.default_rng(seed)
@@ -273,9 +270,10 @@ def test_c08_weak_measurement_first_order():
         for gen_key in generators:
             # generic pointer: quadratic residual, halving ratio ~1/4
             cfg = build(system_dim, seed, gen_key, space.coherent(0.8 + 0.6j))
+            run = weak_run(cfg, readouts, halving=True)
             for readout in readouts:
-                full = shift_residual(cfg, readout)
-                half = shift_residual(cfg.with_eps(eps / 2), readout)
+                full = run.shifts[readout]["residual"]
+                half = run.halving[readout]["half_residual"]
                 if full < 1e-13:
                     failures.append(
                         f"degenerate coherent residual ({system_dim}-level, R={gen_key})"
@@ -291,11 +289,12 @@ def test_c08_weak_measurement_first_order():
             # quadratic contract; parity makes it exact or cubic here
             # (degenerate cases recorded in the decisions ledger).
             cfg = build(system_dim, seed, gen_key, space.vacuum())
+            run = weak_run(cfg, readouts, halving=True)
             for readout in readouts:
-                full = shift_residual(cfg, readout)
+                full = run.shifts[readout]["residual"]
                 if full < 1e-12:
                     continue  # prediction exact: nothing left to halve
-                ratio = shift_residual(cfg.with_eps(eps / 2), readout) / full
+                ratio = run.halving[readout]["half_residual"] / full
                 if ratio > 0.35:
                     failures.append(
                         f"vacuum halving ratio {ratio:.3f} above 0.35 "
@@ -304,28 +303,28 @@ def test_c08_weak_measurement_first_order():
 
     # momentum-coupled vacuum specialization: dQ = eps*Re(Ow), dP = eps*Im(Ow)
     cfg = build(2, 35, "p", space.vacuum())
-    ow = weak_value(cfg)
-    if abs(measured_shift(cfg, space.q) - eps * ow.real) > 1e-8:
+    ow, shifts = weak_value(cfg), weak_run(cfg, readouts).shifts
+    if abs(shifts["q"]["measured"] - eps * ow.real) > 1e-8:
         failures.append("vacuum dQ specialization defect")
-    if abs(measured_shift(cfg, space.p) - eps * ow.imag) > 1e-8:
+    if abs(shifts["p"]["measured"] - eps * ow.imag) > 1e-8:
         failures.append("vacuum dP specialization defect")
 
     # coherent/number specialization: lowering-operator shift -i*eps*z*Ow
     z = 0.8 + 0.6j
     cfg = build(2, 41, "n", space.coherent(z))
-    exact = annihilator_shift(cfg, space.a)
-    approx = annihilator_shift_prediction(cfg, z)
+    lowering = weak_run(cfg, {}, annihilator=(space.a, z)).annihilator
+    exact, approx = lowering["measured"], lowering["predicted"]
     if abs(exact - approx) > 1e-2 * abs(approx):
         failures.append("lowering-operator shift defect")
 
     # quarter-turn amplitude: dQ/dP split with sqrt(2)|z| gain
     z = 2j
     cfg = build(2, 44, "n", space.coherent(z))
-    ow = weak_value(cfg)
+    ow, shifts = weak_value(cfg), weak_run(cfg, readouts).shifts
     scale = eps * np.sqrt(2) * abs(z)
-    if abs(measured_shift(cfg, space.q) - scale * ow.real) > 1e-5:
+    if abs(shifts["q"]["measured"] - scale * ow.real) > 1e-5:
         failures.append("quarter-turn dQ defect")
-    if abs(measured_shift(cfg, space.p) - scale * ow.imag) > 1e-5:
+    if abs(shifts["p"]["measured"] - scale * ow.imag) > 1e-5:
         failures.append("quarter-turn dP defect")
 
     _report(

@@ -11,7 +11,6 @@ from qpl import (
     commutator,
     expectation,
     hs_inner,
-    is_hermitian,
     is_unitary,
     normalize,
     partial_trace,
@@ -22,7 +21,7 @@ from qpl import (
     tensor,
     unitary_exp,
 )
-from qpl.linalg import as_hermitian, as_unit_ket
+from qpl.linalg import as_hermitian, as_unit_ket, require_finite, require_same_dims
 
 RNG = np.random.default_rng(20240817)
 
@@ -73,6 +72,31 @@ def test_as_hermitian_returns_the_operator_or_names_it():
         as_hermitian(np.ones((2, 3)), "generator")
 
 
+@pytest.mark.parametrize("n", (1, 63, 64, 65, 130, 256))
+def test_as_hermitian_sees_a_defect_in_every_band(n):
+    h = random_hermitian(n, RNG)
+    assert np.array_equal(as_hermitian(h, "h"), h)
+    corners = {(0, n - 1), (n - 1, 0), (n // 2, n // 2), (n - 1, n - 1), (n - 1, n // 3)}
+    for i, j in corners | {(64 % n, 63 % n), (64 % n, n - 1), (n - 1, 64 % n)}:
+        bad = h.copy()
+        bad[i, j] += 1e-9j if i == j else 1e-9
+        with pytest.raises(ValueError, match="h must be hermitian"):
+            as_hermitian(bad, "h")
+
+
+def test_require_same_dims_names_every_length():
+    require_same_dims(psi=np.ones(3), op=np.eye(3), skipped=None)
+    with pytest.raises(ValueError, match="dimensions differ: psi has 3, op has 2$"):
+        require_same_dims(psi=np.ones(3), op=np.eye(2), skipped=None)
+
+
+def test_require_finite_names_the_value():
+    require_finite(t=0.5, grid=np.zeros(4))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="^grid must be finite$"):
+            require_finite(t=0.5, grid=np.array([0.0, bad]))
+
+
 def test_as_unit_ket_returns_the_ket_or_names_it():
     psi = random_ket(5, RNG)
     out = as_unit_ket(list(psi), "pointer state")
@@ -87,8 +111,9 @@ def test_as_unit_ket_returns_the_ket_or_names_it():
 
 def test_hermitian_unitary_predicates():
     h = random_hermitian(5, RNG)
-    assert is_hermitian(h)
-    assert not is_hermitian(h + 1e-6 * 1j * np.eye(5))
+    assert np.array_equal(as_hermitian(h, "h"), h)
+    with pytest.raises(ValueError, match="h must be hermitian"):
+        as_hermitian(h + 1e-6 * 1j * np.eye(5), "h")
     u = unitary_exp(h, 0.7)
     assert is_unitary(u)
     assert not is_unitary(2 * u)
@@ -146,7 +171,7 @@ def test_expectation_projector_basis():
 def test_random_density_is_a_state():
     for rank in (1, 2, 4):
         rho = random_density(4, RNG, rank=rank)
-        assert is_hermitian(rho)
+        as_hermitian(rho, "rho")
         assert np.trace(rho).real == pytest.approx(1.0)
         eigs = np.linalg.eigvalsh(rho)
         assert eigs.min() > -1e-12

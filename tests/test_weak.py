@@ -2,30 +2,25 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from oracles import conditioned_shift, first_order_shift, post_select
 from qpl import (
     FactoredEvolution,
     FockSpace,
     WeakConfig,
-    annihilator_shift,
-    annihilator_shift_prediction,
     basis_ket,
-    conditioned_shift,
     evolve_exact,
     expectation,
     fs_speed_check,
-    measured_shift,
     normalize,
     pancharatnam_phase,
     partial_trace,
-    post_select,
     pre_measurement,
-    predicted_shift,
     qubit_pointer_profile,
     random_hermitian,
     random_ket,
-    selection_probability,
-    shift_residual,
     tensor,
     unitary_exp,
     weak_run,
@@ -66,6 +61,16 @@ def make_config(system_dim, seed, gen_key, pointer, eps=EPS, pointer_spectrum=No
         eps=eps,
         pointer_spectrum=pointer_spectrum,
     )
+
+
+def shifts(cfg, **readouts) -> dict:
+    """`weak_run`'s (measured, predicted, residual) triple of each named readout."""
+    return weak_run(cfg, readouts).shifts
+
+
+def lowering_shift(cfg, z=COHERENT_Z) -> dict:
+    """`weak_run`'s triple for ⟨a⟩ of a coherent pointer |z⟩."""
+    return weak_run(cfg, {}, annihilator=(SPACE.a, z)).annihilator
 
 
 class TestWeakConfig:
@@ -125,7 +130,7 @@ class TestWeakConfig:
         with pytest.raises(ValueError, match="pointer_spectrum"):
             WeakConfig(pre, post, obs, space.p, pointer, EPS, pointer_spectrum=space.spectrum("q"))
         cfg = WeakConfig(pre, post, obs, space.p, pointer, EPS, pointer_spectrum=space.spectrum("p"))
-        assert measured_shift(cfg, space.q) == pytest.approx(7.91e-4, rel=1e-3)
+        assert shifts(cfg, q=space.q)["q"]["measured"] == pytest.approx(7.91e-4, rel=1e-3)
 
     @pytest.mark.parametrize(
         "spectrum",
@@ -249,12 +254,17 @@ class TestWeakValue:
         )
         oracle = post_select(evolve_exact(cfg), cfg.post, POINTER_DIM)
         assert 1e-4 < oracle.probability < 0.1
-        assert abs(selection_probability(cfg) - oracle.probability) <= 1e-12
-        for m in (SPACE.q, SPACE.p):
+        run = weak_run(cfg, {"q": SPACE.q, "p": SPACE.p}, halving=True, annihilator=(SPACE.a, COHERENT_Z))
+        assert abs(run.selected.probability - oracle.probability) <= 1e-12
+        for name, m in (("q", SPACE.q), ("p", SPACE.p)):
             exact = conditioned_shift(oracle, cfg.pointer, m).real
-            assert abs(measured_shift(cfg, m) - exact) <= 1e-10
+            assert abs(run.shifts[name]["measured"] - exact) <= 1e-10
+            assert run.shifts[name]["predicted"] is None and run.shifts[name]["residual"] is None
+            assert run.halving[name] == {"half_residual": None, "ratio": None}
         exact_a = conditioned_shift(oracle, cfg.pointer, SPACE.a)
-        assert abs(annihilator_shift(cfg, SPACE.a) - exact_a) <= 1e-10
+        assert abs(run.annihilator["measured"] - exact_a) <= 1e-10
+        assert run.annihilator["predicted"] is None and run.annihilator["residual"] is None
+        assert run.weak_value is None
 
 
 class TestEvolveAndPostSelect:
@@ -312,7 +322,7 @@ class TestEvolveAndPostSelect:
 
     def test_selection_probability_near_static_overlap(self):
         cfg = make_config(3, 26, "p", VACUUM)
-        prob = selection_probability(cfg)
+        prob = weak_run(cfg, {}).selected.probability
         static = abs(cfg.post.conj() @ cfg.pre) ** 2
         assert prob <= 1.0 + 1e-12
         assert abs(prob - static) < 1e-2
@@ -407,31 +417,82 @@ class TestWeakRun:
 
     @pytest.mark.parametrize("gen_key", sorted(GENERATORS))
     def test_halving_flow_diagonalizes_the_generator_once(self, eigh_sizes, gen_key):
-        """The acceptance flow: shift_residual on cfg and cfg.with_eps(ε/2), for q and p;
+        """A halving run on cfg and a run on cfg.with_eps(ε/2), for q and p:
         the generator and the observable are each diagonalized once."""
         cfg = make_config(2, 11, gen_key, SPACE.coherent(COHERENT_Z))
-        for readout in (SPACE.q, SPACE.p):
-            shift_residual(cfg, readout)
-            shift_residual(cfg.with_eps(EPS / 2), readout)
+        readouts = {"q": SPACE.q, "p": SPACE.p}
+        weak_run(cfg, readouts, halving=True)
+        weak_run(cfg.with_eps(EPS / 2), readouts)
         assert eigh_sizes.count((POINTER_DIM, True)) == 1
         assert eigh_sizes.count((2, True)) == 1
 
     @pytest.mark.parametrize("gen_key", ("n", "q"))
-    def test_record_holds_what_the_library_functions_return(self, gen_key):
+    def test_halving_reads_the_run_at_half_the_coupling(self, gen_key):
+        """The halving residual is the residual of the run at ε/2, bit for bit."""
         cfg = make_config(3, 12, gen_key, SPACE.coherent(COHERENT_Z))
         readouts = {"q": SPACE.q, "p": SPACE.p}
-        run = weak_run(cfg, readouts, True, (SPACE.a, COHERENT_Z))
-        half = cfg.with_eps(EPS / 2)
+        run = weak_run(cfg, readouts, halving=True)
+        half = weak_run(cfg.with_eps(EPS / 2), readouts)
         assert run.weak_value == weak_value(cfg)
-        assert run.selected.probability == selection_probability(cfg)
+        for name in readouts:
+            assert run.halving[name]["half_residual"] == half.shifts[name]["residual"]
+            assert run.halving[name]["ratio"] == half.shifts[name]["residual"] / run.shifts[name]["residual"]
+
+    @given(
+        system_dim=st.integers(2, 4),
+        pointer_dim=st.integers(4, 24),
+        gen_key=st.sampled_from(sorted(FockSpace.GENERATORS)),
+        coherent=st.booleans(),
+        orthogonal=st.integers(0, 2).map(lambda k: k == 0),  # pre ⟂ post in a third of the examples
+        eps=st.floats(0.0, 1.5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_dense_oracle(
+        self, system_dim, pointer_dim, gen_key, coherent, orthogonal, eps, seed
+    ):
+        """Probability, pointer and shifts against `evolve_exact` and `oracles.post_select`;
+        predictions against the dense first-order formula, or None when pre ⟂ post."""
+        space, rng = FockSpace(pointer_dim), np.random.default_rng(seed)
+        pre, post = random_ket(system_dim, rng), random_ket(system_dim, rng)
+        obs = random_hermitian(system_dim, rng)
+        if orthogonal:
+            post = normalize(post - (pre.conj() @ post) * pre)
+            eps = 0.0 if eps < 1e-3 else eps  # in between, nothing or almost nothing survives
+        # a coherent pointer where the displacement guard (|z|+3)² ≤ dim allows one
+        z = 0.6 - 0.4j if coherent and pointer_dim >= 16 else None
+        pointer = random_ket(pointer_dim, rng) if z is None else space.coherent(z)
+        gen = getattr(space, FockSpace.GENERATORS[gen_key])
+        cfg = WeakConfig(pre, post, obs, gen, pointer, eps, space.spectrum(gen_key))
+        readouts = {"q": space.q, "p": space.p}
+        lowering = None if z is None else (space.a, z)
+        if orthogonal and eps == 0.0:
+            with pytest.raises(ValueError, match="zero probability"):
+                weak_run(cfg, readouts)
+            with pytest.raises(ValueError, match="zero probability"):
+                post_select(evolve_exact(cfg), post, pointer_dim)
+            return
+        run = weak_run(cfg, readouts, halving=True, annihilator=lowering)
+        oracle = post_select(evolve_exact(cfg), post, pointer_dim)
+        half = post_select(evolve_exact(cfg.with_eps(eps / 2)), post, pointer_dim)
+        assert abs(run.selected.probability - oracle.probability) <= 1e-12
+        assert np.max(np.abs(run.selected.raw - oracle.raw)) <= 1e-12
         for name, m in readouts.items():
-            assert run.shifts[name]["measured"] == measured_shift(cfg, m)
-            assert run.shifts[name]["predicted"] == predicted_shift(cfg, m)
-            assert run.shifts[name]["residual"] == shift_residual(cfg, m)
-            assert run.halving[name]["half_residual"] == shift_residual(half, m)
-            assert run.halving[name]["ratio"] == shift_residual(half, m) / shift_residual(cfg, m)
-        assert run.annihilator["measured"] == annihilator_shift(cfg, SPACE.a)
-        assert run.annihilator["predicted"] == annihilator_shift_prediction(cfg, COHERENT_Z)
+            shift, halved = run.shifts[name], run.halving[name]
+            assert abs(shift["measured"] - conditioned_shift(oracle, pointer, m).real) <= 1e-10
+            if orthogonal:
+                assert shift["predicted"] is None and shift["residual"] is None
+                assert halved == {"half_residual": None, "ratio": None}
+                continue
+            assert isinstance(shift["predicted"], float)
+            assert abs(shift["predicted"] - first_order_shift(cfg, m)) <= 1e-10
+            half_shift = conditioned_shift(half, pointer, m).real
+            half_residual = abs(half_shift - first_order_shift(cfg.with_eps(eps / 2), m))
+            assert abs(halved["half_residual"] - half_residual) <= 1e-10
+        if lowering is not None:
+            exact_a = conditioned_shift(oracle, pointer, space.a)
+            assert abs(run.annihilator["measured"] - exact_a) <= 1e-10
+            assert (run.annihilator["predicted"] is None) == orthogonal
+        assert (run.weak_value is None) == orthogonal
 
     def test_rejects_a_non_hermitian_readout(self):
         cfg = make_config(2, 11, "p", VACUUM)
@@ -455,7 +516,7 @@ class TestShiftFormulas:
             r = GENERATORS[gen_key]
             var = SPACE.variance(r, cfg_r.pointer)
             assert abs(
-                predicted_shift(cfg_r, r) - 2 * EPS * ow.imag * var
+                shifts(cfg_r, r=r)["r"]["predicted"] - 2 * EPS * ow.imag * var
             ) < 1e-12
 
     def test_real_weak_value_and_commuting_readout_gives_zero(self):
@@ -470,24 +531,24 @@ class TestShiftFormulas:
             pointer=VACUUM,
             eps=EPS,
         )
-        assert abs(predicted_shift(cfg, SPACE.p @ SPACE.p)) < 1e-12
+        assert abs(shifts(cfg, pp=SPACE.p @ SPACE.p)["pp"]["predicted"]) < 1e-12
 
     def test_zero_coupling_measured_shift_is_zero(self):
         cfg = make_config(2, 33, "p", VACUUM, eps=0.0)
-        assert measured_shift(cfg, SPACE.q) == pytest.approx(0.0, abs=1e-13)
+        assert shifts(cfg, q=SPACE.q)["q"]["measured"] == pytest.approx(0.0, abs=1e-13)
 
     def test_measured_shift_requires_hermitian_readout(self):
         cfg = make_config(2, 34, "p", VACUUM)
-        with pytest.raises(ValueError):
-            measured_shift(cfg, SPACE.a)
+        with pytest.raises(ValueError, match="readout 'a' must be hermitian"):
+            shifts(cfg, a=SPACE.a)
 
     def test_vacuum_momentum_coupling_moves_both_quadratures(self):
         # Momentum-generated kicks on a vacuum pointer displace the position
         # mean by eps*Re(Ow) and the momentum mean by eps*Im(Ow).
         cfg = make_config(2, 35, "p", VACUUM)
-        ow = weak_value(cfg)
-        assert abs(measured_shift(cfg, SPACE.q) - EPS * ow.real) < 1e-8
-        assert abs(measured_shift(cfg, SPACE.p) - EPS * ow.imag) < 1e-8
+        ow, run = weak_value(cfg), shifts(cfg, q=SPACE.q, p=SPACE.p)
+        assert abs(run["q"]["measured"] - EPS * ow.real) < 1e-8
+        assert abs(run["p"]["measured"] - EPS * ow.imag) < 1e-8
 
     def test_eigenstate_selection_matches_prediction_exactly(self):
         cfg = WeakConfig(
@@ -498,12 +559,13 @@ class TestShiftFormulas:
             pointer=VACUUM,
             eps=EPS,
         )
-        assert shift_residual(cfg, SPACE.q) < 1e-12
+        assert shifts(cfg, q=SPACE.q)["q"]["residual"] < 1e-12
 
     def test_shift_residual_definition(self):
         cfg = make_config(3, 36, "n", SPACE.coherent(COHERENT_Z))
-        direct = abs(measured_shift(cfg, SPACE.q) - predicted_shift(cfg, SPACE.q))
-        assert shift_residual(cfg, SPACE.q) == pytest.approx(direct, abs=1e-15)
+        shift = shifts(cfg, q=SPACE.q)["q"]
+        direct = abs(shift["measured"] - shift["predicted"])
+        assert shift["residual"] == pytest.approx(direct, abs=1e-15)
 
 
 class TestHalvingSweep:
@@ -514,9 +576,10 @@ class TestHalvingSweep:
         # generator when the pointer has non-degenerate odd moments.
         pointer = SPACE.coherent(COHERENT_Z)
         cfg = make_config(system_dim, seed, gen_key, pointer)
-        for readout in (SPACE.q, SPACE.p):
-            full = shift_residual(cfg, readout)
-            half = shift_residual(cfg.with_eps(EPS / 2), readout)
+        run = weak_run(cfg, {"q": SPACE.q, "p": SPACE.p}, halving=True)
+        for name in ("q", "p"):
+            full = run.shifts[name]["residual"]
+            half = run.halving[name]["half_residual"]
             assert full > 1e-13  # the ratio below is meaningful
             ratio = half / full
             assert 0.15 < ratio < 0.35
@@ -530,9 +593,10 @@ class TestHalvingSweep:
         # error term of quadrature couplings: the residual falls by ~1/8
         # per halving instead of 1/4.
         cfg = make_config(system_dim, seed, gen_key, VACUUM)
-        for readout in (SPACE.q, SPACE.p):
-            full = shift_residual(cfg, readout)
-            half = shift_residual(cfg.with_eps(EPS / 2), readout)
+        run = weak_run(cfg, {"q": SPACE.q, "p": SPACE.p}, halving=True)
+        for name in ("q", "p"):
+            full = run.shifts[name]["residual"]
+            half = run.halving[name]["half_residual"]
             assert full > 1e-13
             ratio = half / full
             assert 0.10 < ratio < 0.16
@@ -545,17 +609,17 @@ class TestHalvingSweep:
         # Squeeze generators keep the vacuum's quadrature means pinned at
         # zero, so measured and predicted shifts both vanish identically.
         cfg = make_config(system_dim, seed, gen_key, VACUUM)
-        for readout in (SPACE.q, SPACE.p):
-            assert shift_residual(cfg, readout) < 1e-12
+        for shift in shifts(cfg, q=SPACE.q, p=SPACE.p).values():
+            assert shift["residual"] < 1e-12
 
     @pytest.mark.parametrize("gen_key", ("n", "h0"))
     def test_vacuum_is_inert_under_phase_generators(self, gen_key):
         # The vacuum is an eigenvector of both number and oscillator
         # energy, so the coupling only dials a system-side phase.
         cfg = make_config(2, 11, gen_key, VACUUM)
-        for readout in (SPACE.q, SPACE.p):
-            assert abs(measured_shift(cfg, readout)) < 1e-12
-            assert abs(predicted_shift(cfg, readout)) < 1e-12
+        for shift in shifts(cfg, q=SPACE.q, p=SPACE.p).values():
+            assert abs(shift["measured"]) < 1e-12
+            assert abs(shift["predicted"]) < 1e-12
 
 
 class TestChecksOnce:
@@ -568,17 +632,17 @@ class TestChecksOnce:
     @pytest.mark.parametrize(
         "call, checked",
         (
-            (lambda cfg: measured_shift(cfg, SPACE.q), "as_hermitian"),
-            (lambda cfg: shift_residual(cfg, SPACE.q), "as_hermitian"),
-            (lambda cfg: annihilator_shift(cfg, SPACE.a), "as_operator"),
+            (lambda cfg: weak_run(cfg, {"q": SPACE.q}), ["as_hermitian"]),
+            (lambda cfg: weak_run(cfg, {"q": SPACE.q, "p": SPACE.p}, halving=True), ["as_hermitian"] * 2),
+            (lambda cfg: weak_run(cfg, {}, annihilator=(SPACE.a, COHERENT_Z)), ["as_operator"]),
         ),
-        ids=("measured_shift", "shift_residual", "annihilator_shift"),
+        ids=("readout", "halving", "annihilator"),
     )
-    def test_shift_functions_check_their_operator_once(self, validator_calls, call, checked):
+    def test_weak_run_checks_each_operator_once(self, validator_calls, call, checked):
         cfg = make_config(2, 41, "n", SPACE.coherent(COHERENT_Z))
         validator_calls.clear()
         call(cfg)
-        assert self.top_level(validator_calls) == [checked]
+        assert self.top_level(validator_calls) == checked
 
     def test_fs_speed_check_checks_h_and_psi_once(self, validator_calls):
         rng = np.random.default_rng(83)
@@ -595,30 +659,24 @@ class TestChecksOnce:
 class TestAnnihilatorShift:
     def test_matches_first_order_prediction(self):
         cfg = make_config(2, 41, "n", SPACE.coherent(COHERENT_Z))
-        exact = annihilator_shift(cfg, SPACE.a)
-        approx = annihilator_shift_prediction(cfg, COHERENT_Z)
+        shift = lowering_shift(cfg)
+        exact, approx = shift["measured"], shift["predicted"]
+        assert approx == -1j * EPS * COHERENT_Z * weak_value(cfg)
         assert abs(exact - approx) < 1e-2 * abs(approx)
 
     def test_residual_is_quadratic_in_coupling(self):
         cfg = make_config(2, 41, "n", SPACE.coherent(COHERENT_Z))
-        full = abs(
-            annihilator_shift(cfg, SPACE.a)
-            - annihilator_shift_prediction(cfg, COHERENT_Z)
-        )
-        half_cfg = cfg.with_eps(EPS / 2)
-        half = abs(
-            annihilator_shift(half_cfg, SPACE.a)
-            - annihilator_shift_prediction(half_cfg, COHERENT_Z)
-        )
+        full = lowering_shift(cfg)["residual"]
+        half = lowering_shift(cfg.with_eps(EPS / 2))["residual"]
         assert full > 1e-13
         assert 0.15 < half / full < 0.35
 
     def test_zero_coupling_gives_zero_shift(self):
         cfg = make_config(2, 42, "n", SPACE.coherent(1.0), eps=0.0)
-        assert abs(annihilator_shift(cfg, SPACE.a)) < 1e-12
+        assert abs(lowering_shift(cfg, 1.0)["measured"]) < 1e-12
 
     def test_shift_magnitude_doubles_with_amplitude(self):
-        shifts = []
+        moved = []
         for z in (2j, 1j):
             rng = np.random.default_rng(43)
             cfg = WeakConfig(
@@ -629,18 +687,18 @@ class TestAnnihilatorShift:
                 pointer=SPACE.coherent(z),
                 eps=EPS,
             )
-            shifts.append(abs(annihilator_shift(cfg, SPACE.a)))
-        assert 1.9 < shifts[0] / shifts[1] < 2.1
+            moved.append(abs(lowering_shift(cfg, z)["measured"]))
+        assert 1.9 < moved[0] / moved[1] < 2.1
 
     def test_quadrature_pair_at_quarter_turn(self):
         # z on the imaginary axis splits the number-coupled shift into
         # dQ = eps*sqrt(2)*|z|*Re(Ow) and dP = eps*sqrt(2)*|z|*Im(Ow).
         z = 2j
         cfg = make_config(2, 44, "n", SPACE.coherent(z))
-        ow = weak_value(cfg)
+        ow, run = weak_value(cfg), shifts(cfg, q=SPACE.q, p=SPACE.p)
         scale = EPS * np.sqrt(2) * abs(z)
-        assert abs(measured_shift(cfg, SPACE.q) - scale * ow.real) < 1e-5
-        assert abs(measured_shift(cfg, SPACE.p) - scale * ow.imag) < 1e-5
+        assert abs(run["q"]["measured"] - scale * ow.real) < 1e-5
+        assert abs(run["p"]["measured"] - scale * ow.imag) < 1e-5
 
     def test_real_weak_value_suppresses_momentum_component(self):
         obs = np.diag([1.0, -1.0])
@@ -652,8 +710,8 @@ class TestAnnihilatorShift:
             pointer=SPACE.coherent(1.5j),
             eps=EPS,
         )
-        dq = measured_shift(cfg, SPACE.q)
-        dp = measured_shift(cfg, SPACE.p)
+        run = shifts(cfg, q=SPACE.q, p=SPACE.p)
+        dq, dp = run["q"]["measured"], run["p"]["measured"]
         assert abs(dq - EPS * np.sqrt(2) * 1.5) < 1e-5
         assert abs(dp) < 1e-5
 
@@ -716,6 +774,24 @@ class TestPreMeasurement:
         with pytest.raises(ValueError, match="pointer state must be normalized"):
             pre_measurement(basis_ket(2, 0), np.diag([1.0, -1.0]), 1.0, SPACE, pointer=3 * VACUUM)
 
+    @pytest.mark.parametrize("lam", (np.nan, np.inf, -np.inf))
+    def test_rejects_a_non_finite_coupling(self, lam):
+        # NaN or inf used to give position_mean = nan and purity = nan
+        with pytest.raises(ValueError, match="lam must be finite"):
+            pre_measurement(basis_ket(2, 0), np.diag([1.0, -1.0]), lam, SPACE)
+
+    @pytest.mark.parametrize(
+        "alpha, pointer, named",
+        (
+            (basis_ket(3, 0), None, "alpha has 3, obs has 2"),
+            (basis_ket(2, 0), basis_ket(16, 0), "pointer has 16, space has 64"),
+        ),
+        ids=("alpha", "pointer"),
+    )
+    def test_names_the_argument_of_another_dimension(self, alpha, pointer, named):
+        with pytest.raises(ValueError, match=f"dimensions differ: {named}"):
+            pre_measurement(alpha, np.diag([1.0, -1.0]), 1.0, SPACE, pointer=pointer)
+
 
 class TestPancharatnamPhase:
     def test_coincident_arguments_give_zero(self):
@@ -744,6 +820,10 @@ class TestPancharatnamPhase:
             pancharatnam_phase(
                 basis_ket(2, 0), basis_ket(2, 1), normalize(np.ones(2))
             )
+
+    def test_names_the_kets_of_another_dimension(self):
+        with pytest.raises(ValueError, match="dimensions differ: x has 2, y has 2, z has 3"):
+            pancharatnam_phase(basis_ket(2, 0), normalize(np.ones(2)), normalize(np.ones(3)))
 
     def test_weak_evolution_triangle_first_order(self):
         # The geodesic triangle spanned by the post-selection and two
@@ -868,6 +948,31 @@ class TestQubitPointerProfile:
         with pytest.raises(ValueError, match="pre state must be normalized"):
             qubit_pointer_profile(2 * pre, obs, 0.7, 0.9, self.PHASES, post=post)
 
+    @pytest.mark.parametrize("bad", (np.nan, np.inf))
+    @pytest.mark.parametrize("argument", ("coupling", "theta", "phases"))
+    def test_rejects_a_non_finite_argument(self, argument, bad):
+        # NaN phases used to give maximizer = modulation = nan, a NaN or inf
+        # coupling or theta maximizer = nan
+        args = {"coupling": 0.7, "theta": 0.9, "phases": self.PHASES.copy()}
+        if argument == "phases":
+            args["phases"][5] = bad
+        else:
+            args[argument] = bad
+        with pytest.raises(ValueError, match=f"{argument} must be finite"):
+            qubit_pointer_profile(basis_ket(2, 0), np.diag([1.0, -1.0]), **args)
+
+    @pytest.mark.parametrize(
+        "pre, post, named",
+        (
+            (basis_ket(3, 0), None, "pre has 3, obs has 2"),
+            (basis_ket(2, 0), normalize(np.ones(3)), "pre has 2, post has 3, obs has 2"),
+        ),
+        ids=("pre", "post"),
+    )
+    def test_names_the_argument_of_another_dimension(self, pre, post, named):
+        with pytest.raises(ValueError, match=f"dimensions differ: {named}"):
+            qubit_pointer_profile(pre, np.diag([1.0, -1.0]), 0.7, 0.9, self.PHASES, post=post)
+
     def test_polar_pointer_flattens_profile(self):
         rng = np.random.default_rng(76)
         pre = random_ket(2, rng)
@@ -926,6 +1031,10 @@ class TestStateSpaceSpeed:
     def test_rejects_non_positive_step(self):
         with pytest.raises(ValueError):
             fs_speed_check(np.eye(2), basis_ket(2, 0), 0.0)
+
+    def test_names_the_argument_of_another_dimension(self):
+        with pytest.raises(ValueError, match="dimensions differ: psi has 3, h has 2"):
+            fs_speed_check(np.eye(2), basis_ket(3, 0), 1e-3)
 
     @pytest.mark.parametrize("dt", (np.nan, np.inf))
     def test_rejects_a_non_finite_step(self, dt):
