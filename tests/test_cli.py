@@ -1,6 +1,7 @@
 """Command-line interface: golden outputs, determinism, exit codes."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -76,6 +77,24 @@ WHOLE_OUTPUTS = {
     "gauss_trace_1_9.csv": ["gauss-trace", "1", "9", "--format", "csv"],
     "nslit_n6_p3.csv": ["nslit", "--n", "6", "--potential", "0.3,1.1,2.0", "--format", "csv"],
     "wigner_n5_random.csv": ["wigner", "--n", "5", "--state", "random", "--format", "csv"],
+}
+
+# Whole outputs whose large grid renders through the float kernel, pinned by
+# the sha256 of the bytes the per-entry `%` renderer printed: (argv, format) ->
+# digest.
+KERNEL_DIGESTS = {
+    ("wigner --n 64 --state random --seed 3", "json"):
+        "1151dcf2148db2fa5de4b1203057d27bc8f7943dd11348ac456e6868c1f59a62",
+    ("wigner --n 64 --state random --seed 3", "csv"):
+        "2703a1d6ed5bb3f52d585a1d005f0e7cf5240fb60df67e2bee75e2a136d44e2b",
+    ("wigner --n 64 --state u0", "json"):
+        "14cf06550c9c9fbf6f837ce7617f595e0dd8047335ae564594b8dedf12a5510d",
+    ("wigner --n 64 --state u0", "csv"):
+        "fad20dcc299014fd485ec3b13a717ddc3089ce9e2c7e15ba204a0d876af203b5",
+    ("structure-constants --n 63 --a 5,7 --b 11,2", "json"):
+        "64711649e53d206aa4ff98724078d1f4536245f59be139f6e1beaf806a157457",
+    ("structure-constants --n 63 --a 5,7 --b 11,2", "csv"):
+        "42770efec6acbf21b4b7cb79a72333d08fc330ca0872c0e50fb12f560c0bafa3",
 }
 
 # Weak runs pinned byte for byte in both formats: golden stem -> config text.
@@ -185,6 +204,12 @@ class TestGoldenOutputs:
         monkeypatch.delenv("QPL_SEED", raising=False)
         out, _ = run_cli(capsys, WHOLE_OUTPUTS[name])
         assert out == (GOLDEN / name).read_bytes().decode()
+
+    @pytest.mark.parametrize("argv,fmt", sorted(KERNEL_DIGESTS))
+    def test_kernel_output_matches_recorded_digest(self, capsys, monkeypatch, argv, fmt):
+        monkeypatch.delenv("QPL_SEED", raising=False)
+        out, _ = run_cli(capsys, argv.split() + ["--format", fmt])
+        assert hashlib.sha256(out.encode()).hexdigest() == KERNEL_DIGESTS[argv, fmt]
 
     @pytest.mark.parametrize("fmt", ("json", "csv"))
     @pytest.mark.parametrize("name", sorted(WEAK_GOLDENS))

@@ -9,7 +9,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from qpl.serialize import Block, canonical_json, csv_text, format_float
+from qpl import serialize
+from qpl.serialize import KERNEL_CUTOFF, Block, canonical_json, csv_text, format_float
 
 SCALARS = (True, np.bool_(False), 7, np.int64(-3), 0.1, np.float64(1e-20), -0.0, 2.5e17)
 EDGES = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
@@ -230,3 +231,95 @@ def test_block_kinds_render_their_rows():
 def test_values_that_do_not_fit_the_columns_are_rejected(header, block):
     with pytest.raises(TypeError):
         csv_text(header, [block])
+
+
+# Arrays that print at least KERNEL_CUTOFF floats take the vectorized kernel.
+# Each draws a few values and repeats them to fill a shape past the cutoff.
+TIES = (100000000000.5, 100000000001.5)  # the 13th digit is an exact tie
+# 13-digit decimals ending in 5 that two roundings of the scaled mantissa
+# carry across the tie, so only the tie window keeps them exact
+NEAR_TIES = (9.321659908905e-13, 2.724447923435e-14, 1.200408564255e-16, 5.277021618625e-30)
+SWITCHES = tuple(  # where %g changes notation, each ±1 ulp
+    float(np.nextafter(x, to)) for x in (1e-4, 1e-5, 1e12, 999999999999.5) for to in (0, x, np.inf)
+)
+POWERS = tuple(
+    float(np.nextafter(10.0**k, to)) for k in range(-40, 41) for to in (0, 10.0**k, np.inf)
+)
+EXTREMES = (5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1e308, -1e308, -0.0)
+KERNEL_SHAPES = st.sampled_from(((KERNEL_CUTOFF,), (KERNEL_CUTOFF + 3,), (32, 33), (2, 3, 171)))
+KERNEL_FLOATS = st.one_of(
+    FLOATS, st.builds(lambda m, k: m * 10.0**k, st.floats(-10, 10), st.integers(-40, 60))
+)
+kernel_values = st.lists(KERNEL_FLOATS, min_size=1, max_size=40)
+
+
+def kernel_array(values, shape, cplx: bool) -> np.ndarray:
+    """`values` repeated to fill `shape`; a complex entry pairs them with the reversed run."""
+    re = np.resize(np.array(values, float), math.prod(shape)).reshape(shape)
+    if not cplx:
+        return re
+    z = np.empty(shape, complex)  # re + 1j * im would turn -0.0 parts into 0.0
+    z.real, z.imag = re, re[..., ::-1]
+    return z
+
+
+@given(kernel_values, KERNEL_SHAPES, st.booleans())
+@example(TIES, (KERNEL_CUTOFF,), False)
+@example(NEAR_TIES, (KERNEL_CUTOFF,), False)
+@example(SWITCHES, (32, 33), True)
+@example(POWERS, (KERNEL_CUTOFF + 3,), False)
+@example(POWERS, (2, 3, 171), True)
+@example(EXTREMES, (KERNEL_CUTOFF,), True)
+def test_json_kernel_matches_the_entry_by_entry_render(values, shape, cplx):
+    a = kernel_array(values, shape, cplx)
+    assert json_text(a) == oracle_json(a)
+
+
+@given(kernel_values, KERNEL_SHAPES, st.booleans(), names, st.booleans(), st.integers(0, 1))
+@example(TIES, (KERNEL_CUTOFF,), False, "100%", False, 0)
+@example(SWITCHES, (32, 33), True, 'λ,"b"%', True, 0)
+@example(POWERS, (KERNEL_CUTOFF + 3,), False, "%d%%s", True, 1)
+@example(EXTREMES, (KERNEL_CUTOFF,), True, "a\0b", True, 1)  # a NUL in the name keeps `%`
+def test_csv_kernel_matches_the_entry_by_entry_render(
+    values, shape, cplx, name, complex_slot, axis
+):
+    a = kernel_array(values, shape, cplx)
+    complex_slot = complex_slot or cplx
+    header = ["quantity", *(f"i{k}" for k in range(a.ndim + axis))]
+    header += ["re", "im"] if complex_slot else ["value"]
+    assert csv_text(header, [Block("v", a, name, axis=axis)]) == oracle_csv(header, name, a, axis)
+
+
+def test_kernel_hands_ties_and_subnormals_to_format_float(monkeypatch):
+    seen = []  # the values the kernel hands to `format_float`, in call order
+    monkeypatch.setattr(serialize, "format_float", lambda x: seen.append(x) or format_float(x))
+    a = np.arange(KERNEL_CUTOFF) * 0.25 - 100  # exact decimals, far from a tie
+    slow = (*TIES, *NEAR_TIES, 1e-40, 5e-324)
+    a[-len(slow) :] = slow
+    assert json_text(a) == oracle_json(a)
+    assert seen == list(slow)
+    seen.clear()
+    assert json_text(a[:-1]) == oracle_json(a[:-1])  # one float short of the cutoff: `%`
+    assert seen == []
+
+
+@pytest.mark.parametrize(
+    "a,kernel",
+    (
+        (np.ones(KERNEL_CUTOFF - 1), False),
+        (np.ones(KERNEL_CUTOFF), True),
+        (np.ones((KERNEL_CUTOFF // 2, 2)), True),
+        (np.ones(KERNEL_CUTOFF // 2) * 1j, True),  # two floats per entry
+        (np.ones(KERNEL_CUTOFF // 2 - 1) * 1j, False),
+        (np.ones(2 * KERNEL_CUTOFF, np.int64), False),
+    ),
+)
+def test_the_cutoff_counts_printed_floats(monkeypatch, a, kernel):
+    calls = []
+    kernel_fields = serialize._fields
+    spy = lambda x, out: calls.append(len(x)) or kernel_fields(x, out)
+    monkeypatch.setattr(serialize, "_fields", spy)
+    header = ["quantity", "m", "n", "re", "im"]
+    assert json_text(a) == oracle_json(a)
+    assert csv_text(header, [Block("v", a)]) == oracle_csv(header, "v", a, 0)
+    assert calls == ([a.size * (2 if a.dtype.kind == "c" else 1)] * 2 if kernel else [])
