@@ -22,23 +22,21 @@ from .linalg import (
     random_density,
     random_hermitian,
     random_ket,
-    tensor,
-    unitary_exp,
 )
 from .schwinger import (
-    Kinematics,
     dft,
     gauss_trace,
     gauss_trace_closed_form,
     weyl_relation_defect,
 )
 from .weylwigner import (
-    StructureConstants,
     WignerMap,
+    commutator_expansion,
     delta_product,
     parity_operator,
     phase_point,
     phase_space_symbol,
+    structure_constants,
     symplectic_area,
     weyl_reconstruct,
     weyl_transform,

@@ -40,7 +40,7 @@ from .modular import _momentum_amplitudes, az_state, nslit_evolve
 from .schwinger import dft, gauss_trace, gauss_trace_closed_form
 from .serialize import Block, canonical_json, csv_text
 from .weak import WeakConfig, weak_run, weak_value
-from .weylwigner import StructureConstants, phase_point, wigner_map
+from .weylwigner import commutator_expansion, phase_point, structure_constants, wigner_map
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -134,9 +134,12 @@ def parse_ket_selector(spec: str, dim: int, rng: np.random.Generator) -> np.ndar
         if len(tokens) != dim:
             raise UsageError(f"amps selector needs {dim} entries, got {len(tokens)}")
         vec = np.array([_parse_number(t, complex, "amplitude") for t in tokens])
-        norm = np.linalg.norm(vec)
+        with np.errstate(over="ignore"):
+            norm = np.linalg.norm(vec)
         if norm <= 1e-12:
             raise UsageError("amps selector has zero norm")
+        if not np.isfinite(norm):
+            raise UsageError("amps selector norm overflows; scale the amplitudes down")
         return vec / norm
     if spec == "random":
         return random_ket(dim, rng)
@@ -391,15 +394,14 @@ def run_structure_constants(args, seed):
         raise BoundsError(f"structure constants need an odd dimension, got {n}")
     a = tuple(x % n for x in _parse_pair(args.a, "label a"))
     b = tuple(x % n for x in _parse_pair(args.b, "label b"))
-    sc = StructureConstants(n)
     da, db = phase_point(n, *np.transpose([a, b]))
-    lam = sc.value(a, b, np.ogrid[:n, :n])
-    residual = float(np.max(np.abs(da @ db - db @ da - sc.commutator(a, b, lam))))
+    lam = structure_constants(n, a, b, np.ogrid[:n, :n])
+    residual = float(np.max(np.abs(da @ db - db @ da - commutator_expansion(lam))))
     return [
         Block("lambda", lam),
         Block("a", list(a), parts=("m", "n")),
         Block("b", list(b), parts=("m", "n")),
-        Block("prefactor", complex(sc.prefactor), parts=("re", "im")),
+        Block("prefactor", 2j / n, parts=("re", "im")),
         Block("max_residual", residual),
         *_echo(n=n),
     ]

@@ -194,7 +194,7 @@ class FockSpace:
         truncated space: requires (|z| + 3)² ≤ dim.
         """
         z = complex(z)
-        if abs(z) ** 2 + 6 * abs(z) + 9 > self.dim:
+        if not abs(z) ** 2 + 6 * abs(z) + 9 <= self.dim:  # NaN and inf fail it too
             raise ValueError(
                 f"displacement |z|={abs(z):.3g} too large for truncation {self.dim}: "
                 f"needs (|z|+3)^2 <= dim"

@@ -106,18 +106,6 @@ def hs_inner(a, b) -> complex:
     return complex(np.vdot(a, b))
 
 
-def tensor(a, b) -> np.ndarray:
-    """Kronecker product of two kets or two operators.
-
-    Composite indices are row-major: basis ket i of the product space is
-    i = i_a·N_b + i_b for factor indices (i_a, i_b).
-    """
-    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
-    if a.ndim != b.ndim or a.ndim not in (1, 2):
-        raise ValueError("tensor expects two kets or two operators")
-    return np.kron(a, b)
-
-
 def partial_trace(m, dims: Sequence[int], keep: int) -> np.ndarray:
     """Trace out all tensor factors of `m` except factor `keep`.
 
@@ -137,16 +125,6 @@ def partial_trace(m, dims: Sequence[int], keep: int) -> np.ndarray:
     row = list(range(k))
     col = [i + k if i == keep else i for i in range(k)]
     return np.einsum(t, row + col, [keep, keep + k])
-
-
-def unitary_exp(h, t: float) -> np.ndarray:
-    """Evolution operator exp(-i t H) for hermitian H.
-
-    Uses a full eigendecomposition rather than a series expansion, so the
-    result is unitary to spectral accuracy for any t.
-    """
-    h = as_hermitian(h, "generator passed to unitary_exp")
-    return spectral_exp(*np.linalg.eigh(h), t)
 
 
 def spectral_exp(values, vectors, t: float) -> np.ndarray:

@@ -19,7 +19,7 @@ from math import gcd
 
 import numpy as np
 
-from .linalg import as_ket, basis_ket, tensor
+from .linalg import as_ket, basis_ket
 from .schwinger import dft
 
 
@@ -108,7 +108,7 @@ def az_state(na: int, nb: int, j: int, sigma: int) -> AzState:
     _check_factors(na, nb)
     j %= na
     sigma %= nb
-    pair = tensor(dft(na)[:, j], basis_ket(nb, sigma))
+    pair = np.kron(dft(na)[:, j], basis_ket(nb, sigma))
     idx = np.arange(na * nb)
     vector = pair[(idx % na) * nb + idx % nb]  # crt_permutation(na, nb).T @ pair
     shift_phase, clock_phase = modular_cell_coords(na, nb, j, sigma)

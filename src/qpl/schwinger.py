@@ -90,25 +90,6 @@ def gauss_trace_closed_form(n: int) -> complex:
     return complex((1 - 1j**n) / (1 - 1j))
 
 
-class Kinematics:
-    """Shift/clock/Fourier triple for one dimension n.
-
-    Attributes:
-        dim: the dimension n
-        V:   position shift, V|u_k⟩ = |u_{k-1 mod n}⟩ (weyl_word(n, 0, 1))
-        U:   clock diag(v^k), U|v_k⟩ = |v_{k+1}⟩ (weyl_word(n, 1, 0))
-        F:   DFT matrix; column k is the momentum ket |v_k⟩, and the
-             position ket |u_k⟩ is basis_ket(n, k)
-    """
-
-    def __init__(self, n: int):
-        _check_dim(n)
-        self.dim = n
-        self.V = weyl_word(n, 0, 1)
-        self.U = weyl_word(n, 1, 0)
-        self.F = dft(n)
-
-
 def _check_dim(n: int) -> None:
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"dimension must be a positive integer, got {n!r}")

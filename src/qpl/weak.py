@@ -21,7 +21,8 @@ from one spectrum per factor; no composite matrix is formed.
 `pre_measurement` mixes the branches with weights |⟨o_k|α⟩|², and
 `qubit_pointer_profile` is the two-branch case P = |v_1⟩⟨v_1|: |v_0⟩
 carries |α⟩ and |v_1⟩ carries exp(-iλO)|α⟩.  `evolve_exact`, the tests' dense
-composite oracle, stays here while the harness in `perfbench/` wraps it by name.
+composite oracle (np.kron, then one eigh of the composite coupling), stays here
+only because the harness in `perfbench/` wraps it by name.
 
 For small ε the conditioned pointer mean of an observable M moves by
 
@@ -47,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import as_hermitian, as_ket, as_operator, as_unit_ket, require_finite, require_same_dims
-from .linalg import spectral_exp, tensor, unitary_exp
+from .linalg import spectral_exp
 
 ORTHOGONAL_TOL = 1e-12
 PAIRING_TOL = 1e-10
@@ -177,11 +178,11 @@ class FactoredEvolution:
 def evolve_exact(cfg: WeakConfig) -> np.ndarray:
     """Composite ket exp(-i·ε·O⊗R)·(|α⟩⊗|φ⟩), no expansion in ε.
 
-    Dense brute force over the (ns·np)-dimensional composite space: the
-    reference that `FactoredEvolution` is tested against.
+    Dense brute force over the (ns·np)-dimensional composite space, index
+    i_s·np + i_p: the reference that `FactoredEvolution` is tested against.
     """
-    coupling = tensor(cfg.obs, cfg.pointer_gen)
-    return unitary_exp(coupling, cfg.eps) @ tensor(cfg.pre, cfg.pointer)
+    coupling = np.kron(cfg.obs, cfg.pointer_gen)
+    return spectral_exp(*np.linalg.eigh(coupling), cfg.eps) @ np.kron(cfg.pre, cfg.pointer)
 
 
 def _shift(psi: np.ndarray, phi: np.ndarray, m: np.ndarray) -> complex:

@@ -15,7 +15,7 @@ over representatives 0 ≤ r,s ≤ N-1, where h(r,s) is the half phase
 `phase_point` builds operators from the first line.  The other two are a
 few N x N matrix products each (O(N³) time, O(N²) memory, odd and even N
 alike) and serve `weyl_transform`, `weyl_reconstruct`, `wigner_map` and
-`StructureConstants.commutator`.  The dense double sum, the stored
+`commutator_expansion`.  The dense double sum, the stored
 (N, N, N, N) grid and the N⁶ structure-constant table live only in the
 test suite, as brute-force oracles.
 
@@ -59,10 +59,6 @@ import numpy as np
 
 from .linalg import as_hermitian, as_operator
 from .schwinger import _check_dim, _phase_table, roots
-
-# Prefactor c0 in [Δ_a, Δ_b] = c0 · Σ_c Λ_ab^c · Δ_c, odd N.  Pinned
-# numerically; the value is 2i/N.
-COMMUTATOR_PREFACTOR_NUMERATOR = 2j
 
 
 def _trace_kernel(op: np.ndarray) -> np.ndarray:
@@ -201,40 +197,32 @@ def delta_product(n: int, a, b) -> np.ndarray:
     _check_dim(n)
     if n % 2 == 0:
         raise ValueError("the closed-form product rule is defined only for odd dimensions")
+    for label in (a, b):
+        if not all(isinstance(x, (int, np.integer)) for x in label):
+            raise ValueError(f"phase-point label {label!r} must be a pair of integers")
     m, nn = int(a[0]) % n, int(a[1]) % n
     p, q = int(b[0]) % n, int(b[1]) % n
     phase = roots(n)[2 * symplectic_area((m, nn), (p, q)) % n]
     return phase * phase_point(n, m - p, nn - q) @ parity_operator(n)
 
 
-class StructureConstants:
-    """u(N) structure data for odd N.
+def structure_constants(n: int, a, b, c):
+    """Λ_ab^c = sin((2π/N)·{a,b,c}) for odd N, read as Im v^s from `roots(N)` at s = {a,b,c} mod N.
 
-    [Δ_a, Δ_b] = c0 · Σ_c Λ_ab^c · Δ_c with Λ_ab^c = sin((2π/N)·{a,b,c})
-    and c0 = 2i/N (pinned numerically, regression tested).
+    Labels are taken mod N first; coordinates may be integer arrays that
+    broadcast against each other.
     """
+    _check_dim(n)
+    if n % 2 == 0:
+        raise ValueError("structure constants are defined only for odd dimensions")
+    a, b, c = ((x % n, y % n) for x, y in (a, b, c))
+    return roots(n)[phase_space_symbol(a, b, c) % n].imag
 
-    def __init__(self, n: int):
-        _check_dim(n)
-        if n % 2 == 0:
-            raise ValueError("structure constants are defined only for odd dimensions")
-        self.dim = int(n)
-        self.prefactor = COMMUTATOR_PREFACTOR_NUMERATOR / self.dim
 
-    def value(self, a, b, c):
-        """Λ_ab^c = sin((2π/N)·{a,b,c}), read as Im v^s from `roots(N)` at s = {a,b,c} mod N.
+def commutator_expansion(lam) -> np.ndarray:
+    """(2i/N)·Σ_c lam[c]·Δ_c for an N x N grid; N is the side of `lam`.
 
-        Labels are taken mod N first; coordinates may be integer arrays
-        that broadcast against each other.
-        """
-        n = self.dim
-        a, b, c = ((x % n, y % n) for x, y in (a, b, c))
-        return roots(n)[phase_space_symbol(a, b, c) % n].imag
-
-    def commutator(self, a, b, lam=None) -> np.ndarray:
-        """Reconstruct [Δ_a, Δ_b] from the structure constants `lam` over every c, if given."""
-        n = self.dim
-        lam = self.value(a, b, np.ogrid[:n, :n]) if lam is None else as_operator(lam)
-        if lam.shape[0] != n:
-            raise ValueError(f"λ grid must be {n}x{n}, got {lam.shape}")
-        return self.prefactor * _sum_kernel(lam)
+    With lam = structure_constants(N, a, b, np.ogrid[:N, :N]) this is [Δ_a, Δ_b].
+    """
+    lam = as_operator(lam)
+    return 2j / lam.shape[0] * _sum_kernel(lam)

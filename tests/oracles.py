@@ -1,6 +1,7 @@
-"""Brute-force references the tests hold qpl's weak path against.
+"""Brute-force references the tests hold qpl against.
 
-Each one takes the slow, direct route: the composite ket is projected with
+Each one takes the slow, direct route: an exponential is one dense
+eigendecomposition of its generator, the composite ket is projected with
 ⟨β|⊗I, and pointer moments are dense operator products.  The composite
 evolution itself is `qpl.weak.evolve_exact`.
 """
@@ -8,7 +9,14 @@ evolution itself is `qpl.weak.evolve_exact`.
 import numpy as np
 
 from qpl import PostSelection, as_ket, weak_value
+from qpl.linalg import as_hermitian, spectral_exp
 from qpl.weak import ORTHOGONAL_TOL
+
+
+def unitary_exp(h, t: float) -> np.ndarray:
+    """exp(-i·t·H) for hermitian H, from a full eigendecomposition (unitary for any t)."""
+    h = as_hermitian(h, "generator passed to unitary_exp")
+    return spectral_exp(*np.linalg.eigh(h), t)
 
 
 def post_select(state, post, pointer_dim: int) -> PostSelection:

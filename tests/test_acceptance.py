@@ -10,11 +10,10 @@ from pathlib import Path
 
 import numpy as np
 
+from oracles import unitary_exp
 from qpl import (
     CoherentFamily,
     FockSpace,
-    Kinematics,
-    StructureConstants,
     WeakConfig,
     coherent_overlap,
     coherent_overlap_closed,
@@ -32,14 +31,14 @@ from qpl import (
     random_hermitian,
     random_ket,
     reference_state,
-    tensor,
-    unitary_exp,
+    structure_constants,
     weak_run,
     weak_value,
     wigner_map,
 )
 from qpl.cli import main as cli_main
 from qpl.modular import az_state, crt_permutation
+from qpl.schwinger import weyl_word
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -61,18 +60,18 @@ def test_c01_shift_clock_algebra():
     started = time.perf_counter()
     failures = []
     for n in range(1, 33):
-        kin = Kinematics(n)
+        v, u, f = weyl_word(n, 0, 1), weyl_word(n, 1, 0), dft(n)
         v_phase = np.exp(2j * np.pi / n)
         eye = np.eye(n)
-        if np.max(np.abs(np.linalg.matrix_power(kin.V, n) - eye)) > 1e-10:
+        if np.max(np.abs(np.linalg.matrix_power(v, n) - eye)) > 1e-10:
             failures.append(f"V^{n} != I at N={n}")
-        if np.max(np.abs(np.linalg.matrix_power(kin.U, n) - eye)) > 1e-10:
+        if np.max(np.abs(np.linalg.matrix_power(u, n) - eye)) > 1e-10:
             failures.append(f"U^{n} != I at N={n}")
         v_pows = [eye]
         u_pows = [eye]
         for _ in range(n - 1):
-            v_pows.append(v_pows[-1] @ kin.V)
-            u_pows.append(u_pows[-1] @ kin.U)
+            v_pows.append(v_pows[-1] @ v)
+            u_pows.append(u_pows[-1] @ u)
         defect = 0.0
         for j in range(n):
             for k in range(n):
@@ -81,9 +80,9 @@ def test_c01_shift_clock_algebra():
                 defect = max(defect, np.max(np.abs(lhs - rhs)))
         if defect > 1e-10:
             failures.append(f"Weyl defect {defect:.2e} at N={n}")
-        if np.max(np.abs(kin.F.conj().T @ kin.F - eye)) > 1e-10:
+        if np.max(np.abs(f.conj().T @ f - eye)) > 1e-10:
             failures.append(f"F not unitary at N={n}")
-        if np.max(np.abs(np.linalg.matrix_power(kin.F, 4) - eye)) > 1e-10:
+        if np.max(np.abs(np.linalg.matrix_power(f, 4) - eye)) > 1e-10:
             failures.append(f"F^4 != I at N={n}")
     _report(1, "shift/clock algebra for N <= 32", failures, started, 10.0)
 
@@ -146,13 +145,12 @@ def test_c04_structure_constants():
     started = time.perf_counter()
     failures = []
     for n in (3, 5, 7):
-        sc = StructureConstants(n)
         flat = phase_point(n, *np.ogrid[:n, :n]).reshape(n * n, n, n)
         m, nn, p, q, r, s = np.ix_(*[np.arange(n)] * 6)
-        lam = sc.value((m, nn), (p, q), (r, s)).reshape(n * n, n * n, n * n)
+        lam = structure_constants(n, (m, nn), (p, q), (r, s)).reshape(n * n, n * n, n * n)
         products = np.einsum("aij,bjk->abik", flat, flat)
         direct = products - products.transpose(1, 0, 2, 3)
-        recon = sc.prefactor * np.einsum("abc,cij->abij", lam, flat)
+        recon = 2j / n * np.einsum("abc,cij->abij", lam, flat)
         defect = float(np.max(np.abs(direct - recon)))
         if defect > 1e-9:
             failures.append(f"commutator reconstruction defect {defect:.2e} at N={n}")
@@ -168,7 +166,7 @@ def test_c05_wigner_maps():
             wm = wigner_map(rho)
             if abs(wm.total - 1.0) > 1e-10:
                 failures.append(f"normalization defect at N={n}")
-            f = Kinematics(n).F
+            f = dft(n)
             momentum_probs = np.einsum("im,ij,jm->m", f.conj(), rho, f).real
             if np.max(np.abs(wm.values.sum(axis=1) - momentum_probs)) > 1e-10:
                 failures.append(f"momentum marginal defect at N={n}")
@@ -185,7 +183,7 @@ def test_c06_finite_coherent_states():
     failures = []
     for n in range(1, 33):
         ref = reference_state(n)
-        if np.max(np.abs(Kinematics(n).F @ ref - ref)) > 1e-10:
+        if np.max(np.abs(dft(n) @ ref - ref)) > 1e-10:
             failures.append(f"reference state not F-invariant at N={n}")
     for n in range(2, 13, 2):
         witness = abs(coherent_overlap(n, 0, 0, 1, n // 2))
@@ -383,13 +381,13 @@ def test_c10_modular_suite():
             if na * nb > 36 or np.gcd(na, nb) != 1:
                 continue
             perm = crt_permutation(na, nb)
-            v_big = Kinematics(na * nb).V
-            v_pair = tensor(Kinematics(na).V, Kinematics(nb).V)
+            v_big = weyl_word(na * nb, 0, 1)
+            v_pair = np.kron(weyl_word(na, 0, 1), weyl_word(nb, 0, 1))
             if np.max(np.abs(perm @ v_big @ perm.T - v_pair)) > 1e-12:
                 failures.append(f"intertwining defect at ({na},{nb})")
     for na, nb in ((2, 3), (3, 5)):
-        shift_a = tensor(Kinematics(na).V, np.eye(nb))
-        clock_b = tensor(np.eye(na), Kinematics(nb).U)
+        shift_a = np.kron(weyl_word(na, 0, 1), np.eye(nb))
+        clock_b = np.kron(np.eye(na), weyl_word(nb, 1, 0))
         for j in range(na):
             for sigma in range(nb):
                 state = az_state(na, nb, j, sigma)

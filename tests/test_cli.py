@@ -764,6 +764,12 @@ class TestSubcommandPayloads:
         assert peak < 2 * 2**20
 
 
+# Finite amplitudes whose norm overflows float range
+AMPS_OVERFLOW = (
+    ["wigner", "--n", "2", "--state", "amps:1e200,1"],
+    ["weak", "--config", "pre = amps:1e200,1"],
+)
+
 EXIT_CODE_CASES = (
     (["wigner", "--n", "0", "--state", "u0"], EXIT_BOUNDS),
     (["wigner", "--n", "65", "--state", "u0"], EXIT_BOUNDS),
@@ -793,6 +799,7 @@ EXIT_CODE_CASES = (
     (["weak", "--config", f"system_dim = {MAX_SYSTEM_DIM + 1}"], EXIT_BOUNDS),
     (["weak", "--config", "pointer_dim = 1"], EXIT_BOUNDS),
     (["weak", "--config", f"pointer_dim = {MAX_POINTER_DIM + 1}"], EXIT_BOUNDS),
+    *((argv, EXIT_USAGE) for argv in AMPS_OVERFLOW),
 )
 
 # A weak config that runs cleanly; EXIT_CODE_CASES give one `key = value`
@@ -816,6 +823,11 @@ class TestExitCodes:
     def test_error_paths(self, capsys, tmp_path, argv, code):
         _, err = run_cli(capsys, with_config_file(tmp_path, argv), expect=code)
         assert err.startswith("qpl:")
+
+    @pytest.mark.parametrize("argv", AMPS_OVERFLOW, ids=lambda v: str(v))
+    def test_overflowing_amps_norm_names_the_selector(self, capsys, tmp_path, argv):
+        _, err = run_cli(capsys, with_config_file(tmp_path, argv), expect=EXIT_USAGE)
+        assert err == "qpl: amps selector norm overflows; scale the amplitudes down\n"
 
     def test_main_is_reentrant(self, capsys, monkeypatch):
         """Usage errors, --help and flags leave nothing behind for the next call."""

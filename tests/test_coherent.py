@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 
 from qpl import (
     CoherentFamily,
-    Kinematics,
     basis_ket,
     coherent_overlap,
     coherent_overlap_closed,
     coherent_state,
+    dft,
     displacement,
     is_unitary,
     reference_state,
@@ -27,15 +27,14 @@ GOLDEN = Path(__file__).parent / "golden"
 
 @pytest.mark.parametrize("n", range(1, 33))
 def test_reference_state_is_fourier_invariant(n):
-    kin = Kinematics(n)
     ref = reference_state(n)
-    np.testing.assert_allclose(kin.F @ ref, ref, atol=1e-10)
+    np.testing.assert_allclose(dft(n) @ ref, ref, atol=1e-10)
     assert np.linalg.norm(ref) == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("n", (2, 3, 4, 5, 9, 16))
 def test_reference_prenormalization_norm(n):
-    raw = basis_ket(n, 0) + Kinematics(n).F[:, 0]
+    raw = basis_ket(n, 0) + dft(n)[:, 0]
     assert np.linalg.norm(raw) ** 2 == pytest.approx(2 + 2 / np.sqrt(n), abs=1e-12)
 
 

@@ -5,12 +5,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from oracles import unitary_exp
 from qpl import (
     FockSpace,
     basis_ket,
     expectation,
     is_unitary,
-    unitary_exp,
 )
 from qpl.schwinger import roots
 
@@ -99,6 +99,15 @@ def test_displacement_unitary_and_guard():
         FockSpace(16).displacement(2.0)  # (2+3)² = 25 > 16
     with pytest.raises(ValueError):
         SPACE.displacement(6.0)
+
+
+@pytest.mark.parametrize("z", (complex(np.nan, 1.0), complex(1.0, np.nan), complex(np.inf, 0.0)))
+def test_displacement_guard_rejects_non_finite(z):
+    """A NaN or infinite |z| fails the (|z| + 3)² ≤ dim guard instead of returning NaN arrays."""
+    space = FockSpace(16)
+    for build in (space.displacement, space.coherent):
+        with pytest.raises(ValueError, match="too large for truncation"):
+            build(z)
 
 
 @pytest.mark.parametrize("z", (0.3, 1.0 + 1.0j, -2.0 + 0.5j, 3.0, 3j))

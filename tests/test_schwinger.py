@@ -7,14 +7,13 @@ from hypothesis import strategies as st
 
 from qpl import (
     CoherentFamily,
-    Kinematics,
-    StructureConstants,
     displacement,
     dft,
     gauss_trace,
     gauss_trace_closed_form,
     is_unitary,
     phase_point,
+    structure_constants,
     weyl_relation_defect,
 )
 from qpl.schwinger import roots, weyl_word
@@ -23,26 +22,25 @@ DIMS = (1, 2, 3, 4, 5, 7, 8, 12)
 
 
 def test_shift_and_clock_definitions():
-    v = Kinematics(4).V
+    v = weyl_word(4, 0, 1)
     # V|u_k⟩ = |u_{k-1}⟩, cyclically
     for k in range(4):
         e = np.zeros(4)
         e[k] = 1
         out = v @ e
         assert out[(k - 1) % 4] == 1.0
-    u = Kinematics(4).U
+    u = weyl_word(4, 1, 0)
     np.testing.assert_allclose(np.diag(u), np.exp(2j * np.pi * np.arange(4) / 4))
 
 
 def test_shift_and_clock_match_explicit_matrices():
-    """Kinematics V and U equal the explicit shift and clock, bit for bit."""
+    """weyl_word(n, 0, 1) and weyl_word(n, 1, 0) equal the explicit shift and clock, bit for bit."""
     for n in range(1, 70):
         v = np.zeros((n, n), dtype=complex)
         v[(np.arange(n) - 1) % n, np.arange(n)] = 1.0
         u = np.diag(roots(n))
-        kin = Kinematics(n)
-        assert np.array_equal(kin.V, v)
-        assert np.array_equal(kin.U, u)
+        assert np.array_equal(weyl_word(n, 0, 1), v)
+        assert np.array_equal(weyl_word(n, 1, 0), u)
 
 
 def test_roots_match_high_precision_reference():
@@ -93,8 +91,7 @@ def test_dft_matches_high_precision_reference():
 
 @pytest.mark.parametrize("n", DIMS)
 def test_order_n_and_unitarity(n):
-    kin = Kinematics(n)
-    v, u = kin.V, kin.U
+    v, u = weyl_word(n, 0, 1), weyl_word(n, 1, 0)
     eye = np.eye(n)
     np.testing.assert_allclose(np.linalg.matrix_power(v, n), eye, atol=1e-12)
     np.testing.assert_allclose(np.linalg.matrix_power(u, n), eye, atol=1e-12)
@@ -124,14 +121,14 @@ def test_weyl_relation_any_labels_property(n, j, k):
 @pytest.mark.parametrize("n", DIMS)
 def test_weyl_word_matches_matrix_powers(n):
     """Index-arithmetic U^k V^j against repeated matrix products, any labels."""
-    kin = Kinematics(n)
+    v, u = weyl_word(n, 0, 1), weyl_word(n, 1, 0)
     labels = np.arange(-n, 2 * n)
     words = weyl_word(n, labels[:, None], labels[None, :])
     assert words.shape == (3 * n, 3 * n, n, n)
     for a, k in enumerate(labels):
-        uk = np.linalg.matrix_power(kin.U, int(k) % n)
+        uk = np.linalg.matrix_power(u, int(k) % n)
         for b, j in enumerate(labels):
-            vj = np.linalg.matrix_power(kin.V, int(j) % n)
+            vj = np.linalg.matrix_power(v, int(j) % n)
             np.testing.assert_allclose(words[a, b], uk @ vj, atol=1e-12)
 
 
@@ -141,7 +138,7 @@ def test_fourier_properties(n):
     assert is_unitary(f)
     np.testing.assert_allclose(np.linalg.matrix_power(f, 4), np.eye(n), atol=1e-10)
     # F diagonalizes the shift: the columns of F are momentum states
-    v = Kinematics(n).V
+    v = weyl_word(n, 0, 1)
     for j in range(n):
         np.testing.assert_allclose(
             v @ f[:, j], np.exp(2j * np.pi * j / n) * f[:, j], atol=1e-12
@@ -150,21 +147,22 @@ def test_fourier_properties(n):
 
 def test_fourier_exchanges_shift_and_clock():
     for n in (2, 3, 5, 8):
-        kin = Kinematics(n)
+        f = dft(n)
         # V acts diagonally in the momentum basis: F† V F = U
-        np.testing.assert_allclose(kin.F.conj().T @ kin.V @ kin.F, kin.U, atol=1e-12)
+        np.testing.assert_allclose(f.conj().T @ weyl_word(n, 0, 1) @ f, weyl_word(n, 1, 0), atol=1e-12)
 
 
 def test_kinematics_states():
     with pytest.raises(ValueError):
-        Kinematics(0)
+        weyl_word(0, 0, 1)
     with pytest.raises(ValueError):
-        Kinematics(-3)
+        dft(-3)
     # the same dimension check guards every construction on Z_N
     for bad in (0, 2.5):
-        for build in (CoherentFamily, StructureConstants):
-            with pytest.raises(ValueError, match="positive integer"):
-                build(bad)
+        with pytest.raises(ValueError, match="positive integer"):
+            CoherentFamily(bad)
+        with pytest.raises(ValueError, match="positive integer"):
+            structure_constants(bad, (1, 1), (1, 1), (1, 1))
         for build in (displacement, phase_point, weyl_relation_defect):
             with pytest.raises(ValueError, match="positive integer"):
                 build(bad, 1, 1)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import conditioned_shift, first_order_shift, post_select
+from oracles import conditioned_shift, first_order_shift, post_select, unitary_exp
 from qpl import (
     FactoredEvolution,
     FockSpace,
@@ -21,8 +21,6 @@ from qpl import (
     qubit_pointer_profile,
     random_hermitian,
     random_ket,
-    tensor,
-    unitary_exp,
     weak_run,
     weak_value,
 )
@@ -271,7 +269,7 @@ class TestEvolveAndPostSelect:
     def test_zero_coupling_leaves_product_state(self):
         cfg = make_config(2, 21, "p", VACUUM, eps=0.0)
         state = evolve_exact(cfg)
-        assert np.allclose(state, tensor(cfg.pre, cfg.pointer), atol=1e-12)
+        assert np.allclose(state, np.kron(cfg.pre, cfg.pointer), atol=1e-12)
 
     def test_identity_observable_factorizes(self):
         rng = np.random.default_rng(22)
@@ -286,7 +284,7 @@ class TestEvolveAndPostSelect:
         )
         state = evolve_exact(cfg)
         local = unitary_exp(SPACE.p, 0.3) @ VACUUM
-        assert np.allclose(state, tensor(pre, local), atol=1e-10)
+        assert np.allclose(state, np.kron(pre, local), atol=1e-10)
 
     def test_norm_preserved_at_strong_coupling(self):
         cfg = make_config(3, 23, "q", SPACE.coherent(COHERENT_Z), eps=0.3)
@@ -316,7 +314,7 @@ class TestEvolveAndPostSelect:
         assert 3.5 < ratio < 4.5
 
     def test_zero_probability_post_selection_raises(self):
-        state = tensor(basis_ket(2, 0), VACUUM)
+        state = np.kron(basis_ket(2, 0), VACUUM)
         with pytest.raises(ValueError):
             post_select(state, basis_ket(2, 1), POINTER_DIM)
 
@@ -744,7 +742,7 @@ class TestPreMeasurement:
         alpha = random_ket(2, rng)
         lam = 0.8
         record = pre_measurement(alpha, obs, lam, SPACE)
-        state = unitary_exp(tensor(obs, SPACE.p), lam) @ tensor(alpha, VACUUM)
+        state = unitary_exp(np.kron(obs, SPACE.p), lam) @ np.kron(alpha, VACUUM)
         rho = partial_trace(
             np.outer(state, state.conj()), (2, POINTER_DIM), keep=1
         )
@@ -759,7 +757,7 @@ class TestPreMeasurement:
         alpha = random_ket(system_dim, rng)
         pointer = VACUUM if pointer_kind == "vacuum" else SPACE.coherent(COHERENT_Z)
         record = pre_measurement(alpha, obs, lam, SPACE, pointer=pointer)
-        state = unitary_exp(tensor(obs, SPACE.p), lam) @ tensor(alpha, pointer)
+        state = unitary_exp(np.kron(obs, SPACE.p), lam) @ np.kron(alpha, pointer)
         rho = partial_trace(np.outer(state, state.conj()), (system_dim, POINTER_DIM), keep=1)
         assert np.max(np.abs(record.reduced - rho)) <= 1e-12
         assert abs(record.position_mean - np.trace(rho @ SPACE.q).real) <= 1e-12
@@ -922,10 +920,10 @@ class TestQubitPointerProfile:
             pre, obs, coupling, theta, phases, post=post if selected else None
         )
         reference = np.ones(2) / np.sqrt(2)
-        unitary = unitary_exp(tensor(obs, np.diag([0.0, 1.0])), coupling)
+        unitary = unitary_exp(np.kron(obs, np.diag([0.0, 1.0])), coupling)
         for phi, probability in zip(phases, scan.probabilities):
             pointer = np.array([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)])
-            state = unitary @ tensor(pre, pointer)
+            state = unitary @ np.kron(pre, pointer)
             if selected:
                 expected = abs(reference @ post_select(state, post, 2).normalized) ** 2
             else:

@@ -16,10 +16,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qpl import (
-    Kinematics,
-    StructureConstants,
     basis_ket,
+    commutator_expansion,
     delta_product,
+    dft,
     displacement,
     hs_inner,
     normalize,
@@ -28,6 +28,7 @@ from qpl import (
     phase_space_symbol,
     random_density,
     random_hermitian,
+    structure_constants,
     symplectic_area,
     weyl_reconstruct,
     weyl_transform,
@@ -69,10 +70,15 @@ def dense_grid(n):
     return phase_point(n, *np.ogrid[:n, :n])
 
 
-def structure_table(sc):
+def structure_table(n):
     """Full tensor Λ[m,n,p,q,r,s] over (Z_N x Z_N)³: N⁶ entries, small N only."""
-    m, n, p, q, r, s = np.ix_(*[np.arange(sc.dim)] * 6)
-    return sc.value((m, n), (p, q), (r, s))
+    m, nn, p, q, r, s = np.ix_(*[np.arange(n)] * 6)
+    return structure_constants(n, (m, nn), (p, q), (r, s))
+
+
+def structure_commutator(n, a, b):
+    """[Δ_a, Δ_b] expanded over every c from the structure constants."""
+    return commutator_expansion(structure_constants(n, a, b, np.ogrid[:n, :n]))
 
 
 @pytest.mark.parametrize("n", range(1, 17))
@@ -170,13 +176,13 @@ def test_involution_genuinely_lost_even(n):
 @pytest.mark.parametrize("n", (3, 5, 7))
 def test_operator_form_odd(n):
     """Δ_mn = V^{-n} U^{2m} V^{-n} F² for odd dimensions."""
-    kin = Kinematics(n)
+    f = dft(n)
     grid = dense_grid(n)
-    f2 = kin.F @ kin.F
+    f2 = f @ f
     for m in range(n):
         for nn in range(n):
-            vminus = np.linalg.matrix_power(kin.V, (n - nn) % n)
-            u2m = np.linalg.matrix_power(kin.U, (2 * m) % n)
+            vminus = np.linalg.matrix_power(weyl_word(n, 0, 1), (n - nn) % n)
+            u2m = np.linalg.matrix_power(weyl_word(n, 1, 0), (2 * m) % n)
             np.testing.assert_allclose(
                 vminus @ u2m @ vminus @ f2, grid[m, nn], atol=1e-10
             )
@@ -184,8 +190,8 @@ def test_operator_form_odd(n):
 
 def test_parity_operator_is_f_squared():
     for n in (2, 3, 5, 8):
-        kin = Kinematics(n)
-        np.testing.assert_allclose(parity_operator(n), kin.F @ kin.F, atol=1e-12)
+        f = dft(n)
+        np.testing.assert_allclose(parity_operator(n), f @ f, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", (3, 5))
@@ -229,31 +235,30 @@ def test_symplectic_area_and_symbol():
 
 @pytest.mark.parametrize("n", (3, 5))
 def test_structure_constants_all_pairs(n):
-    sc = StructureConstants(n)
     grid = dense_grid(n)
-    assert sc.prefactor == pytest.approx(2j / n)
+    unit = np.zeros((n, n))
+    unit[1, 2] = 1.0  # a one-point grid isolates the prefactor 2i/N
+    np.testing.assert_allclose(commutator_expansion(unit), 2j / n * grid[1, 2], atol=1e-12)
     labels = [(m, nn) for m in range(n) for nn in range(n)]
     for a in labels:
         for b in labels:
             direct = grid[a] @ grid[b] - grid[b] @ grid[a]
-            np.testing.assert_allclose(sc.commutator(a, b), direct, atol=1e-9)
+            np.testing.assert_allclose(structure_commutator(n, a, b), direct, atol=1e-9)
 
 
 def test_structure_constants_table_matches_value():
-    sc = StructureConstants(3)
-    table = structure_table(sc)
+    table = structure_table(3)
     assert table.shape == (3,) * 6
-    assert table[1, 2, 0, 1, 2, 2] == pytest.approx(sc.value((1, 2), (0, 1), (2, 2)))
+    assert table[1, 2, 0, 1, 2, 2] == pytest.approx(structure_constants(3, (1, 2), (0, 1), (2, 2)))
     for n in (3, 5, 7):
-        sc = StructureConstants(n)
-        table = structure_table(sc)
+        table = structure_table(n)
         m, nn, p, q, r, s = np.meshgrid(*[np.arange(n)] * 6, indexing="ij")
-        assert np.array_equal(sc.value((m, nn), (p, q), (r, s)), table)
+        assert np.array_equal(structure_constants(n, (m, nn), (p, q), (r, s)), table)
         # labels are taken mod N, however large
         big = 10**22 * n
-        assert sc.value((1 + big, 2 - n), (0, 1 + 3 * n), (2, 2)) == table[1, 2, 0, 1, 2, 2]
+        assert structure_constants(n, (1 + big, 2 - n), (0, 1 + 3 * n), (2, 2)) == table[1, 2, 0, 1, 2, 2]
         np.testing.assert_array_equal(
-            sc.commutator((1 + big, -n), (2 * n, 1)), sc.commutator((1, 0), (0, 1))
+            structure_commutator(n, (1 + big, -n), (2 * n, 1)), structure_commutator(n, (1, 0), (0, 1))
         )
 
 
@@ -262,7 +267,6 @@ def test_structure_constants_match_high_precision_reference():
     sines taken at the unreduced symbols."""
     mpmath = pytest.importorskip("mpmath")
     n = 63
-    sc = StructureConstants(n)
     pairs = np.random.default_rng(63).integers(0, n, size=(300, 4))
     m, nn, p, q = (pairs[:, i, None, None] for i in range(4))
     c = np.ogrid[:n, :n]
@@ -270,14 +274,14 @@ def test_structure_constants_match_high_precision_reference():
     unique, inverse = np.unique(symbols, return_inverse=True)
     with mpmath.workdps(40):
         sines = np.array([float(mpmath.sin(2 * mpmath.pi * int(x) / n)) for x in unique])
-    values = sc.value((m, nn), (p, q), c)
+    values = structure_constants(n, (m, nn), (p, q), c)
     assert values.shape == (300, n, n)
     assert np.max(np.abs(values - sines[inverse].reshape(symbols.shape))) <= 1e-15
 
 
 def test_structure_constants_reject_even():
-    with pytest.raises(ValueError):
-        StructureConstants(4)
+    with pytest.raises(ValueError, match="odd dimensions"):
+        structure_constants(4, (0, 0), (1, 1), (1, 0))
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -300,12 +304,12 @@ def test_wigner_normalization_random_densities(n):
 @pytest.mark.parametrize("n", range(2, 9))
 def test_wigner_marginals(n):
     """Row sums give the momentum distribution, column sums the position one."""
-    kin = Kinematics(n)
+    f = dft(n)
     for _ in range(3):
         rho = random_density(n, RNG)
         w = wigner_map(rho).values
         momentum = np.array(
-            [kin.F[:, m].conj() @ rho @ kin.F[:, m] for m in range(n)]
+            [f[:, m].conj() @ rho @ f[:, m] for m in range(n)]
         ).real
         position = np.diag(rho).real
         np.testing.assert_allclose(w.sum(axis=1), momentum, atol=1e-10)
@@ -366,13 +370,12 @@ def test_kernels_match_dense_grid_oracle(n):
         dense_w = np.einsum("mnab,ba->mn", grid, rho).real / n
         assert_relclose(wigner_map(rho).values, dense_w)
     if n % 2 == 1 and n > 1:
-        sc = StructureConstants(n)
         k = np.arange(n)
         labels = [((1, 0), (0, 1)), ((-1, 2 * n), (n + 3, -n))]
         for a, b in labels:
-            lam = sc.value(a, b, (k[:, None], k[None, :]))
-            dense = sc.prefactor * np.einsum("rs,rsab->ab", lam, grid)
-            assert_relclose(sc.commutator(a, b), dense)
+            lam = structure_constants(n, a, b, (k[:, None], k[None, :]))
+            dense = 2j / n * np.einsum("rs,rsab->ab", lam, grid)
+            assert_relclose(structure_commutator(n, a, b), dense)
 
 
 DIMS_1_64 = st.integers(min_value=1, max_value=64)
@@ -389,7 +392,7 @@ def test_reconstruct_inverts_transform_property(n, seed):
 def test_commutator_matches_direct_product_property(n, a, b):
     da, db = phase_point(n, *a), phase_point(n, *b)
     np.testing.assert_allclose(
-        StructureConstants(n).commutator(a, b), da @ db - db @ da, rtol=0, atol=1e-10
+        structure_commutator(n, a, b), da @ db - db @ da, rtol=0, atol=1e-10
     )
 
 
@@ -397,7 +400,7 @@ def test_commutator_matches_direct_product_property(n, a, b):
 def test_wigner_normalization_and_marginals_property(n, seed):
     rho = random_density(n, np.random.default_rng(seed))
     w = wigner_map(rho).values
-    f = Kinematics(n).F  # columns are the momentum kets |v_m>
+    f = dft(n)  # columns are the momentum kets |v_m>
     assert abs(w.sum() - 1.0) <= 1e-10
     momentum = np.einsum("am,ab,bm->m", f.conj(), rho, f).real
     np.testing.assert_allclose(w.sum(axis=1), momentum, rtol=0, atol=1e-10)
@@ -429,7 +432,7 @@ def traced_peak(fn, *args):
 def test_contractions_allocate_no_quartic_array():
     """Peak traced memory stays well below one N⁴-entry complex array."""
     n = 15
-    assert traced_peak(StructureConstants(n).commutator, (1, 0), (0, 1)) < n**4 * 16 / 4
+    assert traced_peak(structure_commutator, n, (1, 0), (0, 1)) < n**4 * 16 / 4
     n = 64
     rho = random_density(n, RNG)
     op = random_complex(n, RNG)
@@ -447,18 +450,15 @@ def test_contractions_allocate_no_quartic_array():
     ),
     ids=("nan", "inf", "non-square", "empty"),
 )
-@pytest.mark.parametrize("fn", (weyl_transform, weyl_reconstruct))
+@pytest.mark.parametrize("fn", (weyl_transform, weyl_reconstruct, commutator_expansion))
 def test_weyl_transform_and_reconstruct_reject_bad_input(fn, bad):
     with pytest.raises(ValueError, match="non-finite|non-empty square"):
         fn(bad)
 
 
-def test_commutator_rejects_a_lambda_grid_of_another_side():
-    sc = StructureConstants(5)
-    lam = StructureConstants(3).value((1, 0), (0, 1), np.ogrid[:3, :3])
-    with pytest.raises(ValueError, match="λ grid must be 5x5"):
-        sc.commutator((1, 0), (0, 1), lam)
-    with pytest.raises(ValueError, match="non-empty square"):
-        sc.commutator((1, 0), (0, 1), np.ones((5, 4)))
-    lam = sc.value((1, 0), (0, 1), np.ogrid[:5, :5])
-    assert np.array_equal(sc.commutator((1, 0), (0, 1), lam), sc.commutator((1, 0), (0, 1)))
+def test_delta_product_rejects_non_integer_labels():
+    """A fractional label is an error, not silently truncated to the product at (1, 0)."""
+    for a, b in (((1.5, 0), (0, 0)), ((0, 0), (2, 0.5))):
+        with pytest.raises(ValueError, match=r"label \(.*\) must be a pair of integers"):
+            delta_product(3, a, b)
+    assert np.array_equal(delta_product(3, (np.int64(1), 0), (0, 0)), delta_product(3, (1, 0), (0, 0)))

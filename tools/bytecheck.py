@@ -12,7 +12,8 @@ invalid ones (usage, bounds and degeneracy errors, exit codes 2, 3 and 4),
 and every coherent-gram N from 1 to its cap at each seed.
 For each subcommand it prints the number of runs, the count per exit code
 and a sha256 over (argv, exit code, stdout, stderr) of every run in corpus
-order.
+order.  A run where `main` raises is recorded, not fatal: its exit code is
+`raised` and its stderr ends with `Type: message`.
 
 `--threads N` sets the OpenBLAS (and OpenMP, MKL) thread count of the runs,
 before numpy is first imported; the default is 1.  `--order` sets the order
@@ -238,10 +239,16 @@ def corpus(seed: int) -> tuple[list[tuple[str, list[str]]], dict[str, str]]:
     return cases, files
 
 
-def run(main, argv: list[str]) -> tuple[int, str, str]:
+def run(main, argv: list[str]) -> tuple[int | str, str, str]:
+    """(exit code, stdout, stderr) of main(argv); an exception escaping main is
+    the exit code `raised`, with `Type: message` appended to stderr."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except Exception as exc:
+            code = "raised"
+            err.write(f"{type(exc).__name__}: {exc}\n")
     return code, out.getvalue(), err.getvalue()
 
 
@@ -308,7 +315,7 @@ def bytecheck(src_dir: str, seed: int, threads: int = 1, order: str = "given") -
     lines = []
     for command in sorted(digests):
         tally = counts[command]
-        exits = " ".join(f"{code}:{tally[code]}" for code in sorted(tally))
+        exits = " ".join(f"{code}:{tally[code]}" for code in sorted(tally, key=str))
         lines.append(f"{command} {sum(tally.values())} [{exits}] {digests[command].hexdigest()}")
     total = sum(sum(c.values()) for c in counts.values())
     lines.append(f"total {total}")
