@@ -294,21 +294,19 @@ def run_weak(args, seed):
     gen_key = conf["pointer_gen"]
     if gen_key not in space.GENERATORS:
         raise UsageError(f"pointer_gen must be one of {sorted(space.GENERATORS)}, got {gen_key!r}")
-    generator = getattr(space, space.GENERATORS[gen_key])
 
     obs = parse_obs_selector(conf["obs"], system_dim)
     pre = parse_ket_selector(conf["pre"], system_dim, rng)
     post = parse_ket_selector(conf["post"], system_dim, rng)
     try:
-        cfg = WeakConfig(pre, post, obs, generator, pointer, eps, space.spectrum(gen_key))
+        cfg = WeakConfig(pre, post, obs, space, gen_key, pointer, eps)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
-    lowering = (space.a, coherent_z) if coherent_z is not None and gen_key == "n" else None
-    readouts = {"q": space.q, "p": space.p}
+    z = coherent_z if gen_key == "n" else None
     try:
         weak_value(cfg)  # pre ⟂ post is refused before post-selection can fail
-        run = weak_run(cfg, readouts, halving, lowering)
+        run = weak_run(cfg, ("q", "p"), halving, z)
     except OverflowError as exc:
         raise BoundsError(str(exc)) from exc
     except ValueError as exc:

@@ -24,19 +24,22 @@ identities hold in the truncated space too:
 
 `FockSpace.spectrum(key)` uses them to diagonalize each pointer generator
 from its structure, with no complex eigendecomposition.  n and h0 are
-diagonal; q is the real Jacobi matrix of the Hermite polynomials, whose
-eigenvalues are the Gauss–Hermite nodes; k splits into real tridiagonal
-blocks on the even and the odd levels; p and g are q and k rotated, with
-the phases i^n and e^{iπn/4} gathered from `schwinger.roots`.  It returns
-read-only (values, vectors) with generator = vectors·diag(values)·vectors†.
+diagonal and carry no vector matrix (vectors None stands for the identity);
+q is the real Jacobi matrix of the Hermite polynomials, whose eigenvalues
+are the Gauss–Hermite nodes; k splits into real tridiagonal blocks on the
+even and the odd levels; p and g are q and k rotated, with the phases i^n
+and e^{iπn/4} gathered from `schwinger.roots`.  It returns read-only
+(values, vectors) with generator = vectors·diag(values)·vectors†.
 
-The dense operators are read-only and built on first access.  What depends
-only on the dimension — the real q and k spectra and the dense q and p — is
-computed once per dimension and shared by every FockSpace of that size:
-each is held by an `lru_cache` of the last CACHED_DIMS = 4 dimensions, at
-most 3 MiB per dimension at the pointer cap of 256 (q and p 1 MiB each, the
-q and k vectors 0.5 MiB each), so at most 12 MiB in all.  A FockSpace
-itself holds only its diagonals and what it has built.
+Every generator and `a` has at most two nonzero diagonals, so
+`FockSpace.apply(key, ψ)` applies one to a ket in O(D) from its bands,
+with no D×D array.  The dense operators are read-only and built on first
+access by the FockSpace that asks for them.  Only the spectra depend on
+nothing but the dimension: the q, p, k and g spectra are computed once per
+dimension and shared by every FockSpace of that size, each held by an
+`lru_cache` of the last CACHED_DIMS = 4 dimensions.  That is at most 3 MiB
+per dimension at the pointer cap of 256 (the real q and k vectors 0.5 MiB
+each, the complex p and g vectors 1 MiB each), so at most 12 MiB in all.
 
 The scale operator S_ξ = exp(i·lnξ·g) dilates quadrature statistics by
 Var_Q(S_ξ|0⟩) = ξ⁻²·Var_Q(|0⟩) — the exponent -2 is the pinned direction
@@ -53,7 +56,7 @@ from .linalg import as_hermitian, as_ket, basis_ket, spectral_exp
 from .schwinger import roots
 
 SCALE_MIN, SCALE_MAX = 1.0 / 3.0, 3.0
-CACHED_DIMS = 4  # dimensions whose q and k spectra and dense q and p stay cached
+CACHED_DIMS = 4  # dimensions whose q, p, k and g spectra stay cached
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -77,14 +80,6 @@ def _jacobi_eigh(off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=CACHED_DIMS)
-def _quadratures(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only dense (Q, P) of the mode of dimension `dim`."""
-    a = np.diag(_ladder(np.arange(dim)), 1).astype(complex)
-    adag = a.conj().T
-    return _read_only((a + adag) / np.sqrt(2)), _read_only((a - adag) / (1j * np.sqrt(2)))
-
-
-@lru_cache(maxsize=CACHED_DIMS)
 def _q_spectrum(dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only real (values, vectors) of Q: one Jacobi matrix."""
     values, vectors = _jacobi_eigh(_ladder(np.arange(dim)) / np.sqrt(2))
@@ -103,6 +98,27 @@ def _k_spectrum(dim: int) -> tuple[np.ndarray, np.ndarray]:
     return _read_only(np.concatenate([even[0], odd[0]])), _read_only(vectors)
 
 
+def _rotated(spectrum: tuple[np.ndarray, np.ndarray], turns: int) -> tuple[np.ndarray, np.ndarray]:
+    """The spectrum of R(2π/turns)·X·R(2π/turns)† from that of X, with R(θ) = diag(e^{iθn})."""
+    values, vectors = spectrum
+    return values, _read_only(roots(turns)[np.arange(len(values)) % turns][:, None] * vectors)
+
+
+@lru_cache(maxsize=CACHED_DIMS)
+def _p_spectrum(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (values, vectors) of P = R(π/2)·Q·R(π/2)†."""
+    return _rotated(_q_spectrum(dim), 4)
+
+
+@lru_cache(maxsize=CACHED_DIMS)
+def _g_spectrum(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (values, vectors) of g = R(π/4)·k·R(π/4)†."""
+    return _rotated(_k_spectrum(dim), 8)
+
+
+_SPECTRA = {"q": _q_spectrum, "p": _p_spectrum, "k": _k_spectrum, "g": _g_spectrum}
+
+
 class FockSpace:
     """Operator bundle for one truncated mode of dimension `dim` ≥ 2."""
 
@@ -115,14 +131,13 @@ class FockSpace:
         self.dim = int(dim)
         # The operators' diagonals; the dense operators are built from them on first access.
         levels = self._levels = np.arange(self.dim)
-        self._number = np.sqrt(levels) ** 2  # a†a, entries rounded as √k·√k
-        self._half_counts = levels + 0.5
-        self._half_counts[-1] = (self.dim - 1) / 2  # a a† vanishes on the top level
-        self._spectra: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        self._number = _read_only(np.sqrt(levels) ** 2)  # a†a, entries rounded as √k·√k
+        half_counts = levels + 0.5
+        half_counts[-1] = (self.dim - 1) / 2  # a a† vanishes on the top level
+        self._half_counts = _read_only(half_counts)
 
     # Exact in the truncated space: h0 = (a a† + a† a)/2, g = (a² - a†²)/(2i),
-    # k = (a² + a†²)/2.  Every dense operator is read-only; q and p are shared
-    # by all modes of one dimension.
+    # k = (a² + a†²)/2.  Every dense operator is read-only.
 
     @cached_property
     def a(self) -> np.ndarray:
@@ -136,13 +151,13 @@ class FockSpace:
     def num(self) -> np.ndarray:
         return _read_only(np.diag(self._number).astype(complex))
 
-    @property
+    @cached_property
     def q(self) -> np.ndarray:
-        return _quadratures(self.dim)[0]
+        return _read_only((self.a + self.adag) / np.sqrt(2))
 
-    @property
+    @cached_property
     def p(self) -> np.ndarray:
-        return _quadratures(self.dim)[1]
+        return _read_only((self.a - self.adag) / (1j * np.sqrt(2)))
 
     @cached_property
     def h0(self) -> np.ndarray:
@@ -158,31 +173,55 @@ class FockSpace:
         a2 = np.diag(_squared_ladder(self._levels), 2).astype(complex)
         return _read_only((a2 + a2.T) / 2)
 
-    def spectrum(self, key: str) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only (values, vectors) of the generator `key` in GENERATORS; see the module docstring."""
-        if key not in self._spectra:
-            values, vectors = self._structured_spectrum(key)
-            self._spectra[key] = (_read_only(values), _read_only(vectors))
-        return self._spectra[key]
-
-    def _structured_spectrum(self, key: str) -> tuple[np.ndarray, np.ndarray]:
+    def spectrum(self, key: str) -> tuple[np.ndarray, np.ndarray | None]:
+        """Read-only (values, vectors) of the generator `key` in GENERATORS, vectors None
+        for the diagonal n and h0; see the module docstring."""
         if key in ("n", "h0"):
-            diagonal = self._number if key == "n" else self._half_counts
-            return diagonal, np.eye(self.dim)
-        if key in ("q", "k"):
-            return (_q_spectrum if key == "q" else _k_spectrum)(self.dim)
-        if key in ("p", "g"):
-            # p = R(π/2)·q·R(π/2)† and g = R(π/4)·k·R(π/4)†, with R(θ) = diag(e^{iθn})
-            base, turns = ("q", 4) if key == "p" else ("k", 8)
-            values, vectors = self.spectrum(base)
-            return values, roots(turns)[self._levels % turns][:, None] * vectors
-        raise ValueError(f"unknown generator {key!r}; expected one of {sorted(self.GENERATORS)}")
+            return (self._number if key == "n" else self._half_counts), None
+        if key not in _SPECTRA:
+            raise ValueError(f"unknown generator {key!r}; expected one of {sorted(self.GENERATORS)}")
+        return _SPECTRA[key](self.dim)
+
+    @cached_property
+    def _bands(self) -> dict[str, tuple[np.ndarray, int]]:
+        """key -> (b, s): ⟨j|X|j+s⟩ = b_j, times -i for p and g; `a` has no lower band."""
+        ladder = _ladder(self._levels)
+        quadrature, squeeze = ladder / np.sqrt(2), _squared_ladder(self._levels) / 2
+        return {"a": (ladder, 1), "q": (quadrature, 1), "p": (quadrature, 1), "k": (squeeze, 2), "g": (squeeze, 2)}
+
+    def apply(self, key: str, psi) -> np.ndarray:
+        """X·ψ in O(D) from the bands of X, for X the generator `key` in GENERATORS or "a";
+        no D×D array is formed."""
+        if key not in self._bands and key not in ("n", "h0"):
+            raise ValueError(f"unknown operator {key!r}; expected 'a' or one of {sorted(self.GENERATORS)}")
+        psi = as_ket(psi)
+        if len(psi) != self.dim:
+            raise ValueError(f"ket has {len(psi)} entries, the mode {self.dim} levels")
+        return self._apply(key, psi)
+
+    def _apply(self, key: str, psi: np.ndarray) -> np.ndarray:
+        """`apply` for a known key and a checked ket of length dim."""
+        if key in ("n", "h0"):
+            return self.spectrum(key)[0] * psi
+        band, step = self._bands[key]
+        out = np.zeros(self.dim, dtype=complex)
+        out[:-step] = band * psi[step:]
+        if key == "a":
+            return out
+        lower = band * psi[:-step]
+        if key in ("p", "g"):  # upper band times -i, lower band times +i
+            out[:-step] *= -1j
+            lower = 1j * lower
+        out[step:] += lower
+        return out
 
     def vacuum(self) -> np.ndarray:
         return basis_ket(self.dim, 0)
 
     def rotation(self, theta: float) -> np.ndarray:
-        """Fractional Fourier operator F_θ = diag(e^{iθn})."""
+        """Fractional Fourier operator F_θ = diag(e^{iθn}) for a finite θ."""
+        if not np.isfinite(theta):
+            raise ValueError(f"rotation angle theta must be finite, got {theta!r}")
         return np.diag(np.exp(1j * theta * np.arange(self.dim)))
 
     def _displacement_parts(self, z: complex):

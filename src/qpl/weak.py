@@ -3,12 +3,16 @@
 A run couples a system observable O to a pointer generator R through the
 exact unitary exp(-i·ε·O⊗R), then post-selects the system on |β⟩.
 
-A `WeakConfig` takes the pointer generator R with its spectrum (r, W), such
-as `FockSpace.spectrum(key)` (no complex eigendecomposition), or diagonalizes
-R itself.  It checks the pair once and holds the run's one `FactoredEvolution`,
-shared by its `with_eps` copies.  `weak_run` post-selects through it and
-returns the exact and first-order record; for orthogonal pre and post it keeps
-the exact quantities and sets the weak value and the predictions to None.
+The pointer is a truncated mode, a `FockSpace`, and a `WeakConfig` names its
+generator R by key in `FockSpace.GENERATORS` and takes R's spectrum (r, W)
+from `FockSpace.spectrum(key)` (no eigendecomposition of pointer size).  The
+config holds the run's one `FactoredEvolution`, shared by its `with_eps`
+copies.  `weak_run` post-selects through it and returns the exact and
+first-order record for readouts named by key; for orthogonal pre and post it
+keeps the exact quantities and sets the weak value and the predictions to
+None.  Every pointer operator has at most two nonzero diagonals, so R·φ and
+each pointer mean ⟨ψ|M|ψ⟩ come from its bands (`FockSpace.apply`), in O(D),
+and a run forms no D×D pointer operator.
 
 The exact evolution has one implementation, `FactoredEvolution`.  With
 O = V·diag(o)·V† and R = W·diag(r)·W†, the coupling is diagonal in the
@@ -17,12 +21,13 @@ W·exp(-i·ε·o_k·r)·W†|φ⟩ and the post-selected pointer is
 
     ⟨β|⊗I·exp(-i·ε·O⊗R)·|α⟩⊗|φ⟩ = Σ_k ⟨β|o_k⟩⟨o_k|α⟩·W·exp(-i·ε·o_k·r)·W†|φ⟩
 
-from one spectrum per factor; no composite matrix is formed.
+from one spectrum per factor; no composite matrix is formed.  For the
+diagonal n and h0, W = I and the products with W are skipped.
 `pre_measurement` mixes the branches with weights |⟨o_k|α⟩|², and
 `qubit_pointer_profile` is the two-branch case P = |v_1⟩⟨v_1|: |v_0⟩
 carries |α⟩ and |v_1⟩ carries exp(-iλO)|α⟩.  `evolve_exact`, the tests' dense
-composite oracle (np.kron, then one eigh of the composite coupling), stays here
-only because the harness in `perfbench/` wraps it by name.
+composite oracle (np.kron of O and the dense R, then one eigh of the composite
+coupling), stays here only because the harness in `perfbench/` wraps it by name.
 
 For small ε the conditioned pointer mean of an observable M moves by
 
@@ -47,11 +52,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_hermitian, as_ket, as_operator, as_unit_ket, require_finite, require_same_dims
+from .fock import FockSpace
+from .linalg import as_hermitian, as_ket, as_unit_ket, require_finite, require_same_dims
 from .linalg import spectral_exp
 
 ORTHOGONAL_TOL = 1e-12
-PAIRING_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -62,46 +67,39 @@ class WeakConfig:
         pre:         normalized system pre-selection |α⟩
         post:        normalized system post-selection |β⟩
         obs:         hermitian system observable O
-        pointer_gen: hermitian pointer generator R
-        pointer:     normalized initial pointer state |φ⟩
+        space:       the pointer mode, a `FockSpace`
+        pointer_gen: key in `FockSpace.GENERATORS` of the pointer generator R
+        pointer:     normalized initial pointer state |φ⟩ of that mode
         eps:         coupling strength ε ≥ 0
-        pointer_spectrum: (r, W) with R = W·diag(r)·W†, such as `FockSpace.spectrum(key)`,
-                     held to max|W·(r∘W†φ) − R·φ| ≤ PAIRING_TOL·max|r|, which a
-                     non-finite entry fails; None runs np.linalg.eigh(R)
     """
 
     pre: np.ndarray
     post: np.ndarray
     obs: np.ndarray
-    pointer_gen: np.ndarray
+    space: FockSpace
+    pointer_gen: str
     pointer: np.ndarray
     eps: float
-    pointer_spectrum: tuple[np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
         pre = as_unit_ket(self.pre, "pre state")
         post = as_unit_ket(self.post, "post state")
         obs = as_hermitian(self.obs, "system observable")
-        gen = as_hermitian(self.pointer_gen, "pointer generator")
         pointer = as_unit_ket(self.pointer, "pointer state")
         require_same_dims(pre=pre, post=post, obs=obs)
-        require_same_dims(pointer=pointer, pointer_gen=gen)
-        validated = dict(pre=pre, post=post, obs=obs, pointer_gen=gen, pointer=pointer)
-        for name, value in validated.items():
+        space, key = self.space, self.pointer_gen
+        if not isinstance(space, FockSpace):
+            raise ValueError(f"space must be a FockSpace, got {type(space).__name__}")
+        if key not in FockSpace.GENERATORS:
+            raise ValueError(f"pointer_gen must be one of {sorted(FockSpace.GENERATORS)}, got {key!r}")
+        if len(pointer) != space.dim:
+            raise ValueError(f"dimensions differ: pointer has {len(pointer)}, space has {space.dim}")
+        for name, value in dict(pre=pre, post=post, obs=obs, pointer=pointer).items():
             object.__setattr__(self, name, value)
         self._set_eps(self.eps)
-        given = self.pointer_spectrum is not None
-        values, vectors = map(np.asarray, self.pointer_spectrum) if given else np.linalg.eigh(gen)
-        if values.shape != pointer.shape or vectors.shape != gen.shape:
-            raise ValueError("pointer_spectrum must be (r, W): r as long as the pointer, W shaped as R")
-        evolution = FactoredEvolution(obs, (values, vectors), pre, pointer)
-        r_phi = gen @ pointer
-        if given:  # an eigh pair of gen diagonalizes it by construction
-            residual = np.abs(vectors @ (values * evolution.pointer_coeffs) - r_phi).max()
-            if not residual <= PAIRING_TOL * np.abs(values).max():
-                raise ValueError(f"pointer_spectrum does not diagonalize pointer_gen: R·φ is off by {residual:.3g}")
-        object.__setattr__(self, "_evolution", evolution)  # with_eps copies share it
-        object.__setattr__(self, "_r_phi", r_phi)
+        # with_eps copies share both
+        object.__setattr__(self, "_evolution", FactoredEvolution(obs, space.spectrum(key), pre, pointer))
+        object.__setattr__(self, "_r_phi", space._apply(key, pointer))
 
     def _set_eps(self, eps) -> None:
         if not np.isfinite(eps) or eps < 0:
@@ -140,17 +138,22 @@ class FactoredEvolution:
     FactoredEvolution(obs, gen_spectrum, pre, pointer): `gen_spectrum` is
     the pointer generator as its spectrum, a pair (r, W) with
     R = W·diag(r)·W† and W unitary, such as `FockSpace.spectrum(key)` or
-    `np.linalg.eigh(R)`.  The observable is diagonalized here, and ⟨o_k|α⟩
-    and W†|φ⟩ are taken once at construction; each later call costs an
-    (np × ns) phase table and pointer-side products, and no composite
-    matrix is formed.
+    `np.linalg.eigh(R)`; W = None stands for the identity, a diagonal R.
+    The observable is diagonalized here, and ⟨o_k|α⟩ and W†|φ⟩ are taken
+    once at construction; each later call costs an (np × ns) phase table
+    and pointer-side products, and no composite matrix is formed.
     """
 
     def __init__(self, obs, gen_spectrum, pre, pointer):
         self.obs_values, self.obs_vectors = np.linalg.eigh(obs)
         self.gen_values, self.gen_vectors = gen_spectrum
         self.pre_coeffs = self.obs_vectors.conj().T @ pre  # ⟨o_k|α⟩
-        self.pointer_coeffs = self.gen_vectors.conj().T @ pointer  # |φ⟩ in the eigenbasis of R
+        # |φ⟩ in the eigenbasis of R
+        self.pointer_coeffs = pointer if self.gen_vectors is None else self.gen_vectors.conj().T @ pointer
+
+    def _from_eigenbasis(self, coeffs: np.ndarray) -> np.ndarray:
+        """W·coeffs: pointer kets from their coefficients in the eigenbasis of R."""
+        return coeffs if self.gen_vectors is None else self.gen_vectors @ coeffs
 
     def _coupling_phases(self, t: float) -> np.ndarray:
         """exp(-i·t·r_j·o_k): rows follow the eigenvalues r_j of R, columns o_k.
@@ -161,14 +164,14 @@ class FactoredEvolution:
 
     def branches(self, t: float) -> np.ndarray:
         """Column k is the pointer exp(-i·t·o_k·R)|φ⟩ carried by |o_k⟩."""
-        return self.gen_vectors @ (self._coupling_phases(t) * self.pointer_coeffs[:, None])
+        return self._from_eigenbasis(self._coupling_phases(t) * self.pointer_coeffs[:, None])
 
     def post_selected(self, t: float, post) -> PostSelection:
         """The pointer left by ⟨β|⊗I on the evolved state, for |β⟩ = `post`, normalized;
         errors when nothing survives."""
         amplitudes = (post.conj() @ self.obs_vectors) * self.pre_coeffs  # ⟨β|o_k⟩⟨o_k|α⟩
         phases = self._coupling_phases(t)
-        raw = self.gen_vectors @ (self.pointer_coeffs * (phases @ amplitudes))
+        raw = self._from_eigenbasis(self.pointer_coeffs * (phases @ amplitudes))
         prob = float(np.linalg.norm(raw) ** 2)
         if prob <= ORTHOGONAL_TOL**2:
             raise ValueError("post-selection has zero probability on this state")
@@ -181,24 +184,17 @@ def evolve_exact(cfg: WeakConfig) -> np.ndarray:
     Dense brute force over the (ns·np)-dimensional composite space, index
     i_s·np + i_p: the reference that `FactoredEvolution` is tested against.
     """
-    coupling = np.kron(cfg.obs, cfg.pointer_gen)
+    coupling = np.kron(cfg.obs, getattr(cfg.space, FockSpace.GENERATORS[cfg.pointer_gen]))
     return spectral_exp(*np.linalg.eigh(coupling), cfg.eps) @ np.kron(cfg.pre, cfg.pointer)
 
 
-def _shift(psi: np.ndarray, phi: np.ndarray, m: np.ndarray) -> complex:
-    """⟨ψ|M|ψ⟩ − ⟨φ|M|φ⟩ for checked arrays, each term associated as (ψ†M)ψ."""
-    return complex(psi.conj() @ m @ psi) - complex(phi.conj() @ m @ phi)
-
-
-def _shift_rate(cfg: WeakConfig, ow: complex, m) -> complex:
-    """ΔM/ε of the first-order formula; ε·rate is the predicted shift at any ε."""
-    phi = cfg.pointer
-    # matrix-vector products only: ⟨φ|MR|φ⟩ = (φ†M)·(Rφ) and, R being
-    # hermitian, ⟨φ|RM|φ⟩ = (Rφ)†·(Mφ)
-    m_phi, r_phi = m @ phi, cfg._r_phi
-    mr = (phi.conj() @ m) @ r_phi
-    rm = r_phi.conj() @ m_phi
-    anti = mr + rm - 2 * (phi.conj() @ r_phi) * (phi.conj() @ m_phi)
+def _shift_rate(cfg: WeakConfig, ow: complex, m_phi: np.ndarray) -> complex:
+    """ΔM/ε of the first-order formula for a hermitian M, from Mφ; ε·rate is the
+    predicted shift at any ε."""
+    phi, r_phi = cfg.pointer, cfg._r_phi
+    # M and R hermitian: ⟨φ|MR|φ⟩ = (Mφ)†·(Rφ) and ⟨φ|RM|φ⟩ = (Rφ)†·(Mφ)
+    mr, rm = np.vdot(m_phi, r_phi), np.vdot(r_phi, m_phi)
+    anti = mr + rm - 2 * np.vdot(phi, r_phi) * np.vdot(phi, m_phi)
     return ow.imag * anti - 1j * ow.real * (mr - rm)
 
 
@@ -219,47 +215,58 @@ class WeakRun:
     annihilator: dict | None
 
 
-def weak_run(cfg: WeakConfig, readouts: dict, halving=False, annihilator=None) -> WeakRun:
+def weak_run(cfg: WeakConfig, readouts, halving=False, z=None) -> WeakRun:
     """Evolve `cfg` exactly, through its `FactoredEvolution`, and to first order.
 
-    `shifts[name]` holds the measured and predicted shift of each hermitian
-    readout and their distance, the residual.  `halving` adds `halving[name]`:
+    `readouts` names pointer observables M by key in `FockSpace.GENERATORS`,
+    such as ("q", "p").  `shifts[key]` holds the measured and predicted shift
+    of ⟨M⟩ and their distance, the residual.  `halving` adds `halving[key]`:
     the residual at ε/2 and its ratio to the one at ε (~1/4 for a quadratic
-    remainder, None below 1e-14).  `annihilator` = (a, z) adds that triple
-    for ⟨a⟩ of a coherent pointer |z⟩ under R = N, predicted as -i·ε·z·O_w.
-    If pre ⟂ post, the probability and the measured shifts stay exact, and the
-    weak value and every prediction, residual and ratio are None.  Raises
-    ValueError for a readout that is not hermitian or when nothing survives,
-    and OverflowError when ε past float range leaves the weak value, the
-    probability or a prediction not finite.
+    remainder, None below 1e-14).  The amplitude `z` of a coherent pointer |z⟩
+    under R = N adds the `annihilator` triple for ⟨a⟩, predicted as
+    -i·ε·z·O_w.  If pre ⟂ post, the probability and the measured shifts stay
+    exact, and the weak value and every prediction, residual and ratio are
+    None.  Raises ValueError for a readout key that is not a generator or when
+    nothing survives, and OverflowError when ε past float range leaves the
+    weak value, the probability or a prediction not finite.
     """
-    readouts = {name: as_hermitian(m, f"readout {name!r}") for name, m in readouts.items()}
-    lowering = None if annihilator is None else as_operator(annihilator[0])
+    space, phi = cfg.space, cfg.pointer
+    for key in readouts:
+        if key not in FockSpace.GENERATORS:
+            raise ValueError(f"readout {key!r} must be hermitian: one of {sorted(FockSpace.GENERATORS)}")
     evolution, eps = cfg._evolution, cfg.eps
     ow = weak_value(cfg) if abs(cfg.post.conj() @ cfg.pre) > ORTHOGONAL_TOL else None
     selected = evolution.post_selected(eps, cfg.post)
     half_selected = evolution.post_selected(eps / 2, cfg.post) if halving and ow is not None else None
-    rates = {} if ow is None else {name: _shift_rate(cfg, ow, m) for name, m in readouts.items()}
-    predicted = {name: float((eps * rate).real) for name, rate in rates.items()}
+    m_phis = {key: space._apply(key, phi) for key in readouts}
+    rates = {} if ow is None else {key: _shift_rate(cfg, ow, m_phi) for key, m_phi in m_phis.items()}
+    predicted = {key: float((eps * rate).real) for key, rate in rates.items()}
     # every number measured from a finite post-selected pointer is bounded
     named = {"weak value": ow, "probability": selected.probability}
-    named.update((f"{name} predicted shift", value) for name, value in predicted.items())
-    if annihilator is not None and ow is not None:
-        named["a predicted shift"] = -1j * eps * complex(annihilator[1]) * ow
+    named.update((f"{key} predicted shift", value) for key, value in predicted.items())
+    if z is not None and ow is not None:
+        named["a predicted shift"] = -1j * eps * complex(z) * ow
     bad = [what for what, value in named.items() if value is not None and not np.isfinite(np.abs(value))]
     if bad:
         raise OverflowError(f"weak run overflows at eps = {eps}: {', '.join(bad)} not finite")
 
-    phi, shifts = cfg.pointer, {}
-    halves = {name: {"half_residual": None, "ratio": None} for name in readouts} if halving else None
-    for name, m in readouts.items():
-        shift = shifts[name] = _triple(_shift(selected.normalized, phi, m).real, predicted.get(name))
+    def mean(key, psi):
+        """⟨ψ|X|ψ⟩ of the pointer operator `key`."""
+        return complex(np.vdot(psi, space._apply(key, psi)))
+
+    shifts = {}
+    halves = {key: {"half_residual": None, "ratio": None} for key in readouts} if halving else None
+    for key, m_phi in m_phis.items():
+        initial = complex(np.vdot(phi, m_phi))
+        full = shifts[key] = _triple((mean(key, selected.normalized) - initial).real, predicted.get(key))
         if half_selected is not None:
-            half = abs(_shift(half_selected.normalized, phi, m).real - float((eps / 2 * rates[name]).real))
-            ratio = None if shift["residual"] < 1e-14 else half / shift["residual"]
-            halves[name] = {"half_residual": half, "ratio": ratio}
-    if annihilator is not None:
-        annihilator = _triple(_shift(selected.normalized, phi, lowering), named.get("a predicted shift"))
+            half = abs((mean(key, half_selected.normalized) - initial).real - float((eps / 2 * rates[key]).real))
+            ratio = None if full["residual"] < 1e-14 else half / full["residual"]
+            halves[key] = {"half_residual": half, "ratio": ratio}
+    annihilator = None
+    if z is not None:
+        measured = mean("a", selected.normalized) - mean("a", phi)
+        annihilator = _triple(measured, named.get("a predicted shift"))
     radius = float(np.max(np.abs(evolution.obs_values)))
     return WeakRun(ow, radius, selected, shifts, halves, annihilator)
 
@@ -351,7 +358,7 @@ def qubit_pointer_profile(pre, obs, coupling: float, theta: float, phases, post=
     # the coupling, so each scanned pointer is the φ = 0 one, rotated: branch
     # by branch (weights |⟨o_k|α⟩|²) without `post`, or once selected.
     start = np.array([np.cos(theta / 2), np.sin(theta / 2)])
-    evolution = FactoredEvolution(obs, (np.array([0.0, 1.0]), np.eye(2)), pre, start)
+    evolution = FactoredEvolution(obs, (np.array([0.0, 1.0]), None), pre, start)
     azimuths = np.exp(1j * phases[:, None] * np.array([0.0, 1.0]))
     if post is None:
         overlaps = azimuths @ evolution.branches(coupling) / np.sqrt(2)

@@ -3,12 +3,15 @@
 Each one takes the slow, direct route: an exponential is one dense
 eigendecomposition of its generator, the composite ket is projected with
 ⟨β|⊗I, and pointer moments are dense operator products.  The composite
-evolution itself is `qpl.weak.evolve_exact`.
+evolution itself is `qpl.weak.evolve_exact`.  `oracle_payload` rebuilds every
+number of a `weak` payload from these.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
-from qpl import PostSelection, as_ket, weak_value
+from qpl import FockSpace, PostSelection, WeakConfig, as_ket, cli, evolve_exact, weak_value
 from qpl.linalg import as_hermitian, spectral_exp
 from qpl.weak import ORTHOGONAL_TOL
 
@@ -40,10 +43,132 @@ def conditioned_shift(selection: PostSelection, pointer, m) -> complex:
 def first_order_shift(cfg, m) -> float:
     """The first-order shift ε·[Im(O_w)·(⟨{M,R}⟩ − 2⟨R⟩⟨M⟩) − i·Re(O_w)·⟨[M,R]⟩],
     from dense products of M and R in the initial pointer."""
-    ow, r, phi = weak_value(cfg), cfg.pointer_gen, cfg.pointer
+    ow, phi = weak_value(cfg), cfg.pointer
+    r = getattr(cfg.space, FockSpace.GENERATORS[cfg.pointer_gen])
 
     def mean(op):
         return phi.conj() @ op @ phi
 
     spread = mean(m @ r + r @ m) - 2 * mean(r) * mean(m)
     return float((cfg.eps * (ow.imag * spread - 1j * ow.real * mean(m @ r - r @ m))).real)
+
+
+WEAK_COMPOSITE_CAP = 1024  # largest ns·np that `oracle_payload` evolves densely
+
+
+@dataclass(frozen=True)
+class Expected:
+    """A printed number's brute-force value and how far a correct run may be from it,
+    before the printed rounding."""
+
+    value: float
+    tol: float
+
+
+def oracle_payload(argv) -> dict[str, Expected]:
+    """Every number `qpl weak` prints as JSON for `argv`, keyed as
+    `tools/bytecheck.printed_fields` names it, computed the slow way.
+
+    The inputs come from the CLI's own parsers; the numbers come from the dense
+    `evolve_exact`, `post_select`, `conditioned_shift` and `first_order_shift`.
+    Each tolerance bounds the distance between two correct computations of
+    its field from the conditioning of that field:
+
+    * either side's post-selected pointer is within η = 4u·(√n + ε‖O‖‖R‖) of
+      the exact one (u = 2⁻⁵³, n = ns·np): a backward error c·u·‖εO⊗R‖ of the
+      eigendecomposition moves exp(-iεO⊗R)ψ by as much (Duhamel), and the
+      n-term sums that rebuild the state add √n·u in the usual statistical
+      model (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+      ch. 3);
+    * so the two probabilities p = ‖raw‖² are within 4√p·η of each other, and
+      the two normalized pointers within 2η/√p once a phase is removed (only
+      the step tangent to the unit sphere is left);
+    * a tangent step δψ moves ⟨ψ|M|ψ⟩ by at most ‖δψ‖ times
+      s_M = ‖(M − ⟨M⟩)ψ‖ + ‖(M† − ⟨M⟩*)ψ‖ (2σ_M for a hermitian M), and each
+      side's D-term means of M round by 2u·√D·‖M‖: ⟨M⟩ is within
+      2s_M·η/√p + 4u·√D·‖M‖;
+    * a first-order prediction sums four pointer moments of size ≤ ‖M‖‖R‖
+      over D levels, scaled by ε|O_w|: 8u·√D·ε|O_w|·‖M‖‖R‖;
+    * a residual adds the tolerances of its two terms, and the halving ratio
+      h/r is within (tol_h + (h/r)·tol_r)/r.
+
+    `argv` must be a run the CLI accepts; past WEAK_COMPOSITE_CAP this raises ValueError.
+    """
+    args = cli.build_parser().parse_args(argv)
+    conf = cli._read_config(args.config)
+    seed = cli.resolve_seed(args.seed, conf["seed"])
+    ns, dim = int(conf["system_dim"]), int(conf["pointer_dim"])
+    eps, key = float(conf["eps"]), conf["pointer_gen"]
+    if ns * dim > WEAK_COMPOSITE_CAP:
+        raise ValueError(f"composite dimension {ns * dim} is past {WEAK_COMPOSITE_CAP}")
+    rng = np.random.default_rng(seed)
+    space = FockSpace(dim)
+    pointer, z = cli.parse_pointer_selector(conf["pointer"], space)
+    obs = cli.parse_obs_selector(conf["obs"], ns)
+    pre = cli.parse_ket_selector(conf["pre"], ns, rng)
+    post = cli.parse_ket_selector(conf["post"], ns, rng)
+    cfg = WeakConfig(pre, post, obs, space, key, pointer, eps)
+    ow = weak_value(cfg)
+
+    u = np.finfo(float).eps / 2
+    obs_norm = float(np.max(np.abs(np.linalg.eigvalsh(obs))))
+    gen_norm = float(np.max(np.abs(np.linalg.eigvalsh(getattr(space, FockSpace.GENERATORS[key])))))
+    overlap = abs(post.conj() @ pre)
+    fields = {
+        # the same quotient on the same kets; ⟨β|O|α⟩ carries ns-term rounding
+        "weak_value.re": Expected(ow.real, 8 * u * ns * obs_norm / overlap),
+        "weak_value.im": Expected(ow.imag, 8 * u * ns * obs_norm / overlap),
+        "spectral_radius": Expected(obs_norm, 8 * u * obs_norm),  # two Hermitian eigensolvers
+        "eps": Expected(eps, 0.0),
+        "pointer_dim": Expected(dim, 0.0),
+        "seed": Expected(seed, 0.0),
+        "system_dim": Expected(ns, 0.0),
+    }
+
+    def run_at(t):
+        """(post-selection, its η) at coupling t."""
+        selection = post_select(evolve_exact(cfg.with_eps(t)), post, dim)
+        return selection, 4 * u * (np.sqrt(ns * dim) + t * obs_norm * gen_norm)
+
+    def measured_tol(selection, eta, m):
+        psi, m_norm = selection.normalized, np.linalg.norm(m, 2)
+        mean = psi.conj() @ m @ psi
+        spread = np.linalg.norm(m @ psi - mean * psi) + np.linalg.norm(m.conj().T @ psi - np.conj(mean) * psi)
+        return 2 * spread * eta / np.sqrt(selection.probability) + 4 * u * np.sqrt(dim) * m_norm
+
+    def predicted_tol(t, m_norm):
+        return 8 * u * np.sqrt(dim) * t * abs(ow) * m_norm * gen_norm
+
+    selected, eta = run_at(eps)
+    fields["probability"] = Expected(selected.probability, 4 * np.sqrt(selected.probability) * eta)
+    halving = cli._parse_number(conf["halving"], bool, "halving")
+    half, half_eta = run_at(eps / 2) if halving else (None, None)
+    for name in ("q", "p"):
+        m = getattr(space, name)
+        m_norm = np.linalg.norm(m, 2)
+        measured = conditioned_shift(selected, pointer, m).real
+        predicted = first_order_shift(cfg, m)
+        residual = abs(measured - predicted)
+        residual_tol = measured_tol(selected, eta, m) + predicted_tol(eps, m_norm)
+        fields[f"shifts.{name}.measured"] = Expected(measured, measured_tol(selected, eta, m))
+        fields[f"shifts.{name}.predicted"] = Expected(predicted, predicted_tol(eps, m_norm))
+        fields[f"shifts.{name}.residual"] = Expected(residual, residual_tol)
+        if half is None:
+            continue
+        half_shift = conditioned_shift(half, pointer, m).real
+        half_residual = abs(half_shift - first_order_shift(cfg.with_eps(eps / 2), m))
+        half_tol = measured_tol(half, half_eta, m) + predicted_tol(eps / 2, m_norm)
+        fields[f"halving.{name}.half_residual"] = Expected(half_residual, half_tol)
+        if residual >= 1e-14:  # the CLI prints no ratio below
+            ratio = half_residual / residual
+            fields[f"halving.{name}.ratio"] = Expected(ratio, (half_tol + ratio * residual_tol) / residual)
+    if z is not None and key == "n":
+        measured, predicted = conditioned_shift(selected, pointer, space.a), -1j * eps * z * ow
+        measured_tol_a = measured_tol(selected, eta, space.a)
+        predicted_tol_a = 4 * u * abs(predicted)  # the same two products on both sides
+        for part, value in (("re", measured.real), ("im", measured.imag)):
+            fields[f"annihilator.measured.{part}"] = Expected(value, measured_tol_a)
+        for part, value in (("re", predicted.real), ("im", predicted.imag)):
+            fields[f"annihilator.predicted.{part}"] = Expected(value, predicted_tol_a)
+        fields["annihilator.residual"] = Expected(abs(measured - predicted), measured_tol_a + predicted_tol_a)
+    return fields

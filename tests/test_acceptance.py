@@ -242,16 +242,9 @@ def test_c08_weak_measurement_first_order():
     started = time.perf_counter()
     failures = []
     space = FockSpace(64)
-    generators = {
-        "q": space.q,
-        "p": space.p,
-        "n": space.num,
-        "h0": space.h0,
-        "g": space.g,
-        "k": space.k,
-    }
+    generators = ("q", "p", "n", "h0", "g", "k")
     eps = 1e-3
-    readouts = {"q": space.q, "p": space.p}
+    readouts = ("q", "p")
 
     def build(system_dim, seed, gen_key, pointer):
         rng = np.random.default_rng(seed)
@@ -259,7 +252,8 @@ def test_c08_weak_measurement_first_order():
             pre=random_ket(system_dim, rng),
             post=random_ket(system_dim, rng),
             obs=random_hermitian(system_dim, rng),
-            pointer_gen=generators[gen_key],
+            space=space,
+            pointer_gen=gen_key,
             pointer=pointer,
             eps=eps,
         )
@@ -310,7 +304,7 @@ def test_c08_weak_measurement_first_order():
     # coherent/number specialization: lowering-operator shift -i*eps*z*Ow
     z = 0.8 + 0.6j
     cfg = build(2, 41, "n", space.coherent(z))
-    lowering = weak_run(cfg, {}, annihilator=(space.a, z)).annihilator
+    lowering = weak_run(cfg, (), z=z).annihilator
     exact, approx = lowering["measured"], lowering["predicted"]
     if abs(exact - approx) > 1e-2 * abs(approx):
         failures.append("lowering-operator shift defect")

@@ -414,9 +414,28 @@ class TestWeakCommand:
         run_cli(capsys, ["weak", "--config", cfg])
         assert eigh_sizes and all(size == 3 for size, _ in eigh_sizes)
 
+    @pytest.mark.parametrize("pointer", ("vacuum", "coherent:1.5-0.5j"))
+    @pytest.mark.parametrize("gen_key", ("q", "p", "n", "h0", "g", "k"))
+    def test_a_request_builds_no_dense_pointer_operator(self, capsys, tmp_path, monkeypatch, pointer, gen_key):
+        """The generator, the q and p readouts and `a` act through `FockSpace.apply`:
+        the request's mode never builds one of its dense operators."""
+        import qpl.cli
+
+        modes = []
+
+        class RecordedFockSpace(qpl.cli.FockSpace):
+            def __init__(self, dim):
+                super().__init__(dim)
+                modes.append(self)
+
+        monkeypatch.setattr(qpl.cli, "FockSpace", RecordedFockSpace)
+        run_cli(capsys, ["weak", "--config", pointer_config(tmp_path, pointer, 256, gen_key)])
+        dense = {"a", "adag", *RecordedFockSpace.GENERATORS.values()}
+        assert len(modes) == 1 and not dense & vars(modes[0]).keys()
+
     def test_a_request_checks_each_input_once(self, capsys, tmp_path, validator_calls):
-        """obs, generator, q and p are checked as hermitian, pre, post and pointer as
-        unit kets and the lowering operator once; the shifts reuse the checked arrays."""
+        """obs is checked as hermitian and pre, post and pointer as unit kets; the
+        pointer operators are named by key and applied banded, so none is checked."""
         cfg = weak_config(
             tmp_path,
             "system_dim = 4\npre = random\npost = random\nobs = number\neps = 1e-3\n"
@@ -424,13 +443,11 @@ class TestWeakCommand:
         )
         run_cli(capsys, ["weak", "--config", cfg])
         calls = Counter(call.name for call in validator_calls if call.caller != "as_hermitian")
-        assert calls["as_hermitian"] == 4
+        assert calls["as_hermitian"] == 1
         assert calls["as_unit_ket"] == 3
-        assert calls["as_operator"] == 1
+        assert calls["as_operator"] == 0
         assert calls["as_ket"] == 3
         assert calls["expectation"] == 0
-        lowering = [call for call in validator_calls if call.name == "as_operator"]
-        assert [call.module for call in lowering if call.caller is None] == ["qpl.weak"]
 
     def test_payload_reports_weak_value_and_shifts(self, capsys, tmp_path):
         cfg = weak_config(

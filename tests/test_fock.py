@@ -130,6 +130,12 @@ def test_rotation_acts_as_phase_on_labels(z, theta):
     assert fidelity >= 1 - 1e-6
 
 
+@pytest.mark.parametrize("theta", (float("nan"), float("inf"), -float("inf")))
+def test_rotation_rejects_a_non_finite_angle(theta):
+    with pytest.raises(ValueError, match="theta must be finite"):
+        SPACE.rotation(theta)
+
+
 def test_rotation_unitary_and_periodic():
     r = SPACE.rotation(0.7)
     assert is_unitary(r)
@@ -161,12 +167,70 @@ def test_spectrum_diagonalizes_the_dense_generator(dim, key):
     space = FockSpace(dim)
     values, vectors = space.spectrum(key)
     dense = getattr(space, FockSpace.GENERATORS[key])
-    assert np.max(np.abs((vectors * values) @ vectors.conj().T - dense)) <= 1e-12
-    assert np.max(np.abs(vectors.conj().T @ vectors - np.eye(dim))) <= 1e-12
+    # the diagonal n and h0 carry no vector matrix: None stands for the identity
+    assert (vectors is None) == (key in ("n", "h0"))
+    w = np.eye(dim) if vectors is None else vectors
+    assert np.max(np.abs((w * values) @ w.conj().T - dense)) <= 1e-12
+    assert np.max(np.abs(w.conj().T @ w - np.eye(dim))) <= 1e-12
     # only the rotated generators carry complex vectors
     assert np.iscomplexobj(vectors) == (key in ("p", "g"))
-    assert not values.flags.writeable and not vectors.flags.writeable
+    assert not values.flags.writeable and (vectors is None or not vectors.flags.writeable)
     assert space.spectrum(key)[1] is vectors
+    if vectors is not None:  # shared by every mode of this dimension
+        assert FockSpace(dim).spectrum(key)[1] is vectors
+
+
+BANDED_DIMS = (2, 3, 16, 64, 128, 256)
+
+
+@pytest.mark.parametrize("dim", BANDED_DIMS)
+def test_banded_action_and_cached_spectra_match_the_dense_operators(dim):
+    """`apply` equals the dense operator on random kets for every generator and `a`,
+    and every cached spectrum rebuilds its dense generator.
+
+    Each entry of X·ψ is a sum of at most two complex products on either side,
+    so each side is within γ₄·(|X|·|ψ|) of the exact value (Higham, Accuracy and
+    Stability of Numerical Algorithms, §3.6; γ₄ < 4.01u), and the dense p and g
+    entries are rounded once more: 8u·(|X|·|ψ|) entrywise covers both.
+    """
+    space, rng = FockSpace(dim), np.random.default_rng(dim)
+    for key, attr in [*FockSpace.GENERATORS.items(), ("a", "a")]:
+        dense = getattr(space, attr)
+        for _ in range(3):
+            psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+            bound = 8 * np.finfo(float).eps * (np.abs(dense) @ np.abs(psi))
+            assert np.all(np.abs(space.apply(key, psi) - dense @ psi) <= bound), key
+    for key, attr in FockSpace.GENERATORS.items():
+        values, vectors = space.spectrum(key)
+        rebuilt = np.diag(values) if vectors is None else (vectors * values) @ vectors.conj().T
+        assert np.max(np.abs(rebuilt - getattr(space, attr))) <= 1e-12, key
+
+
+@pytest.mark.parametrize(
+    "key, psi",
+    (("num", np.ones(8)), ("adag", np.ones(8)), ("q", np.ones(7)), ("q", np.ones(1)), ("k", np.full(8, np.nan))),
+    ids=("attribute-name", "raising", "short", "one-entry", "nan"),
+)
+def test_apply_rejects_what_it_cannot_take(key, psi):
+    with pytest.raises(ValueError):
+        EIGHT.apply(key, psi)
+
+
+@pytest.mark.parametrize("dim", BANDED_DIMS)
+def test_q_spectrum_is_the_gauss_hermite_rule(dim):
+    """The eigenvalues of Q are the Gauss–Hermite nodes, and the squared first
+    components of its eigenvectors the weights over √π (Golub & Welsch, Math.
+    Comp. 23, 221 (1969)); `hermgauss` computes them independently.
+
+    Both sides are backward stable, so a node moves by at most c·u·‖Q‖₂ and an
+    eigenvector by c·u·‖Q‖₂/gap, with ‖Q‖₂ the largest |node| and gap the
+    smallest node spacing; c = 8 on each.
+    """
+    values, vectors = FockSpace(dim).spectrum("q")
+    nodes, weights = np.polynomial.hermite.hermgauss(dim)
+    norm, gap, u = np.abs(nodes).max(), np.diff(nodes).min(), np.finfo(float).eps
+    assert np.max(np.abs(values - nodes)) <= 8 * u * norm
+    assert np.max(np.abs(vectors[0] ** 2 - weights / np.sqrt(np.pi))) <= 8 * u * norm / gap
 
 
 def test_spectrum_rejects_unknown_generators():
@@ -227,7 +291,7 @@ def bitwise_equal(x, y):
 
 
 def uncached_oracle(dim):
-    """The q and k spectra and the dense q and p, built without the fock caches."""
+    """The q, p, k and g spectra and the dense q and p, built without the fock caches."""
     levels = np.arange(dim)
     ladder = np.sqrt(levels[1:])
     a = np.diag(ladder, 1).astype(complex)
@@ -241,28 +305,30 @@ def uncached_oracle(dim):
     k_vectors = np.zeros((dim, dim))
     k_vectors[0::2, : blocks[0][0].size] = blocks[0][1]
     k_vectors[1::2, blocks[0][0].size :] = blocks[1][1]
+    k_values = np.concatenate([blocks[0][0], blocks[1][0]])
     return {
         "q spectrum": (q_values, q_vectors),
-        "k spectrum": (np.concatenate([blocks[0][0], blocks[1][0]]), k_vectors),
+        "p spectrum": (q_values, roots(4)[levels % 4][:, None] * q_vectors),
+        "k spectrum": (k_values, k_vectors),
+        "g spectrum": (k_values, roots(8)[levels % 8][:, None] * k_vectors),
         "quadratures": ((a + adag) / np.sqrt(2), (a - adag) / (1j * np.sqrt(2))),
     }
 
 
 @pytest.mark.parametrize("dim", (2, 3, 24, 32, 64, 128, 256))
 def test_modes_of_one_dimension_share_the_uncached_values(dim):
-    """Two modes of one dimension get the same q and k spectra and q and p
-    arrays, bit for bit the arrays an uncached build gives."""
+    """Two modes of one dimension share the q, p, k and g spectra, and each builds
+    its own dense q and p; all are bit for bit the arrays an uncached build gives."""
     def arrays(space):
         return {
-            "q spectrum": space.spectrum("q"),
-            "k spectrum": space.spectrum("k"),
+            **{f"{key} spectrum": space.spectrum(key) for key in "qpkg"},
             "quadratures": (space.q, space.p),
         }
 
     first, second = arrays(FockSpace(dim)), arrays(FockSpace(dim))
     for name, expected in uncached_oracle(dim).items():
         for built, other, oracle in zip(first[name], second[name], expected):
-            assert built is other, name
+            assert (built is other) == (name != "quadratures"), name
             assert not built.flags.writeable, name
             assert np.array_equal(built, oracle) and bitwise_equal(built, oracle), name
 
