@@ -37,7 +37,7 @@ from .coherent import CoherentFamily, _closed_form_check, coherent_state
 from .fock import FockSpace
 from .linalg import basis_ket, random_density, random_ket
 from .modular import _momentum_amplitudes, az_state, nslit_evolve
-from .schwinger import dft, gauss_trace, gauss_trace_closed_form
+from .schwinger import _momentum_ket, gauss_trace, gauss_trace_closed_form
 from .serialize import Block, canonical_json, csv_text
 from .weak import WeakConfig, weak_run, weak_value
 from .weylwigner import commutator_expansion, phase_point, structure_constants, wigner_map
@@ -126,7 +126,7 @@ def parse_ket_selector(spec: str, dim: int, rng: np.random.Generator) -> np.ndar
             raise UsageError(f"selector {spec!r} is out of range for dimension {dim}")
         if spec[0] == "u":
             return basis_ket(dim, k)
-        return dft(dim)[:, k].copy()  # a strided view would round later products differently
+        return _momentum_ket(dim, k)
     if spec.startswith("coherent:"):
         return coherent_state(dim, *_parse_pair(spec[len("coherent:") :], "coherent label m,n"))
     if spec.startswith("amps:"):

@@ -20,7 +20,7 @@ from math import gcd
 import numpy as np
 
 from .linalg import as_ket, basis_ket
-from .schwinger import dft
+from .schwinger import _momentum_ket, dft
 
 
 def _check_factors(na: int, nb: int):
@@ -108,7 +108,7 @@ def az_state(na: int, nb: int, j: int, sigma: int) -> AzState:
     _check_factors(na, nb)
     j %= na
     sigma %= nb
-    pair = np.kron(dft(na)[:, j], basis_ket(nb, sigma))
+    pair = np.kron(_momentum_ket(na, j), basis_ket(nb, sigma))
     idx = np.arange(na * nb)
     vector = pair[(idx % na) * nb + idx % nb]  # crt_permutation(na, nb).T @ pair
     shift_phase, clock_phase = modular_cell_coords(na, nb, j, sigma)
@@ -145,7 +145,7 @@ def nslit_evolve(n: int, samples) -> np.ndarray:
     if n % period != 0:
         raise ValueError(f"period {period} does not divide register size {n}")
     tiled = np.tile(samples, n // period)
-    return np.exp(-1j * tiled) * dft(n)[:, 0]
+    return np.exp(-1j * tiled) * _momentum_ket(n, 0)
 
 
 def momentum_amplitudes(state) -> np.ndarray:

@@ -12,6 +12,13 @@ Conventions (fixed once for the whole package):
 With these choices the Weyl relation V^j U^k = v^{jk} U^k V^j holds
 exactly, the momentum states |v_k⟩ = F|u_k⟩ are V-eigenvectors with
 eigenvalue v^k, and F^4 = I.
+
+Tables that depend on nothing but N are built once per dimension and kept
+read-only: `roots(N)` for the last 256 dimensions, and the N×N phase table
+Φ[k, j] = v^{k·j} for the last TABLE_DIMS = 16 (16·N² bytes each, 64 KiB at
+the register cap N = 64, so at most 1 MiB at or below it).  Φ is the source
+of `dft`, of every momentum ket and of the Weyl-transform tables in
+`weylwigner`; results computed from it are never cached.
 """
 
 from __future__ import annotations
@@ -19,6 +26,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
+
+TABLE_DIMS = 16  # dimensions whose N×N phase-space tables stay cached
 
 
 @lru_cache(maxsize=256)
@@ -44,10 +53,19 @@ def dft(n: int) -> np.ndarray:
     return _phase_table(n) / np.sqrt(n)
 
 
+def _momentum_ket(n: int, k: int) -> np.ndarray:
+    """Momentum ket |v_k⟩ = F[:, k]: the bytes of dft(n)[:, k], in a fresh contiguous array."""
+    _check_dim(n)
+    return _phase_table(n)[:, k] / np.sqrt(n)
+
+
+@lru_cache(maxsize=TABLE_DIMS)
 def _phase_table(n: int) -> np.ndarray:
-    """Unnormalized DFT phases Φ[k, j] = v^{k·j}."""
+    """Read-only unnormalized DFT phases Φ[k, j] = v^{k·j}."""
     k = np.arange(n)
-    return roots(n)[np.outer(k, k) % n]
+    table = roots(n)[np.outer(k, k) % n]
+    table.flags.writeable = False
+    return table
 
 
 def weyl_word(n: int, k, j) -> np.ndarray:
@@ -57,6 +75,8 @@ def weyl_word(n: int, k, j) -> np.ndarray:
     result has shape broadcast(k, j) + (n, n).
     """
     _check_dim(n)
+    _check_label("k", k)
+    _check_label("j", j)
     k = np.asarray(k % n)[..., None, None]
     j = np.asarray(j % n)[..., None, None]
     a = np.arange(n)[:, None]
@@ -93,3 +113,20 @@ def gauss_trace_closed_form(n: int) -> complex:
 def _check_dim(n: int) -> None:
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"dimension must be a positive integer, got {n!r}")
+
+
+def _check_label(name: str, *coords) -> None:
+    """Raise a ValueError naming label `name` unless every coordinate is an integer or integer array.
+
+    One coordinate is a label such as the m of |m,n⟩; two form a phase-point
+    pair (m, n).  Python ints of any size are accepted, as are numpy integers.
+    """
+    for x in coords:
+        values = np.asarray(x)
+        if values.dtype.kind in "iu":
+            continue
+        if values.dtype == object and all(isinstance(v, (int, np.integer)) for v in values.flat):
+            continue  # Python ints beyond int64
+        if len(coords) == 1:
+            raise ValueError(f"{name} label {x!r} must be an integer or an array of integers")
+        raise ValueError(f"{name} label {coords!r} must be a pair of integers")

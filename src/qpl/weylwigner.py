@@ -15,7 +15,13 @@ over representatives 0 ≤ r,s ≤ N-1, where h(r,s) is the half phase
 `phase_point` builds operators from the first line.  The other two are a
 few N x N matrix products each (O(N³) time, O(N²) memory, odd and even N
 alike) and serve `weyl_transform`, `weyl_reconstruct`, `wigner_map` and
-`commutator_expansion`.  The dense double sum, the stored
+`commutator_expansion`.  Every table these read that depends only on N —
+Φ, Φ̄, h, Φ·h/N and the index tables of the shift s = (c - a) mod N — is
+built once per dimension by `_weyl_tables` and kept read-only for the last
+TABLE_DIMS = 16 dimensions (72·N² bytes beside the Φ that `schwinger`
+caches: 288 KiB at the register cap N = 64, at most 4.5 MiB at or below
+it).  Coefficient grids, operators and Wigner maps are computed afresh on
+every call.  The dense double sum, the stored
 (N, N, N, N) grid and the N⁶ structure-constant table live only in the
 test suite, as brute-force oracles.
 
@@ -54,33 +60,61 @@ tested; see the test suite):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .linalg import as_hermitian, as_operator
-from .schwinger import _check_dim, _phase_table, roots
+from .schwinger import TABLE_DIMS, _check_dim, _check_label, _phase_table, roots
+
+
+@dataclass(frozen=True)
+class _WeylTables:
+    """Read-only tables of one dimension N shared by the kernels and `phase_point`."""
+
+    phases: np.ndarray  # Φ[k, j] = v^{k·j}, the array `schwinger` caches
+    labels: np.ndarray  # Φ̄[k, j] = v^{-k·j}
+    half: np.ndarray  # h(r, s), as `half_phase_exponents` returns it
+    kernel: np.ndarray  # H = Φ·h/N, so Δ_mn[a, c] = v^{-m·s}·H[(a - n) mod N, s]
+    shift: np.ndarray  # [a, c] -> s = (c - a) mod N
+    gather: np.ndarray  # [s, a] -> flat index of entry [(a + s) mod N, a]
+    unshift: np.ndarray  # [a, c] -> flat index of entry [a, s]
+
+
+@lru_cache(maxsize=TABLE_DIMS)
+def _weyl_tables(n: int) -> _WeylTables:
+    phases = _phase_table(n)
+    half = half_phase_exponents(n)
+    k = np.arange(n)
+    shift = (k[None, :] - k[:, None]) % n
+    tables = _WeylTables(
+        phases=phases,
+        labels=phases.conj(),
+        half=half,
+        kernel=phases @ half / n,
+        shift=shift,
+        gather=((k[None, :] + k[:, None]) % n) * n + k[None, :],
+        unshift=k[:, None] * n + shift,
+    )
+    for table in vars(tables).values():
+        table.flags.writeable = False
+    return tables
 
 
 def _trace_kernel(op: np.ndarray) -> np.ndarray:
     """N·tr(Δ_mn·O) for every phase point, through the Weyl moments."""
-    n = op.shape[0]
-    s, a = np.ogrid[:n, :n]
-    shifted = op[(a + s) % n, a]  # [s, a]
-    phases = _phase_table(n)
-    moments = phases @ shifted.T  # [r, s]
-    labels = phases.conj()  # v^{-k·j} table
-    return labels @ (labels @ (half_phase_exponents(n) * moments)).T
+    t = _weyl_tables(op.shape[0])
+    moments = t.phases @ op.take(t.gather).T  # [r, s]
+    return t.labels @ (t.labels @ (t.half * moments)).T
 
 
 def _sum_kernel(coeffs: np.ndarray) -> np.ndarray:
     """Σ_mn coeffs[m, n]·Δ_mn, through the Weyl-word coefficients."""
     n = coeffs.shape[0]
-    phases = _phase_table(n)
-    labels = phases.conj()
-    words = half_phase_exponents(n) * (labels @ coeffs @ labels).T / n  # [r, s]
-    rows = phases @ words  # rows[a, s] = entry [a, (a+s) mod n]
-    a, c = np.ogrid[:n, :n]
-    return rows[a, (c - a) % n]
+    t = _weyl_tables(n)
+    words = t.half * (t.labels @ coeffs @ t.labels).T / n  # [r, s]
+    rows = t.phases @ words  # rows[a, s] = entry [a, (a+s) mod n]
+    return rows.take(t.unshift)
 
 
 def half_phase_exponents(n: int) -> np.ndarray:
@@ -110,13 +144,13 @@ def phase_point(n: int, m, nn) -> np.ndarray:
     result has shape broadcast(m, nn) + (n, n).
     """
     _check_dim(n)
+    _check_label("m", m)
+    _check_label("nn", nn)
     m = np.asarray(m % n)[..., None, None]
     nn = np.asarray(nn % n)[..., None, None]
-    k = np.arange(n)
-    a = k[:, None]
-    s = (k[None, :] - a) % n
-    h = _phase_table(n) @ half_phase_exponents(n) / n
-    return roots(n)[(-m * s) % n] * h[(a - nn) % n, s]
+    t = _weyl_tables(n)
+    s = t.shift
+    return roots(n)[(-m * s) % n] * t.kernel[(np.arange(n)[:, None] - nn) % n, s]
 
 
 def weyl_transform(op) -> np.ndarray:
@@ -197,9 +231,8 @@ def delta_product(n: int, a, b) -> np.ndarray:
     _check_dim(n)
     if n % 2 == 0:
         raise ValueError("the closed-form product rule is defined only for odd dimensions")
-    for label in (a, b):
-        if not all(isinstance(x, (int, np.integer)) for x in label):
-            raise ValueError(f"phase-point label {label!r} must be a pair of integers")
+    _check_label("a", *a)
+    _check_label("b", *b)
     m, nn = int(a[0]) % n, int(a[1]) % n
     p, q = int(b[0]) % n, int(b[1]) % n
     phase = roots(n)[2 * symplectic_area((m, nn), (p, q)) % n]
@@ -215,6 +248,8 @@ def structure_constants(n: int, a, b, c):
     _check_dim(n)
     if n % 2 == 0:
         raise ValueError("structure constants are defined only for odd dimensions")
+    for name, label in zip("abc", (a, b, c)):
+        _check_label(name, *label)
     a, b, c = ((x % n, y % n) for x, y in (a, b, c))
     return roots(n)[phase_space_symbol(a, b, c) % n].imag
 

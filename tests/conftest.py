@@ -1,5 +1,5 @@
 """Shared pytest setup: one hypothesis profile for every property test, a
-fixture that empties the per-dimension fock caches, one that records every
+fixture that empties every per-dimension qpl cache, one that records every
 eigendecomposition and one that records every input check.
 
 Property examples at N up to 64 take milliseconds each but vary with
@@ -7,25 +7,28 @@ machine load, so no per-example deadline is enforced.
 """
 
 import sys
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from qpl import fock, linalg
+from qpl import linalg
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+import bytecheck  # noqa: E402
 
 settings.register_profile("qpl", deadline=None)
 settings.load_profile("qpl")
 
 
 @pytest.fixture
-def clear_fock_caches():
-    """Empty every `lru_cache` defined in qpl.fock now; the returned function empties them again."""
-    caches = [f for f in vars(fock).values() if hasattr(f, "cache_clear") and f.__module__ == "qpl.fock"]
+def clear_qpl_caches():
+    """Empty every qpl cache that `bytecheck.py --order cold` empties; the returned function empties them again."""
 
     def clear():
-        for cache in caches:
+        for cache in bytecheck._qpl_caches():
             cache.cache_clear()
 
     clear()

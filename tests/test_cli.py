@@ -220,7 +220,7 @@ class TestGoldenOutputs:
         assert out == (GOLDEN / f"{name}.{fmt}").read_bytes().decode()
 
     def test_weak_goldens_hold_cold_and_warm(
-        self, capsys, monkeypatch, tmp_path, clear_fock_caches
+        self, capsys, monkeypatch, tmp_path, clear_qpl_caches
     ):
         """Each weak golden rendered with empty fock caches, then again after
         weak runs at other pointer dimensions; the csv render of each config
@@ -234,7 +234,7 @@ class TestGoldenOutputs:
             return out == (GOLDEN / f"{name}.{fmt}").read_bytes().decode()
 
         for name, fmt in goldens:
-            clear_fock_caches()
+            clear_qpl_caches()
             assert render(name, fmt), f"{name}.{fmt} cold"
         for dim in (2, 40, 256):
             for gen_key in ("p", "g"):  # the q and the k spectrum
@@ -390,7 +390,7 @@ class TestWeakCommand:
     @pytest.mark.parametrize("pointer", ("vacuum", "coherent:1.5-0.5j"))
     @pytest.mark.parametrize("gen_key", ("q", "p", "n", "h0", "g", "k"))
     def test_pointer_spectra_need_no_complex_eigh(
-        self, capsys, tmp_path, clear_fock_caches, eigh_sizes, pointer, gen_key
+        self, capsys, tmp_path, clear_qpl_caches, eigh_sizes, pointer, gen_key
     ):
         """No complex eigendecomposition of pointer size, and none at all for a
         vacuum pointer under the diagonal generators n and h0."""
@@ -405,7 +405,7 @@ class TestWeakCommand:
     @pytest.mark.parametrize("pointer", ("vacuum", "coherent:1.5-0.5j"))
     @pytest.mark.parametrize("gen_key", ("q", "p", "n", "h0", "g", "k"))
     def test_a_repeated_pointer_dimension_needs_no_pointer_eigh(
-        self, capsys, tmp_path, clear_fock_caches, eigh_sizes, pointer, gen_key
+        self, capsys, tmp_path, clear_qpl_caches, eigh_sizes, pointer, gen_key
     ):
         """The second run at one pointer dimension diagonalizes only the observable."""
         cfg = pointer_config(tmp_path, pointer, 36, gen_key)
@@ -779,6 +779,37 @@ class TestSubcommandPayloads:
             tracemalloc.stop()
         # the Gram matrix itself is 1 MiB; one more N⁴ complex table would be another
         assert peak < 2 * 2**20
+
+    def test_coherent_gram_at_the_cap_holds_no_full_closed_form_table_cold(self, capsys, clear_qpl_caches):
+        """The same bound with every qpl cache empty, so the per-dimension tables are built inside it."""
+        clear_qpl_caches()
+        tracemalloc.start()
+        try:
+            run_cli(capsys, ["coherent-gram", "--n", str(MAX_GRAM_DIM)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
+    @pytest.mark.parametrize("fmt", ("json", "csv"))
+    def test_wigner_at_the_cap_cold_holds_only_its_tables(self, capsys, clear_qpl_caches, fmt):
+        """With every qpl cache empty, the peak is the uncached one plus the documented table bytes.
+
+        A small request runs first: the first wigner request in a process also
+        allocates ~0.7 MiB of interpreter and numpy state that outlives it and
+        that no qpl cache holds.  Without the per-dimension tables a cold
+        request peaked at 0.92 MiB (JSON) and 0.98 MiB (CSV); Φ (64 KiB) and
+        the Weyl tables (288 KiB) add 352 KiB at N = 64.
+        """
+        run_cli(capsys, ["wigner", "--n", "2", "--state", "u0"])
+        clear_qpl_caches()
+        tracemalloc.start()
+        try:
+            run_cli(capsys, ["wigner", "--n", "64", "--state", "random", "--seed", "3", "--format", fmt])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20 + 352 * 2**10
 
 
 # Finite amplitudes whose norm overflows float range

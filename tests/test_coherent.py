@@ -45,6 +45,30 @@ def test_displacement_unitary_and_trivial_label():
             assert is_unitary(displacement(n, m, nn))
 
 
+def test_displacement_rejects_fractional_labels():
+    """A fractional label is a ValueError naming the argument, not numpy's IndexError."""
+    with pytest.raises(ValueError, match=r"m label 1\.5 must be an integer"):
+        displacement(5, 1.5, 0)
+    with pytest.raises(ValueError, match=r"nn label 0\.5 must be an integer"):
+        displacement(5, 1, 0.5)
+
+
+def test_coherent_state_rejects_fractional_labels():
+    with pytest.raises(ValueError, match=r"m label 1\.5 must be an integer"):
+        coherent_state(5, 1.5, 0)
+    with pytest.raises(ValueError, match=r"nn label 2\.0 must be an integer"):
+        coherent_state(5, 1, 2.0)
+    assert np.array_equal(coherent_state(5, np.uint8(6), -(10**20)), coherent_state(5, 1, 0))
+
+
+@pytest.mark.parametrize("overlap", (coherent_overlap, coherent_overlap_closed, symplectic_phase))
+def test_overlaps_reject_fractional_labels(overlap):
+    with pytest.raises(ValueError, match=r"p label 1\.5 must be an integer"):
+        overlap(5, 1.5, 0, 0, 0)
+    with pytest.raises(ValueError, match=r"s label 0\.5 must be an integer"):
+        overlap(5, 1, 2, 3, 0.5)
+
+
 @pytest.mark.parametrize("n", (3, 4, 5))
 def test_overlap_closed_form_every_pair(n):
     """⟨p,q|r,s⟩ agrees with phase × signed magnitude to machine precision."""

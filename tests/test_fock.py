@@ -271,7 +271,7 @@ def test_displacement_and_coherent_match_dense_oracle(dim, z):
             space.coherent(z * 1.001)  # just past the boundary
 
 
-def test_construction_allocates_no_dense_matrix(clear_fock_caches):
+def test_construction_allocates_no_dense_matrix(clear_qpl_caches):
     """FockSpace keeps diagonals; a D×D operator is built on its first access."""
     tracemalloc.start()
     try:

@@ -152,6 +152,15 @@ def test_fourier_exchanges_shift_and_clock():
         np.testing.assert_allclose(f.conj().T @ weyl_word(n, 0, 1) @ f, weyl_word(n, 1, 0), atol=1e-12)
 
 
+def test_weyl_word_rejects_fractional_labels():
+    """A fractional power is a ValueError naming the argument, not numpy's IndexError."""
+    with pytest.raises(ValueError, match=r"k label 1\.5 must be an integer"):
+        weyl_word(5, 1.5, 0)
+    with pytest.raises(ValueError, match=r"j label array\(\[0\. , 0\.5\]\) must be an integer"):
+        weyl_word(5, 1, np.array([0, 0.5]))
+    assert np.array_equal(weyl_word(5, np.int64(7), 10**20 + 1), weyl_word(5, 2, 1))
+
+
 def test_kinematics_states():
     with pytest.raises(ValueError):
         weyl_word(0, 0, 1)

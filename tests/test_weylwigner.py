@@ -456,6 +456,20 @@ def test_weyl_transform_and_reconstruct_reject_bad_input(fn, bad):
         fn(bad)
 
 
+def test_structure_constants_reject_fractional_labels():
+    """A fractional label is a ValueError naming the argument, not numpy's IndexError."""
+    for name, labels in (("a", ((1.5, 0), (0, 0), (0, 0))), ("c", ((0, 0), (0, 0), (2, 0.5)))):
+        with pytest.raises(ValueError, match=rf"{name} label \(.*\) must be a pair of integers"):
+            structure_constants(5, *labels)
+
+
+def test_phase_point_rejects_fractional_labels():
+    with pytest.raises(ValueError, match=r"m label 1\.5 must be an integer"):
+        phase_point(5, 1.5, 0)
+    with pytest.raises(ValueError, match=r"nn label array\(\[0\. , 1\.5\]\) must be an integer"):
+        phase_point(5, 0, np.array([0, 1.5]))
+
+
 def test_delta_product_rejects_non_integer_labels():
     """A fractional label is an error, not silently truncated to the product at (1, 0)."""
     for a, b in (((1.5, 0), (0, 0)), ((0, 0), (2, 0.5))):
