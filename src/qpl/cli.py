@@ -28,7 +28,7 @@ import argparse
 import cmath
 import os
 import sys
-from math import gcd
+from math import frexp, gcd, ldexp
 from pathlib import Path
 
 import numpy as np
@@ -134,13 +134,13 @@ def parse_ket_selector(spec: str, dim: int, rng: np.random.Generator) -> np.ndar
         if len(tokens) != dim:
             raise UsageError(f"amps selector needs {dim} entries, got {len(tokens)}")
         vec = np.array([_parse_number(t, complex, "amplitude") for t in tokens])
-        with np.errstate(over="ignore"):
-            norm = np.linalg.norm(vec)
-        if norm <= 1e-12:
+        largest = float(np.abs(vec.view(float)).max())  # of the real and imaginary parts
+        if largest == 0:
             raise UsageError("amps selector has zero norm")
-        if not np.isfinite(norm):
-            raise UsageError("amps selector norm overflows; scale the amplitudes down")
-        return vec / norm
+        # exact rescale by 2^-e to parts below 1, in two factors as 2^-e may pass float range
+        e = frexp(largest)[1]
+        vec = vec * ldexp(1.0, -(e // 2)) * ldexp(1.0, e // 2 - e)
+        return vec / np.linalg.norm(vec)
     if spec == "random":
         return random_ket(dim, rng)
     raise UsageError(f"unknown state selector {spec!r}")

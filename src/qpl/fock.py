@@ -6,7 +6,7 @@ operator cut off at the top level (a†|D-1⟩ = 0).  Quadratures are
 Q = (a + a†)/√2 and P = (a - a†)/(i√2), so [Q,P] = iI exactly on the
 interior indices 0..D-2 and Var_Q(|0⟩) = 1/2.
 
-The sl(2,R)-like generators, the FockSpace attributes h0, g and k, are
+The sl(2,R)-like generators, the FockSpace keys h0, g and k, are
 
     h0 = (Q² + P²)/2      (equals N + I/2 on the interior)
     g  = (QP + PQ)/2
@@ -31,15 +31,15 @@ even and the odd levels; p and g are q and k rotated, with the phases i^n
 and e^{iπn/4} gathered from `schwinger.roots`.  It returns read-only
 (values, vectors) with generator = vectors·diag(values)·vectors†.
 
-Every generator and `a` has at most two nonzero diagonals, so
-`FockSpace.apply(key, ψ)` applies one to a ket in O(D) from its bands,
-with no D×D array.  The dense operators are read-only and built on first
-access by the FockSpace that asks for them.  Only the spectra depend on
-nothing but the dimension: the q, p, k and g spectra are computed once per
-dimension and shared by every FockSpace of that size, each held by an
-`lru_cache` of the last CACHED_DIMS = 4 dimensions.  That is at most 3 MiB
-per dimension at the pointer cap of 256 (the real q and k vectors 0.5 MiB
-each, the complex p and g vectors 1 MiB each), so at most 12 MiB in all.
+Every generator and `a` has at most two nonzero diagonals, its bands, the
+one definition of the operator: `FockSpace.apply(key, ψ)` applies it in
+O(D), `variance` reads ⟨X²⟩ = ‖Xψ‖², and `operator(key)` builds the dense
+matrix from `apply` for library callers.  Only the spectra depend on nothing
+but the dimension: the q, p, k and g spectra are computed once per dimension
+and shared by every FockSpace of that size, each held by an `lru_cache` of
+the last CACHED_DIMS = 4 dimensions.  That is at most 3 MiB per dimension at
+the pointer cap of 256 (the real q and k vectors 0.5 MiB each, the complex p
+and g vectors 1 MiB each), so at most 12 MiB in all.
 
 The scale operator S_ξ = exp(i·lnξ·g) dilates quadrature statistics by
 Var_Q(S_ξ|0⟩) = ξ⁻²·Var_Q(|0⟩) — the exponent -2 is the pinned direction
@@ -52,7 +52,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .linalg import as_hermitian, as_ket, basis_ket, spectral_exp
+from .linalg import as_ket, basis_ket, spectral_exp
 from .schwinger import roots
 
 SCALE_MIN, SCALE_MAX = 1.0 / 3.0, 3.0
@@ -122,56 +122,17 @@ _SPECTRA = {"q": _q_spectrum, "p": _p_spectrum, "k": _k_spectrum, "g": _g_spectr
 class FockSpace:
     """Operator bundle for one truncated mode of dimension `dim` ≥ 2."""
 
-    # spectrum key -> the dense attribute it diagonalizes
-    GENERATORS = {"q": "q", "p": "p", "n": "num", "h0": "h0", "g": "g", "k": "k"}
+    GENERATORS = ("q", "p", "n", "h0", "g", "k")  # the hermitian pointer operators, by key
 
     def __init__(self, dim: int):
         if not isinstance(dim, (int, np.integer)) or dim < 2:
             raise ValueError(f"truncation dimension must be an integer >= 2, got {dim!r}")
         self.dim = int(dim)
-        # The operators' diagonals; the dense operators are built from them on first access.
         levels = self._levels = np.arange(self.dim)
         self._number = _read_only(np.sqrt(levels) ** 2)  # a†a, entries rounded as √k·√k
         half_counts = levels + 0.5
         half_counts[-1] = (self.dim - 1) / 2  # a a† vanishes on the top level
-        self._half_counts = _read_only(half_counts)
-
-    # Exact in the truncated space: h0 = (a a† + a† a)/2, g = (a² - a†²)/(2i),
-    # k = (a² + a†²)/2.  Every dense operator is read-only.
-
-    @cached_property
-    def a(self) -> np.ndarray:
-        return _read_only(np.diag(_ladder(self._levels), 1).astype(complex))
-
-    @cached_property
-    def adag(self) -> np.ndarray:
-        return _read_only(self.a.conj().T)
-
-    @cached_property
-    def num(self) -> np.ndarray:
-        return _read_only(np.diag(self._number).astype(complex))
-
-    @cached_property
-    def q(self) -> np.ndarray:
-        return _read_only((self.a + self.adag) / np.sqrt(2))
-
-    @cached_property
-    def p(self) -> np.ndarray:
-        return _read_only((self.a - self.adag) / (1j * np.sqrt(2)))
-
-    @cached_property
-    def h0(self) -> np.ndarray:
-        return _read_only(np.diag(self._half_counts).astype(complex))
-
-    @cached_property
-    def g(self) -> np.ndarray:
-        a2 = np.diag(_squared_ladder(self._levels), 2).astype(complex)
-        return _read_only((a2 - a2.T) / 2j)
-
-    @cached_property
-    def k(self) -> np.ndarray:
-        a2 = np.diag(_squared_ladder(self._levels), 2).astype(complex)
-        return _read_only((a2 + a2.T) / 2)
+        self._half_counts = _read_only(half_counts)  # h0 = (a a† + a† a)/2
 
     def spectrum(self, key: str) -> tuple[np.ndarray, np.ndarray | None]:
         """Read-only (values, vectors) of the generator `key` in GENERATORS, vectors None
@@ -184,7 +145,8 @@ class FockSpace:
 
     @cached_property
     def _bands(self) -> dict[str, tuple[np.ndarray, int]]:
-        """key -> (b, s): ⟨j|X|j+s⟩ = b_j, times -i for p and g; `a` has no lower band."""
+        """key -> (b, s): ⟨j|X|j+s⟩ = b_j, times -i for p and g; `a` has no lower band.
+        Exact: q = (a + a†)/√2, p = (a - a†)/(i√2), k = (a² + a†²)/2, g = (a² - a†²)/(2i)."""
         ladder = _ladder(self._levels)
         quadrature, squeeze = ladder / np.sqrt(2), _squared_ladder(self._levels) / 2
         return {"a": (ladder, 1), "q": (quadrature, 1), "p": (quadrature, 1), "k": (squeeze, 2), "g": (squeeze, 2)}
@@ -214,6 +176,10 @@ class FockSpace:
             lower = 1j * lower
         out[step:] += lower
         return out
+
+    def operator(self, key: str) -> np.ndarray:
+        """The read-only dense matrix of `key` in GENERATORS or "a": column j is `apply(key, |j⟩)`."""
+        return _read_only(np.column_stack([self.apply(key, basis_ket(self.dim, j)) for j in range(self.dim)]))
 
     def vacuum(self) -> np.ndarray:
         return basis_ket(self.dim, 0)
@@ -259,10 +225,11 @@ class FockSpace:
             raise ValueError(f"scale parameter {xi:.3g} outside [{SCALE_MIN:.3g}, {SCALE_MAX:.3g}]")
         return spectral_exp(*self.spectrum("g"), -np.log(xi))
 
-    def variance(self, op, psi) -> float:
-        op, psi = as_hermitian(op, "operator of FockSpace.variance"), as_ket(psi)
-        if op.shape[0] != self.dim or psi.shape[0] != self.dim:
-            raise ValueError(f"operator and ket need side {self.dim}, got {op.shape[0]} and {psi.shape[0]}")
-        m = (psi.conj() @ op @ psi).real
-        m2 = (psi.conj() @ op @ (op @ psi)).real
-        return float(m2 - m * m)
+    def variance(self, key: str, psi) -> float:
+        """Var_X(ψ) = ‖Xψ‖² - ⟨ψ|X|ψ⟩² of the generator `key` in GENERATORS, from its bands."""
+        if key not in self.GENERATORS:
+            raise ValueError(f"variance needs a generator, one of {sorted(self.GENERATORS)}, got {key!r}")
+        psi = as_ket(psi)
+        x_psi = self.apply(key, psi)
+        mean = np.vdot(psi, x_psi).real
+        return float(np.vdot(x_psi, x_psi).real - mean * mean)

@@ -25,9 +25,9 @@ from one spectrum per factor; no composite matrix is formed.  For the
 diagonal n and h0, W = I and the products with W are skipped.
 `pre_measurement` mixes the branches with weights |⟨o_k|α⟩|², and
 `qubit_pointer_profile` is the two-branch case P = |v_1⟩⟨v_1|: |v_0⟩
-carries |α⟩ and |v_1⟩ carries exp(-iλO)|α⟩.  `evolve_exact`, the tests' dense
-composite oracle (np.kron of O and the dense R, then one eigh of the composite
-coupling), stays here only because the harness in `perfbench/` wraps it by name.
+carries |α⟩ and |v_1⟩ carries exp(-iλO)|α⟩.  `evolve_exact` (np.kron of O
+and `FockSpace.operator(key)`, then one dense eigh of the composite coupling)
+is called by no request; it stays because `perfbench/` wraps it by name.
 
 For small ε the conditioned pointer mean of an observable M moves by
 
@@ -182,9 +182,9 @@ def evolve_exact(cfg: WeakConfig) -> np.ndarray:
     """Composite ket exp(-i·ε·O⊗R)·(|α⟩⊗|φ⟩), no expansion in ε.
 
     Dense brute force over the (ns·np)-dimensional composite space, index
-    i_s·np + i_p: the reference that `FactoredEvolution` is tested against.
+    i_s·np + i_p, with the dense pointer generator of `FockSpace.operator`.
     """
-    coupling = np.kron(cfg.obs, getattr(cfg.space, FockSpace.GENERATORS[cfg.pointer_gen]))
+    coupling = np.kron(cfg.obs, cfg.space.operator(cfg.pointer_gen))
     return spectral_exp(*np.linalg.eigh(coupling), cfg.eps) @ np.kron(cfg.pre, cfg.pointer)
 
 
@@ -292,13 +292,14 @@ def pre_measurement(alpha, obs, lam: float, space, pointer=None) -> PreMeasureme
     obs = as_hermitian(obs, "observable of pre_measurement")
     phi = space.vacuum() if pointer is None else as_unit_ket(pointer, "pointer state")
     require_same_dims(alpha=alpha, obs=obs)
-    require_same_dims(pointer=phi, space=space.q)
+    if len(phi) != space.dim:
+        raise ValueError(f"dimensions differ: pointer has {len(phi)}, space has {space.dim}")
     require_finite(lam=lam)
     evolution = FactoredEvolution(obs, space.spectrum("p"), alpha, phi)
     branches = evolution.branches(lam)
     reduced = (branches * np.abs(evolution.pre_coeffs) ** 2) @ branches.conj().T
-    # reduced and q are hermitian, so tr(ρ·q) = tr(ρ†·q) and tr(ρ²) = tr(ρ†·ρ)
-    position_mean = float(np.vdot(reduced, space.q).real)
+    # ρ is hermitian: tr(ρ·q) = 2·Re Σ_j b_j·ρ[j+1, j] over the q band b, and tr(ρ²) = tr(ρ†·ρ)
+    position_mean = float(2 * (space._bands["q"][0] @ np.diagonal(reduced, -1)).real)
     purity = float(np.vdot(reduced, reduced).real)
     return PreMeasurement(reduced=reduced, position_mean=position_mean, purity=purity)
 

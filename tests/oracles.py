@@ -1,17 +1,19 @@
 """Brute-force references the tests hold qpl against.
 
-Each one takes the slow, direct route: an exponential is one dense
-eigendecomposition of its generator, the composite ket is projected with
-⟨β|⊗I, and pointer moments are dense operator products.  The composite
-evolution itself is `qpl.weak.evolve_exact`.  `oracle_payload` rebuilds every
-number of a `weak` payload from these.
+Each one takes the slow, direct route: a pointer operator is a dense matrix
+built from the ladder matrix (`dense_operator`), not from the bands qpl
+applies; an exponential is one dense eigendecomposition of its generator;
+the composite ket (`evolve_dense`) is projected with ⟨β|⊗I; and pointer
+moments are dense operator products.  `oracle_payload` rebuilds every number
+of a `weak` payload from these.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from qpl import FockSpace, PostSelection, WeakConfig, as_ket, cli, evolve_exact, weak_value
+from qpl import FockSpace, PostSelection, WeakConfig, as_ket, cli, weak_value
 from qpl.linalg import as_hermitian, spectral_exp
 from qpl.weak import ORTHOGONAL_TOL
 
@@ -20,6 +22,46 @@ def unitary_exp(h, t: float) -> np.ndarray:
     """exp(-i·t·H) for hermitian H, from a full eigendecomposition (unitary for any t)."""
     h = as_hermitian(h, "generator passed to unitary_exp")
     return spectral_exp(*np.linalg.eigh(h), t)
+
+
+@lru_cache(maxsize=32)
+def dense_operator(dim: int, key: str) -> np.ndarray:
+    """The pointer operator `key` ("a" or a key in `FockSpace.GENERATORS`) of a `dim`-level
+    mode, read-only, from the dense ladder matrix a|n⟩ = √n|n-1⟩ with a†|dim-1⟩ = 0:
+    q = (a + a†)/√2, p = (a - a†)/(i√2), n = a†a, h0 = (a a† + a†a)/2 (its diagonal
+    from the integer counts), g = (a² - a†²)/(2i) and k = (a² + a†²)/2."""
+    levels = np.arange(dim)
+    a = np.diag(np.sqrt(levels[1:]), 1).astype(complex)
+    adag = a.conj().T
+    a2 = np.diag(np.sqrt(levels[1:-1] * levels[2:]), 2).astype(complex)
+    formulas = {
+        "a": lambda: a,
+        "q": lambda: (a + adag) / np.sqrt(2),
+        "p": lambda: (a - adag) / (1j * np.sqrt(2)),
+        "n": lambda: adag @ a,
+        "h0": lambda: np.diag((levels + np.append(levels[1:], 0)) / 2).astype(complex),
+        "g": lambda: (a2 - a2.T) / 2j,
+        "k": lambda: (a2 + a2.T) / 2,
+    }
+    operator = formulas[key]()
+    operator.flags.writeable = False
+    return operator
+
+
+@lru_cache(maxsize=2)
+def _composite_spectrum(obs_bytes: bytes, ns: int, key: str, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """One dense eigendecomposition of the coupling O⊗R, R = dense_operator(dim, key), read-only."""
+    obs = np.frombuffer(obs_bytes, dtype=complex).reshape(ns, ns)
+    values, vectors = np.linalg.eigh(np.kron(obs, dense_operator(dim, key)))
+    values.flags.writeable = vectors.flags.writeable = False
+    return values, vectors
+
+
+def evolve_dense(cfg: WeakConfig) -> np.ndarray:
+    """Composite ket exp(-i·ε·O⊗R)·(|α⟩⊗|φ⟩), index i_s·np + i_p, by brute force over the
+    composite space; the eigendecomposition of O⊗R is shared by every coupling ε."""
+    values, vectors = _composite_spectrum(cfg.obs.tobytes(), len(cfg.obs), cfg.pointer_gen, cfg.space.dim)
+    return vectors @ (np.exp(-1j * cfg.eps * values) * (vectors.conj().T @ np.kron(cfg.pre, cfg.pointer)))
 
 
 def post_select(state, post, pointer_dim: int) -> PostSelection:
@@ -44,7 +86,7 @@ def first_order_shift(cfg, m) -> float:
     """The first-order shift ε·[Im(O_w)·(⟨{M,R}⟩ − 2⟨R⟩⟨M⟩) − i·Re(O_w)·⟨[M,R]⟩],
     from dense products of M and R in the initial pointer."""
     ow, phi = weak_value(cfg), cfg.pointer
-    r = getattr(cfg.space, FockSpace.GENERATORS[cfg.pointer_gen])
+    r = dense_operator(cfg.space.dim, cfg.pointer_gen)
 
     def mean(op):
         return phi.conj() @ op @ phi
@@ -70,7 +112,7 @@ def oracle_payload(argv) -> dict[str, Expected]:
     `tools/bytecheck.printed_fields` names it, computed the slow way.
 
     The inputs come from the CLI's own parsers; the numbers come from the dense
-    `evolve_exact`, `post_select`, `conditioned_shift` and `first_order_shift`.
+    `evolve_dense`, `post_select`, `conditioned_shift` and `first_order_shift`.
     Each tolerance bounds the distance between two correct computations of
     its field from the conditioning of that field:
 
@@ -112,7 +154,7 @@ def oracle_payload(argv) -> dict[str, Expected]:
 
     u = np.finfo(float).eps / 2
     obs_norm = float(np.max(np.abs(np.linalg.eigvalsh(obs))))
-    gen_norm = float(np.max(np.abs(np.linalg.eigvalsh(getattr(space, FockSpace.GENERATORS[key])))))
+    gen_norm = float(np.max(np.abs(np.linalg.eigvalsh(dense_operator(dim, key)))))
     overlap = abs(post.conj() @ pre)
     fields = {
         # the same quotient on the same kets; ⟨β|O|α⟩ carries ns-term rounding
@@ -127,7 +169,7 @@ def oracle_payload(argv) -> dict[str, Expected]:
 
     def run_at(t):
         """(post-selection, its η) at coupling t."""
-        selection = post_select(evolve_exact(cfg.with_eps(t)), post, dim)
+        selection = post_select(evolve_dense(cfg.with_eps(t)), post, dim)
         return selection, 4 * u * (np.sqrt(ns * dim) + t * obs_norm * gen_norm)
 
     def measured_tol(selection, eta, m):
@@ -144,7 +186,7 @@ def oracle_payload(argv) -> dict[str, Expected]:
     halving = cli._parse_number(conf["halving"], bool, "halving")
     half, half_eta = run_at(eps / 2) if halving else (None, None)
     for name in ("q", "p"):
-        m = getattr(space, name)
+        m = dense_operator(dim, name)
         m_norm = np.linalg.norm(m, 2)
         measured = conditioned_shift(selected, pointer, m).real
         predicted = first_order_shift(cfg, m)
@@ -163,8 +205,9 @@ def oracle_payload(argv) -> dict[str, Expected]:
             ratio = half_residual / residual
             fields[f"halving.{name}.ratio"] = Expected(ratio, (half_tol + ratio * residual_tol) / residual)
     if z is not None and key == "n":
-        measured, predicted = conditioned_shift(selected, pointer, space.a), -1j * eps * z * ow
-        measured_tol_a = measured_tol(selected, eta, space.a)
+        a = dense_operator(dim, "a")
+        measured, predicted = conditioned_shift(selected, pointer, a), -1j * eps * z * ow
+        measured_tol_a = measured_tol(selected, eta, a)
         predicted_tol_a = 4 * u * abs(predicted)  # the same two products on both sides
         for part, value in (("re", measured.real), ("im", measured.imag)):
             fields[f"annihilator.measured.{part}"] = Expected(value, measured_tol_a)

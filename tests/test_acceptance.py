@@ -213,13 +213,14 @@ def test_c07_truncated_fock():
     failures = []
     space = FockSpace(64)
     interior = slice(0, 63)
-    comm_qp = space.q @ space.p - space.p @ space.q
+    q, p, h0, g, k = (space.operator(key) for key in ("q", "p", "h0", "g", "k"))
+    comm_qp = q @ p - p @ q
     if np.max(np.abs((comm_qp - 1j * np.eye(64))[interior, interior])) > 1e-12:
         failures.append("[Q,P] interior defect")
     sl2 = (
-        (space.h0, space.g, 2j * space.k),
-        (space.g, space.k, -2j * space.h0),
-        (space.k, space.h0, 2j * space.g),
+        (h0, g, 2j * k),
+        (g, k, -2j * h0),
+        (k, h0, 2j * g),
     )
     block = slice(0, 62)
     for left, right, target in sl2:
@@ -228,7 +229,7 @@ def test_c07_truncated_fock():
             failures.append("sl(2) closure defect")
     for z in (0.5, 1 + 1j, 2.0, 3 * np.exp(1j * np.pi / 4), 3.0):
         ket = space.coherent(z)
-        if abs(expectation(space.num, ket).real - abs(z) ** 2) > 1e-6:
+        if abs(expectation(space.operator("n"), ket).real - abs(z) ** 2) > 1e-6:
             failures.append(f"<N> != |z|^2 at z={z}")
         for theta in (0.3, np.pi / 2, 2.0):
             rotated = space.rotation(theta) @ ket

@@ -26,6 +26,18 @@ PUBLIC = [
 ]
 
 
+# A pointer operator is named by key; the dense matrix comes from `operator`.
+FOCK_SPACE_PUBLIC = [
+    "GENERATORS", "apply", "coherent", "dim", "displacement", "operator", "rotation", "scale",
+    "spectrum", "vacuum", "variance",
+]
+
+
+def test_fock_space_members_are_pinned():
+    names = sorted(name for name in dir(qpl.FockSpace(2)) if not name.startswith("_"))
+    assert names == FOCK_SPACE_PUBLIC
+
+
 def test_public_names_are_pinned():
     names = sorted(
         name

@@ -418,20 +418,18 @@ class TestWeakCommand:
     @pytest.mark.parametrize("gen_key", ("q", "p", "n", "h0", "g", "k"))
     def test_a_request_builds_no_dense_pointer_operator(self, capsys, tmp_path, monkeypatch, pointer, gen_key):
         """The generator, the q and p readouts and `a` act through `FockSpace.apply`:
-        the request's mode never builds one of its dense operators."""
-        import qpl.cli
+        a request at the pointer cap never calls `FockSpace.operator`."""
+        import qpl.fock
 
-        modes = []
+        calls, operator = [], qpl.fock.FockSpace.operator
 
-        class RecordedFockSpace(qpl.cli.FockSpace):
-            def __init__(self, dim):
-                super().__init__(dim)
-                modes.append(self)
+        def recorded(space, key):
+            calls.append(key)
+            return operator(space, key)
 
-        monkeypatch.setattr(qpl.cli, "FockSpace", RecordedFockSpace)
+        monkeypatch.setattr(qpl.fock.FockSpace, "operator", recorded)
         run_cli(capsys, ["weak", "--config", pointer_config(tmp_path, pointer, 256, gen_key)])
-        dense = {"a", "adag", *RecordedFockSpace.GENERATORS.values()}
-        assert len(modes) == 1 and not dense & vars(modes[0]).keys()
+        assert calls == []
 
     def test_a_request_checks_each_input_once(self, capsys, tmp_path, validator_calls):
         """obs is checked as hermitian and pre, post and pointer as unit kets; the
@@ -812,10 +810,11 @@ class TestSubcommandPayloads:
         assert peak < 2**20 + 352 * 2**10
 
 
-# Finite amplitudes whose norm overflows float range
-AMPS_OVERFLOW = (
-    ["wigner", "--n", "2", "--state", "amps:1e200,1"],
-    ["weak", "--config", "pre = amps:1e200,1"],
+# An amps ket is normalized after an exact power-of-two rescale: amplitudes scaled by
+# 2**±900, far past where their plain norm underflows or overflows, give the same ket.
+AMPS_SCALING = (
+    (["wigner", "--n", "3", "--state", "{}"], (1.0, -0.5j, 0.0)),
+    (["weak", "--config", "pre = {}"], (0.25 + 0.125j, 1.0)),
 )
 
 EXIT_CODE_CASES = (
@@ -847,7 +846,7 @@ EXIT_CODE_CASES = (
     (["weak", "--config", f"system_dim = {MAX_SYSTEM_DIM + 1}"], EXIT_BOUNDS),
     (["weak", "--config", "pointer_dim = 1"], EXIT_BOUNDS),
     (["weak", "--config", f"pointer_dim = {MAX_POINTER_DIM + 1}"], EXIT_BOUNDS),
-    *((argv, EXIT_USAGE) for argv in AMPS_OVERFLOW),
+    (["wigner", "--n", "2", "--state", "amps:0,-0j"], EXIT_USAGE),
 )
 
 # A weak config that runs cleanly; EXIT_CODE_CASES give one `key = value`
@@ -872,10 +871,29 @@ class TestExitCodes:
         _, err = run_cli(capsys, with_config_file(tmp_path, argv), expect=code)
         assert err.startswith("qpl:")
 
-    @pytest.mark.parametrize("argv", AMPS_OVERFLOW, ids=lambda v: str(v))
-    def test_overflowing_amps_norm_names_the_selector(self, capsys, tmp_path, argv):
-        _, err = run_cli(capsys, with_config_file(tmp_path, argv), expect=EXIT_USAGE)
-        assert err == "qpl: amps selector norm overflows; scale the amplitudes down\n"
+    @pytest.mark.parametrize("power", (900, -900))
+    @pytest.mark.parametrize("template, amplitudes", AMPS_SCALING, ids=("wigner", "weak"))
+    def test_amps_scaled_by_a_power_of_two_prints_the_same(
+        self, capsys, tmp_path, template, amplitudes, power
+    ):
+        """Each amplitude times 2**power, written by repr, prints the same stdout but for
+        the echoed selector."""
+
+        def printed(scale):
+            amps = "amps:" + ",".join(repr(c * scale).strip("()") for c in amplitudes)
+            out, _ = run_cli(capsys, with_config_file(tmp_path, [arg.format(amps) for arg in template]))
+            return out.replace(amps, "amps")
+
+        assert printed(2.0**power) == printed(1.0)
+
+    @pytest.mark.parametrize("amps, code", (("0,-0j", EXIT_USAGE), ("5e-324,0", EXIT_OK)))
+    def test_only_an_all_zero_amps_has_zero_norm(self, capsys, amps, code):
+        """The smallest subnormal amplitude alone is the basis ket |0⟩."""
+        out, err = run_cli(capsys, ["wigner", "--n", "2", "--state", f"amps:{amps}"], expect=code)
+        assert err == ("qpl: amps selector has zero norm\n" if code else "")
+        if code == EXIT_OK:
+            basis, _ = run_cli(capsys, ["wigner", "--n", "2", "--state", "u0"])
+            assert out.replace(f"amps:{amps}", "u0") == basis
 
     def test_main_is_reentrant(self, capsys, monkeypatch):
         """Usage errors, --help and flags leave nothing behind for the next call."""

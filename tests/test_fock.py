@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import unitary_exp
+from oracles import dense_operator, unitary_exp
 from qpl import (
     FockSpace,
     basis_ket,
@@ -21,19 +21,20 @@ SPACE = FockSpace(DIM)
 def test_ladder_action_on_fock_basis():
     for n in range(1, DIM):
         np.testing.assert_allclose(
-            SPACE.a @ basis_ket(DIM, n), np.sqrt(n) * basis_ket(DIM, n - 1), atol=1e-14
+            SPACE.apply("a", basis_ket(DIM, n)), np.sqrt(n) * basis_ket(DIM, n - 1), atol=1e-14
         )
     # raising operator annihilates the top level in the truncated space
-    np.testing.assert_allclose(SPACE.adag @ basis_ket(DIM, DIM - 1), np.zeros(DIM))
-    np.testing.assert_allclose(SPACE.a @ SPACE.vacuum(), np.zeros(DIM))
+    np.testing.assert_allclose(SPACE.operator("a").conj().T @ basis_ket(DIM, DIM - 1), np.zeros(DIM))
+    np.testing.assert_allclose(SPACE.apply("a", SPACE.vacuum()), np.zeros(DIM))
 
 
 def test_number_operator_diagonal():
-    np.testing.assert_allclose(SPACE.num, np.diag(np.arange(DIM, dtype=float)), atol=1e-14)
+    np.testing.assert_allclose(SPACE.operator("n"), np.diag(np.arange(DIM, dtype=float)), atol=1e-14)
 
 
 def test_canonical_commutator_interior():
-    c = SPACE.q @ SPACE.p - SPACE.p @ SPACE.q
+    q, p = SPACE.operator("q"), SPACE.operator("p")
+    c = q @ p - p @ q
     interior = c[: DIM - 1, : DIM - 1]
     np.testing.assert_allclose(interior, 1j * np.eye(DIM - 1), atol=1e-12)
     # truncation dumps the missing trace into the top corner
@@ -42,7 +43,7 @@ def test_canonical_commutator_interior():
 
 
 def test_h0_counts_quanta_on_interior():
-    diag = np.diag(SPACE.h0).real
+    diag = np.diag(SPACE.operator("h0")).real
     np.testing.assert_allclose(diag[: DIM - 1], np.arange(DIM - 1) + 0.5, atol=1e-12)
 
 
@@ -50,15 +51,15 @@ def test_h0_counts_quanta_on_interior():
 def test_generators_match_quadrature_products(dim):
     """h0, g and k against their defining products of the quadratures."""
     space = FockSpace(dim)
-    q, p = space.q, space.p
+    q, p, a = space.operator("q"), space.operator("p"), space.operator("a")
     oracle = ((q @ q + p @ p) / 2, (q @ p + p @ q) / 2, (q @ q - p @ p) / 2)
-    for built, expected in zip((space.h0, space.g, space.k), oracle):
-        np.testing.assert_allclose(built, expected, rtol=0, atol=1e-12)
-    np.testing.assert_array_equal(space.num, space.adag @ space.a)
+    for key, expected in zip(("h0", "g", "k"), oracle):
+        np.testing.assert_allclose(space.operator(key), expected, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(space.operator("n"), a.conj().T @ a)
 
 
 def test_sl2_closure_away_from_edge():
-    h0, g, k = SPACE.h0, SPACE.g, SPACE.k
+    h0, g, k = (SPACE.operator(key) for key in ("h0", "g", "k"))
     block = slice(0, DIM - 2)
     for left, right, expected in (
         (h0, g, 2j * k),
@@ -71,25 +72,35 @@ def test_sl2_closure_away_from_edge():
 
 def test_vacuum_quadrature_variances():
     v = SPACE.vacuum()
-    assert SPACE.variance(SPACE.q, v) == pytest.approx(0.5, abs=1e-12)
-    assert SPACE.variance(SPACE.p, v) == pytest.approx(0.5, abs=1e-12)
+    assert SPACE.variance("q", v) == pytest.approx(0.5, abs=1e-12)
+    assert SPACE.variance("p", v) == pytest.approx(0.5, abs=1e-12)
 
 
 EIGHT = FockSpace(8)
 
 
 @pytest.mark.parametrize(
-    "op, psi",
+    "key, psi",
     (
-        (EIGHT.a, EIGHT.vacuum()),  # not hermitian
-        (np.diag([1.0, -1.0]), basis_ket(2, 0)),  # a 2-level pair on the 8-level space
-        (np.full((8, 8), np.nan), EIGHT.vacuum()),
+        ("a", EIGHT.vacuum()),  # not hermitian
+        ("q", basis_ket(2, 0)),  # a 2-level ket on the 8-level space
+        ("q", np.full(8, np.nan)),
     ),
     ids=("non-hermitian", "wrong-side", "nan"),
 )
-def test_variance_rejects_an_operator_it_cannot_take(op, psi):
+def test_variance_rejects_an_operator_it_cannot_take(key, psi):
     with pytest.raises(ValueError):
-        EIGHT.variance(op, psi)
+        EIGHT.variance(key, psi)
+
+
+@pytest.mark.parametrize("key", FockSpace.GENERATORS)
+def test_variance_is_the_dense_second_moment(key):
+    """‖Xψ‖² - ⟨ψ|X|ψ⟩² from the bands against ⟨ψ|X²|ψ⟩ - ⟨ψ|X|ψ⟩² of the dense oracle."""
+    psi = SPACE.coherent(1.0 - 0.5j)
+    x = dense_operator(DIM, key)
+    mean = (psi.conj() @ x @ psi).real
+    second = (psi.conj() @ x @ x @ psi).real
+    assert SPACE.variance(key, psi) == pytest.approx(second - mean**2, rel=1e-12)
 
 
 def test_displacement_unitary_and_guard():
@@ -113,11 +124,11 @@ def test_displacement_guard_rejects_non_finite(z):
 @pytest.mark.parametrize("z", (0.3, 1.0 + 1.0j, -2.0 + 0.5j, 3.0, 3j))
 def test_coherent_moments(z):
     psi = SPACE.coherent(z)
-    assert expectation(SPACE.num, psi).real == pytest.approx(abs(z) ** 2, abs=1e-6)
-    assert expectation(SPACE.a, psi) == pytest.approx(z, abs=1e-6)
+    assert expectation(SPACE.operator("n"), psi).real == pytest.approx(abs(z) ** 2, abs=1e-6)
+    assert expectation(SPACE.operator("a"), psi) == pytest.approx(z, abs=1e-6)
     # minimal uncertainty in both quadratures
-    assert SPACE.variance(SPACE.q, psi) == pytest.approx(0.5, abs=1e-6)
-    assert SPACE.variance(SPACE.p, psi) == pytest.approx(0.5, abs=1e-6)
+    assert SPACE.variance("q", psi) == pytest.approx(0.5, abs=1e-6)
+    assert SPACE.variance("p", psi) == pytest.approx(0.5, abs=1e-6)
 
 
 @pytest.mark.parametrize("z", (0.5, 1.5 + 0.5j, 2.0j, -1.0 - 1.0j, 3.0))
@@ -145,8 +156,8 @@ def test_rotation_unitary_and_periodic():
 @pytest.mark.parametrize("xi", (1 / 3, 0.5, 1.0, 2.0, 3.0))
 def test_scale_dilates_quadrature_variances(xi):
     psi = SPACE.scale(xi) @ SPACE.vacuum()
-    assert SPACE.variance(SPACE.q, psi) == pytest.approx(0.5 / xi**2, abs=2e-5)
-    assert SPACE.variance(SPACE.p, psi) == pytest.approx(0.5 * xi**2, abs=2e-5)
+    assert SPACE.variance("q", psi) == pytest.approx(0.5 / xi**2, abs=2e-5)
+    assert SPACE.variance("p", psi) == pytest.approx(0.5 * xi**2, abs=2e-5)
 
 
 def test_scale_guard():
@@ -166,7 +177,7 @@ def test_truncation_needs_two_levels():
 def test_spectrum_diagonalizes_the_dense_generator(dim, key):
     space = FockSpace(dim)
     values, vectors = space.spectrum(key)
-    dense = getattr(space, FockSpace.GENERATORS[key])
+    dense = dense_operator(dim, key)
     # the diagonal n and h0 carry no vector matrix: None stands for the identity
     assert (vectors is None) == (key in ("n", "h0"))
     w = np.eye(dim) if vectors is None else vectors
@@ -185,8 +196,8 @@ BANDED_DIMS = (2, 3, 16, 64, 128, 256)
 
 @pytest.mark.parametrize("dim", BANDED_DIMS)
 def test_banded_action_and_cached_spectra_match_the_dense_operators(dim):
-    """`apply` equals the dense operator on random kets for every generator and `a`,
-    and every cached spectrum rebuilds its dense generator.
+    """`apply` equals the dense oracle operator on random kets for every generator and
+    `a`, and every cached spectrum rebuilds its dense generator.
 
     Each entry of X·ψ is a sum of at most two complex products on either side,
     so each side is within γ₄·(|X|·|ψ|) of the exact value (Higham, Accuracy and
@@ -194,16 +205,16 @@ def test_banded_action_and_cached_spectra_match_the_dense_operators(dim):
     entries are rounded once more: 8u·(|X|·|ψ|) entrywise covers both.
     """
     space, rng = FockSpace(dim), np.random.default_rng(dim)
-    for key, attr in [*FockSpace.GENERATORS.items(), ("a", "a")]:
-        dense = getattr(space, attr)
+    for key in (*FockSpace.GENERATORS, "a"):
+        dense = dense_operator(dim, key)
         for _ in range(3):
             psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
             bound = 8 * np.finfo(float).eps * (np.abs(dense) @ np.abs(psi))
             assert np.all(np.abs(space.apply(key, psi) - dense @ psi) <= bound), key
-    for key, attr in FockSpace.GENERATORS.items():
+    for key in FockSpace.GENERATORS:
         values, vectors = space.spectrum(key)
         rebuilt = np.diag(values) if vectors is None else (vectors * values) @ vectors.conj().T
-        assert np.max(np.abs(rebuilt - getattr(space, attr))) <= 1e-12, key
+        assert np.max(np.abs(rebuilt - dense_operator(dim, key))) <= 1e-12, key
 
 
 @pytest.mark.parametrize(
@@ -251,7 +262,8 @@ def test_rotated_spectra_gather_exact_phases():
 
 def dense_displacement(space, z):
     """Oracle: exp(z·a† - z̄·a) from one dense eigendecomposition of its generator."""
-    return unitary_exp(1j * (z * space.adag - np.conjugate(z) * space.a), 1.0)
+    a = dense_operator(space.dim, "a")
+    return unitary_exp(1j * (z * a.conj().T - np.conjugate(z) * a), 1.0)
 
 
 # All four quadrants, and |z| = √dim - 3 on the guard boundary (5 at 64, 13 at 256).
@@ -272,12 +284,12 @@ def test_displacement_and_coherent_match_dense_oracle(dim, z):
 
 
 def test_construction_allocates_no_dense_matrix(clear_qpl_caches):
-    """FockSpace keeps diagonals; a D×D operator is built on its first access."""
+    """FockSpace keeps diagonals; a D×D operator is built only when `operator` is asked."""
     tracemalloc.start()
     try:
         space = FockSpace(256)
         built = tracemalloc.get_traced_memory()[1]
-        assert space.q.shape == (256, 256)
+        assert space.operator("q").shape == (256, 256)
         with_q = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -291,12 +303,9 @@ def bitwise_equal(x, y):
 
 
 def uncached_oracle(dim):
-    """The q, p, k and g spectra and the dense q and p, built without the fock caches."""
+    """The q, p, k and g spectra, built without the fock caches."""
     levels = np.arange(dim)
-    ladder = np.sqrt(levels[1:])
-    a = np.diag(ladder, 1).astype(complex)
-    adag = a.conj().T
-    q = ladder / np.sqrt(2)
+    q = np.sqrt(levels[1:]) / np.sqrt(2)
     q_values, q_vectors = np.linalg.eigh(np.diag(q, 1) + np.diag(q, -1))
     squared = np.sqrt(levels[1:-1] * levels[2:]) / 2
     blocks = [
@@ -311,33 +320,50 @@ def uncached_oracle(dim):
         "p spectrum": (q_values, roots(4)[levels % 4][:, None] * q_vectors),
         "k spectrum": (k_values, k_vectors),
         "g spectrum": (k_values, roots(8)[levels % 8][:, None] * k_vectors),
-        "quadratures": ((a + adag) / np.sqrt(2), (a - adag) / (1j * np.sqrt(2))),
     }
 
 
 @pytest.mark.parametrize("dim", (2, 3, 24, 32, 64, 128, 256))
 def test_modes_of_one_dimension_share_the_uncached_values(dim):
-    """Two modes of one dimension share the q, p, k and g spectra, and each builds
-    its own dense q and p; all are bit for bit the arrays an uncached build gives."""
+    """Two modes of one dimension share the q, p, k and g spectra, bit for bit the
+    arrays an uncached build gives."""
     def arrays(space):
-        return {
-            **{f"{key} spectrum": space.spectrum(key) for key in "qpkg"},
-            "quadratures": (space.q, space.p),
-        }
+        return {f"{key} spectrum": space.spectrum(key) for key in "qpkg"}
 
     first, second = arrays(FockSpace(dim)), arrays(FockSpace(dim))
     for name, expected in uncached_oracle(dim).items():
         for built, other, oracle in zip(first[name], second[name], expected):
-            assert (built is other) == (name != "quadratures"), name
+            assert built is other, name
             assert not built.flags.writeable, name
             assert np.array_equal(built, oracle) and bitwise_equal(built, oracle), name
 
 
-@pytest.mark.parametrize("name", ("a", "adag", "num", "q", "p", "h0", "g", "k"))
+@pytest.mark.parametrize("dim", (2, 3, 16, 64, 256))
+def test_dense_operators_are_the_oracle_operators(dim):
+    """`operator(key)` for every generator and `a` against the ladder-matrix formulas of
+    `oracles.dense_operator`: a, n, h0, g and k are equal entry for entry; the oracle's q
+    and p divide complex entries by √2 and i√2, so they may differ by less than an ulp."""
+    space = FockSpace(dim)
+    for key in (*FockSpace.GENERATORS, "a"):
+        built, oracle = space.operator(key), dense_operator(dim, key)
+        assert built.dtype == complex and built.shape == (dim, dim) and not built.flags.writeable, key
+        if key in ("q", "p"):
+            assert np.all(np.abs(built - oracle) <= np.finfo(float).eps * np.abs(oracle)), key
+        else:
+            assert np.array_equal(built, oracle), key
+
+
+@pytest.mark.parametrize("key", ("num", "adag", "x"))
+def test_operator_rejects_a_key_it_does_not_name(key):
+    with pytest.raises(ValueError, match="unknown operator"):
+        EIGHT.operator(key)
+
+
+@pytest.mark.parametrize("name", ("a", "n", "q", "p", "h0", "g", "k"))
 def test_dense_operators_are_read_only(name):
     """An in-place write raises; a fresh mode of the same size has the untouched values."""
     dim = 16
-    operator = getattr(FockSpace(dim), name)
+    operator = FockSpace(dim).operator(name)
     before = operator.copy()
     with pytest.raises(ValueError, match="read-only"):
         operator[0, 1] = 7.0
@@ -346,4 +372,4 @@ def test_dense_operators_are_read_only(name):
     with pytest.raises(ValueError, match="read-only"):
         np.multiply(operator, 2.0, out=operator)
     assert bitwise_equal(operator, before)
-    assert bitwise_equal(getattr(FockSpace(dim), name), before)
+    assert bitwise_equal(FockSpace(dim).operator(name), before)

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import conditioned_shift, first_order_shift, post_select, unitary_exp
+from oracles import (
+    conditioned_shift,
+    dense_operator,
+    evolve_dense,
+    first_order_shift,
+    post_select,
+    unitary_exp,
+)
 from qpl import (
     FactoredEvolution,
     FockSpace,
@@ -124,11 +131,11 @@ class TestWeakConfig:
         space, rng = FockSpace(dim), np.random.default_rng(dim)
         pre, post, obs = random_ket(3, rng), random_ket(3, rng), random_hermitian(3, rng)
         for pointer in (space.vacuum(), random_ket(dim, rng)):
-            for key, attr in FockSpace.GENERATORS.items():
+            for key in FockSpace.GENERATORS:
                 cfg = WeakConfig(pre, post, obs, space, key, pointer, 0.3)
                 values, vectors = space.spectrum(key)
                 assert cfg._evolution.gen_values is values and cfg._evolution.gen_vectors is vectors
-                dense = getattr(space, attr)
+                dense = dense_operator(dim, key)
                 bound = 8 * np.finfo(float).eps * (np.abs(dense) @ np.abs(pointer))
                 assert np.all(np.abs(cfg._r_phi - dense @ pointer) <= bound), key
 
@@ -140,7 +147,7 @@ class TestWeakConfig:
     def test_rejects_a_pointer_space_that_is_not_a_fock_space(self):
         cfg = make_config(2, 11, "p", VACUUM)
         with pytest.raises(ValueError, match="space must be a FockSpace"):
-            WeakConfig(cfg.pre, cfg.post, cfg.obs, SPACE.p, "p", VACUUM, EPS)
+            WeakConfig(cfg.pre, cfg.post, cfg.obs, dense_operator(POINTER_DIM, "p"), "p", VACUUM, EPS)
 
     def test_with_eps_replaces_only_coupling(self):
         cfg = make_config(2, 11, "p", VACUUM)
@@ -226,16 +233,16 @@ class TestWeakValue:
             pointer=SPACE.coherent(COHERENT_Z),
             eps=0.1,
         )
-        oracle = post_select(evolve_exact(cfg), cfg.post, POINTER_DIM)
+        oracle = post_select(evolve_dense(cfg), cfg.post, POINTER_DIM)
         assert 1e-4 < oracle.probability < 0.1
         run = weak_run(cfg, ("q", "p"), halving=True, z=COHERENT_Z)
         assert abs(run.selected.probability - oracle.probability) <= 1e-12
-        for name, m in (("q", SPACE.q), ("p", SPACE.p)):
-            exact = conditioned_shift(oracle, cfg.pointer, m).real
+        for name in ("q", "p"):
+            exact = conditioned_shift(oracle, cfg.pointer, dense_operator(POINTER_DIM, name)).real
             assert abs(run.shifts[name]["measured"] - exact) <= 1e-10
             assert run.shifts[name]["predicted"] is None and run.shifts[name]["residual"] is None
             assert run.halving[name] == {"half_residual": None, "ratio": None}
-        exact_a = conditioned_shift(oracle, cfg.pointer, SPACE.a)
+        exact_a = conditioned_shift(oracle, cfg.pointer, dense_operator(POINTER_DIM, "a"))
         assert abs(run.annihilator["measured"] - exact_a) <= 1e-10
         assert run.annihilator["predicted"] is None and run.annihilator["residual"] is None
         assert run.weak_value is None
@@ -260,7 +267,7 @@ class TestEvolveAndPostSelect:
             eps=0.3,
         )
         state = evolve_exact(cfg)
-        local = unitary_exp(SPACE.p, 0.3) @ VACUUM
+        local = unitary_exp(dense_operator(POINTER_DIM, "p"), 0.3) @ VACUUM
         assert np.allclose(state, np.kron(pre, local), atol=1e-10)
 
     def test_norm_preserved_at_strong_coupling(self):
@@ -285,10 +292,18 @@ class TestEvolveAndPostSelect:
             sel = post_select(evolve_exact(cfg), cfg.post, POINTER_DIM)
             overlap = cfg.post.conj() @ cfg.pre
             ow = weak_value(cfg)
-            approx = overlap * (VACUUM - 1j * eps * ow * (SPACE.p @ VACUUM))
+            approx = overlap * (VACUUM - 1j * eps * ow * SPACE.apply("p", VACUUM))
             residuals.append(np.linalg.norm(sel.raw - approx))
         ratio = residuals[0] / residuals[1]
         assert 3.5 < ratio < 4.5
+
+    @pytest.mark.parametrize("gen_key", GENERATORS)
+    def test_evolve_exact_is_the_dense_oracle(self, gen_key):
+        """`evolve_exact` on `FockSpace.operator` against `oracles.evolve_dense` on the
+        ladder-matrix formulas, at a weak and a strong coupling."""
+        for eps in (EPS, 0.3):
+            cfg = make_config(3, 27, gen_key, SPACE.coherent(COHERENT_Z), eps=eps)
+            assert np.max(np.abs(evolve_exact(cfg) - evolve_dense(cfg))) <= 1e-12
 
     def test_zero_probability_post_selection_raises(self):
         state = np.kron(basis_ket(2, 0), VACUUM)
@@ -332,7 +347,7 @@ class TestFactoredEvolution:
             )
             evolution = FactoredEvolution(cfg.obs, space.spectrum(gen_key), cfg.pre, cfg.pointer)
             for eps in (0.0, 1e-3, 0.3, 3.0):
-                oracle = post_select(evolve_exact(cfg.with_eps(eps)), cfg.post, pointer_dim)
+                oracle = post_select(evolve_dense(cfg.with_eps(eps)), cfg.post, pointer_dim)
                 run = weak_run(cfg.with_eps(eps), ())
                 for factored in (evolution.post_selected(eps, cfg.post), run.selected):
                     assert np.max(np.abs(factored.raw - oracle.raw)) <= 1e-12
@@ -426,7 +441,7 @@ class TestWeakRun:
     def test_matches_the_dense_oracle(
         self, system_dim, pointer_dim, gen_key, coherent, orthogonal, eps, seed
     ):
-        """Probability, pointer and shifts against `evolve_exact` and `oracles.post_select`;
+        """Probability, pointer and shifts against `oracles.evolve_dense` and `oracles.post_select`;
         predictions against the dense first-order formula, or None when pre ⟂ post."""
         space, rng = FockSpace(pointer_dim), np.random.default_rng(seed)
         pre, post = random_ket(system_dim, rng), random_ket(system_dim, rng)
@@ -443,15 +458,15 @@ class TestWeakRun:
             with pytest.raises(ValueError, match="zero probability"):
                 weak_run(cfg, readouts)
             with pytest.raises(ValueError, match="zero probability"):
-                post_select(evolve_exact(cfg), post, pointer_dim)
+                post_select(evolve_dense(cfg), post, pointer_dim)
             return
         run = weak_run(cfg, readouts, halving=True, z=z)
-        oracle = post_select(evolve_exact(cfg), post, pointer_dim)
-        half = post_select(evolve_exact(cfg.with_eps(eps / 2)), post, pointer_dim)
+        oracle = post_select(evolve_dense(cfg), post, pointer_dim)
+        half = post_select(evolve_dense(cfg.with_eps(eps / 2)), post, pointer_dim)
         assert abs(run.selected.probability - oracle.probability) <= 1e-12
         assert np.max(np.abs(run.selected.raw - oracle.raw)) <= 1e-12
         for name in readouts:
-            m, shift, halved = getattr(space, name), run.shifts[name], run.halving[name]
+            m, shift, halved = dense_operator(pointer_dim, name), run.shifts[name], run.halving[name]
             assert abs(shift["measured"] - conditioned_shift(oracle, pointer, m).real) <= 1e-10
             if orthogonal:
                 assert shift["predicted"] is None and shift["residual"] is None
@@ -463,7 +478,7 @@ class TestWeakRun:
             half_residual = abs(half_shift - first_order_shift(cfg.with_eps(eps / 2), m))
             assert abs(halved["half_residual"] - half_residual) <= 1e-10
         if z is not None:
-            exact_a = conditioned_shift(oracle, pointer, space.a)
+            exact_a = conditioned_shift(oracle, pointer, dense_operator(pointer_dim, "a"))
             assert abs(run.annihilator["measured"] - exact_a) <= 1e-10
             assert (run.annihilator["predicted"] is None) == orthogonal
         assert (run.weak_value is None) == orthogonal
@@ -487,8 +502,7 @@ class TestShiftFormulas:
         ow = weak_value(cfg)
         for gen_key in ("q", "p"):
             cfg_r = make_config(2, 31, gen_key, SPACE.coherent(COHERENT_Z))
-            r = getattr(SPACE, gen_key)
-            var = SPACE.variance(r, cfg_r.pointer)
+            var = SPACE.variance(gen_key, cfg_r.pointer)
             assert abs(
                 shifts(cfg_r, gen_key)[gen_key]["predicted"] - 2 * EPS * ow.imag * var
             ) < 1e-12
@@ -722,7 +736,7 @@ class TestPreMeasurement:
         alpha = random_ket(2, rng)
         lam = 0.8
         record = pre_measurement(alpha, obs, lam, SPACE)
-        state = unitary_exp(np.kron(obs, SPACE.p), lam) @ np.kron(alpha, VACUUM)
+        state = unitary_exp(np.kron(obs, dense_operator(POINTER_DIM, "p")), lam) @ np.kron(alpha, VACUUM)
         rho = partial_trace(
             np.outer(state, state.conj()), (2, POINTER_DIM), keep=1
         )
@@ -737,15 +751,15 @@ class TestPreMeasurement:
         alpha = random_ket(system_dim, rng)
         pointer = VACUUM if pointer_kind == "vacuum" else SPACE.coherent(COHERENT_Z)
         record = pre_measurement(alpha, obs, lam, SPACE, pointer=pointer)
-        state = unitary_exp(np.kron(obs, SPACE.p), lam) @ np.kron(alpha, pointer)
+        state = unitary_exp(np.kron(obs, dense_operator(POINTER_DIM, "p")), lam) @ np.kron(alpha, pointer)
         rho = partial_trace(np.outer(state, state.conj()), (system_dim, POINTER_DIM), keep=1)
         assert np.max(np.abs(record.reduced - rho)) <= 1e-12
-        assert abs(record.position_mean - np.trace(rho @ SPACE.q).real) <= 1e-12
+        assert abs(record.position_mean - np.trace(rho @ dense_operator(POINTER_DIM, "q")).real) <= 1e-12
         assert abs(record.purity - np.trace(rho @ rho).real) <= 1e-12
 
     def test_rejects_non_hermitian_observable(self):
         with pytest.raises(ValueError):
-            pre_measurement(basis_ket(2, 0), SPACE.a[:2, :2], 1.0, SPACE)
+            pre_measurement(basis_ket(2, 0), dense_operator(2, "a"), 1.0, SPACE)
 
     def test_rejects_unnormalized_pointer(self):
         # a scaled pointer used to give a reduced state of trace 9
@@ -1004,7 +1018,7 @@ class TestStateSpaceSpeed:
 
     def test_rejects_a_non_hermitian_hamiltonian_by_name(self):
         with pytest.raises(ValueError, match="hamiltonian of fs_speed_check must be hermitian"):
-            fs_speed_check(SPACE.a, VACUUM, 1e-3)
+            fs_speed_check(SPACE.operator("a"), VACUUM, 1e-3)
 
     def test_rejects_non_positive_step(self):
         with pytest.raises(ValueError):
