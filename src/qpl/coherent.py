@@ -39,19 +39,12 @@ from functools import lru_cache
 import numpy as np
 
 from .linalg import basis_ket, normalize
-from .schwinger import TABLE_DIMS, _check_dim, _check_label, roots, weyl_word
+from .schwinger import TABLE_DIMS, _check_dim, _residues, roots, weyl_word
 
 
 def displacement(n: int, m, nn) -> np.ndarray:
-    """Displacement D_mn = v^{-mn/2} U^m V^{-n}, canonical representatives.
-
-    Labels may be integer arrays; they broadcast to a stack of matrices.
-    """
-    _check_dim(n)
-    _check_label("m", m)
-    _check_label("nn", nn)
-    m = m % n
-    nn = nn % n
+    """Displacement D_mn = v^{-mn/2} U^m V^{-n}, canonical representatives; a stack for array labels."""
+    m, nn = _residues(n, m=m, nn=nn)
     half = roots(2 * n)[(-m * nn) % (2 * n)]  # e^{-iπ·m·n/N}
     return np.asarray(half)[..., None, None] * weyl_word(n, m, -nn)
 
@@ -71,32 +64,21 @@ def coherent_state(n: int, m, nn) -> np.ndarray:
 
     Row a of D_mn has one entry, v^{-mn/2}·v^{ma} in column a - n: no matrix is formed.
     """
-    _check_dim(n)
-    _check_label("m", m)
-    _check_label("nn", nn)
-    m, nn, a = np.asarray(m % n)[..., None], np.asarray(nn % n)[..., None], np.arange(n)
+    m, nn = _residues(n, m=m, nn=nn)
+    m, nn, a = np.asarray(m)[..., None], np.asarray(nn)[..., None], np.arange(n)
     half, clock = roots(2 * n)[(-m * nn) % (2 * n)], roots(n)[(m * a) % n]
     return (half * clock) * reference_state(n)[(a - nn) % n]
 
 
 def coherent_overlap(n: int, p: int, q: int, r: int, s: int) -> complex:
     """Direct inner product ⟨p,q|r,s⟩ of two family members."""
-    _check_overlap_labels(p, q, r, s)
+    p, q, r, s = _residues(n, p=p, q=q, r=r, s=s)
     return complex(coherent_state(n, p, q).conj() @ coherent_state(n, r, s))
 
 
-def _check_overlap_labels(p, q, r, s) -> None:
-    for name, label in zip("pqrs", (p, q, r, s)):
-        _check_label(name, label)
-
-
 def symplectic_phase(n: int, p, q, r, s):
-    """Phase factor v^{(rq-ps)/2} = e^{iπ(rq-ps)/N}, canonical representatives.
-
-    Labels may be integer arrays that broadcast against each other.
-    """
-    _check_overlap_labels(p, q, r, s)
-    p, q, r, s = (x % n for x in (p, q, r, s))
+    """Phase factor v^{(rq-ps)/2} = e^{iπ(rq-ps)/N}, canonical representatives."""
+    p, q, r, s = _residues(n, p=p, q=q, r=r, s=s)
     return roots(2 * n)[(r * q - p * s) % (2 * n)]
 
 
@@ -105,10 +87,9 @@ def coherent_overlap_closed(n: int, p, q, r, s):
 
     The factor is 1 on the diagonal, (N + 2√N)/(2(N + √N)) when exactly one
     index pair agrees, and cos(π(r-p)(s-q)/N)/(√N + 1), sign kept, when both
-    differ.  Labels may be integer arrays that broadcast against each other.
+    differ.
     """
-    _check_overlap_labels(p, q, r, s)
-    p, q, r, s = (x % n for x in (p, q, r, s))
+    p, q, r, s = _residues(n, p=p, q=q, r=r, s=s)
     w = 2 * n - 1  # the number of distinct label differences
     cell = (r * w + s + (n - 1) * (w + 1)) - (p * w + q)  # flat (r - p, s - q) entry
     return symplectic_phase(n, p, q, r, s) * _overlap_factors(n)[cell]

@@ -52,7 +52,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .linalg import as_ket, basis_ket, spectral_exp
+from .linalg import as_ket, as_unit_ket, basis_ket, spectral_exp
 from .schwinger import roots
 
 SCALE_MIN, SCALE_MAX = 1.0 / 3.0, 3.0
@@ -156,10 +156,13 @@ class FockSpace:
         no D×D array is formed."""
         if key not in self._bands and key not in ("n", "h0"):
             raise ValueError(f"unknown operator {key!r}; expected 'a' or one of {sorted(self.GENERATORS)}")
-        psi = as_ket(psi)
+        return self._apply(key, self._fits(as_ket(psi)))
+
+    def _fits(self, psi: np.ndarray) -> np.ndarray:
+        """The checked ket `psi`, if it has one entry per level."""
         if len(psi) != self.dim:
             raise ValueError(f"ket has {len(psi)} entries, the mode {self.dim} levels")
-        return self._apply(key, psi)
+        return psi
 
     def _apply(self, key: str, psi: np.ndarray) -> np.ndarray:
         """`apply` for a known key and a checked ket of length dim."""
@@ -229,7 +232,7 @@ class FockSpace:
         """Var_X(ψ) = ‖Xψ‖² - ⟨ψ|X|ψ⟩² of the generator `key` in GENERATORS, from its bands."""
         if key not in self.GENERATORS:
             raise ValueError(f"variance needs a generator, one of {sorted(self.GENERATORS)}, got {key!r}")
-        psi = as_ket(psi)
-        x_psi = self.apply(key, psi)
+        psi = self._fits(as_unit_ket(psi, "variance state"))
+        x_psi = self._apply(key, psi)
         mean = np.vdot(psi, x_psi).real
         return float(np.vdot(x_psi, x_psi).real - mean * mean)

@@ -20,10 +20,12 @@ from math import gcd
 import numpy as np
 
 from .linalg import as_ket, basis_ket
-from .schwinger import _momentum_ket, dft
+from .schwinger import _check_dim, _momentum_ket, _residues, dft
 
 
 def _check_factors(na: int, nb: int):
+    if not all(isinstance(x, (int, np.integer)) for x in (na, nb)):
+        raise ValueError(f"factor dimensions must be integers, got {na!r} x {nb!r}")
     if na < 1 or nb < 1:
         raise ValueError(f"factor dimensions must be positive, got {na} x {nb}")
     if gcd(na, nb) != 1:
@@ -45,10 +47,12 @@ class CrtMap:
     to_index: np.ndarray
 
     def fwd(self, j: int, sigma: int) -> int:
-        return int(self.to_index[j % self.na, sigma % self.nb])
+        [j], [sigma] = _residues(self.na, j=j), _residues(self.nb, sigma=sigma)
+        return int(self.to_index[j, sigma])
 
     def inv(self, i: int) -> tuple[int, int]:
-        j, sigma = self.to_pair[i % self.dim]
+        [i] = _residues(self.dim, i=i)
+        j, sigma = self.to_pair[i]
         return int(j), int(sigma)
 
 
@@ -79,7 +83,8 @@ def crt_permutation(na: int, nb: int) -> np.ndarray:
 def modular_cell_coords(na: int, nb: int, j: int, sigma: int) -> tuple[float, float]:
     """Phase-cell coordinates (2π·j/na, 2π·σ/nb) of a lattice label."""
     _check_factors(na, nb)
-    return 2 * np.pi * (j % na) / na, 2 * np.pi * (sigma % nb) / nb
+    [j], [sigma] = _residues(na, j=j), _residues(nb, sigma=sigma)
+    return 2 * np.pi * j / na, 2 * np.pi * sigma / nb
 
 
 @dataclass(frozen=True)
@@ -106,8 +111,7 @@ class AzState:
 
 def az_state(na: int, nb: int, j: int, sigma: int) -> AzState:
     _check_factors(na, nb)
-    j %= na
-    sigma %= nb
+    [j], [sigma] = _residues(na, j=j), _residues(nb, sigma=sigma)
     pair = np.kron(_momentum_ket(na, j), basis_ket(nb, sigma))
     idx = np.arange(na * nb)
     vector = pair[(idx % na) * nb + idx % nb]  # crt_permutation(na, nb).T @ pair
@@ -131,6 +135,7 @@ def nslit_evolve(n: int, samples) -> np.ndarray:
     n and it is tiled across the register.  The returned ket has
     momentum support only on multiples of n // len(samples).
     """
+    _check_dim(n)
     samples = np.asarray(samples)
     if samples.ndim != 1 or samples.size == 0:
         raise ValueError("potential samples must form a nonempty 1-D array")

@@ -13,6 +13,14 @@ With these choices the Weyl relation V^j U^k = v^{jk} U^k V^j holds
 exactly, the momentum states |v_k⟩ = F|u_k⟩ are V-eigenvectors with
 eigenvalue v^k, and F^4 = I.
 
+Labels live on Z_N.  Each function of `schwinger`, `coherent`, `weylwigner`
+and `modular` that takes labels checks them, with its dimension, in
+`_residues`: N is a positive integer, then each label, in argument order, an
+integer or an integer array (a list counts as one; a phase point is a pair),
+taken mod N (the lattice labels j, σ of `modular` mod Na, Nb); array labels
+broadcast.  Python ints of any size reduce exactly, so a label shifted by any
+multiple of N gives the same bits.
+
 Tables that depend on nothing but N are built once per dimension and kept
 read-only: `roots(N)` for the last 256 dimensions, and the N×N phase table
 Φ[k, j] = v^{k·j} for the last TABLE_DIMS = 16 (16·N² bytes each, 64 KiB at
@@ -74,11 +82,7 @@ def weyl_word(n: int, k, j) -> np.ndarray:
     (U^k V^j)[a, c] = v^{k·a} where a ≡ c - j (mod n) and 0 elsewhere; the
     result has shape broadcast(k, j) + (n, n).
     """
-    _check_dim(n)
-    _check_label("k", k)
-    _check_label("j", j)
-    k = np.asarray(k % n)[..., None, None]
-    j = np.asarray(j % n)[..., None, None]
+    k, j = (np.asarray(x)[..., None, None] for x in _residues(n, k=k, j=j))
     a = np.arange(n)[:, None]
     c = np.arange(n)[None, :]
     return np.where(a == (c - j) % n, roots(n)[(k * a) % n], 0)
@@ -86,8 +90,9 @@ def weyl_word(n: int, k, j) -> np.ndarray:
 
 def weyl_relation_defect(n: int, j: int, k: int) -> float:
     """Max entrywise error in V^j U^k = v^{jk} U^k V^j."""
+    j, k = _residues(n, j=j, k=k)
     vj, uk = weyl_word(n, 0, j), weyl_word(n, k, 0)
-    phase = roots(n)[(j % n) * (k % n) % n]
+    phase = roots(n)[j * k % n]
     return float(np.max(np.abs(vj @ uk - phase * (uk @ vj))))
 
 
@@ -115,18 +120,34 @@ def _check_dim(n: int) -> None:
         raise ValueError(f"dimension must be a positive integer, got {n!r}")
 
 
-def _check_label(name: str, *coords) -> None:
-    """Raise a ValueError naming label `name` unless every coordinate is an integer or integer array.
+def _residues(n: int, *, pairs: bool = False, **labels) -> tuple:
+    """Check N, then each label in argument order (with `pairs`, each a pair of coordinates),
+    and return them mod N: a scalar coordinate as a Python int, an array one as intp."""
+    _check_dim(n)
+    n = int(n)  # a Python int modulus keeps Python-int labels of any size exact
+    reduced = []
+    for name, label in labels.items():
+        coords = tuple(label) if pairs and np.iterable(label) else (label,)
+        checked = _check_label(name, coords, pairs)
+        residues = tuple(x % n if isinstance(x, int) else (x % n).astype(np.intp, copy=False) for x in checked)
+        reduced.append(residues if pairs else residues[0])
+    return tuple(reduced)
 
-    One coordinate is a label such as the m of |m,n⟩; two form a phase-point
-    pair (m, n).  Python ints of any size are accepted, as are numpy integers.
-    """
+
+def _check_label(name: str, coords: tuple, pair: bool) -> list:
+    """Label `name` as a Python int or an integer array per coordinate; a ValueError naming
+    it unless it has one coordinate (two for a `pair`), each an integer or an integer array."""
+    checked = []
     for x in coords:
-        values = np.asarray(x)
-        if values.dtype.kind in "iu":
+        if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
+            checked.append(int(x))
             continue
-        if values.dtype == object and all(isinstance(v, (int, np.integer)) for v in values.flat):
-            continue  # Python ints beyond int64
-        if len(coords) == 1:
-            raise ValueError(f"{name} label {x!r} must be an integer or an array of integers")
+        # Python objects unless an ndarray: numpy reads a list that mixes int64 and bigger ints as floats
+        values = x if isinstance(x, np.ndarray) else np.array(x, dtype=object)
+        if values.dtype.kind in "iu" or all(type(v) is int or isinstance(v, np.integer) for v in values.flat):
+            checked.append(values)
+    if len(checked) == len(coords) == (2 if pair else 1):
+        return checked
+    if pair:
         raise ValueError(f"{name} label {coords!r} must be a pair of integers")
+    raise ValueError(f"{name} label {coords[0]!r} must be an integer or an array of integers")

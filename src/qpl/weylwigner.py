@@ -65,7 +65,7 @@ from functools import lru_cache
 import numpy as np
 
 from .linalg import as_hermitian, as_operator
-from .schwinger import TABLE_DIMS, _check_dim, _check_label, _phase_table, roots
+from .schwinger import TABLE_DIMS, _check_dim, _phase_table, _residues, roots
 
 
 @dataclass(frozen=True)
@@ -119,6 +119,7 @@ def _sum_kernel(coeffs: np.ndarray) -> np.ndarray:
 
 def half_phase_exponents(n: int) -> np.ndarray:
     """Half-phase table h(r,s) as an (n, n) array of unimodular factors."""
+    _check_dim(n)
     r = np.arange(n)[:, None]
     s = np.arange(n)[None, :]
     if n % 2 == 1:
@@ -131,6 +132,7 @@ def half_phase_exponents(n: int) -> np.ndarray:
 
 def parity_operator(n: int) -> np.ndarray:
     """Exact parity permutation e_k → e_{-k mod n}; equals F² up to rounding."""
+    _check_dim(n)
     p = np.zeros((n, n), dtype=complex)
     p[(-np.arange(n)) % n, np.arange(n)] = 1.0
     return p
@@ -140,14 +142,10 @@ def phase_point(n: int, m, nn) -> np.ndarray:
     """Phase-point operator Δ_mn by index arithmetic, broadcast over labels.
 
     Δ_mn[a, c] = v^{-m·s} · H[(a - nn) mod N, s] with s = (c - a) mod N and
-    H[t, s] = (1/N)·Σ_r v^{r·t}·h(r, s).  Labels may be integer arrays; the
-    result has shape broadcast(m, nn) + (n, n).
+    H[t, s] = (1/N)·Σ_r v^{r·t}·h(r, s).  The result has shape
+    broadcast(m, nn) + (n, n).
     """
-    _check_dim(n)
-    _check_label("m", m)
-    _check_label("nn", nn)
-    m = np.asarray(m % n)[..., None, None]
-    nn = np.asarray(nn % n)[..., None, None]
+    m, nn = (np.asarray(x)[..., None, None] for x in _residues(n, m=m, nn=nn))
     t = _weyl_tables(n)
     s = t.shift
     return roots(n)[(-m * s) % n] * t.kernel[(np.arange(n)[:, None] - nn) % n, s]
@@ -231,26 +229,17 @@ def delta_product(n: int, a, b) -> np.ndarray:
     _check_dim(n)
     if n % 2 == 0:
         raise ValueError("the closed-form product rule is defined only for odd dimensions")
-    _check_label("a", *a)
-    _check_label("b", *b)
-    m, nn = int(a[0]) % n, int(a[1]) % n
-    p, q = int(b[0]) % n, int(b[1]) % n
-    phase = roots(n)[2 * symplectic_area((m, nn), (p, q)) % n]
+    (m, nn), (p, q) = _residues(n, pairs=True, a=a, b=b)
+    phase = np.asarray(roots(n)[2 * symplectic_area((m, nn), (p, q)) % n])[..., None, None]
     return phase * phase_point(n, m - p, nn - q) @ parity_operator(n)
 
 
 def structure_constants(n: int, a, b, c):
-    """Λ_ab^c = sin((2π/N)·{a,b,c}) for odd N, read as Im v^s from `roots(N)` at s = {a,b,c} mod N.
-
-    Labels are taken mod N first; coordinates may be integer arrays that
-    broadcast against each other.
-    """
+    """Λ_ab^c = sin((2π/N)·{a,b,c}) for odd N, read as Im v^s from `roots(N)` at s = {a,b,c} mod N."""
     _check_dim(n)
     if n % 2 == 0:
         raise ValueError("structure constants are defined only for odd dimensions")
-    for name, label in zip("abc", (a, b, c)):
-        _check_label(name, *label)
-    a, b, c = ((x % n, y % n) for x, y in (a, b, c))
+    a, b, c = _residues(n, pairs=True, a=a, b=b, c=c)
     return roots(n)[phase_space_symbol(a, b, c) % n].imag
 
 

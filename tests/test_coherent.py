@@ -69,6 +69,22 @@ def test_overlaps_reject_fractional_labels(overlap):
         overlap(5, 1, 2, 3, 0.5)
 
 
+@pytest.mark.parametrize("bad", (0, -3, 2.0))
+@pytest.mark.parametrize("overlap", (coherent_overlap, coherent_overlap_closed, symplectic_phase))
+def test_overlaps_name_a_bad_dimension_before_the_labels(overlap, bad):
+    """N = 0 is no ZeroDivisionError, N = -3 is not reported as 2N, and N = 2.0 does not blame a label."""
+    with pytest.raises(ValueError, match=rf"dimension must be a positive integer, got {bad}$"):
+        overlap(bad, 1, 0, 0, 1)
+
+
+def test_unsigned_labels_do_not_wrap():
+    """-m·n and rq - ps of uint8 labels wrapped mod 256 and gave another state and phase."""
+    one = np.uint8(1)
+    assert np.array_equal(coherent_state(5, one, 1), coherent_state(5, 1, 1))
+    assert np.array_equal(displacement(5, np.array([one]), 1), displacement(5, [1], 1))
+    assert symplectic_phase(5, one, 0, 0, one) == symplectic_phase(5, 1, 0, 0, 1)
+
+
 @pytest.mark.parametrize("n", (3, 4, 5))
 def test_overlap_closed_form_every_pair(n):
     """⟨p,q|r,s⟩ agrees with phase × signed magnitude to machine precision."""

@@ -85,8 +85,9 @@ EIGHT = FockSpace(8)
         ("a", EIGHT.vacuum()),  # not hermitian
         ("q", basis_ket(2, 0)),  # a 2-level ket on the 8-level space
         ("q", np.full(8, np.nan)),
+        ("q", 2 * EIGHT.vacuum()),  # Var_q is 0.5 for the unit vacuum; 2.0 came back
     ),
-    ids=("non-hermitian", "wrong-side", "nan"),
+    ids=("non-hermitian", "wrong-side", "nan", "unnormalized"),
 )
 def test_variance_rejects_an_operator_it_cannot_take(key, psi):
     with pytest.raises(ValueError):

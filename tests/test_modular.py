@@ -63,6 +63,39 @@ class TestCrtMap:
         with pytest.raises(ValueError):
             crt_map(0, 3)
 
+    def test_labels_wrap_past_int64(self):
+        cm = crt_map(3, 5)
+        assert cm.fwd(1 + 3 * 10**20, 2 - 5 * 10**20) == cm.fwd(1, 2)
+        assert cm.inv(2 + 15 * 10**20) == cm.inv(2)
+
+
+class TestInputChecks:
+    """Each factor dimension and label is checked and named, as on Z_N."""
+
+    @pytest.mark.parametrize("build", (crt_map, crt_permutation))
+    def test_fractional_factor_dimensions(self, build):
+        with pytest.raises(ValueError, match=r"factor dimensions must be integers, got 2\.0 x 3"):
+            build(2.0, 3)
+
+    def test_fractional_labels(self):
+        with pytest.raises(ValueError, match=r"j label 1\.5 must be an integer"):
+            az_state(2, 3, 1.5, 0)
+        with pytest.raises(ValueError, match=r"j label 0\.5 must be an integer"):
+            modular_cell_coords(2, 3, 0.5, 1)
+        with pytest.raises(ValueError, match=r"sigma label 0\.5 must be an integer"):
+            modular_cell_coords(2, 3, 1, 0.5)
+        with pytest.raises(ValueError, match=r"i label 1\.5 must be an integer"):
+            crt_map(2, 3).inv(1.5)
+
+    @pytest.mark.parametrize("bad", (0, -2, 2.0))
+    def test_nslit_register_size(self, bad):
+        with pytest.raises(ValueError, match=rf"dimension must be a positive integer, got {bad}$"):
+            nslit_evolve(bad, [1.0])
+
+    def test_factor_dimensions_before_labels(self):
+        with pytest.raises(ValueError, match="factor dimensions must be positive"):
+            az_state(0, 3, 1.5, 0)
+
 
 class TestCrtPermutation:
     @pytest.mark.parametrize("na,nb", ((2, 3), (3, 5), (4, 9)))

@@ -2,21 +2,29 @@
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qpl import (
     CoherentFamily,
+    az_state,
+    coherent_overlap,
+    coherent_overlap_closed,
+    coherent_state,
+    crt_map,
+    delta_product,
     displacement,
     dft,
     gauss_trace,
     gauss_trace_closed_form,
     is_unitary,
+    modular_cell_coords,
     phase_point,
     structure_constants,
+    symplectic_phase,
     weyl_relation_defect,
 )
-from qpl.schwinger import roots, weyl_word
+from qpl.schwinger import _residues, roots, weyl_word
 
 DIMS = (1, 2, 3, 4, 5, 7, 8, 12)
 
@@ -175,6 +183,81 @@ def test_kinematics_states():
         for build in (displacement, phase_point, weyl_relation_defect):
             with pytest.raises(ValueError, match="positive integer"):
                 build(bad, 1, 1)
+
+
+def test_residues_check_n_then_each_label_in_order():
+    with pytest.raises(ValueError, match="dimension must be a positive integer, got 0"):
+        _residues(0, k=0.5)
+    with pytest.raises(ValueError, match="k label 0.5"):
+        _residues(5, j=1, k=0.5, m=0.25)
+    with pytest.raises(ValueError, match=r"a label \(1, 2, 3\) must be a pair of integers"):
+        _residues(5, pairs=True, a=(1, 2, 3))
+    k, j = _residues(np.int64(5), k=-(10**20) - 1, j=[10**20, -1, np.uint8(7)])
+    assert type(k) is int and k == 4
+    assert j.dtype == np.intp and j.tolist() == [0, 4, 2]
+    assert _residues(5, pairs=True, a=(np.uint64(6), 2**70)) == ((1, 4),)
+    # numpy alone reads this list as float64 and would lose the last digit
+    assert _residues(5, k=[0, 2**63 + 6])[0].tolist() == [0, (2**63 + 6) % 5]
+
+
+def _bits(value) -> list:
+    """Dtype, shape and bytes of every array or number in `value` (an AzState by its fields)."""
+    fields = vars(value).values() if hasattr(value, "__dataclass_fields__") else [value]
+    return [(np.asarray(x).dtype, np.shape(x), np.asarray(x).tobytes(), type(x)) for x in fields]
+
+
+# function -> (coordinates per label, whether labels may be arrays, odd N only)
+ON_ZN = {
+    weyl_word: ((1, 1), True, False),
+    weyl_relation_defect: ((1, 1), False, False),
+    displacement: ((1, 1), True, False),
+    coherent_state: ((1, 1), True, False),
+    coherent_overlap: ((1, 1, 1, 1), False, False),
+    symplectic_phase: ((1, 1, 1, 1), True, False),
+    coherent_overlap_closed: ((1, 1, 1, 1), True, False),
+    phase_point: ((1, 1), True, False),
+    delta_product: ((2, 2), True, True),
+    structure_constants: ((2, 2, 2), True, True),
+}
+
+
+@settings(max_examples=150)
+@given(st.sampled_from(list(ON_ZN)), st.data())
+def test_shifting_a_label_by_multiples_of_n_changes_no_bit(fn, data):
+    """f(N, ..., x + k·N, ...) is f(N, ..., x, ...) bit for bit, for |k| up to 10²⁰, in every coordinate."""
+    coords, arrays, odd = ON_ZN[fn]
+    n = data.draw(st.integers(1, 9).map(lambda m: 2 * m + 1) if odd else st.integers(1, 12))
+    coord = st.integers(-3 * n, 3 * n)
+    size = data.draw(st.integers(0, 3)) if arrays else 0
+    if size:  # lists of one length, which broadcast against each other and against scalars
+        coord = coord | st.lists(coord, min_size=size, max_size=size)
+    labels = [[data.draw(coord) for _ in range(count)] for count in coords]
+    big_k = st.integers(-(10**20), 10**20)
+
+    def shift(x):
+        return [shift(y) for y in x] if isinstance(x, list) else x + data.draw(big_k) * n
+
+    shifted = [[shift(x) for x in label] for label in labels]
+    args, shifted_args = ([x[0] if len(x) == 1 else tuple(x) for x in ls] for ls in (labels, shifted))
+    assert _bits(fn(n, *shifted_args)) == _bits(fn(n, *args))
+
+
+@settings(max_examples=60)
+@given(
+    st.sampled_from([(1, 1), (2, 3), (3, 2), (4, 5), (1, 7), (8, 3)]),
+    st.integers(-20, 20),
+    st.integers(-20, 20),
+    st.integers(-(10**20), 10**20),
+    st.integers(-(10**20), 10**20),
+)
+def test_shifting_a_lattice_label_by_its_factor_changes_no_bit(dims, j, sigma, kj, ks):
+    """j mod na and σ mod nb: az_state, modular_cell_coords and the CRT map, also past int64."""
+    na, nb = dims
+    for fn in (az_state, modular_cell_coords):
+        assert _bits(fn(na, nb, j + kj * na, sigma + ks * nb)) == _bits(fn(na, nb, j, sigma))
+    cm = crt_map(na, nb)
+    assert cm.fwd(j + kj * na, sigma + ks * nb) == cm.fwd(j, sigma)
+    assert cm.inv(j + kj * na * nb) == cm.inv(j)
 
 
 @pytest.mark.parametrize("n", [1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23, 25, 27, 29, 31])

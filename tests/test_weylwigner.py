@@ -476,3 +476,26 @@ def test_delta_product_rejects_non_integer_labels():
         with pytest.raises(ValueError, match=r"label \(.*\) must be a pair of integers"):
             delta_product(3, a, b)
     assert np.array_equal(delta_product(3, (np.int64(1), 0), (0, 0)), delta_product(3, (1, 0), (0, 0)))
+
+
+@pytest.mark.parametrize("bad", (0, 2.0, 2.5))
+@pytest.mark.parametrize("fn", (parity_operator, half_phase_exponents))
+def test_parity_and_half_phases_name_a_bad_dimension(fn, bad):
+    """Not a 0×0 parity at N = 0, nor numpy's TypeError at 2.5, nor the half phases' 2N."""
+    with pytest.raises(ValueError, match=rf"dimension must be a positive integer, got {bad}$"):
+        fn(bad)
+
+
+@pytest.mark.parametrize("fn", (delta_product, structure_constants))
+def test_odd_dimension_rules_check_n_then_parity_then_labels(fn):
+    labels = ((0.5, 0),) * (2 if fn is delta_product else 3)
+    with pytest.raises(ValueError, match="positive integer, got 2.5"):
+        fn(2.5, *labels)
+    with pytest.raises(ValueError, match="odd dimensions"):
+        fn(4, *labels)
+    with pytest.raises(ValueError, match=r"a label \(0\.5, 0\) must be a pair of integers"):
+        fn(5, *labels)
+
+
+def test_phase_point_takes_label_lists_as_arrays():
+    assert np.array_equal(phase_point(3, [0, 1], (2, 3)), phase_point(3, np.array([0, 1]), np.array([2, 3])))

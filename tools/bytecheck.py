@@ -9,7 +9,9 @@ draws a corpus of argv from SEED (default 7) and runs each one through
 `qpl.cli.main` in this process, once with `--format json` and once with
 `--format csv`.  The corpus covers all seven subcommands, valid runs and
 invalid ones (usage, bounds and degeneracy errors, exit codes 2, 3 and 4),
-and every coherent-gram N from 1 to its cap at each seed.
+every coherent-gram N from 1 to its cap at each seed, and now and then a
+label past int64 (±10²⁰) in `coherent:m,n`, the az `j sigma` and the
+structure-constants `--a`/`--b`.
 For each subcommand it prints the number of runs, the count per exit code
 and a sha256 over (argv, exit code, stdout, stderr) of every run in corpus
 order.  A run where `main` raises is recorded, not fatal: its exit code is
@@ -55,6 +57,21 @@ import sys
 import tempfile
 from collections import Counter
 
+class Draws(random.Random):
+    """The corpus stream of one seed, plus a second stream `far` that moves labels
+    past int64, so that every other draw of the corpus stays as it was."""
+
+    def __init__(self, seed: int):
+        super().__init__(seed)
+        self.far = random.Random(f"{seed} past int64")
+
+
+def _label(rng: Draws, lo: int, hi: int) -> int:
+    """An integer in lo..hi, one time in ten moved past int64 by ±10²⁰."""
+    label = rng.randint(lo, hi)
+    return label + rng.far.choice((-1, 1)) * 10**20 if rng.far.random() < 0.1 else label
+
+
 def _ket_selector(rng: random.Random, dim: int, fault_rate: float = 0.15) -> str:
     if rng.random() < fault_rate:
         amps = ",".join(["0.5"] * (dim + 1))
@@ -63,7 +80,7 @@ def _ket_selector(rng: random.Random, dim: int, fault_rate: float = 0.15) -> str
     if kind in "uv":
         return f"{kind}{rng.randrange(dim)}"
     if kind == "coherent":
-        return f"coherent:{rng.randint(-3, 9)},{rng.randint(-3, 9)}"
+        return f"coherent:{_label(rng, -3, 9)},{_label(rng, -3, 9)}"
     if kind == "amps":
         amps = [f"{rng.uniform(-1, 1):.3f}{rng.uniform(-1, 1):+.3f}j" for _ in range(dim)]
         if rng.random() < 0.03:
@@ -93,7 +110,7 @@ def _az(rng: random.Random) -> list[str]:
     na, nb = rng.randint(1, 12), rng.randint(1, 12)
     if rng.random() < 0.08:
         na, nb = rng.choice(((-1, 3), (9, 8), (13, 7)))
-    return ["az", str(na), str(nb), str(rng.randint(-5, 20)), str(rng.randint(-5, 20))]
+    return ["az", str(na), str(nb), str(_label(rng, -5, 20)), str(_label(rng, -5, 20))]
 
 
 def _nslit(rng: random.Random) -> list[str]:
@@ -120,7 +137,7 @@ def _structure_constants(rng: random.Random) -> list[str]:
     argv = ["structure-constants", "--n", str(n)]
     for flag in ("--a", "--b"):
         if rng.random() < 0.8:
-            label = f"{rng.randint(-20, 20)},{rng.randint(-20, 20)}"
+            label = f"{_label(rng, -20, 20)},{_label(rng, -20, 20)}"
             argv.append(f"{flag}={label if rng.random() < 0.95 else '1'}")
     return argv
 
@@ -224,7 +241,7 @@ def corpus(seed: int) -> tuple[list[tuple[str, list[str]]], dict[str, str]]:
     A weak argv names its config by a fixed relative path; the second
     return value maps each such path to the text to write there.
     """
-    rng = random.Random(seed)
+    rng = Draws(seed)
     cases, files = [], {}
     for command, (maker, count) in MAKERS.items():
         for _ in range(count):
