@@ -36,7 +36,7 @@ import numpy as np
 from .coherent import CoherentFamily, _closed_form_check, coherent_state
 from .fock import FockSpace
 from .linalg import basis_ket, random_density, random_ket
-from .modular import _momentum_amplitudes, az_state, nslit_evolve
+from .modular import _cell_phase, _momentum_amplitudes, az_state, nslit_evolve
 from .schwinger import _momentum_ket, gauss_trace, gauss_trace_closed_form
 from .serialize import Block, canonical_json, csv_text
 from .weak import WeakConfig, weak_run, weak_value
@@ -291,19 +291,15 @@ def run_weak(args, seed):
     space = FockSpace(pointer_dim)
     pointer, coherent_z = parse_pointer_selector(conf["pointer"], space)
 
-    gen_key = conf["pointer_gen"]
-    if gen_key not in space.GENERATORS:
-        raise UsageError(f"pointer_gen must be one of {sorted(space.GENERATORS)}, got {gen_key!r}")
-
     obs = parse_obs_selector(conf["obs"], system_dim)
     pre = parse_ket_selector(conf["pre"], system_dim, rng)
     post = parse_ket_selector(conf["post"], system_dim, rng)
-    try:
-        cfg = WeakConfig(pre, post, obs, space, gen_key, pointer, eps)
+    try:  # WeakConfig also checks the pointer_gen key
+        cfg = WeakConfig(pre, post, obs, space, conf["pointer_gen"], pointer, eps)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
-    z = coherent_z if gen_key == "n" else None
+    z = coherent_z if cfg.pointer_gen == "n" else None
     try:
         weak_value(cfg)  # pre ⟂ post is refused before post-selection can fail
         run = weak_run(cfg, ("q", "p"), halving, z)
@@ -344,8 +340,8 @@ def run_az(args, seed):
         Block("tensor", state.tensor, "tensor_amplitude"),
         Block("shift_phase", state.shift_phase),
         Block("clock_phase", state.clock_phase),
-        Block("cell_grid.shift_phases", 2 * np.pi * np.arange(na) / na, "cell_shift_phase"),
-        Block("cell_grid.clock_phases", 2 * np.pi * np.arange(nb) / nb, "cell_clock_phase"),
+        Block("cell_grid.shift_phases", _cell_phase(na, np.arange(na)), "cell_shift_phase"),
+        Block("cell_grid.clock_phases", _cell_phase(nb, np.arange(nb)), "cell_clock_phase"),
         Block("cell_grid.selected", [state.j, state.sigma], None),
         *_echo(j=state.j, na=na, nb=nb, sigma=state.sigma),
     ]

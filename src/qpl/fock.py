@@ -32,14 +32,15 @@ and e^{iπn/4} gathered from `schwinger.roots`.  It returns read-only
 (values, vectors) with generator = vectors·diag(values)·vectors†.
 
 Every generator and `a` has at most two nonzero diagonals, its bands, the
-one definition of the operator: `FockSpace.apply(key, ψ)` applies it in
-O(D), `variance` reads ⟨X²⟩ = ‖Xψ‖², and `operator(key)` builds the dense
-matrix from `apply` for library callers.  Only the spectra depend on nothing
-but the dimension: the q, p, k and g spectra are computed once per dimension
-and shared by every FockSpace of that size, each held by an `lru_cache` of
-the last CACHED_DIMS = 4 dimensions.  That is at most 3 MiB per dimension at
-the pointer cap of 256 (the real q and k vectors 0.5 MiB each, the complex p
-and g vectors 1 MiB each), so at most 12 MiB in all.
+one definition of the operator, all in one table: n and h0 are one band at
+offset 0, and the ∓i of p and g sit in the coefficients.  `FockSpace.apply`
+sums the bands in O(D) with no case on the key, `variance` reads
+⟨X²⟩ = ‖Xψ‖², and `operator(key)` builds the dense matrix for library
+callers.  Keys are checked in one place and ket lengths in one.  The bands
+and the q, p, k and g spectra are computed once per dimension, each held by
+an `lru_cache` of the last CACHED_DIMS = 4 dimensions: the spectra take at
+most 3 MiB per dimension at the pointer cap of 256 (the real q and k vectors
+0.5 MiB each, the complex p and g vectors 1 MiB each), 12 MiB in all.
 
 The scale operator S_ξ = exp(i·lnξ·g) dilates quadrature statistics by
 Var_Q(S_ξ|0⟩) = ξ⁻²·Var_Q(|0⟩) — the exponent -2 is the pinned direction
@@ -48,7 +49,7 @@ for this generator sign.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -56,7 +57,7 @@ from .linalg import as_ket, as_unit_ket, basis_ket, spectral_exp
 from .schwinger import roots
 
 SCALE_MIN, SCALE_MAX = 1.0 / 3.0, 3.0
-CACHED_DIMS = 4  # dimensions whose q, p, k and g spectra stay cached
+CACHED_DIMS = 4  # dimensions whose bands and q, p, k and g spectra stay cached
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -64,14 +65,31 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _ladder(levels: np.ndarray) -> np.ndarray:
-    """a|n⟩ = √n|n-1⟩ on the levels 0..D-1."""
-    return np.sqrt(levels[1:])
+@lru_cache(maxsize=CACHED_DIMS)
+def _band_table(dim: int) -> dict[str, tuple]:
+    """key -> read-only bands (rows, cols, b): X·ψ adds b·ψ[cols] at rows.  Exact: n = a†a,
+    h0 = (a a† + a† a)/2, q = (a + a†)/√2, p = (a - a†)/(i√2), k = (a² + a†²)/2 and
+    g = (a² - a†²)/(2i); `a` has no lower band."""
+    levels = np.arange(dim)
+    half_counts = levels + 0.5
+    half_counts[-1] = (dim - 1) / 2  # a a† vanishes on the top level
+    ladder = np.sqrt(levels[1:])  # a|n⟩ = √n|n-1⟩
+    squeeze = np.sqrt(levels[1:-1] * levels[2:]) / 2  # a²|n⟩ = √(n(n-1))|n-2⟩, halved
+    quadrature = ladder / np.sqrt(2)
 
+    def band(s: int, b: np.ndarray) -> tuple:
+        """The band at offset s: ⟨j|X|j+s⟩ over the rows j, in order, is b."""
+        return slice(max(-s, 0), dim - max(s, 0)), slice(max(s, 0), dim - max(-s, 0)), _read_only(b)
 
-def _squared_ladder(levels: np.ndarray) -> np.ndarray:
-    """a²|n⟩ = √(n(n-1))|n-2⟩ on the levels 0..D-1."""
-    return np.sqrt(levels[1:-1] * levels[2:])
+    return {
+        "q": (band(1, quadrature), band(-1, quadrature)),
+        "p": (band(1, -1j * quadrature), band(-1, 1j * quadrature)),
+        "n": (band(0, np.sqrt(levels) ** 2),),  # entries rounded as √k·√k
+        "h0": (band(0, half_counts),),
+        "g": (band(2, -1j * squeeze), band(-2, 1j * squeeze)),
+        "k": (band(2, squeeze), band(-2, squeeze)),
+        "a": (band(1, ladder),),
+    }
 
 
 def _jacobi_eigh(off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -82,16 +100,16 @@ def _jacobi_eigh(off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 @lru_cache(maxsize=CACHED_DIMS)
 def _q_spectrum(dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only real (values, vectors) of Q: one Jacobi matrix."""
-    values, vectors = _jacobi_eigh(_ladder(np.arange(dim)) / np.sqrt(2))
+    (_, _, off), _ = _band_table(dim)["q"]
+    values, vectors = _jacobi_eigh(off)
     return _read_only(values), _read_only(vectors)
 
 
 @lru_cache(maxsize=CACHED_DIMS)
 def _k_spectrum(dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only real (values, vectors) of k: it couples n to n ± 2 only, one block per parity."""
-    squared = _squared_ladder(np.arange(dim))
-    even = _jacobi_eigh(squared[0::2] / 2)
-    odd = _jacobi_eigh(squared[1::2] / 2)
+    (_, _, off), _ = _band_table(dim)["k"]
+    even, odd = _jacobi_eigh(off[0::2]), _jacobi_eigh(off[1::2])
     vectors = np.zeros((dim, dim))
     vectors[0::2, : even[0].size] = even[1]
     vectors[1::2, even[0].size :] = odd[1]
@@ -128,56 +146,40 @@ class FockSpace:
         if not isinstance(dim, (int, np.integer)) or dim < 2:
             raise ValueError(f"truncation dimension must be an integer >= 2, got {dim!r}")
         self.dim = int(dim)
-        levels = self._levels = np.arange(self.dim)
-        self._number = _read_only(np.sqrt(levels) ** 2)  # a†a, entries rounded as √k·√k
-        half_counts = levels + 0.5
-        half_counts[-1] = (self.dim - 1) / 2  # a a† vanishes on the top level
-        self._half_counts = _read_only(half_counts)  # h0 = (a a† + a† a)/2
+        self._levels = np.arange(self.dim)
+        self._bands = _band_table(self.dim)
+
+    @staticmethod
+    def _check_key(what: str, key, keys=GENERATORS) -> None:
+        """The one check of a pointer key: `key` must be in `keys`, GENERATORS unless given."""
+        if key not in tuple(keys):  # by ==, so an unhashable key gets this error too
+            raise ValueError(f"{what} must be one of {sorted(keys)}, got {key!r}")
+
+    def _fits(self, psi: np.ndarray, what: str) -> np.ndarray:
+        """The checked ket `psi`, named `what`, if it has one entry per level."""
+        if len(psi) != self.dim:
+            raise ValueError(f"dimensions differ: {what} has {len(psi)}, space has {self.dim}")
+        return psi
 
     def spectrum(self, key: str) -> tuple[np.ndarray, np.ndarray | None]:
         """Read-only (values, vectors) of the generator `key` in GENERATORS, vectors None
         for the diagonal n and h0; see the module docstring."""
-        if key in ("n", "h0"):
-            return (self._number if key == "n" else self._half_counts), None
-        if key not in _SPECTRA:
-            raise ValueError(f"unknown generator {key!r}; expected one of {sorted(self.GENERATORS)}")
-        return _SPECTRA[key](self.dim)
-
-    @cached_property
-    def _bands(self) -> dict[str, tuple[np.ndarray, int]]:
-        """key -> (b, s): ⟨j|X|j+s⟩ = b_j, times -i for p and g; `a` has no lower band.
-        Exact: q = (a + a†)/√2, p = (a - a†)/(i√2), k = (a² + a†²)/2, g = (a² - a†²)/(2i)."""
-        ladder = _ladder(self._levels)
-        quadrature, squeeze = ladder / np.sqrt(2), _squared_ladder(self._levels) / 2
-        return {"a": (ladder, 1), "q": (quadrature, 1), "p": (quadrature, 1), "k": (squeeze, 2), "g": (squeeze, 2)}
+        self._check_key("generator", key)
+        if key in _SPECTRA:
+            return _SPECTRA[key](self.dim)
+        return self._bands[key][0][2], None  # n and h0: one diagonal band
 
     def apply(self, key: str, psi) -> np.ndarray:
         """X·ψ in O(D) from the bands of X, for X the generator `key` in GENERATORS or "a";
         no D×D array is formed."""
-        if key not in self._bands and key not in ("n", "h0"):
-            raise ValueError(f"unknown operator {key!r}; expected 'a' or one of {sorted(self.GENERATORS)}")
-        return self._apply(key, self._fits(as_ket(psi)))
-
-    def _fits(self, psi: np.ndarray) -> np.ndarray:
-        """The checked ket `psi`, if it has one entry per level."""
-        if len(psi) != self.dim:
-            raise ValueError(f"ket has {len(psi)} entries, the mode {self.dim} levels")
-        return psi
+        self._check_key("operator", key, self._bands)
+        return self._apply(key, self._fits(as_ket(psi), "psi"))
 
     def _apply(self, key: str, psi: np.ndarray) -> np.ndarray:
         """`apply` for a known key and a checked ket of length dim."""
-        if key in ("n", "h0"):
-            return self.spectrum(key)[0] * psi
-        band, step = self._bands[key]
         out = np.zeros(self.dim, dtype=complex)
-        out[:-step] = band * psi[step:]
-        if key == "a":
-            return out
-        lower = band * psi[:-step]
-        if key in ("p", "g"):  # upper band times -i, lower band times +i
-            out[:-step] *= -1j
-            lower = 1j * lower
-        out[step:] += lower
+        for rows, cols, band in self._bands[key]:
+            out[rows] += band * psi[cols]
         return out
 
     def operator(self, key: str) -> np.ndarray:
@@ -230,9 +232,8 @@ class FockSpace:
 
     def variance(self, key: str, psi) -> float:
         """Var_X(ψ) = ‖Xψ‖² - ⟨ψ|X|ψ⟩² of the generator `key` in GENERATORS, from its bands."""
-        if key not in self.GENERATORS:
-            raise ValueError(f"variance needs a generator, one of {sorted(self.GENERATORS)}, got {key!r}")
-        psi = self._fits(as_unit_ket(psi, "variance state"))
+        self._check_key("generator", key)
+        psi = self._fits(as_unit_ket(psi, "variance state"), "variance state")
         x_psi = self._apply(key, psi)
         mean = np.vdot(psi, x_psi).real
         return float(np.vdot(x_psi, x_psi).real - mean * mean)

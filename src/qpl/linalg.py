@@ -156,6 +156,8 @@ def projector(psi) -> np.ndarray:
 
 def basis_ket(n: int, k: int) -> np.ndarray:
     """Computational basis ket |k⟩ in dimension n."""
+    if not isinstance(k, (int, np.integer)):
+        raise ValueError(f"basis index must be an integer, got {k!r}")
     if not 0 <= k < n:
         raise ValueError(f"basis index {k} out of range for dimension {n}")
     e = np.zeros(n, dtype=complex)

@@ -80,11 +80,16 @@ def crt_permutation(na: int, nb: int) -> np.ndarray:
     return p
 
 
+def _cell_phase(n: int, labels):
+    """2π·labels/n, unchecked: the phase-cell coordinate of reduced labels of one factor."""
+    return 2 * np.pi * labels / n
+
+
 def modular_cell_coords(na: int, nb: int, j: int, sigma: int) -> tuple[float, float]:
     """Phase-cell coordinates (2π·j/na, 2π·σ/nb) of a lattice label."""
     _check_factors(na, nb)
     [j], [sigma] = _residues(na, j=j), _residues(nb, sigma=sigma)
-    return 2 * np.pi * j / na, 2 * np.pi * sigma / nb
+    return _cell_phase(na, j), _cell_phase(nb, sigma)
 
 
 @dataclass(frozen=True)
@@ -115,7 +120,6 @@ def az_state(na: int, nb: int, j: int, sigma: int) -> AzState:
     pair = np.kron(_momentum_ket(na, j), basis_ket(nb, sigma))
     idx = np.arange(na * nb)
     vector = pair[(idx % na) * nb + idx % nb]  # crt_permutation(na, nb).T @ pair
-    shift_phase, clock_phase = modular_cell_coords(na, nb, j, sigma)
     return AzState(
         na=na,
         nb=nb,
@@ -123,8 +127,8 @@ def az_state(na: int, nb: int, j: int, sigma: int) -> AzState:
         sigma=sigma,
         tensor=pair,
         vector=vector,
-        shift_phase=shift_phase,
-        clock_phase=clock_phase,
+        shift_phase=_cell_phase(na, j),
+        clock_phase=_cell_phase(nb, sigma),
     )
 
 

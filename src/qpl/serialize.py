@@ -6,7 +6,8 @@ from it: a JSON object with sorted keys and complex numbers as {"im": ...,
 needed).  Identical inputs give identical bytes: every float prints as
 `%.12g` does (12 significant digits, negative zero collapsed).
 
-A numeric array is checked whole with one `isfinite`, and its layout is
+Arrays are integer, float or complex (no command builds another kind).
+Each is checked whole with one `isfinite`, and its layout is
 cached per shape and kind (per CSV quantity, index count and axis for CSV
 rows), so no Python code runs per entry.  An integer array, or one that
 prints fewer than `KERNEL_CUTOFF` floats, fills a `%` template.  A larger
@@ -221,8 +222,6 @@ def _json_template(entry: str, shape: tuple[int, ...]) -> str | np.ndarray:
 
 
 def _array_json(a: np.ndarray) -> str:
-    if a.dtype.kind not in "fiuc":
-        return _render(a.tolist())
     return _fill(_json_template(_JSON_ENTRY[a.dtype.kind], a.shape), a, im_first=True)
 
 
@@ -330,8 +329,6 @@ def _array_rows(block: Block, indices: int, complex_slot: bool) -> str:
     a, name = block.value, _quote(block.name or block.key)
     if not 1 <= a.ndim <= indices - block.axis or (a.dtype.kind == "c" and not complex_slot):
         raise TypeError(f"{name}: a {a.ndim}-D {a.dtype} array does not fit the CSV columns")
-    if a.dtype.kind not in "iufc":  # a flag or object array prints as floats
-        a = a.astype(float)
     entry = _CSV_ENTRY[a.dtype.kind] + (",0" if complex_slot and a.dtype.kind != "c" else "")
     return _fill(_csv_template(name, entry, a.shape, indices, block.axis), a, im_first=False)
 

@@ -42,7 +42,9 @@ shrinks quadratically in ε.
 For a coherent pointer |z⟩ coupled through the number operator, the mean
 of the lowering operator moves by Δ⟨a⟩ = -i·ε·z·O_w to first order (the
 pinned phase convention; at arg z = π/2 this reproduces the quadrature
-pair ΔQ = ε√2|z|·Re O_w, ΔP = ε√2|z|·Im O_w).
+pair ΔQ = ε√2|z|·Re O_w, ΔP = ε√2|z|·Im O_w); `weak_run` predicts it only
+under pointer_gen = "n", the R = N it holds for.  A bad pointer key or
+length gets the one message `FockSpace` gives for each.
 """
 
 from __future__ import annotations
@@ -90,10 +92,8 @@ class WeakConfig:
         space, key = self.space, self.pointer_gen
         if not isinstance(space, FockSpace):
             raise ValueError(f"space must be a FockSpace, got {type(space).__name__}")
-        if key not in FockSpace.GENERATORS:
-            raise ValueError(f"pointer_gen must be one of {sorted(FockSpace.GENERATORS)}, got {key!r}")
-        if len(pointer) != space.dim:
-            raise ValueError(f"dimensions differ: pointer has {len(pointer)}, space has {space.dim}")
+        space._check_key("pointer_gen", key)
+        space._fits(pointer, "pointer")
         for name, value in dict(pre=pre, post=post, obs=obs, pointer=pointer).items():
             object.__setattr__(self, name, value)
         self._set_eps(self.eps)
@@ -223,17 +223,17 @@ def weak_run(cfg: WeakConfig, readouts, halving=False, z=None) -> WeakRun:
     of ⟨M⟩ and their distance, the residual.  `halving` adds `halving[key]`:
     the residual at ε/2 and its ratio to the one at ε (~1/4 for a quadratic
     remainder, None below 1e-14).  The amplitude `z` of a coherent pointer |z⟩
-    under R = N adds the `annihilator` triple for ⟨a⟩, predicted as
-    -i·ε·z·O_w.  If pre ⟂ post, the probability and the measured shifts stay
-    exact, and the weak value and every prediction, residual and ratio are
-    None.  Raises ValueError for a readout key that is not a generator or when
-    nothing survives, and OverflowError when ε past float range leaves the
+    adds the `annihilator` triple for ⟨a⟩, predicted as -i·ε·z·O_w only under
+    pointer_gen = "n" (R = N) and else None with its residual.  If pre ⟂ post,
+    the probability and the measured shifts stay exact, and the weak value and
+    every prediction, residual and ratio are None.  Raises ValueError for a
+    readout key that is not a generator ("readout must be one of [...]") or
+    when nothing survives, and OverflowError when ε past float range leaves the
     weak value, the probability or a prediction not finite.
     """
     space, phi = cfg.space, cfg.pointer
     for key in readouts:
-        if key not in FockSpace.GENERATORS:
-            raise ValueError(f"readout {key!r} must be hermitian: one of {sorted(FockSpace.GENERATORS)}")
+        space._check_key("readout", key)
     evolution, eps = cfg._evolution, cfg.eps
     ow = weak_value(cfg) if abs(cfg.post.conj() @ cfg.pre) > ORTHOGONAL_TOL else None
     selected = evolution.post_selected(eps, cfg.post)
@@ -244,7 +244,7 @@ def weak_run(cfg: WeakConfig, readouts, halving=False, z=None) -> WeakRun:
     # every number measured from a finite post-selected pointer is bounded
     named = {"weak value": ow, "probability": selected.probability}
     named.update((f"{key} predicted shift", value) for key, value in predicted.items())
-    if z is not None and ow is not None:
+    if z is not None and ow is not None and cfg.pointer_gen == "n":
         named["a predicted shift"] = -1j * eps * complex(z) * ow
     bad = [what for what, value in named.items() if value is not None and not np.isfinite(np.abs(value))]
     if bad:
@@ -292,14 +292,13 @@ def pre_measurement(alpha, obs, lam: float, space, pointer=None) -> PreMeasureme
     obs = as_hermitian(obs, "observable of pre_measurement")
     phi = space.vacuum() if pointer is None else as_unit_ket(pointer, "pointer state")
     require_same_dims(alpha=alpha, obs=obs)
-    if len(phi) != space.dim:
-        raise ValueError(f"dimensions differ: pointer has {len(phi)}, space has {space.dim}")
+    space._fits(phi, "pointer")
     require_finite(lam=lam)
     evolution = FactoredEvolution(obs, space.spectrum("p"), alpha, phi)
     branches = evolution.branches(lam)
     reduced = (branches * np.abs(evolution.pre_coeffs) ** 2) @ branches.conj().T
-    # ρ is hermitian: tr(ρ·q) = 2·Re Σ_j b_j·ρ[j+1, j] over the q band b, and tr(ρ²) = tr(ρ†·ρ)
-    position_mean = float(2 * (space._bands["q"][0] @ np.diagonal(reduced, -1)).real)
+    # ρ is hermitian: tr(ρ·q) = 2·Re Σ_j b_j·ρ[j+1, j] over the upper q band b, and tr(ρ²) = tr(ρ†·ρ)
+    position_mean = float(2 * (space._bands["q"][0][2] @ np.diagonal(reduced, -1)).real)
     purity = float(np.vdot(reduced, reduced).real)
     return PreMeasurement(reduced=reduced, position_mean=position_mean, purity=purity)
 

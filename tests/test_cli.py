@@ -542,6 +542,17 @@ class TestWeakCommand:
         _, err = run_cli(capsys, ["weak", "--config", cfg], expect=EXIT_USAGE)
         assert fragment in err
 
+    def test_an_unknown_pointer_gen_exits_usage_with_the_fock_space_message(self, capsys, tmp_path):
+        cfg = weak_config(tmp_path, "system_dim = 2\npre = u0\npost = u0\nobs = sz\neps = 1e-3\npointer_gen = x\n")
+        _, err = run_cli(capsys, ["weak", "--config", cfg], expect=EXIT_USAGE)
+        assert err == "qpl: pointer_gen must be one of ['g', 'h0', 'k', 'n', 'p', 'q'], got 'x'\n"
+
+    def test_a_bad_selector_is_reported_before_a_bad_pointer_gen(self, capsys, tmp_path):
+        """Selectors are parsed before WeakConfig checks the pointer_gen key."""
+        cfg = weak_config(tmp_path, "system_dim = 2\npre = u7\npost = u0\nobs = sz\neps = 1e-3\npointer_gen = x\n")
+        _, err = run_cli(capsys, ["weak", "--config", cfg], expect=EXIT_USAGE)
+        assert err == "qpl: selector 'u7' is out of range for dimension 2\n"
+
     def test_missing_config_file_is_usage_error(self, capsys, tmp_path):
         _, err = run_cli(
             capsys,

@@ -1,5 +1,7 @@
 """Tests for the dense linear-algebra substrate."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -165,6 +167,14 @@ def test_expectation_projector_basis():
     assert expectation(np.diag(np.arange(5.0)), e2) == pytest.approx(2.0)
     with pytest.raises(ValueError):
         basis_ket(3, 3)
+
+
+@pytest.mark.parametrize("index", (1.5, np.float64(2.0)), ids=("float", "float64"))
+def test_basis_ket_rejects_a_non_integer_index(index):
+    """A float index used to reach numpy's indexing and raise IndexError; numpy integers still pass."""
+    with pytest.raises(ValueError, match=re.escape(f"basis index must be an integer, got {index!r}")):
+        basis_ket(3, index)
+    assert np.array_equal(basis_ket(3, np.int64(2)), basis_ket(3, 2))
 
 
 def test_random_density_is_a_state():

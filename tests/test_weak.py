@@ -157,6 +157,45 @@ class TestWeakConfig:
         assert half.obs is cfg.obs
 
 
+GENERATOR_KEYS = "['g', 'h0', 'k', 'n', 'p', 'q']"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    (
+        (lambda key: SPACE.spectrum(key), f"generator must be one of {GENERATOR_KEYS}"),
+        (lambda key: SPACE.apply(key, VACUUM), "operator must be one of ['a', 'g', 'h0', 'k', 'n', 'p', 'q']"),
+        (lambda key: SPACE.operator(key), "operator must be one of ['a', 'g', 'h0', 'k', 'n', 'p', 'q']"),
+        (lambda key: SPACE.variance(key, VACUUM), f"generator must be one of {GENERATOR_KEYS}"),
+        (lambda key: make_config(2, 11, key, VACUUM), f"pointer_gen must be one of {GENERATOR_KEYS}"),
+        (lambda key: weak_run(make_config(2, 11, "p", VACUUM), ("q", key)), f"readout must be one of {GENERATOR_KEYS}"),
+    ),
+    ids=("spectrum", "apply", "operator", "variance", "WeakConfig", "weak_run"),
+)
+@pytest.mark.parametrize("key", ("x", ["q"]), ids=("unknown", "unhashable"))
+def test_every_pointer_key_is_checked_with_one_message(call, message, key):
+    """FockSpace checks every key in one place; each caller names its own argument."""
+    with pytest.raises(ValueError) as raised:
+        call(key)
+    assert str(raised.value) == f"{message}, got {key!r}"
+
+
+@pytest.mark.parametrize(
+    "call, what",
+    (
+        (lambda psi: SPACE.apply("q", psi), "psi"),
+        (lambda psi: SPACE.variance("q", psi), "variance state"),
+        (lambda psi: make_config(2, 11, "p", psi), "pointer"),
+        (lambda psi: pre_measurement(basis_ket(2, 0), np.diag([1.0, -1.0]), 1.0, SPACE, pointer=psi), "pointer"),
+    ),
+    ids=("apply", "variance", "WeakConfig", "pre_measurement"),
+)
+def test_every_pointer_length_is_checked_with_one_message(call, what):
+    with pytest.raises(ValueError) as raised:
+        call(basis_ket(16, 0))
+    assert str(raised.value) == f"dimensions differ: {what} has 16, space has {POINTER_DIM}"
+
+
 class TestWeakValue:
     def test_eigenstate_returns_eigenvalue(self):
         rng = np.random.default_rng(5)
@@ -480,12 +519,14 @@ class TestWeakRun:
         if z is not None:
             exact_a = conditioned_shift(oracle, pointer, dense_operator(pointer_dim, "a"))
             assert abs(run.annihilator["measured"] - exact_a) <= 1e-10
-            assert (run.annihilator["predicted"] is None) == orthogonal
+            # the first-order ⟨a⟩ shift holds for R = N only
+            assert (run.annihilator["predicted"] is None) == (orthogonal or gen_key != "n")
+            assert (run.annihilator["residual"] is None) == (run.annihilator["predicted"] is None)
         assert (run.weak_value is None) == orthogonal
 
     def test_rejects_a_non_hermitian_readout(self):
         cfg = make_config(2, 11, "p", VACUUM)
-        with pytest.raises(ValueError, match="readout 'a' must be hermitian"):
+        with pytest.raises(ValueError, match="readout must be one of .*, got 'a'"):
             weak_run(cfg, ("q", "a"))
 
     def test_overflow_raises(self):
@@ -528,7 +569,7 @@ class TestShiftFormulas:
 
     def test_measured_shift_requires_hermitian_readout(self):
         cfg = make_config(2, 34, "p", VACUUM)
-        with pytest.raises(ValueError, match="readout 'a' must be hermitian"):
+        with pytest.raises(ValueError, match="readout must be one of .*, got 'a'"):
             shifts(cfg, "a")
 
     def test_vacuum_momentum_coupling_moves_both_quadratures(self):
@@ -653,6 +694,23 @@ class TestAnnihilatorShift:
         exact, approx = shift["measured"], shift["predicted"]
         assert approx == -1j * EPS * COHERENT_Z * weak_value(cfg)
         assert abs(exact - approx) < 1e-2 * abs(approx)
+
+    @pytest.mark.parametrize("gen_key", ("q", "p", "h0", "g", "k"))
+    def test_is_only_measured_under_another_generator(self, gen_key):
+        """-i·ε·z·O_w is the first-order ⟨a⟩ shift for R = N only: under R = q it
+        would be off by as much as the shift itself, so nothing is predicted."""
+        space, z = FockSpace(32), 0.5 + 0.5j
+        rng = np.random.default_rng(41)
+        pre, post, obs = random_ket(2, rng), random_ket(2, rng), random_hermitian(2, rng)
+        cfg = WeakConfig(pre, post, obs, space, gen_key, space.coherent(z), EPS)
+        shift = weak_run(cfg, (), z=z).annihilator
+        assert shift["predicted"] is None and shift["residual"] is None
+        oracle = post_select(evolve_dense(cfg), post, 32)
+        exact = conditioned_shift(oracle, cfg.pointer, dense_operator(32, "a"))
+        assert abs(shift["measured"] - exact) <= 1e-12
+        if gen_key == "q":
+            old_prediction = -1j * EPS * z * weak_value(cfg)
+            assert abs(shift["measured"] - old_prediction) > 0.5 * abs(shift["measured"])
 
     def test_residual_is_quadratic_in_coupling(self):
         cfg = make_config(2, 41, "n", SPACE.coherent(COHERENT_Z))
