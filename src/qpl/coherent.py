@@ -1,8 +1,11 @@
 """Displaced Fourier-invariant states on Z_N.
 
 The displacement family is D_mn = v^{-mn/2} U^m V^{-n} with the half phase
-e^{-iπmn/N} evaluated at representatives 0 ≤ m,n ≤ N-1 (same convention as
-the phase-point basis).  The reference state
+e^{-iπmn/N} evaluated at representatives 0 ≤ m,n ≤ N-1, for odd and even N
+alike.  The phase-point basis (`weylwigner`) reads its half phase h(r,s)
+otherwise: v^{2⁻¹·rs} with the ring inverse 2⁻¹ = (N+1)/2 for odd N, and
+e^{iπrs/N} with a sign repair for even N.  So h(r,s) = ±e^{iπrs/N}, with
+the minus sign at some (r, s) for every N ≥ 3.  The reference state
 
     |0⟩ = (|u_0⟩ + |v_0⟩) / ||...||
 
@@ -78,7 +81,11 @@ def coherent_overlap(n: int, p: int, q: int, r: int, s: int) -> complex:
 
 def symplectic_phase(n: int, p, q, r, s):
     """Phase factor v^{(rq-ps)/2} = e^{iπ(rq-ps)/N}, canonical representatives."""
-    p, q, r, s = _residues(n, p=p, q=q, r=r, s=s)
+    return _symplectic_phase(n, *_residues(n, p=p, q=q, r=r, s=s))
+
+
+def _symplectic_phase(n: int, p, q, r, s):
+    """`symplectic_phase` of labels already reduced mod n."""
     return roots(2 * n)[(r * q - p * s) % (2 * n)]
 
 
@@ -92,7 +99,7 @@ def coherent_overlap_closed(n: int, p, q, r, s):
     p, q, r, s = _residues(n, p=p, q=q, r=r, s=s)
     w = 2 * n - 1  # the number of distinct label differences
     cell = (r * w + s + (n - 1) * (w + 1)) - (p * w + q)  # flat (r - p, s - q) entry
-    return symplectic_phase(n, p, q, r, s) * _overlap_factors(n)[cell]
+    return _symplectic_phase(n, p, q, r, s) * _overlap_factors(n)[cell]
 
 
 @lru_cache(maxsize=64)

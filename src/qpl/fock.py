@@ -22,14 +22,17 @@ identities hold in the truncated space too:
     g    = R(π/4)·k·R(π/4)†
     D(z) = R(θ)·exp(-i√2|z|·p)·R(θ)†      θ = arg z
 
-`FockSpace.spectrum(key)` uses them to diagonalize each pointer generator
-from its structure, with no complex eigendecomposition.  n and h0 are
-diagonal and carry no vector matrix (vectors None stands for the identity);
-q is the real Jacobi matrix of the Hermite polynomials, whose eigenvalues
-are the Gauss–Hermite nodes; k splits into real tridiagonal blocks on the
-even and the odd levels; p and g are q and k rotated, with the phases i^n
-and e^{iπn/4} gathered from `schwinger.roots`.  It returns read-only
-(values, vectors) with generator = vectors·diag(values)·vectors†.
+`FockSpace.spectrum(key)` diagonalizes each pointer generator from its
+bands by one rule, with no complex eigendecomposition.  A band at offset 0
+(n, h0) is its own spectrum, with vectors None for the identity.  A real
+band at offset s with zero diagonal (q: s = 1, k: s = 2) couples level j
+only to j ± s, so it splits into the s Jacobi chains j ≡ i (mod s) (Golub &
+Welsch, Math. Comp. 23, 221 (1969); the q values are the Gauss–Hermite
+nodes): one real `eigh` per chain, values concatenated in chain order,
+chain i's vectors on the rows i::s.  p and g are q and k turned by the
+first two identities, with the phases i^n and e^{iπn/4} from
+`schwinger.roots`.  It returns read-only (values, vectors) with
+generator = vectors·diag(values)·vectors†.
 
 Every generator and `a` has at most two nonzero diagonals, its bands, the
 one definition of the operator, all in one table: n and h0 are one band at
@@ -37,10 +40,14 @@ offset 0, and the ∓i of p and g sit in the coefficients.  `FockSpace.apply`
 sums the bands in O(D) with no case on the key, `variance` reads
 ⟨X²⟩ = ‖Xψ‖², and `operator(key)` builds the dense matrix for library
 callers.  Keys are checked in one place and ket lengths in one.  The bands
-and the q, p, k and g spectra are computed once per dimension, each held by
-an `lru_cache` of the last CACHED_DIMS = 4 dimensions: the spectra take at
-most 3 MiB per dimension at the pointer cap of 256 (the real q and k vectors
-0.5 MiB each, the complex p and g vectors 1 MiB each), 12 MiB in all.
+are kept for the last CACHED_DIMS = 4 dimensions (`_band_table`) and the
+spectra for the last 6·CACHED_DIMS = 24 (dimension, key) pairs
+(`_spectrum`), so a process that uses at most 4 dimensions builds each
+spectrum once.  At the pointer cap of 256 the spectra of 4 dimensions take
+12 MiB (the real q and k vectors 0.5 MiB each, the complex p and g vectors
+1 MiB each).  A turned entry is stored right after its base, so at least
+one of the 24 is real: at worst 23 complex vector matrices and one real
+are kept, at most 23.5 MiB plus 48 KiB of values.
 
 The scale operator S_ξ = exp(i·lnξ·g) dilates quadrature statistics by
 Var_Q(S_ξ|0⟩) = ξ⁻²·Var_Q(|0⟩) — the exponent -2 is the pinned direction
@@ -57,7 +64,7 @@ from .linalg import as_ket, as_unit_ket, basis_ket, spectral_exp
 from .schwinger import roots
 
 SCALE_MIN, SCALE_MAX = 1.0 / 3.0, 3.0
-CACHED_DIMS = 4  # dimensions whose bands and q, p, k and g spectra stay cached
+CACHED_DIMS = 4  # dimensions whose bands, and six spectra each, stay cached
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -92,49 +99,27 @@ def _band_table(dim: int) -> dict[str, tuple]:
     }
 
 
-def _jacobi_eigh(off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Real spectrum of the symmetric tridiagonal matrix with zero diagonal and `off` beside it."""
-    return np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+_TURNED = {"p": ("q", 4), "g": ("k", 8)}  # key -> (base, turns): key = R(2π/turns)·base·R(2π/turns)†
 
 
-@lru_cache(maxsize=CACHED_DIMS)
-def _q_spectrum(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only real (values, vectors) of Q: one Jacobi matrix."""
-    (_, _, off), _ = _band_table(dim)["q"]
-    values, vectors = _jacobi_eigh(off)
-    return _read_only(values), _read_only(vectors)
-
-
-@lru_cache(maxsize=CACHED_DIMS)
-def _k_spectrum(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only real (values, vectors) of k: it couples n to n ± 2 only, one block per parity."""
-    (_, _, off), _ = _band_table(dim)["k"]
-    even, odd = _jacobi_eigh(off[0::2]), _jacobi_eigh(off[1::2])
-    vectors = np.zeros((dim, dim))
-    vectors[0::2, : even[0].size] = even[1]
-    vectors[1::2, even[0].size :] = odd[1]
-    return _read_only(np.concatenate([even[0], odd[0]])), _read_only(vectors)
-
-
-def _rotated(spectrum: tuple[np.ndarray, np.ndarray], turns: int) -> tuple[np.ndarray, np.ndarray]:
-    """The spectrum of R(2π/turns)·X·R(2π/turns)† from that of X, with R(θ) = diag(e^{iθn})."""
-    values, vectors = spectrum
-    return values, _read_only(roots(turns)[np.arange(len(values)) % turns][:, None] * vectors)
-
-
-@lru_cache(maxsize=CACHED_DIMS)
-def _p_spectrum(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (values, vectors) of P = R(π/2)·Q·R(π/2)†."""
-    return _rotated(_q_spectrum(dim), 4)
-
-
-@lru_cache(maxsize=CACHED_DIMS)
-def _g_spectrum(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (values, vectors) of g = R(π/4)·k·R(π/4)†."""
-    return _rotated(_k_spectrum(dim), 8)
-
-
-_SPECTRA = {"q": _q_spectrum, "p": _p_spectrum, "k": _k_spectrum, "g": _g_spectrum}
+@lru_cache(maxsize=CACHED_DIMS * 6)  # six generator keys per dimension
+def _spectrum(dim: int, key: str) -> tuple[np.ndarray, np.ndarray | None]:
+    """Read-only (values, vectors) of the generator `key` from its bands, by the one rule
+    of the module docstring."""
+    if key in _TURNED:
+        base, turns = _TURNED[key]
+        values, vectors = _spectrum(dim, base)
+        return values, _read_only(roots(turns)[np.arange(dim) % turns][:, None] * vectors)
+    (rows, cols, band), *_ = _band_table(dim)[key]
+    s = cols.start - rows.start  # the offset of the upper band
+    if s == 0:
+        return band, None
+    chains = [np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1)) for off in (band[i::s] for i in range(s))]
+    vectors, start = np.zeros((dim, dim)), 0
+    for i, (chain_values, chain_vectors) in enumerate(chains):  # chain i holds the levels i, i + s, ...
+        vectors[i::s, start : start + chain_values.size] = chain_vectors
+        start += chain_values.size
+    return _read_only(np.concatenate([chain_values for chain_values, _ in chains])), _read_only(vectors)
 
 
 class FockSpace:
@@ -165,9 +150,7 @@ class FockSpace:
         """Read-only (values, vectors) of the generator `key` in GENERATORS, vectors None
         for the diagonal n and h0; see the module docstring."""
         self._check_key("generator", key)
-        if key in _SPECTRA:
-            return _SPECTRA[key](self.dim)
-        return self._bands[key][0][2], None  # n and h0: one diagonal band
+        return _spectrum(self.dim, key)
 
     def apply(self, key: str, psi) -> np.ndarray:
         """X·ψ in O(D) from the bands of X, for X the generator `key` in GENERATORS or "a";

@@ -85,6 +85,22 @@ def test_unsigned_labels_do_not_wrap():
     assert symplectic_phase(5, one, 0, 0, one) == symplectic_phase(5, 1, 0, 0, 1)
 
 
+@pytest.mark.parametrize("labels", ((1, 2, 3, 4), (np.arange(5)[:, None], -(10**20), np.arange(5), 7)))
+def test_closed_form_checks_its_labels_once(monkeypatch, labels):
+    """`coherent_overlap_closed` reduces its labels once and hands them to the phase as they are."""
+    import qpl.coherent
+
+    expected, calls, residues = coherent_overlap_closed(5, *labels), [], qpl.coherent._residues
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs)
+        return residues(*args, **kwargs)
+
+    monkeypatch.setattr(qpl.coherent, "_residues", counting)
+    assert np.array_equal(coherent_overlap_closed(5, *labels), expected)
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("n", (3, 4, 5))
 def test_overlap_closed_form_every_pair(n):
     """⟨p,q|r,s⟩ agrees with phase × signed magnitude to machine precision."""

@@ -12,6 +12,7 @@ from qpl import (
     expectation,
     is_unitary,
 )
+from qpl.fock import _band_table, _spectrum
 from qpl.schwinger import roots
 
 DIM = 64
@@ -245,6 +246,24 @@ def test_q_spectrum_is_the_gauss_hermite_rule(dim):
     assert np.max(np.abs(vectors[0] ** 2 - weights / np.sqrt(np.pi))) <= 8 * u * norm / gap
 
 
+@pytest.mark.parametrize("dim", BANDED_DIMS)
+def test_k_parity_chains_match_bisection(dim):
+    """k couples level j only to j ± 2, so its values are those of the even chain, then
+    the odd one; bisection (LAPACK stebz) finds each chain's eigenvalues independently.
+
+    Both sides are backward stable, so they agree within c·u·‖k‖₂, c = 8 as for q.
+    """
+    eigh_tridiagonal = pytest.importorskip("scipy.linalg").eigh_tridiagonal
+    values, _ = FockSpace(dim).spectrum("k")
+    off = dense_operator(dim, "k").diagonal(2).real
+    chains = [
+        eigh_tridiagonal(np.zeros(len(range(i, dim, 2))), off[i::2], eigvals_only=True, lapack_driver="stebz")
+        for i in (0, 1)
+    ]
+    expected = np.concatenate(chains)
+    assert np.max(np.abs(values - expected)) <= 8 * np.finfo(float).eps * np.abs(expected).max()
+
+
 def test_spectrum_rejects_unknown_generators():
     with pytest.raises(ValueError, match=r"generator must be one of \['g', 'h0', 'k', 'n', 'p', 'q'\], got 'num'"):
         SPACE.spectrum("num")
@@ -337,6 +356,22 @@ def test_modes_of_one_dimension_share_the_uncached_values(dim):
             assert built is other, name
             assert not built.flags.writeable, name
             assert np.array_equal(built, oracle) and bitwise_equal(built, oracle), name
+
+
+# The pointer dimensions of the weak-small and weak-large benchmark pools
+# (perfbench/workloads.py), each run there under all six generator keys.
+@pytest.mark.parametrize("dims", ((24, 32), (64, 128)), ids=("weak-small", "weak-large"))
+def test_a_second_pool_pass_misses_no_fock_cache(clear_qpl_caches, dims):
+    def one_pass():
+        for dim in dims:
+            space = FockSpace(dim)
+            for key in FockSpace.GENERATORS:
+                space.spectrum(key)
+        return {cache: cache.cache_info().misses for cache in (_band_table, _spectrum)}
+
+    first = one_pass()
+    assert first == {_band_table: len(dims), _spectrum: len(dims) * len(FockSpace.GENERATORS)}
+    assert one_pass() == first
 
 
 @pytest.mark.parametrize("dim", (2, 3, 16, 64, 256))

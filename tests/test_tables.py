@@ -21,6 +21,7 @@ from qpl import (
 )
 from qpl.cli import MAX_GRAM_DIM, main
 from qpl.coherent import _check_tables, _closed_form_check, _overlap_factors
+from qpl.fock import _band_table, _spectrum
 from qpl.schwinger import TABLE_DIMS, _phase_table
 from qpl.weylwigner import _weyl_tables
 
@@ -150,5 +151,5 @@ def test_a_second_pool_cycle_misses_no_qpl_cache(capsys, clear_qpl_caches):
 def test_bytecheck_cold_order_empties_every_table_cache():
     """`tools/bytecheck.py --order cold` empties the caches it finds; these must be among them."""
     found = _qpl_caches()
-    for cache in (*TABLE_CACHES, _overlap_factors):
+    for cache in (*TABLE_CACHES, _overlap_factors, _band_table, _spectrum):
         assert any(f is cache for f in found), cache.__name__
