@@ -28,6 +28,8 @@ import argparse
 import cmath
 import os
 import sys
+from collections.abc import Callable
+from functools import cache
 from math import frexp, gcd, ldexp
 from pathlib import Path
 
@@ -118,8 +120,16 @@ def resolve_seed(flag_seed: int | None, config_seed: str = "0") -> int:
     return next(seed for seed in reversed(seeds.values()) if seed is not None)
 
 
-def parse_ket_selector(spec: str, dim: int, rng: np.random.Generator) -> np.ndarray:
-    """u<k> | v<k> | coherent:m,n | amps:c0,c1,... | random"""
+def _request_rng(seed: int) -> Callable[[], np.random.Generator]:
+    """A request's generator, built from `seed` at its first call and the same one at every later call.
+
+    Only a `random` selector calls it, so a request that draws nothing never loads numpy.random.
+    """
+    return cache(lambda: np.random.default_rng(seed))
+
+
+def parse_ket_selector(spec: str, dim: int, rng: Callable[[], np.random.Generator]) -> np.ndarray:
+    """u<k> | v<k> | coherent:m,n | amps:c0,c1,... | random, drawing from `rng()`"""
     if len(spec) >= 2 and spec[0] in "uv" and spec[1:].isdigit():
         k = int(spec[1:])
         if k >= dim:
@@ -142,15 +152,15 @@ def parse_ket_selector(spec: str, dim: int, rng: np.random.Generator) -> np.ndar
         vec = vec * ldexp(1.0, -(e // 2)) * ldexp(1.0, e // 2 - e)
         return vec / np.linalg.norm(vec)
     if spec == "random":
-        return random_ket(dim, rng)
+        return random_ket(dim, rng())
     raise UsageError(f"unknown state selector {spec!r}")
 
 
-def parse_density_selector(spec: str, dim: int, rng: np.random.Generator) -> np.ndarray:
+def parse_density_selector(spec: str, dim: int, rng: Callable[[], np.random.Generator]) -> np.ndarray:
     if spec == "mixed":
         return np.eye(dim, dtype=complex) / dim
     if spec == "random":
-        return random_density(dim, rng)
+        return random_density(dim, rng())
     ket = parse_ket_selector(spec, dim, rng)
     return np.outer(ket, ket.conj())
 
@@ -216,7 +226,7 @@ def _echo(**inputs) -> list[Block]:
 def run_wigner(args, seed):
     n = args.n
     _check_range(n, 1, MAX_REGISTER_DIM, "wigner dimension")
-    rho = parse_density_selector(args.state, n, np.random.default_rng(seed))
+    rho = parse_density_selector(args.state, n, _request_rng(seed))
     wm = wigner_map(rho)
     values = wm.values
     return [
@@ -286,7 +296,7 @@ def run_weak(args, seed):
     if eps < 0:
         raise UsageError(f"eps must be nonnegative, got {eps}")
     halving = _parse_number(conf["halving"], bool, "halving")
-    rng = np.random.default_rng(seed)
+    rng = _request_rng(seed)
 
     space = FockSpace(pointer_dim)
     pointer, coherent_z = parse_pointer_selector(conf["pointer"], space)
@@ -365,7 +375,7 @@ def run_nslit(args, seed):
     if n % period != 0:  # checked before a random potential draws `period` samples
         raise UsageError(f"period {period} does not divide register size {n}")
     if args.potential == "random":
-        samples = np.random.default_rng(seed).uniform(0.0, 2 * np.pi, period)
+        samples = _request_rng(seed)().uniform(0.0, 2 * np.pi, period)
     psi = nslit_evolve(n, samples)
     momentum = _momentum_amplitudes(psi)
     stride = n // period

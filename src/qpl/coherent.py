@@ -42,14 +42,14 @@ from functools import lru_cache
 import numpy as np
 
 from .linalg import basis_ket, normalize
-from .schwinger import TABLE_DIMS, _check_dim, _residues, roots, weyl_word
+from .schwinger import TABLE_DIMS, _check_dim, _residues, _weyl_word, roots
 
 
 def displacement(n: int, m, nn) -> np.ndarray:
     """Displacement D_mn = v^{-mn/2} U^m V^{-n}, canonical representatives; a stack for array labels."""
     m, nn = _residues(n, m=m, nn=nn)
     half = roots(2 * n)[(-m * nn) % (2 * n)]  # e^{-iπ·m·n/N}
-    return np.asarray(half)[..., None, None] * weyl_word(n, m, -nn)
+    return np.asarray(half)[..., None, None] * _weyl_word(n, m, -nn % n)
 
 
 def reference_state(n: int) -> np.ndarray:

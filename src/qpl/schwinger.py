@@ -82,7 +82,12 @@ def weyl_word(n: int, k, j) -> np.ndarray:
     (U^k V^j)[a, c] = v^{k·a} where a ≡ c - j (mod n) and 0 elsewhere; the
     result has shape broadcast(k, j) + (n, n).
     """
-    k, j = (np.asarray(x)[..., None, None] for x in _residues(n, k=k, j=j))
+    return _weyl_word(n, *_residues(n, k=k, j=j))
+
+
+def _weyl_word(n: int, k, j) -> np.ndarray:
+    """`weyl_word` of labels already reduced mod n."""
+    k, j = (np.asarray(x)[..., None, None] for x in (k, j))
     a = np.arange(n)[:, None]
     c = np.arange(n)[None, :]
     return np.where(a == (c - j) % n, roots(n)[(k * a) % n], 0)
@@ -91,7 +96,7 @@ def weyl_word(n: int, k, j) -> np.ndarray:
 def weyl_relation_defect(n: int, j: int, k: int) -> float:
     """Max entrywise error in V^j U^k = v^{jk} U^k V^j."""
     j, k = _residues(n, j=j, k=k)
-    vj, uk = weyl_word(n, 0, j), weyl_word(n, k, 0)
+    vj, uk = _weyl_word(n, 0, j), _weyl_word(n, k, 0)
     phase = roots(n)[j * k % n]
     return float(np.max(np.abs(vj @ uk - phase * (uk @ vj))))
 

@@ -145,7 +145,12 @@ def phase_point(n: int, m, nn) -> np.ndarray:
     H[t, s] = (1/N)·Σ_r v^{r·t}·h(r, s).  The result has shape
     broadcast(m, nn) + (n, n).
     """
-    m, nn = (np.asarray(x)[..., None, None] for x in _residues(n, m=m, nn=nn))
+    return _phase_point(n, *_residues(n, m=m, nn=nn))
+
+
+def _phase_point(n: int, m, nn) -> np.ndarray:
+    """`phase_point` of labels already reduced mod n."""
+    m, nn = (np.asarray(x)[..., None, None] for x in (m, nn))
     t = _weyl_tables(n)
     s = t.shift
     return roots(n)[(-m * s) % n] * t.kernel[(np.arange(n)[:, None] - nn) % n, s]
@@ -231,7 +236,7 @@ def delta_product(n: int, a, b) -> np.ndarray:
         raise ValueError("the closed-form product rule is defined only for odd dimensions")
     (m, nn), (p, q) = _residues(n, pairs=True, a=a, b=b)
     phase = np.asarray(roots(n)[2 * symplectic_area((m, nn), (p, q)) % n])[..., None, None]
-    return phase * phase_point(n, m - p, nn - q) @ parity_operator(n)
+    return phase * _phase_point(n, (m - p) % n, (nn - q) % n) @ parity_operator(n)
 
 
 def structure_constants(n: int, a, b, c):

@@ -147,8 +147,8 @@ def oracle_payload(argv) -> dict[str, Expected]:
     space = FockSpace(dim)
     pointer, z = cli.parse_pointer_selector(conf["pointer"], space)
     obs = cli.parse_obs_selector(conf["obs"], ns)
-    pre = cli.parse_ket_selector(conf["pre"], ns, rng)
-    post = cli.parse_ket_selector(conf["post"], ns, rng)
+    pre = cli.parse_ket_selector(conf["pre"], ns, lambda: rng)
+    post = cli.parse_ket_selector(conf["post"], ns, lambda: rng)
     cfg = WeakConfig(pre, post, obs, space, key, pointer, eps)
     ow = weak_value(cfg)
 

@@ -123,6 +123,14 @@ ONE_RUN_PER_COMMAND = (
 )
 
 
+# One run of each command that draws from its request's generator.
+RANDOM_RUNS = {
+    "wigner": ["wigner", "--n", "5", "--state", "random"],
+    "weak": ["weak", "--config", WEAK_GOLDENS["weak_vacuum_p"]],
+    "nslit": ["nslit", "--n", "6", "--potential", "random", "--period", "3"],
+}
+
+
 def one_run(tmp_path, argv):
     """argv with a weak config text replaced by the path of a file holding it."""
     return [weak_config(tmp_path, arg) if "\n" in arg else arg for arg in argv]
@@ -308,6 +316,16 @@ class TestDeterminism:
         )
         assert out_filed == ""  # redirected away from stdout
         assert target.read_text() == out_direct
+
+    @pytest.mark.parametrize("fmt", ("json", "csv"))
+    @pytest.mark.parametrize("command", sorted(RANDOM_RUNS))
+    def test_a_random_request_draws_from_its_own_generator(self, capsys, monkeypatch, tmp_path, command, fmt):
+        """The same random request twice prints the same bytes: no generator outlives its request."""
+        monkeypatch.delenv("QPL_SEED", raising=False)
+        argv = one_run(tmp_path, RANDOM_RUNS[command]) + ["--format", fmt]
+        first, _ = run_cli(capsys, argv)
+        second, _ = run_cli(capsys, argv)
+        assert first == second
 
     def test_random_selector_depends_on_seed(self, capsys):
         one, _ = run_cli(capsys, ["wigner", "--n", "4", "--state", "random", "--seed", "1"])
@@ -936,6 +954,53 @@ class TestExitCodes:
         assert main(["--help"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "wigner" in out
+
+
+# A fresh interpreter runs one request, then prints on stderr whether numpy.random was imported.
+PROBE = (
+    "import sys\nfrom qpl.cli import main\ncode = main(sys.argv[1:])\n"
+    "print('numpy.random' in sys.modules, file=sys.stderr)\nsys.exit(code)"
+)
+
+
+def fresh_run(argv):
+    """(stdout bytes, whether numpy.random was imported) of one request in a fresh interpreter.
+
+    A fresh one, because this test session has imported numpy.random already.
+    """
+    import qpl
+
+    env = {key: value for key, value in os.environ.items() if key != "QPL_SEED"}
+    env["PYTHONPATH"] = str(Path(qpl.__file__).resolve().parents[1])
+    result = subprocess.run([sys.executable, "-c", PROBE, *argv], capture_output=True, env=env)
+    assert result.returncode == EXIT_OK, result.stderr
+    return result.stdout, {b"True\n": True, b"False\n": False}[result.stderr]
+
+
+EXPLICIT_RUNS = tuple(
+    ["wigner", "--n", "5", "--state", "u1"] if argv[0] == "wigner" else argv for argv in ONE_RUN_PER_COMMAND
+)
+# sha256 of the JSON output of RANDOM_RUNS["nslit"], which has no golden file
+NSLIT_RANDOM_DIGEST = "b6ab22d6dc820a6bf85c0f5642d4d67b29fe0866e91a13db5b55847a1de42604"
+
+
+@pytest.mark.parametrize("argv", EXPLICIT_RUNS, ids=lambda a: a[0])
+def test_a_request_that_draws_nothing_leaves_numpy_random_unimported(tmp_path, argv):
+    _, loaded = fresh_run(one_run(tmp_path, argv))
+    assert not loaded
+
+
+@pytest.mark.parametrize(
+    "command,fmt,golden",
+    (("wigner", "csv", "wigner_n5_random.csv"), ("weak", "json", "weak_vacuum_p.json"), ("nslit", "json", None)),
+)
+def test_a_random_selector_imports_numpy_random_and_draws_the_golden_bytes(tmp_path, command, fmt, golden):
+    out, loaded = fresh_run(one_run(tmp_path, RANDOM_RUNS[command]) + ["--format", fmt])
+    assert loaded
+    if golden is None:
+        assert hashlib.sha256(out).hexdigest() == NSLIT_RANDOM_DIGEST
+    else:
+        assert out == (GOLDEN / golden).read_bytes()
 
 
 def test_installed_entry_point_runs():

@@ -20,6 +20,7 @@ from qpl import (
     reference_state,
     symplectic_phase,
 )
+from qpl.schwinger import roots, weyl_word
 from qpl.weylwigner import half_phase_exponents
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -98,6 +99,27 @@ def test_closed_form_checks_its_labels_once(monkeypatch, labels):
 
     monkeypatch.setattr(qpl.coherent, "_residues", counting)
     assert np.array_equal(coherent_overlap_closed(5, *labels), expected)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("labels", ((1, 2), (np.arange(5)[:, None], -(10**20)), (10**20, np.arange(5))))
+def test_displacement_checks_its_labels_once(monkeypatch, labels):
+    """`displacement` reduces its labels once; its Weyl word takes them as they are, bit for bit."""
+    import qpl.coherent
+    import qpl.schwinger
+
+    m, nn = (x % 5 for x in labels)
+    expected = np.asarray(roots(10)[(-m * nn) % 10])[..., None, None] * weyl_word(5, m, -nn)
+    calls, residues = [], qpl.schwinger._residues
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs)
+        return residues(*args, **kwargs)
+
+    for module in (qpl.coherent, qpl.schwinger):
+        monkeypatch.setattr(module, "_residues", counting)
+    result = displacement(5, *labels)
+    assert result.shape == expected.shape and result.tobytes() == expected.tobytes()
     assert len(calls) == 1
 
 

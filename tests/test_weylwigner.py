@@ -34,7 +34,7 @@ from qpl import (
     weyl_transform,
     wigner_map,
 )
-from qpl.schwinger import weyl_word
+from qpl.schwinger import roots, weyl_word
 from qpl.weylwigner import half_phase_exponents
 
 RNG = np.random.default_rng(20240818)
@@ -476,6 +476,29 @@ def test_delta_product_rejects_non_integer_labels():
         with pytest.raises(ValueError, match=r"label \(.*\) must be a pair of integers"):
             delta_product(3, a, b)
     assert np.array_equal(delta_product(3, (np.int64(1), 0), (0, 0)), delta_product(3, (1, 0), (0, 0)))
+
+
+@pytest.mark.parametrize(
+    "a,b",
+    (((1, 2), (3, 4)), ((np.arange(5)[:, None], 3), (np.arange(5), 1)), ((10**20, -(10**20)), (-(10**20), 7))),
+)
+def test_delta_product_checks_its_labels_once(monkeypatch, a, b):
+    """`delta_product` reduces its labels once; its phase point takes them as they are, bit for bit."""
+    import qpl.weylwigner
+
+    (m, nn), (p, q) = ((x % 5 for x in label) for label in (a, b))
+    phase = np.asarray(roots(5)[2 * symplectic_area((m, nn), (p, q)) % 5])[..., None, None]
+    expected = phase * phase_point(5, m - p, nn - q) @ parity_operator(5)
+    calls, residues = [], qpl.weylwigner._residues
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs)
+        return residues(*args, **kwargs)
+
+    monkeypatch.setattr(qpl.weylwigner, "_residues", counting)
+    result = delta_product(5, a, b)
+    assert result.shape == expected.shape and result.tobytes() == expected.tobytes()
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("bad", (0, 2.0, 2.5))
