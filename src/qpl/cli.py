@@ -35,14 +35,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .coherent import CoherentFamily, _closed_form_check, coherent_state
+from .coherent import CoherentFamily, coherent_overlap_closed, coherent_state
 from .fock import FockSpace
 from .linalg import basis_ket, random_density, random_ket
 from .modular import _cell_phase, _momentum_amplitudes, az_state, nslit_evolve
-from .schwinger import _momentum_ket, gauss_trace, gauss_trace_closed_form
+from .schwinger import _momentum_ket, gauss_trace, gauss_trace_closed_form, weyl_relation_defect
 from .serialize import Block, canonical_json, csv_text
 from .weak import WeakConfig, weak_run, weak_value
-from .weylwigner import commutator_expansion, phase_point, structure_constants, wigner_map
+from .weylwigner import _phase_point, _structure_constants, commutator_expansion, wigner_map
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -398,8 +398,8 @@ def run_structure_constants(args, seed):
         raise BoundsError(f"structure constants need an odd dimension, got {n}")
     a = tuple(x % n for x in _parse_pair(args.a, "label a"))
     b = tuple(x % n for x in _parse_pair(args.b, "label b"))
-    da, db = phase_point(n, *np.transpose([a, b]))
-    lam = structure_constants(n, a, b, np.ogrid[:n, :n])
+    da, db = _phase_point(n, *np.transpose([a, b]))
+    lam = _structure_constants(n, a, b, np.ogrid[:n, :n])
     residual = float(np.max(np.abs(da @ db - db @ da - commutator_expansion(lam))))
     return [
         Block("lambda", lam),
@@ -415,14 +415,23 @@ def run_coherent_gram(args, seed):
     n = args.n
     _check_range(n, 1, MAX_GRAM_DIM, "coherent-gram dimension")
     family = CoherentFamily(n)
-    gram = family.gram()
+    flat = family.states.reshape(n * n, n)
+    # Row (0, 0) of the Gram matrix.  A product of two rows stays on BLAS's matrix-matrix
+    # path, whose row 0 has the bits of `family.gram()[0]`; one row would take the
+    # matrix-vector path, which rounds the entries that are exactly 0 to other residues.
+    direct = (flat[:2].conj() @ flat.T)[0]
+    k = np.arange(n)
+    closed = coherent_overlap_closed(n, 0, 0, k[:, None], k[None, :])
     identity_residual = float(np.max(np.abs(family.identity_resolution() - n * np.eye(n))))
-    closed_row, closed_residual = _closed_form_check(n, gram)
+    # By Weyl covariance ⟨p,q|r,s⟩ is a phase times ⟨0,0|r−p,s−q⟩, so row (0, 0) and the
+    # Weyl relation on the generators cover the whole Gram matrix; np.maximum keeps a NaN.
+    row_residual = np.max(np.abs(direct - closed.ravel()))
+    closed_residual = float(np.maximum(row_residual, weyl_relation_defect(n, 1, 1)))
     rt = np.sqrt(n)
     return [
         # the phase on row (0, 0) is exactly 1
-        Block("magnitude_predicted", np.abs(closed_row).reshape(n, n), "predicted_magnitude"),
-        Block("magnitude_direct", np.abs(gram[0, :].reshape(n, n)), "direct_magnitude"),
+        Block("magnitude_predicted", np.abs(closed), "predicted_magnitude"),
+        Block("magnitude_direct", np.abs(direct.reshape(n, n)), "direct_magnitude"),
         Block("identity_residual", identity_residual),
         Block("max_closed_residual", closed_residual),
         Block("one_shared_magnitude", float((n + 2 * rt) / (2 * (n + rt)))),

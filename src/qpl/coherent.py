@@ -26,13 +26,20 @@ ones never do.
 
 Both factors come from per-N tables: the phase from `roots(2N)` at
 (rq − ps) mod 2N, the magnitude from `_overlap_factors(N)` at the cell
-(r − p, s − q).  `_closed_form_check` compares a whole Gram matrix with the
-closed form: one gather per entry from the product of those two tables, at
-an index summed from two N³ index tables, with no modular arithmetic per
-entry.  The product and index tables depend only on N and are built once per
-dimension (`_check_tables`, read-only, the last TABLE_DIMS = 16 dimensions:
-0.53 MiB at the cap N = 16, at most 2.4 MiB over N = 1..16).  The family
-states, the Gram matrix and the residuals are computed afresh on every call.
+(r − p, s − q).
+
+The family is covariant under the displacements: by the Weyl relation
+V^j U^k = v^{jk} U^k V^j, D_pq† D_rs is a phase times D_{r−p, s−q}, so
+
+    ⟨p,q|r,s⟩ = ω · ⟨0,0|r−p, s−q⟩,   labels mod N,
+
+with |ω| = 1 fixed by the labels: the symplectic phase, up to the sign that
+reducing r − p and s − q to representatives carries (Perelomov, Commun.
+Math. Phys. 26, 222 (1972)).  Row (0, 0) of the Gram matrix therefore fixes
+all of it, and a check of that row against the closed form, with the Weyl
+relation on the generators U and V, covers the N²×N² table without forming
+it.  `CoherentFamily.gram` still builds the whole matrix; the states and
+every overlap are computed afresh on each call.
 """
 
 from __future__ import annotations
@@ -42,7 +49,7 @@ from functools import lru_cache
 import numpy as np
 
 from .linalg import basis_ket, normalize
-from .schwinger import TABLE_DIMS, _check_dim, _residues, _weyl_word, roots
+from .schwinger import _check_dim, _residues, _weyl_word, roots
 
 
 def displacement(n: int, m, nn) -> np.ndarray:
@@ -113,45 +120,6 @@ def _overlap_factors(n: int) -> np.ndarray:
     table = np.where((dp == 0) & (dq == 0), 1.0, factor).ravel()
     table.flags.writeable = False
     return table
-
-
-def _closed_form_check(n: int, gram: np.ndarray) -> tuple[np.ndarray, float]:
-    """Row 0 of the closed-form overlap table and max |gram − closed| over all of it.
-
-    `gram` is indexed by flat labels (p·N + q, r·N + s), as `CoherentFamily.gram`
-    returns it.  The table is `coherent_overlap_closed(n, p, q, r, s)` bit for bit: the
-    same phase·factor products, gathered from their outer-product table at
-    (qr mod 2N − ps mod 2N)·(2N − 1)² + cell(r − p, s − q).  The phase part lies in
-    (−2N, 2N), so a negative index wraps to its residue, and the cell splits into a
-    [p, r] and a [q, s] part.  The check runs one p at a time, N³ ≤ 4096 entries, so no
-    N⁴ temporary is formed; a NaN in `gram` gives a NaN residual.
-    """
-    products, rows, cols = _check_tables(n)
-    gram = gram.reshape(n, n, n, n)
-    peaks = np.empty(n)
-    for p in range(n):
-        closed = products[rows[p][:, :, None] + cols[p][:, None, :]]  # [q, r, s]
-        if p == 0:
-            row0 = closed[0].ravel()
-        peaks[p] = np.max(np.abs(gram[p] - closed))
-    return row0, float(np.max(peaks))
-
-
-@lru_cache(maxsize=TABLE_DIMS)
-def _check_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only (products, rows, cols) of `_closed_form_check` at dimension n.
-
-    products is the flat outer product of `roots(2n)` and `_overlap_factors(n)`;
-    rows[p, q, r] + cols[p, q, s] indexes it at the overlap ⟨p,q|r,s⟩.
-    """
-    w, k = 2 * n - 1, np.arange(n)
-    products = np.multiply.outer(roots(2 * n), _overlap_factors(n)).ravel()
-    phase = (np.multiply.outer(k, k) % (2 * n)) * (w * w)  # [q, r] or [p, s]
-    rows = phase[None, :, :] + ((k - k[:, None] + n - 1) * w + n - 1)[:, None, :]  # [p, q, r]
-    cols = (k - k[:, None])[None, :, :] - phase[:, None, :]  # [p, q, s]
-    for table in (products, rows, cols):
-        table.flags.writeable = False
-    return products, rows, cols
 
 
 class CoherentFamily:

@@ -244,7 +244,11 @@ def structure_constants(n: int, a, b, c):
     _check_dim(n)
     if n % 2 == 0:
         raise ValueError("structure constants are defined only for odd dimensions")
-    a, b, c = _residues(n, pairs=True, a=a, b=b, c=c)
+    return _structure_constants(n, *_residues(n, pairs=True, a=a, b=b, c=c))
+
+
+def _structure_constants(n: int, a, b, c):
+    """`structure_constants` of phase points already reduced mod n."""
     return roots(n)[phase_space_symbol(a, b, c) % n].imag
 
 

@@ -5,15 +5,29 @@ built from the ladder matrix (`dense_operator`), not from the bands qpl
 applies; an exponential is one dense eigendecomposition of its generator;
 the composite ket (`evolve_dense`) is projected with ⟨β|⊗I; and pointer
 moments are dense operator products.  `oracle_payload` rebuilds every number
-of a `weak` payload from these.
+of a `weak` payload from these.  The coherent family is built from its
+definition |m,n⟩ = D_mn|0⟩ with dense displacement matrices, and
+`coherent_gram_payload` holds a `coherent-gram` payload against its whole
+N²×N² Gram matrix and the closed form at all N⁴ entries.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 
+import mpmath
 import numpy as np
 
-from qpl import FockSpace, PostSelection, WeakConfig, as_ket, cli, weak_value
+from qpl import (
+    FockSpace,
+    PostSelection,
+    WeakConfig,
+    as_ket,
+    cli,
+    coherent_overlap_closed,
+    displacement,
+    reference_state,
+    weak_value,
+)
 from qpl.linalg import as_hermitian, spectral_exp
 from qpl.weak import ORTHOGONAL_TOL
 
@@ -214,4 +228,82 @@ def oracle_payload(argv) -> dict[str, Expected]:
         for part, value in (("re", predicted.real), ("im", predicted.imag)):
             fields[f"annihilator.predicted.{part}"] = Expected(value, predicted_tol_a)
         fields["annihilator.residual"] = Expected(abs(measured - predicted), measured_tol_a + predicted_tol_a)
+    return fields
+
+
+def dense_gram(n: int) -> np.ndarray:
+    """Gram matrix ⟨p,q|r,s⟩ over flat labels (p·N + q, r·N + s), each state D_mn|0⟩ a dense
+    displacement matrix times the reference state."""
+    m, nn = np.divmod(np.arange(n * n), n)
+    states = displacement(n, m, nn) @ reference_state(n)
+    return states.conj() @ states.T
+
+
+def closed_form_residual(n: int, gram: np.ndarray) -> float:
+    """max |gram − closed form| over all N⁴ label pairs, `gram` indexed as `dense_gram`."""
+    m, nn = np.divmod(np.arange(n * n), n)
+    closed = coherent_overlap_closed(n, m[:, None], nn[:, None], m[None, :], nn[None, :])
+    return float(np.max(np.abs(gram - closed)))
+
+
+def coherent_gram_payload(argv) -> dict[str, list[Expected]]:
+    """Every number `qpl coherent-gram` prints for `argv`, JSON or CSV, keyed as
+    `tools/bytecheck.printed_fields` names it, in printed order within each field.
+
+    The magnitudes come from `dense_gram`, the two closed-form constants from
+    50-digit arithmetic, and each residual is 0 exactly.  With u = 2⁻⁵³ and
+    γ_k = k·u/(1 − k·u) (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., ch. 3), each tolerance bounds the distance between
+    two correct computations of its field:
+
+    * an entry of a family ket, on either route, is within κ = γ_{N+9} of the
+      exact one, relatively: 3 roundings for |u_0⟩ + 1/√N, N + 2 for its norm
+      and the division, and at most 4 for two table phases and their
+      products (an exact zero term adds none);
+    * an overlap of two such unit kets is an N-term sum, within δ = γ_N + 3κ
+      of the exact one (Cauchy–Schwarz bounds Σ|a_i||b_i| by 1);
+    * a closed-form entry is a table phase times a factor of at most three
+      roundings, within 6u of the exact one, |value| ≤ 1;
+    * an entry of Σ|m,n⟩⟨m,n| is an N²-term sum with Σ_mn |ψ_mn[i]|·|ψ_mn[j]| ≤ N,
+      within N·(γ_{N²} + 3κ) of N·δ_ij;
+    * the Weyl relation V U = v U V compares two products whose terms have
+      one non-zero each: within 3u; `max_closed_residual` is its maximum with
+      the row (0, 0) check, so within δ + 6u of 0, and the full N⁴ comparison
+      `closed_form_residual(n, dense_gram(n))` lies under the same bound.
+    """
+    args = cli.build_parser().parse_args(argv)
+    n = args.n
+    u = np.finfo(float).eps / 2
+
+    def gamma(k):
+        return k * u / (1 - k * u)
+
+    kappa = gamma(n + 9)
+    delta = gamma(n) + 3 * kappa
+    with mpmath.workdps(50):
+        rt = mpmath.sqrt(n)
+        one_shared, generic = (n + 2 * rt) / (2 * (n + rt)), 1 / (rt + 1)
+    row = np.abs(dense_gram(n)[0])
+    # JSON key: (CSV quantity, value or row-major grid, tolerance)
+    quantities = {
+        "generic_scale": ("generic_scale", float(generic), 3 * u),  # sqrt, sum, quotient
+        "identity_residual": ("identity_residual", 0.0, n * (gamma(n * n) + 3 * kappa)),
+        "magnitude_direct": ("direct_magnitude", row, 2 * delta),
+        "magnitude_predicted": ("predicted_magnitude", row, delta + 6 * u),
+        "max_closed_residual": ("max_closed_residual", 0.0, delta + 6 * u),
+        "n": (None, n, 0.0),
+        "one_shared_magnitude": ("one_shared_magnitude", float(one_shared), 4 * u),  # sqrt, two sums, quotient
+    }
+    dp, dq = np.divmod(np.arange(n * n), n)
+    fields: dict[str, list[Expected]] = {}
+    for key, (quantity, value, tol) in quantities.items():
+        grid = np.ndim(value) > 0
+        values = [Expected(v, tol) for v in np.ravel(value)]
+        if args.format == "json":
+            fields[key + "[*][*]" * grid] = values
+        elif quantity is not None:
+            if grid:
+                fields[f"{quantity}.dp"] = [Expected(i, 0.0) for i in dp]
+                fields[f"{quantity}.dq"] = [Expected(i, 0.0) for i in dq]
+            fields[f"{quantity}.value"] = values
     return fields

@@ -18,7 +18,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from qpl import CoherentFamily, coherent_overlap_closed, dft
+from oracles import closed_form_residual
+from qpl import CoherentFamily, cli, dft
 from qpl.cli import (
     EXIT_BOUNDS,
     EXIT_DEGENERATE,
@@ -29,7 +30,6 @@ from qpl.cli import (
     MAX_SYSTEM_DIM,
     main,
 )
-from qpl.coherent import _closed_form_check
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -765,6 +765,25 @@ class TestSubcommandPayloads:
 
         assert run(label) == run(reduced)
 
+    @pytest.mark.parametrize("fmt", ("json", "csv"))
+    def test_structure_constants_check_their_labels_once(self, capsys, monkeypatch, fmt):
+        """The runner reduces `a` and `b` mod N once; the phase points and Λ take them as they are."""
+        import qpl.schwinger
+        import qpl.weylwigner
+
+        argv = ["structure-constants", "--n", "15", "--a", "4,11", "--b=-2,10000000000000000000002"]
+        argv += ["--format", fmt]
+        expected, calls, residues = run_cli(capsys, argv)[0], [], qpl.schwinger._residues
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs)
+            return residues(*args, **kwargs)
+
+        for module in (qpl.schwinger, qpl.weylwigner):
+            monkeypatch.setattr(module, "_residues", counting)
+        assert run_cli(capsys, argv)[0] == expected
+        assert calls == []
+
     def test_coherent_gram_matches_closed_form(self, capsys):
         out, _ = run_cli(capsys, ["coherent-gram", "--n", "4"])
         payload = json.loads(out)
@@ -774,28 +793,49 @@ class TestSubcommandPayloads:
         direct = np.array(payload["magnitude_direct"])
         assert np.allclose(predicted, direct, atol=1e-10)
 
-    @pytest.mark.parametrize("n", range(1, MAX_GRAM_DIM + 1))
-    def test_row_blocked_closed_form_check_is_the_one_shot_check(self, n):
-        gram = CoherentFamily(n).gram()
-        m, nn = np.divmod(np.arange(n * n), n)
-        closed = coherent_overlap_closed(n, m[:, None], nn[:, None], m[None, :], nn[None, :])
-        row, residual = _closed_form_check(n, gram)
-        assert np.array_equal(row, closed[0])
-        assert np.array_equal(residual, np.max(np.abs(gram - closed)))
+    @staticmethod
+    def coherent_gram_blocks(monkeypatch, corrupt):
+        """The blocks of `coherent-gram --n MAX_GRAM_DIM`, its family's states passed through `corrupt`."""
 
-    def test_closed_form_check_keeps_a_nan_residual(self):
-        gram = CoherentFamily(MAX_GRAM_DIM).gram()
-        gram[100, 7] = np.nan
-        assert np.isnan(_closed_form_check(MAX_GRAM_DIM, gram)[1])
+        class Corrupted(CoherentFamily):
+            def __init__(self, n):
+                super().__init__(n)
+                corrupt(self.states)
+
+        monkeypatch.setattr(cli, "CoherentFamily", Corrupted)
+        args = cli._PARSER.parse_args(["coherent-gram", "--n", str(MAX_GRAM_DIM)])
+        return {block.key: block.value for block in args.run(args, 0)}
+
+    def test_closed_form_check_keeps_a_nan_residual(self, monkeypatch):
+        """A NaN anywhere in the direct row, |0,0⟩ included, is a NaN residual: np.maximum, not max()."""
+        for r, s in ((0, 0), (7, 3), (MAX_GRAM_DIM - 1, MAX_GRAM_DIM - 1)):
+
+            def corrupt(states, r=r, s=s):
+                states[r, s, 5] = np.nan
+
+            blocks = self.coherent_gram_blocks(monkeypatch, corrupt)
+            assert np.isnan(blocks["max_closed_residual"]), (r, s)
+
+    @pytest.mark.parametrize("r, s", ((3, 5), (0, 1), (MAX_GRAM_DIM - 1, MAX_GRAM_DIM - 1)))
+    @pytest.mark.parametrize("factor", (np.exp(0.1j), 1.01), ids=("phase", "magnitude"))
+    def test_a_corrupted_family_member_raises_the_printed_residual(self, monkeypatch, r, s, factor):
+        """A member |r,s⟩ ≠ |0,0⟩ given a wrong phase or magnitude leaves the closed form on row (0, 0)."""
+
+        def corrupt(states):
+            states[r, s] *= factor
+
+        assert self.coherent_gram_blocks(monkeypatch, lambda states: None)["max_closed_residual"] < 1e-15
+        assert self.coherent_gram_blocks(monkeypatch, corrupt)["max_closed_residual"] > 1e-10
 
     # the first and last flat entry of every block of one p, the Gram's first and last among them
     @pytest.mark.parametrize("block", range(MAX_GRAM_DIM))
     @pytest.mark.parametrize("end", (0, MAX_GRAM_DIM**3 - 1))
     def test_closed_form_check_compares_every_block_edge(self, block, end):
+        """The full N⁴ comparison the test oracle makes leaves out no entry of the Gram matrix."""
         gram = CoherentFamily(MAX_GRAM_DIM).gram()
         entry = block * MAX_GRAM_DIM**3 + end
         gram.flat[entry] += 1e-6
-        assert _closed_form_check(MAX_GRAM_DIM, gram)[1] >= 0.99e-6
+        assert closed_form_residual(MAX_GRAM_DIM, gram) >= 0.99e-6
 
     def test_coherent_gram_at_the_cap_holds_no_full_closed_form_table(self, capsys):
         tracemalloc.start()
@@ -804,8 +844,8 @@ class TestSubcommandPayloads:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the Gram matrix itself is 1 MiB; one more N⁴ complex table would be another
-        assert peak < 2 * 2**20
+        # an N²×N² complex Gram matrix alone is 1 MiB; the request peaks at ~0.2 MiB
+        assert peak < 2**20
 
     def test_coherent_gram_at_the_cap_holds_no_full_closed_form_table_cold(self, capsys, clear_qpl_caches):
         """The same bound with every qpl cache empty, so the per-dimension tables are built inside it."""
@@ -816,7 +856,7 @@ class TestSubcommandPayloads:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * 2**20
+        assert peak < 2**20
 
     @pytest.mark.parametrize("fmt", ("json", "csv"))
     def test_wigner_at_the_cap_cold_holds_only_its_tables(self, capsys, clear_qpl_caches, fmt):

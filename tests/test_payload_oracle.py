@@ -1,19 +1,22 @@
-"""Whole `weak` payloads against brute force, over the weak runs of the byte-check corpus.
+"""Whole payloads against brute force: `weak` over the weak runs of the byte-check
+corpus, `coherent-gram` at every N up to its cap.
 
-Each valid run of `tools/bytecheck.py`'s corpus up to composite dimension
+Each valid weak run of `tools/bytecheck.py`'s corpus up to composite dimension
 WEAK_COMPOSITE_CAP is printed as JSON, split into fields by bytecheck's own
 `printed_fields`, and every field is held against `oracles.oracle_payload`:
 within the field's stated tolerance plus half a unit in the 12th significant
-digit, the rounding of the printed text.
+digit, the rounding of the printed text.  Every `coherent-gram` run, JSON and
+CSV, is held against `oracles.coherent_gram_payload` the same way.
 """
 
 import math
 import sys
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
 
-from oracles import WEAK_COMPOSITE_CAP, oracle_payload
+from oracles import WEAK_COMPOSITE_CAP, closed_form_residual, coherent_gram_payload, dense_gram, oracle_payload
 from qpl import cli
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
@@ -68,3 +71,26 @@ def test_every_printed_weak_field_matches_the_dense_oracle(seed, tmp_path, monke
     assert checked >= 100, f"only {checked} valid weak runs in the corpus"
     assert not failures, "\n".join(failures)
     assert not wide, "\n".join(wide)
+
+
+@pytest.mark.parametrize("n", range(1, cli.MAX_GRAM_DIM + 1))
+def test_every_printed_coherent_gram_field_matches_the_dense_oracle(n):
+    failures = []
+    for fmt in ("json", "csv"):
+        argv = ["coherent-gram", "--n", str(n), "--format", fmt]
+        code, out, _ = bytecheck.run(cli.main, argv)
+        assert code == 0, argv
+        printed = defaultdict(list)
+        for field, text in bytecheck.printed_fields(" ".join(argv), code, out):
+            printed[field].append(text)
+        expected = coherent_gram_payload(argv)
+        assert printed.keys() == expected.keys(), fmt
+        for field, texts in printed.items():
+            assert len(texts) == len(expected[field]), f"{fmt} {field}"
+            for text, want in zip(texts, expected[field]):
+                assert want.tol <= TOL_CAP, f"{fmt} {field}: tolerance {want.tol:.3g}"
+                if not abs(float(text) - want.value) <= want.tol + printed_half_unit(text):
+                    failures.append(f"{fmt} {field}: printed {text}, oracle {want.value!r} ± {want.tol:.3g}")
+    # the whole N⁴ table meets the closed form within the bound the printed residual has
+    assert closed_form_residual(n, dense_gram(n)) <= expected["max_closed_residual.value"][0].tol
+    assert not failures, "\n".join(failures)

@@ -1,10 +1,11 @@
 """The per-dimension phase-space tables: read-only, built once per N, bounded.
 
-`schwinger._phase_table` (Φ), `weylwigner._weyl_tables` (Φ̄, h, Φ·h/N and
-the shift index tables) and `coherent._check_tables` (the closed-form
-product and index tables) depend on nothing but N.  Each is built on the
-first request at a dimension and shared by every later one; what is computed
-from them is not cached, so a cold and a warm call give the same array.
+`schwinger._phase_table` (Φ) and `weylwigner._weyl_tables` (Φ̄, h, Φ·h/N
+and the shift index tables) depend on nothing but N, and so does
+`coherent._overlap_factors`, the closed-form factor table.  Each is built on
+the first request at a dimension and shared by every later one; what is
+computed from them is not cached, so a cold and a warm call give the same
+array.
 """
 
 import numpy as np
@@ -12,7 +13,6 @@ import pytest
 from bytecheck import _qpl_caches
 
 from qpl import (
-    CoherentFamily,
     commutator_expansion,
     phase_point,
     random_density,
@@ -20,12 +20,12 @@ from qpl import (
     wigner_map,
 )
 from qpl.cli import MAX_GRAM_DIM, main
-from qpl.coherent import _check_tables, _closed_form_check, _overlap_factors
+from qpl.coherent import _overlap_factors
 from qpl.fock import _band_table, _spectrum
 from qpl.schwinger import TABLE_DIMS, _phase_table
 from qpl.weylwigner import _weyl_tables
 
-TABLE_CACHES = (_phase_table, _weyl_tables, _check_tables)
+TABLE_CACHES = (_phase_table, _weyl_tables)
 
 # The dimensions the phase-space benchmark workload runs at, and one cycle of
 # its request kinds there: az at each factor pair, nslit and wigner at 64,
@@ -49,7 +49,7 @@ def weyl_arrays(n):
 
 @pytest.mark.parametrize("n", (1, 2, 3, 4, 15, 16))
 def test_every_cached_table_is_read_only(n):
-    for table in (_phase_table(n), *weyl_arrays(n), *_check_tables(n)):
+    for table in (_phase_table(n), *weyl_arrays(n), _overlap_factors(n)):
         with pytest.raises(ValueError, match="read-only"):
             table[(0,) * table.ndim] = 0
 
@@ -62,10 +62,10 @@ def run_quietly(capsys, argv):
 @pytest.mark.parametrize(
     "argv, built, unused",
     (
-        (["wigner", "--n", "64", "--state", "random"], (_phase_table, _weyl_tables), (_check_tables,)),
-        (["structure-constants", "--n", "15"], (_phase_table, _weyl_tables), (_check_tables,)),
+        (["wigner", "--n", "64", "--state", "random"], (_phase_table, _weyl_tables), (_overlap_factors,)),
+        (["structure-constants", "--n", "15"], (_phase_table, _weyl_tables), (_overlap_factors,)),
         # the reference state's momentum column is the constant 1/√N, read from no table
-        (["coherent-gram", "--n", "16"], (_check_tables, _overlap_factors), (_phase_table, _weyl_tables)),
+        (["coherent-gram", "--n", "16"], (_overlap_factors,), (_phase_table, _weyl_tables)),
     ),
     ids=("wigner", "structure-constants", "coherent-gram"),
 )
@@ -107,13 +107,16 @@ def test_results_after_cache_clear_equal_the_warm_ones(clear_qpl_caches, name, n
 
 
 @pytest.mark.parametrize("n", (1, 2, 3, 4, 7, 8, 15, MAX_GRAM_DIM))
-def test_closed_form_check_after_cache_clear_equals_the_warm_one(clear_qpl_caches, n):
-    gram = CoherentFamily(n).gram()
-    clear_qpl_caches()
-    cold_row, cold_peak = _closed_form_check(n, gram)
-    warm_row, warm_peak = _closed_form_check(n, gram)
-    assert _check_tables.cache_info().hits == 1
-    assert np.array_equal(cold_row, warm_row) and cold_peak == warm_peak
+def test_closed_form_check_after_cache_clear_equals_the_warm_one(capsys, clear_qpl_caches, n):
+    """A `coherent-gram` request that builds its factor table prints what a repeated one prints."""
+    argv = ["coherent-gram", "--n", str(n)]
+    for fmt in ("json", "csv"):
+        clear_qpl_caches()
+        assert main(argv + ["--format", fmt]) == 0
+        cold = capsys.readouterr().out
+        assert main(argv + ["--format", fmt]) == 0
+        assert _overlap_factors.cache_info().hits == 1
+        assert capsys.readouterr().out == cold
 
 
 def test_table_bytes_match_the_documented_bound():
@@ -124,10 +127,8 @@ def test_table_bytes_match_the_documented_bound():
     assert _weyl_tables(64).phases is _phase_table(64)
     for n in (16, 64):
         assert sum(a.nbytes for a in weyl_arrays(n)) - _phase_table(n).nbytes == 72 * n**2
-    assert sum(a.nbytes for a in _check_tables(16)) == 557568  # 0.53 MiB
     # the worst case: TABLE_DIMS distinct dimensions at or below each cap
     assert TABLE_DIMS * 72 * 64**2 == 4.5 * 2**20
-    assert sum(sum(a.nbytes for a in _check_tables(n)) for n in range(1, MAX_GRAM_DIM + 1)) < 2.4 * 2**20
 
 
 def test_pool_dimensions_never_evict_each_other(clear_qpl_caches):
