@@ -11,14 +11,8 @@ from .linalg import (
     as_ket,
     as_operator,
     basis_ket,
-    commutator,
-    anticommutator,
     expectation,
-    hs_inner,
-    is_unitary,
     normalize,
-    partial_trace,
-    projector,
     random_density,
     random_hermitian,
     random_ket,
@@ -54,7 +48,6 @@ from .coherent import (
 from .fock import FockSpace
 from .weak import (
     FactoredEvolution,
-    PointerScan,
     PostSelection,
     PreMeasurement,
     WeakConfig,
@@ -62,7 +55,6 @@ from .weak import (
     fs_speed_check,
     pancharatnam_phase,
     pre_measurement,
-    qubit_pointer_profile,
     weak_run,
     weak_value,
 )

@@ -30,14 +30,14 @@ import os
 import sys
 from collections.abc import Callable
 from functools import cache
-from math import frexp, gcd, ldexp
+from math import gcd
 from pathlib import Path
 
 import numpy as np
 
 from .coherent import CoherentFamily, coherent_overlap_closed, coherent_state
 from .fock import FockSpace
-from .linalg import basis_ket, random_density, random_ket
+from .linalg import basis_ket, normalize, random_density, random_ket
 from .modular import _cell_phase, _momentum_amplitudes, az_state, nslit_evolve
 from .schwinger import _momentum_ket, gauss_trace, gauss_trace_closed_form, weyl_relation_defect
 from .serialize import Block, canonical_json, csv_text
@@ -144,13 +144,10 @@ def parse_ket_selector(spec: str, dim: int, rng: Callable[[], np.random.Generato
         if len(tokens) != dim:
             raise UsageError(f"amps selector needs {dim} entries, got {len(tokens)}")
         vec = np.array([_parse_number(t, complex, "amplitude") for t in tokens])
-        largest = float(np.abs(vec.view(float)).max())  # of the real and imaginary parts
-        if largest == 0:
-            raise UsageError("amps selector has zero norm")
-        # exact rescale by 2^-e to parts below 1, in two factors as 2^-e may pass float range
-        e = frexp(largest)[1]
-        vec = vec * ldexp(1.0, -(e // 2)) * ldexp(1.0, e // 2 - e)
-        return vec / np.linalg.norm(vec)
+        try:  # the one error left for finite amplitudes of the right count
+            return normalize(vec)
+        except ValueError as exc:
+            raise UsageError("amps selector has zero norm") from exc
     if spec == "random":
         return random_ket(dim, rng())
     raise UsageError(f"unknown state selector {spec!r}")
@@ -263,8 +260,8 @@ _WEAK_KEYS.update(pointer="vacuum", pointer_dim="64", pointer_gen="p", halving="
 def _read_config(path: str) -> dict[str, str]:
     """Config entries, with the `_WEAK_KEYS` default for every key left out."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file {path!r}: {exc}") from exc
     entries: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):

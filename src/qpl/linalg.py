@@ -13,13 +13,11 @@ use 1e-6 together with explicit truncation guards.
 
 from __future__ import annotations
 
-from math import prod
-from typing import Sequence
+from math import frexp, ldexp
 
 import numpy as np
 
 HERMITIAN_TOL = 1e-10
-UNITARY_TOL = 1e-10
 
 
 def as_ket(amplitudes) -> np.ndarray:
@@ -81,50 +79,20 @@ def require_finite(**values) -> None:
 
 
 def normalize(psi) -> np.ndarray:
-    """Return psi / ||psi||.  Errors on (numerically) zero vectors."""
+    """Return psi / ||psi||.  Only an all-zero ket is refused.
+
+    psi is first scaled by an exact power of two to parts below 1, so its norm
+    neither underflows nor overflows; where the plain norm stays in range, the
+    result has the bits of the plain quotient.
+    """
     psi = as_ket(psi)
-    nrm = np.linalg.norm(psi)
-    if nrm < 1e-300:
+    largest = float(np.abs(np.ascontiguousarray(psi).view(float)).max())  # of the real and imaginary parts
+    if largest == 0:
         raise ValueError("cannot normalize a zero ket")
-    return psi / nrm
-
-
-def is_unitary(a) -> bool:
-    a = as_operator(a)
-    return bool(np.max(np.abs(a.conj().T @ a - np.eye(a.shape[0]))) <= UNITARY_TOL)
-
-
-def hs_inner(a, b) -> complex:
-    """Hilbert-Schmidt inner product tr(A† B).
-
-    Computed as the entrywise sum Σ conj(A_ij)·B_ij, which is the same
-    thing without forming the product matrix.
-    """
-    a, b = as_operator(a), as_operator(b)
-    if a.shape != b.shape:
-        raise ValueError(f"operator shapes differ: {a.shape} vs {b.shape}")
-    return complex(np.vdot(a, b))
-
-
-def partial_trace(m, dims: Sequence[int], keep: int) -> np.ndarray:
-    """Trace out all tensor factors of `m` except factor `keep`.
-
-    `dims` lists the factor dimensions in tensor order; their product must
-    equal the side of `m`.  Returns the reduced operator on factor `keep`.
-    """
-    m = as_operator(m)
-    dims = tuple(int(d) for d in dims)
-    if any(d < 1 for d in dims):
-        raise ValueError(f"factor dimensions must be positive, got {dims}")
-    if prod(dims) != m.shape[0]:
-        raise ValueError(f"product of dims {dims} does not match operator side {m.shape[0]}")
-    if not 0 <= keep < len(dims):
-        raise ValueError(f"keep index {keep} out of range for {len(dims)} factors")
-    k = len(dims)
-    t = m.reshape(dims + dims)
-    row = list(range(k))
-    col = [i + k if i == keep else i for i in range(k)]
-    return np.einsum(t, row + col, [keep, keep + k])
+    # 2^-e in two factors, as 2^-e itself may pass float range
+    e = frexp(largest)[1]
+    psi = psi * ldexp(1.0, -(e // 2)) * ldexp(1.0, e // 2 - e)
+    return psi / np.linalg.norm(psi)
 
 
 def spectral_exp(values, vectors, t: float) -> np.ndarray:
@@ -132,26 +100,10 @@ def spectral_exp(values, vectors, t: float) -> np.ndarray:
     return (vectors * np.exp(-1j * t * values)) @ vectors.conj().T
 
 
-def commutator(a, b) -> np.ndarray:
-    a, b = as_operator(a), as_operator(b)
-    return a @ b - b @ a
-
-
-def anticommutator(a, b) -> np.ndarray:
-    a, b = as_operator(a), as_operator(b)
-    return a @ b + b @ a
-
-
 def expectation(op, psi) -> complex:
     """⟨psi|op|psi⟩ for a (not necessarily normalized) ket."""
     op, psi = as_operator(op), as_ket(psi)
     return complex(psi.conj() @ op @ psi)
-
-
-def projector(psi) -> np.ndarray:
-    """Rank-one projector |psi⟩⟨psi| of a normalized ket."""
-    psi = normalize(psi)
-    return np.outer(psi, psi.conj())
 
 
 def basis_ket(n: int, k: int) -> np.ndarray:
@@ -176,11 +128,8 @@ def random_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:
     return (x + x.conj().T) / 2
 
 
-def random_density(n: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:
-    """Random density operator: normalized Wishart matrix of given rank."""
-    rank = n if rank is None else rank
-    if not 1 <= rank <= n:
-        raise ValueError(f"rank {rank} out of range for dimension {n}")
-    x = rng.normal(size=(n, rank)) + 1j * rng.normal(size=(n, rank))
+def random_density(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Random full-rank density operator: a normalized Wishart matrix."""
+    x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     rho = x @ x.conj().T
     return rho / np.trace(rho).real

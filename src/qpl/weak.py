@@ -23,11 +23,10 @@ W·exp(-i·ε·o_k·r)·W†|φ⟩ and the post-selected pointer is
 
 from one spectrum per factor; no composite matrix is formed.  For the
 diagonal n and h0, W = I and the products with W are skipped.
-`pre_measurement` mixes the branches with weights |⟨o_k|α⟩|², and
-`qubit_pointer_profile` is the two-branch case P = |v_1⟩⟨v_1|: |v_0⟩
-carries |α⟩ and |v_1⟩ carries exp(-iλO)|α⟩.  `evolve_exact` (np.kron of O
-and `FockSpace.operator(key)`, then one dense eigh of the composite coupling)
-is called by no request; it stays because `perfbench/` wraps it by name.
+`pre_measurement` mixes the branches with weights |⟨o_k|α⟩|².
+`evolve_exact` (np.kron of O and `FockSpace.operator(key)`, then one dense
+eigh of the composite coupling) is called by no request; it stays because
+`perfbench/` wraps it by name.
 
 For small ε the conditioned pointer mean of an observable M moves by
 
@@ -320,58 +319,6 @@ def pancharatnam_phase(x, y, z) -> float:
     return float(np.angle(xz * zy * yx))
 
 
-@dataclass(frozen=True)
-class PointerScan:
-    """Probability profile over a phase scan of the qubit pointer azimuth.
-
-    `maximizer` is recovered from the first Fourier harmonic of the
-    profile, which is exact for the cosine-shaped profiles produced here
-    when the scan is a uniform grid over one full period.  `modulation`
-    is the amplitude of that harmonic; a flat profile has modulation 0.
-    """
-
-    phases: np.ndarray
-    probabilities: np.ndarray
-    maximizer: float
-    modulation: float
-
-
-def qubit_pointer_profile(pre, obs, coupling: float, theta: float, phases, post=None) -> PointerScan:
-    """Probability of finding a qubit pointer back in (|v_0⟩+|v_1⟩)/√2.
-
-    The pointer starts in cos(θ/2)|v_0⟩ + e^{iφ}sin(θ/2)|v_1⟩ with φ
-    running over `phases`, couples through exp(-i·λ·O⊗P) where P is the
-    qubit momentum observable Σ_σ σ|v_σ⟩⟨v_σ|, and is measured either
-    after tracing out the system (post=None) or after post-selecting the
-    system on `post`.
-    """
-    pre = as_unit_ket(pre, "pre state")
-    obs = as_hermitian(obs, "system observable")
-    post = None if post is None else as_ket(post)
-    require_same_dims(pre=pre, post=post, obs=obs)
-    phases = np.asarray(phases, dtype=float)
-    if phases.ndim != 1 or phases.size < 3:
-        raise ValueError("need a 1-D scan of at least 3 phases")
-    require_finite(coupling=coupling, theta=theta, phases=phases)
-    # Pointer kets are held in the v basis, where P = diag(0, 1) and the
-    # reference ket is (1, 1)/√2.  The azimuth diag(1, e^{iφ}) commutes with
-    # the coupling, so each scanned pointer is the φ = 0 one, rotated: branch
-    # by branch (weights |⟨o_k|α⟩|²) without `post`, or once selected.
-    start = np.array([np.cos(theta / 2), np.sin(theta / 2)])
-    evolution = FactoredEvolution(obs, (np.array([0.0, 1.0]), None), pre, start)
-    azimuths = np.exp(1j * phases[:, None] * np.array([0.0, 1.0]))
-    if post is None:
-        overlaps = azimuths @ evolution.branches(coupling) / np.sqrt(2)
-        probs = np.abs(overlaps) ** 2 @ np.abs(evolution.pre_coeffs) ** 2
-    else:
-        selected = evolution.post_selected(coupling, post)
-        probs = np.abs(azimuths @ selected.normalized) ** 2 / 2
-    harmonic = complex(np.sum(probs * np.exp(1j * phases)))
-    maximizer = float(np.angle(harmonic)) % (2 * np.pi)
-    modulation = 2 * abs(harmonic) / phases.size
-    return PointerScan(phases=phases, probabilities=probs, maximizer=maximizer, modulation=modulation)
-
-
 def fs_speed_check(h, psi, dt: float) -> tuple[float, float]:
     """(finite-difference ray speed, energy uncertainty) for one exact step.
 
@@ -380,7 +327,7 @@ def fs_speed_check(h, psi, dt: float) -> tuple[float, float]:
     δE = sqrt(⟨H²⟩ - ⟨H⟩²) as dt → 0.
     """
     h = as_hermitian(h, "hamiltonian of fs_speed_check")
-    psi = as_ket(psi)
+    psi = as_unit_ket(psi, "state of fs_speed_check")
     require_same_dims(psi=psi, h=h)
     if not (np.isfinite(dt) and dt > 0):
         raise ValueError(f"step dt must be positive and finite, got {dt!r}")

@@ -3,12 +3,13 @@
 Each one takes the slow, direct route: a pointer operator is a dense matrix
 built from the ladder matrix (`dense_operator`), not from the bands qpl
 applies; an exponential is one dense eigendecomposition of its generator;
-the composite ket (`evolve_dense`) is projected with ⟨β|⊗I; and pointer
-moments are dense operator products.  `oracle_payload` rebuilds every number
-of a `weak` payload from these.  The coherent family is built from its
-definition |m,n⟩ = D_mn|0⟩ with dense displacement matrices, and
-`coherent_gram_payload` holds a `coherent-gram` payload against its whole
-N²×N² Gram matrix and the closed form at all N⁴ entries.
+the composite ket (`evolve_dense`) is projected with ⟨β|⊗I or traced from its
+whole density matrix (`partial_trace`); and pointer moments are dense operator
+products.  `oracle_payload` rebuilds every number of a `weak` payload from
+these.  The coherent family is built from its definition |m,n⟩ = D_mn|0⟩
+with dense displacement matrices, and `coherent_gram_payload` holds a
+`coherent-gram` payload against its whole N²×N² Gram matrix and the closed
+form at all N⁴ entries.
 """
 
 from dataclasses import dataclass
@@ -30,6 +31,20 @@ from qpl import (
 )
 from qpl.linalg import as_hermitian, spectral_exp
 from qpl.weak import ORTHOGONAL_TOL
+
+
+def is_unitary(a) -> bool:
+    """A†A = I within 1e-10 in every entry."""
+    a = np.asarray(a, dtype=complex)
+    return bool(np.max(np.abs(a.conj().T @ a - np.eye(len(a)))) <= 1e-10)
+
+
+def partial_trace(m, dims, keep: int) -> np.ndarray:
+    """The operator `m` on the tensor factors of dimensions `dims`, index i_0·dims[1]·… + i_1·… + …,
+    with every factor but `keep` traced out."""
+    k = len(dims)
+    col = [i + k if i == keep else i for i in range(k)]
+    return np.einsum(np.reshape(m, (*dims, *dims)), list(range(k)) + col, [keep, keep + k])
 
 
 def unitary_exp(h, t: float) -> np.ndarray:

@@ -12,17 +12,16 @@ from pathlib import Path
 import qpl
 
 PUBLIC = [
-    "AzState", "CoherentFamily", "CrtMap", "FactoredEvolution", "FockSpace", "PointerScan",
-    "PostSelection", "PreMeasurement", "WeakConfig", "WignerMap", "anticommutator", "as_ket",
-    "as_operator", "az_state", "basis_ket", "coherent_overlap", "coherent_overlap_closed",
-    "coherent_state", "commutator", "commutator_expansion", "crt_map", "crt_permutation",
-    "delta_product", "dft", "displacement", "evolve_exact", "expectation", "fs_speed_check",
-    "gauss_trace", "gauss_trace_closed_form", "hs_inner", "is_unitary", "modular_cell_coords",
-    "momentum_amplitudes", "normalize", "nslit_evolve", "pancharatnam_phase", "parity_operator",
-    "partial_trace", "phase_point", "phase_space_symbol", "pre_measurement", "projector",
-    "qubit_pointer_profile", "random_density", "random_hermitian", "random_ket", "reference_state",
-    "structure_constants", "symplectic_area", "symplectic_phase", "weak_run", "weak_value",
-    "weyl_reconstruct", "weyl_relation_defect", "weyl_transform", "wigner_map",
+    "AzState", "CoherentFamily", "CrtMap", "FactoredEvolution", "FockSpace", "PostSelection",
+    "PreMeasurement", "WeakConfig", "WignerMap", "as_ket", "as_operator", "az_state", "basis_ket",
+    "coherent_overlap", "coherent_overlap_closed", "coherent_state", "commutator_expansion",
+    "crt_map", "crt_permutation", "delta_product", "dft", "displacement", "evolve_exact",
+    "expectation", "fs_speed_check", "gauss_trace", "gauss_trace_closed_form",
+    "modular_cell_coords", "momentum_amplitudes", "normalize", "nslit_evolve", "pancharatnam_phase",
+    "parity_operator", "phase_point", "phase_space_symbol", "pre_measurement", "random_density",
+    "random_hermitian", "random_ket", "reference_state", "structure_constants", "symplectic_area",
+    "symplectic_phase", "weak_run", "weak_value", "weyl_reconstruct", "weyl_relation_defect",
+    "weyl_transform", "wigner_map",
 ]
 
 

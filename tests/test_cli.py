@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -579,6 +580,14 @@ class TestWeakCommand:
         )
         assert "cannot read config" in err
 
+    def test_a_config_that_is_not_utf8_is_a_usage_error(self, capsys, tmp_path):
+        """Byte 0xff used to raise UnicodeDecodeError out of main."""
+        path = tmp_path / "weak.cfg"
+        path.write_bytes(b"system_dim = 2\xff\npre = u0\npost = u0\nobs = sz\neps = 1e-3\n")
+        _, err = run_cli(capsys, ["weak", "--config", str(path)], expect=EXIT_USAGE)
+        assert err.startswith(f"qpl: cannot read config file {str(path)!r}: ") and "0xff" in err
+        assert err.count("\n") == 1
+
     def test_pointer_truncation_guard_exits_bounds(self, capsys, tmp_path):
         cfg = weak_config(
             tmp_path,
@@ -642,6 +651,35 @@ def test_weak_cli_never_raises(flag, env, config_seed, eps, obs, pre, post):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = main(argv)
     assert code in (EXIT_OK, EXIT_USAGE, EXIT_BOUNDS, EXIT_DEGENERATE)
+
+
+@st.composite
+def scaled_amplitudes(draw, n=4):
+    """n complex amplitudes with normal or zero parts, not all zero, and a k such that
+    every nonzero part stays normal and finite times 2**k."""
+    finite = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=False)
+    parts = draw(st.lists(finite, min_size=2 * n, max_size=2 * n).filter(any))
+    exponents = [math.frexp(x)[1] for x in parts if x]
+    # |x| = m·2**e with 1/2 <= m < 1 is normal for e >= -1021 and finite for e <= 1024
+    k = draw(st.integers(-1021 - min(exponents), 1024 - max(exponents)))
+    return parts, k
+
+
+@given(scaled_amplitudes())
+def test_amps_scaled_by_any_power_of_two_prints_the_same(drawn):
+    """A wigner run on amps scaled by 2**k prints the same CSV bytes and the same JSON
+    but for the echoed selector."""
+    parts, k = drawn
+
+    def printed(scale, fmt):
+        scaled = [math.ldexp(x, scale) for x in parts]  # exact: every part stays normal or zero
+        amps = "amps:" + ",".join(repr(complex(*pair)).strip("()") for pair in zip(scaled[::2], scaled[1::2]))
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(["wigner", "--n", "4", "--state", amps, "--format", fmt]) == EXIT_OK
+        return out.getvalue().replace(amps, "amps")
+
+    assert printed(k, "csv") == printed(0, "csv")
+    assert printed(k, "json") == printed(0, "json")
 
 
 # CSV quantity -> JSON key, where they differ; index cells name list entries.

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import is_unitary
 from qpl import (
     CoherentFamily,
     basis_ket,
@@ -16,7 +17,6 @@ from qpl import (
     coherent_state,
     dft,
     displacement,
-    is_unitary,
     reference_state,
     symplectic_phase,
 )

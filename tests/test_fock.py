@@ -5,12 +5,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import dense_operator, unitary_exp
+from oracles import dense_operator, is_unitary, unitary_exp
 from qpl import (
     FockSpace,
     basis_ket,
     expectation,
-    is_unitary,
 )
 from qpl.fock import _band_table, _spectrum
 from qpl.schwinger import roots

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import is_unitary
 from qpl import (
     CoherentFamily,
     az_state,
@@ -17,7 +18,6 @@ from qpl import (
     dft,
     gauss_trace,
     gauss_trace_closed_form,
-    is_unitary,
     modular_cell_coords,
     phase_point,
     structure_constants,

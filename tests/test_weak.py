@@ -10,6 +10,7 @@ from oracles import (
     dense_operator,
     evolve_dense,
     first_order_shift,
+    partial_trace,
     post_select,
     unitary_exp,
 )
@@ -23,9 +24,7 @@ from qpl import (
     fs_speed_check,
     normalize,
     pancharatnam_phase,
-    partial_trace,
     pre_measurement,
-    qubit_pointer_profile,
     random_hermitian,
     random_ket,
     weak_run,
@@ -680,7 +679,7 @@ class TestChecksOnce:
         h, psi = random_hermitian(4, rng), random_ket(4, rng)
         validator_calls.clear()
         fs_speed_check(h, psi, 1e-3)
-        assert self.top_level(validator_calls) == ["as_hermitian", "as_ket"]
+        assert self.top_level(validator_calls) == ["as_hermitian", "as_unit_ket"]
 
     def test_pre_measurement_checks_one_operator(self, validator_calls):
         pre_measurement(basis_ket(2, 0), np.diag([1.0, -1.0]), 1.0, SPACE)
@@ -893,145 +892,6 @@ class TestPancharatnamPhase:
         assert abs(theta - formula) < 1e-3 * abs(formula)
 
 
-class TestQubitPointerProfile:
-    PHASES = np.linspace(0.0, 2 * np.pi, 720, endpoint=False)
-
-    @staticmethod
-    def _branches(pre, obs, coupling):
-        return pre, unitary_exp(obs, coupling) @ pre
-
-    def test_profile_matches_interference_formula(self):
-        rng = np.random.default_rng(71)
-        pre = random_ket(2, rng)
-        obs = random_hermitian(2, rng)
-        coupling, theta = 0.7, 0.9
-        scan = qubit_pointer_profile(pre, obs, coupling, theta, self.PHASES)
-        a0, a1 = self._branches(pre, obs, coupling)
-        overlap = a0.conj() @ a1
-        expected = 0.5 * (
-            1.0 + np.sin(theta) * np.real(np.exp(1j * self.PHASES) * overlap)
-        )
-        assert np.allclose(scan.probabilities, expected, atol=1e-12)
-
-    def test_maximizer_matches_branch_overlap_phase(self):
-        rng = np.random.default_rng(72)
-        pre = random_ket(2, rng)
-        obs = random_hermitian(2, rng)
-        scan = qubit_pointer_profile(pre, obs, 0.7, 0.9, self.PHASES)
-        a0, a1 = self._branches(pre, obs, 0.7)
-        expected = np.angle(a1.conj() @ a0) % (2 * np.pi)
-        assert abs(scan.maximizer - expected) < 1e-6
-
-    def test_post_selected_maximizer_shifts(self):
-        rng = np.random.default_rng(73)
-        pre = random_ket(2, rng)
-        post = random_ket(2, rng)
-        obs = random_hermitian(2, rng)
-        scan = qubit_pointer_profile(pre, obs, 0.7, 0.9, self.PHASES, post=post)
-        a0, a1 = self._branches(pre, obs, 0.7)
-        expected = np.angle(
-            (post.conj() @ a0) * np.conj(post.conj() @ a1)
-        ) % (2 * np.pi)
-        assert abs(scan.maximizer - expected) < 1e-6
-
-    def test_maximizer_shift_is_geodesic_triangle_phase(self):
-        rng = np.random.default_rng(74)
-        pre = random_ket(2, rng)
-        post = random_ket(2, rng)
-        obs = random_hermitian(2, rng)
-        plain = qubit_pointer_profile(pre, obs, 0.7, 0.9, self.PHASES)
-        selected = qubit_pointer_profile(
-            pre, obs, 0.7, 0.9, self.PHASES, post=post
-        )
-        delta = (selected.maximizer - plain.maximizer + np.pi) % (
-            2 * np.pi
-        ) - np.pi
-        a0, a1 = self._branches(pre, obs, 0.7)
-        assert abs(delta - pancharatnam_phase(a0, post, a1)) < 1e-8
-
-    def test_zero_coupling_profile_is_free_pointer(self):
-        rng = np.random.default_rng(75)
-        pre = random_ket(2, rng)
-        obs = random_hermitian(2, rng)
-        scan = qubit_pointer_profile(pre, obs, 0.0, 0.9, self.PHASES)
-        expected = 0.5 * (1.0 + np.sin(0.9) * np.cos(self.PHASES))
-        assert np.allclose(scan.probabilities, expected, atol=1e-12)
-        assert abs(scan.maximizer) < 1e-9 or abs(
-            scan.maximizer - 2 * np.pi
-        ) < 1e-9
-
-    @pytest.mark.parametrize("system_dim", (2, 3))
-    @pytest.mark.parametrize("selected", (False, True))
-    def test_matches_dense_per_phase_oracle(self, system_dim, selected):
-        rng = np.random.default_rng(77 + system_dim)
-        pre, post = random_ket(system_dim, rng), random_ket(system_dim, rng)
-        obs = random_hermitian(system_dim, rng)
-        coupling, theta = 1.3, 2.1
-        phases = self.PHASES[::12]
-        scan = qubit_pointer_profile(
-            pre, obs, coupling, theta, phases, post=post if selected else None
-        )
-        reference = np.ones(2) / np.sqrt(2)
-        unitary = unitary_exp(np.kron(obs, np.diag([0.0, 1.0])), coupling)
-        for phi, probability in zip(phases, scan.probabilities):
-            pointer = np.array([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)])
-            state = unitary @ np.kron(pre, pointer)
-            if selected:
-                expected = abs(reference @ post_select(state, post, 2).normalized) ** 2
-            else:
-                rho = partial_trace(np.outer(state, state.conj()), (system_dim, 2), keep=1)
-                expected = (reference @ rho @ reference).real
-            assert abs(probability - expected) <= 1e-12
-
-    def test_zero_surviving_population_raises(self):
-        with pytest.raises(ValueError, match="zero probability"):
-            qubit_pointer_profile(
-                basis_ket(2, 0), np.diag([1.0, -1.0]), 0.7, 0.9, self.PHASES, post=basis_ket(2, 1)
-            )
-
-    @pytest.mark.parametrize("selected", (False, True))
-    def test_rejects_unnormalized_pre(self, selected):
-        # a doubled pre used to give "probabilities" up to 3.55 on this scan
-        rng = np.random.default_rng(1)
-        pre, obs = random_ket(2, rng), random_hermitian(2, rng)
-        post = random_ket(2, rng) if selected else None
-        with pytest.raises(ValueError, match="pre state must be normalized"):
-            qubit_pointer_profile(2 * pre, obs, 0.7, 0.9, self.PHASES, post=post)
-
-    @pytest.mark.parametrize("bad", (np.nan, np.inf))
-    @pytest.mark.parametrize("argument", ("coupling", "theta", "phases"))
-    def test_rejects_a_non_finite_argument(self, argument, bad):
-        # NaN phases used to give maximizer = modulation = nan, a NaN or inf
-        # coupling or theta maximizer = nan
-        args = {"coupling": 0.7, "theta": 0.9, "phases": self.PHASES.copy()}
-        if argument == "phases":
-            args["phases"][5] = bad
-        else:
-            args[argument] = bad
-        with pytest.raises(ValueError, match=f"{argument} must be finite"):
-            qubit_pointer_profile(basis_ket(2, 0), np.diag([1.0, -1.0]), **args)
-
-    @pytest.mark.parametrize(
-        "pre, post, named",
-        (
-            (basis_ket(3, 0), None, "pre has 3, obs has 2"),
-            (basis_ket(2, 0), normalize(np.ones(3)), "pre has 2, post has 3, obs has 2"),
-        ),
-        ids=("pre", "post"),
-    )
-    def test_names_the_argument_of_another_dimension(self, pre, post, named):
-        with pytest.raises(ValueError, match=f"dimensions differ: {named}"):
-            qubit_pointer_profile(pre, np.diag([1.0, -1.0]), 0.7, 0.9, self.PHASES, post=post)
-
-    def test_polar_pointer_flattens_profile(self):
-        rng = np.random.default_rng(76)
-        pre = random_ket(2, rng)
-        obs = random_hermitian(2, rng)
-        scan = qubit_pointer_profile(pre, obs, 0.7, 0.0, self.PHASES)
-        assert scan.modulation < 1e-12
-        assert np.allclose(scan.probabilities, 0.5, atol=1e-12)
-
-
 class TestStateSpaceSpeed:
     def test_eigenstate_is_stationary(self):
         h = np.diag([0.0, 1.0, 3.0])
@@ -1077,6 +937,13 @@ class TestStateSpaceSpeed:
     def test_rejects_a_non_hermitian_hamiltonian_by_name(self):
         with pytest.raises(ValueError, match="hamiltonian of fs_speed_check must be hermitian"):
             fs_speed_check(SPACE.operator("a"), VACUUM, 1e-3)
+
+    @pytest.mark.parametrize("scale", (2.0, 0.5j, 0.0))
+    def test_rejects_a_state_that_is_not_normalized(self, scale):
+        # ψ gives (1.247, 1.247); 2ψ used to give (0, 0) and ψ/2i (0.850, 0.850)
+        h, psi = np.diag([0.0, 1.0, 3.0]), normalize(np.array([1.0, 1.0, 1.0]))
+        with pytest.raises(ValueError, match="state of fs_speed_check must be normalized"):
+            fs_speed_check(h, scale * psi, 1e-3)
 
     def test_rejects_non_positive_step(self):
         with pytest.raises(ValueError):

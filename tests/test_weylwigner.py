@@ -21,7 +21,6 @@ from qpl import (
     delta_product,
     dft,
     displacement,
-    hs_inner,
     normalize,
     parity_operator,
     phase_point,
@@ -141,7 +140,7 @@ def test_hermiticity_and_unit_trace(n):
 @pytest.mark.parametrize("n", BASIS_DIMS)
 def test_orthogonality(n):
     flat = dense_grid(n).reshape(n * n, n * n)
-    gram = flat.conj() @ flat.T  # hs_inner of every pair
+    gram = flat.conj() @ flat.T  # Hilbert-Schmidt inner product tr(A†B) of every pair
     np.testing.assert_allclose(gram, n * np.eye(n * n), atol=1e-9)
 
 
@@ -338,11 +337,6 @@ def test_wigner_validates_input():
         wigner_map(np.eye(2))  # trace 2
     with pytest.raises(ValueError):
         weyl_transform(np.eye(3)[:2])  # not square
-
-
-def test_hs_inner_against_basis():
-    assert hs_inner(phase_point(4, 1, 2), phase_point(4, 1, 2)) == pytest.approx(4.0, abs=1e-10)
-    assert abs(hs_inner(phase_point(4, 1, 2), phase_point(4, 2, 1))) <= 1e-10
 
 
 # --------------------------------------------------------------------------
