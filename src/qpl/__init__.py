@@ -47,11 +47,9 @@ from .coherent import (
 )
 from .fock import FockSpace
 from .weak import (
-    FactoredEvolution,
     PostSelection,
     PreMeasurement,
     WeakConfig,
-    evolve_exact,
     fs_speed_check,
     pancharatnam_phase,
     pre_measurement,

@@ -48,7 +48,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import basis_ket, normalize
+from .linalg import basis_ket
 from .schwinger import _check_dim, _residues, _weyl_word, roots
 
 
@@ -66,7 +66,8 @@ def reference_state(n: int) -> np.ndarray:
     constant column 1/√N, since every v^{j·0} is 1.
     """
     _check_dim(n)
-    return normalize(basis_ket(n, 0) + np.full(n, 1 / np.sqrt(n)))
+    ket = basis_ket(n, 0) + np.full(n, 1 / np.sqrt(n))
+    return ket / np.linalg.norm(ket)
 
 
 def coherent_state(n: int, m, nn) -> np.ndarray:

@@ -65,8 +65,8 @@ def as_hermitian(entries, what: str) -> np.ndarray:
 
 
 def require_same_dims(**arrays) -> None:
-    """Require one length along the first axis of every array given (None skips one)."""
-    lengths = {name: len(a) for name, a in arrays.items() if a is not None}
+    """Require one length along the first axis of every array given."""
+    lengths = {name: len(a) for name, a in arrays.items()}
     if len(set(lengths.values())) > 1:
         raise ValueError("dimensions differ: " + ", ".join(f"{name} has {n}" for name, n in lengths.items()))
 

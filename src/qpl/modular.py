@@ -144,9 +144,7 @@ def nslit_evolve(n: int, samples) -> np.ndarray:
     if samples.ndim != 1 or samples.size == 0:
         raise ValueError("potential samples must form a nonempty 1-D array")
     if np.iscomplexobj(samples):
-        if np.max(np.abs(samples.imag)) > 1e-12:
-            raise ValueError("potential samples must be real")
-        samples = samples.real
+        raise ValueError("potential samples must be real")
     samples = samples.astype(float)
     if not np.all(np.isfinite(samples)):
         raise ValueError("potential samples must be finite")

@@ -4,18 +4,18 @@ A run couples a system observable O to a pointer generator R through the
 exact unitary exp(-i·ε·O⊗R), then post-selects the system on |β⟩.
 
 The pointer is a truncated mode, a `FockSpace`, and a `WeakConfig` names its
-generator R by key in `FockSpace.GENERATORS` and takes R's spectrum (r, W)
-from `FockSpace.spectrum(key)` (no eigendecomposition of pointer size).  The
-config holds the run's one `FactoredEvolution`, shared by its `with_eps`
-copies.  `weak_run` post-selects through it and returns the exact and
-first-order record for readouts named by key; for orthogonal pre and post it
-keeps the exact quantities and sets the weak value and the predictions to
-None.  Every pointer operator has at most two nonzero diagonals, so R·φ and
-each pointer mean ⟨ψ|M|ψ⟩ come from its bands (`FockSpace.apply`), in O(D),
-and a run forms no D×D pointer operator.
+generator R by key in `FockSpace.GENERATORS`.  The config holds the run's one
+private `_FactoredEvolution`, shared by its `with_eps` copies.  `weak_run`
+post-selects through it and returns the exact and first-order record for
+readouts named by key; for orthogonal pre and post it keeps the exact
+quantities and sets the weak value and the predictions to None.  Every
+pointer operator has at most two nonzero diagonals, so R·φ and each pointer
+mean ⟨ψ|M|ψ⟩ come from its bands (`FockSpace.apply`), in O(D), and a run
+forms no D×D pointer operator.
 
-The exact evolution has one implementation, `FactoredEvolution`.  With
-O = V·diag(o)·V† and R = W·diag(r)·W†, the coupling is diagonal in the
+The exact evolution has one implementation, `_FactoredEvolution`.  Only
+`WeakConfig` and `pre_measurement` build it, and they check what they pass.
+With O = V·diag(o)·V† and R = W·diag(r)·W†, the coupling is diagonal in the
 product eigenbasis |o_k⟩⊗|r_j⟩, so |o_k⟩ carries the pointer branch
 W·exp(-i·ε·o_k·r)·W†|φ⟩ and the post-selected pointer is
 
@@ -25,8 +25,8 @@ from one spectrum per factor; no composite matrix is formed.  For the
 diagonal n and h0, W = I and the products with W are skipped.
 `pre_measurement` mixes the branches with weights |⟨o_k|α⟩|².
 `evolve_exact` (np.kron of O and `FockSpace.operator(key)`, then one dense
-eigh of the composite coupling) is called by no request; it stays because
-`perfbench/` wraps it by name.
+eigh of the composite coupling) runs in no request and is not exported from
+`qpl`; it stays here only because `perfbench/` wraps it by name.
 
 For small ε the conditioned pointer mean of an observable M moves by
 
@@ -96,9 +96,8 @@ class WeakConfig:
         for name, value in dict(pre=pre, post=post, obs=obs, pointer=pointer).items():
             object.__setattr__(self, name, value)
         self._set_eps(self.eps)
-        # with_eps copies share both
-        object.__setattr__(self, "_evolution", FactoredEvolution(obs, space.spectrum(key), pre, pointer))
-        object.__setattr__(self, "_r_phi", space._apply(key, pointer))
+        # with_eps copies share it
+        object.__setattr__(self, "_evolution", _FactoredEvolution(obs, space, key, pre, pointer))
 
     def _set_eps(self, eps) -> None:
         if not np.isfinite(eps) or eps < 0:
@@ -131,21 +130,20 @@ def weak_value(cfg: WeakConfig) -> complex:
     return complex(cfg.post.conj() @ cfg.obs @ cfg.pre) / denom
 
 
-class FactoredEvolution:
+class _FactoredEvolution:
     """exp(-i·t·O⊗R)·(|α⟩⊗|φ⟩) from the factor spectra, for any coupling t.
 
-    FactoredEvolution(obs, gen_spectrum, pre, pointer): `gen_spectrum` is
-    the pointer generator as its spectrum, a pair (r, W) with
-    R = W·diag(r)·W† and W unitary, such as `FockSpace.spectrum(key)` or
-    `np.linalg.eigh(R)`; W = None stands for the identity, a diagonal R.
-    The observable is diagonalized here, and ⟨o_k|α⟩ and W†|φ⟩ are taken
-    once at construction; each later call costs an (np × ns) phase table
+    R is the generator `key` of the `FockSpace` `space`, as its cached spectrum
+    (r, W) = `space.spectrum(key)`, W = None for a diagonal R, and R·φ from its
+    bands.  The observable is diagonalized here, and ⟨o_k|α⟩ and W†|φ⟩ are
+    taken once at construction; each later call costs an (np × ns) phase table
     and pointer-side products, and no composite matrix is formed.
     """
 
-    def __init__(self, obs, gen_spectrum, pre, pointer):
+    def __init__(self, obs, space, key, pre, pointer):
         self.obs_values, self.obs_vectors = np.linalg.eigh(obs)
-        self.gen_values, self.gen_vectors = gen_spectrum
+        self.gen_values, self.gen_vectors = space.spectrum(key)
+        self.r_phi = space._apply(key, pointer)  # R·φ
         self.pre_coeffs = self.obs_vectors.conj().T @ pre  # ⟨o_k|α⟩
         # |φ⟩ in the eigenbasis of R
         self.pointer_coeffs = pointer if self.gen_vectors is None else self.gen_vectors.conj().T @ pointer
@@ -190,7 +188,7 @@ def evolve_exact(cfg: WeakConfig) -> np.ndarray:
 def _shift_rate(cfg: WeakConfig, ow: complex, m_phi: np.ndarray) -> complex:
     """ΔM/ε of the first-order formula for a hermitian M, from Mφ; ε·rate is the
     predicted shift at any ε."""
-    phi, r_phi = cfg.pointer, cfg._r_phi
+    phi, r_phi = cfg.pointer, cfg._evolution.r_phi
     # M and R hermitian: ⟨φ|MR|φ⟩ = (Mφ)†·(Rφ) and ⟨φ|RM|φ⟩ = (Rφ)†·(Mφ)
     mr, rm = np.vdot(m_phi, r_phi), np.vdot(r_phi, m_phi)
     anti = mr + rm - 2 * np.vdot(phi, r_phi) * np.vdot(phi, m_phi)
@@ -215,7 +213,7 @@ class WeakRun:
 
 
 def weak_run(cfg: WeakConfig, readouts, halving=False, z=None) -> WeakRun:
-    """Evolve `cfg` exactly, through its `FactoredEvolution`, and to first order.
+    """Evolve `cfg` exactly, through its `_FactoredEvolution`, and to first order.
 
     `readouts` names pointer observables M by key in `FockSpace.GENERATORS`,
     such as ("q", "p").  `shifts[key]` holds the measured and predicted shift
@@ -293,7 +291,7 @@ def pre_measurement(alpha, obs, lam: float, space, pointer=None) -> PreMeasureme
     require_same_dims(alpha=alpha, obs=obs)
     space._fits(phi, "pointer")
     require_finite(lam=lam)
-    evolution = FactoredEvolution(obs, space.spectrum("p"), alpha, phi)
+    evolution = _FactoredEvolution(obs, space, "p", alpha, phi)
     branches = evolution.branches(lam)
     reduced = (branches * np.abs(evolution.pre_coeffs) ** 2) @ branches.conj().T
     # ρ is hermitian: tr(ρ·q) = 2·Re Σ_j b_j·ρ[j+1, j] over the upper q band b, and tr(ρ²) = tr(ρ†·ρ)

@@ -12,16 +12,15 @@ from pathlib import Path
 import qpl
 
 PUBLIC = [
-    "AzState", "CoherentFamily", "CrtMap", "FactoredEvolution", "FockSpace", "PostSelection",
-    "PreMeasurement", "WeakConfig", "WignerMap", "as_ket", "as_operator", "az_state", "basis_ket",
-    "coherent_overlap", "coherent_overlap_closed", "coherent_state", "commutator_expansion",
-    "crt_map", "crt_permutation", "delta_product", "dft", "displacement", "evolve_exact",
-    "expectation", "fs_speed_check", "gauss_trace", "gauss_trace_closed_form",
-    "modular_cell_coords", "momentum_amplitudes", "normalize", "nslit_evolve", "pancharatnam_phase",
-    "parity_operator", "phase_point", "phase_space_symbol", "pre_measurement", "random_density",
-    "random_hermitian", "random_ket", "reference_state", "structure_constants", "symplectic_area",
-    "symplectic_phase", "weak_run", "weak_value", "weyl_reconstruct", "weyl_relation_defect",
-    "weyl_transform", "wigner_map",
+    "AzState", "CoherentFamily", "CrtMap", "FockSpace", "PostSelection", "PreMeasurement",
+    "WeakConfig", "WignerMap", "as_ket", "as_operator", "az_state", "basis_ket", "coherent_overlap",
+    "coherent_overlap_closed", "coherent_state", "commutator_expansion", "crt_map",
+    "crt_permutation", "delta_product", "dft", "displacement", "expectation", "fs_speed_check",
+    "gauss_trace", "gauss_trace_closed_form", "modular_cell_coords", "momentum_amplitudes",
+    "normalize", "nslit_evolve", "pancharatnam_phase", "parity_operator", "phase_point",
+    "phase_space_symbol", "pre_measurement", "random_density", "random_hermitian", "random_ket",
+    "reference_state", "structure_constants", "symplectic_area", "symplectic_phase", "weak_run",
+    "weak_value", "weyl_reconstruct", "weyl_relation_defect", "weyl_transform", "wigner_map",
 ]
 
 
@@ -56,3 +55,14 @@ def test_readme_library_tour_imports_exist():
         found = importlib.import_module(module)
         missing = [name for name in map(str.strip, names.split(",")) if not hasattr(found, name)]
         assert not missing, f"{module} has no {missing}"
+
+
+def test_every_readme_timing_names_its_bench_file():
+    """A README line outside code blocks that gives a time or a rate (a number
+    before ms, µs or requests/s) names the `BENCH_` file that measured it, so
+    no timing outlives the harness run behind it."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    prose = "\n".join(readme.split("```")[::2])
+    timing = re.compile(r"\d\s*(ms|µs|requests/s)\b")
+    unbacked = [line for line in prose.splitlines() if timing.search(line) and "BENCH_" not in line]
+    assert not unbacked, unbacked

@@ -318,6 +318,12 @@ class TestDeterminism:
         assert out_filed == ""  # redirected away from stdout
         assert target.read_text() == out_direct
 
+    @pytest.mark.parametrize("target", ("", "missing/result.json"), ids=("directory", "missing-parent"))
+    def test_out_that_cannot_be_written_is_usage(self, capsys, tmp_path, target):
+        argv = ["gauss-trace", "1", "5", "--out", str(tmp_path / target)]
+        out, err = run_cli(capsys, argv, expect=EXIT_USAGE)
+        assert out == "" and err.startswith("qpl: cannot write output:")
+
     @pytest.mark.parametrize("fmt", ("json", "csv"))
     @pytest.mark.parametrize("command", sorted(RANDOM_RUNS))
     def test_a_random_request_draws_from_its_own_generator(self, capsys, monkeypatch, tmp_path, command, fmt):
@@ -942,6 +948,8 @@ EXIT_CODE_CASES = (
     (["nslit", "--n", "6", "--potential", "0,oops"], EXIT_USAGE),
     # checked before drawing: 2**40 samples would need 8 TiB
     (["nslit", "--n", "6", "--potential", "random", "--period", str(2**40)], EXIT_USAGE),
+    (["nslit", "--n", "6", "--potential", "random", "--period", "0"], EXIT_USAGE),
+    (["nslit", "--n", "6", "--potential", "random", "--period", "-2"], EXIT_USAGE),
     (["nslit", "--n", "0", "--potential", "0"], EXIT_BOUNDS),
     (["structure-constants", "--n", "4"], EXIT_BOUNDS),
     (["structure-constants", "--n", "64"], EXIT_BOUNDS),
@@ -953,6 +961,9 @@ EXIT_CODE_CASES = (
     (["weak", "--config", f"system_dim = {MAX_SYSTEM_DIM + 1}"], EXIT_BOUNDS),
     (["weak", "--config", "pointer_dim = 1"], EXIT_BOUNDS),
     (["weak", "--config", f"pointer_dim = {MAX_POINTER_DIM + 1}"], EXIT_BOUNDS),
+    (["weak", "--config", "obs = diag:1"], EXIT_USAGE),
+    (["weak", "--config", "obs = spin"], EXIT_USAGE),
+    (["weak", "--config", "pointer = squeezed"], EXIT_USAGE),
     (["wigner", "--n", "2", "--state", "amps:0,-0j"], EXIT_USAGE),
 )
 

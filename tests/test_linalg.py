@@ -86,9 +86,9 @@ def test_as_hermitian_sees_a_defect_in_every_band(n):
 
 
 def test_require_same_dims_names_every_length():
-    require_same_dims(psi=np.ones(3), op=np.eye(3), skipped=None)
+    require_same_dims(psi=np.ones(3), op=np.eye(3))
     with pytest.raises(ValueError, match="dimensions differ: psi has 3, op has 2$"):
-        require_same_dims(psi=np.ones(3), op=np.eye(2), skipped=None)
+        require_same_dims(psi=np.ones(3), op=np.eye(2))
 
 
 def test_require_finite_names_the_value():

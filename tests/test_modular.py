@@ -283,8 +283,9 @@ class TestNSlit:
             nslit_evolve(6, np.zeros(4))
 
     def test_rejects_complex_and_non_finite_samples(self):
-        with pytest.raises(ValueError, match="real"):
-            nslit_evolve(6, np.array([0.0, 1.0j]))
+        for samples in (np.array([0.0, 1.0j]), np.array([0.0, 1.0 + 0j])):  # a zero imaginary part too
+            with pytest.raises(ValueError, match="potential samples must be real"):
+                nslit_evolve(6, samples)
         with pytest.raises(ValueError, match="finite"):
             nslit_evolve(6, np.array([0.0, np.nan]))
         with pytest.raises(ValueError):

@@ -15,11 +15,9 @@ from oracles import (
     unitary_exp,
 )
 from qpl import (
-    FactoredEvolution,
     FockSpace,
     WeakConfig,
     basis_ket,
-    evolve_exact,
     expectation,
     fs_speed_check,
     normalize,
@@ -30,6 +28,7 @@ from qpl import (
     weak_run,
     weak_value,
 )
+from qpl.weak import _FactoredEvolution, evolve_exact
 
 POINTER_DIM = 64
 SPACE = FockSpace(POINTER_DIM)
@@ -136,7 +135,7 @@ class TestWeakConfig:
                 assert cfg._evolution.gen_values is values and cfg._evolution.gen_vectors is vectors
                 dense = dense_operator(dim, key)
                 bound = 8 * np.finfo(float).eps * (np.abs(dense) @ np.abs(pointer))
-                assert np.all(np.abs(cfg._r_phi - dense @ pointer) <= bound), key
+                assert np.all(np.abs(cfg._evolution.r_phi - dense @ pointer) <= bound), key
 
     @pytest.mark.parametrize("key", ("num", "a", "x"))
     def test_rejects_a_generator_key_fock_space_does_not_name(self, key):
@@ -383,7 +382,7 @@ class TestFactoredEvolution:
                 pointer=pointer,
                 eps=0.0,
             )
-            evolution = FactoredEvolution(cfg.obs, space.spectrum(gen_key), cfg.pre, cfg.pointer)
+            evolution = _FactoredEvolution(cfg.obs, space, gen_key, cfg.pre, cfg.pointer)
             for eps in (0.0, 1e-3, 0.3, 3.0):
                 oracle = post_select(evolve_dense(cfg.with_eps(eps)), cfg.post, pointer_dim)
                 run = weak_run(cfg.with_eps(eps), ())
@@ -403,18 +402,14 @@ class TestFactoredEvolution:
             eps=EPS,
         )
         with pytest.raises(ValueError, match="zero probability"):
-            FactoredEvolution(cfg.obs, SPACE.spectrum("p"), cfg.pre, cfg.pointer).post_selected(
-                EPS, cfg.post
-            )
+            _FactoredEvolution(cfg.obs, SPACE, "p", cfg.pre, cfg.pointer).post_selected(EPS, cfg.post)
 
     @pytest.mark.parametrize(
         "pointer", (VACUUM, normalize(np.random.default_rng(5).normal(size=POINTER_DIM) + 0j))
     )
     def test_huge_observable_stays_finite(self, pointer):
         """t·r·o is finite although r·o overflows: at t = 0 the pointer comes back unchanged."""
-        evolution = FactoredEvolution(
-            np.diag([1e307, -1e307]), SPACE.spectrum("n"), basis_ket(2, 0), pointer
-        )
+        evolution = _FactoredEvolution(np.diag([1e307, -1e307]), SPACE, "n", basis_ket(2, 0), pointer)
         selected = evolution.post_selected(0.0, basis_ket(2, 0))
         assert np.array_equal(selected.raw, pointer)
         np.testing.assert_allclose(selected.normalized, pointer, rtol=0, atol=1e-15)
