@@ -16,6 +16,11 @@ CSV output is RFC 4180 with a header row.  The QPL_SEED environment
 variable, when set, overrides both the --seed flag and any seed found in
 a config file; every seed given must be a nonnegative integer.
 
+The parsers are built once, at import.  When argv[0] names a subcommand,
+that subcommand's parser alone parses the rest; the top-level parser runs
+for help, usage and an unknown command, and reports arguments left over,
+so messages and exit codes are those of parsing argv with the whole parser.
+
 Exit codes: 0 success, 2 usage or validation error (a negative seed, an
 nslit period that does not divide N, checked before sampling), 3 resource
 bound violation (a weak run that overflows float range), 4 domain
@@ -42,7 +47,7 @@ from .modular import _cell_phase, _momentum_amplitudes, az_state, nslit_evolve
 from .schwinger import _momentum_ket, gauss_trace, gauss_trace_closed_form, weyl_relation_defect
 from .serialize import Block, canonical_json, csv_text
 from .weak import WeakConfig, weak_run, weak_value
-from .weylwigner import _phase_point, _structure_constants, commutator_expansion, wigner_map
+from .weylwigner import _phase_point, _structure_constants, _wigner_map, commutator_expansion
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -224,7 +229,7 @@ def run_wigner(args, seed):
     n = args.n
     _check_range(n, 1, MAX_REGISTER_DIM, "wigner dimension")
     rho = parse_density_selector(args.state, n, _request_rng(seed))
-    wm = wigner_map(rho)
+    wm = _wigner_map(rho)  # rho is built from a checked selector
     values = wm.values
     return [
         Block("values", values, "value"),
@@ -260,7 +265,8 @@ _WEAK_KEYS.update(pointer="vacuum", pointer_dim="64", pointer_gen="p", halving="
 def _read_config(path: str) -> dict[str, str]:
     """Config entries, with the `_WEAK_KEYS` default for every key left out."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file {path!r}: {exc}") from exc
     entries: dict[str, str] = {}
@@ -441,7 +447,8 @@ def run_coherent_gram(args, seed):
 # argument parsing and entry points
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The `qpl` parser, and by name the parser of each subcommand, which it hands the rest of argv."""
     description = "Finite-dimensional phase-space experiments."
     parser = argparse.ArgumentParser(prog="qpl", description=description)
     common = argparse.ArgumentParser(add_help=False)
@@ -500,15 +507,34 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("coherent-gram", run_coherent_gram, header, "coherent overlaps vs their closed form")
     p.add_argument("--n", type=int, required=True, help="register dimension N")
 
-    return parser
+    return parser, sub.choices
 
 
-_PARSER = build_parser()
+def build_parser() -> argparse.ArgumentParser:
+    return _parsers()[0]
+
+
+_PARSER, _COMMANDS = _parsers()
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """`_PARSER.parse_args(argv)`, with a named subcommand parsed by its own parser alone.
+
+    `_PARSER` would hand that parser all of argv after the name and report what it
+    leaves over, so the namespace, every message and every exit code are the same.
+    """
+    if not argv or argv[0] not in _COMMANDS:  # help, usage or an unknown command
+        return _PARSER.parse_args(argv)
+    args, extras = _COMMANDS[argv[0]].parse_known_args(argv[1:])
+    if extras:
+        _PARSER.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
 
 
 def main(argv=None) -> int:
     try:
-        args = _PARSER.parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
     try:

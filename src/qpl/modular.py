@@ -9,18 +9,21 @@ factor — which is possible because the two factors commute.
 
 The n-slit evolution applies a phase mask exp(-i·samples) with a period
 dividing N to the flat momentum ground state; the outgoing momentum
-support then lives on multiples of N/period.
+support then lives on multiples of N/period.  Momentum amplitudes are read
+through F̄ = conj(F), kept read-only for the last TABLE_DIMS = 16
+dimensions like the phase table Φ it is built from (16·N² bytes each).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 
 import numpy as np
 
 from .linalg import as_ket, basis_ket
-from .schwinger import _check_dim, _momentum_ket, _residues, dft
+from .schwinger import TABLE_DIMS, _check_dim, _momentum_ket, _residues, dft
 
 
 def _check_factors(na: int, nb: int):
@@ -162,4 +165,12 @@ def momentum_amplitudes(state) -> np.ndarray:
 
 def _momentum_amplitudes(psi: np.ndarray) -> np.ndarray:
     """F†ψ for a checked or qpl-built complex ket ψ."""
-    return dft(psi.shape[0]).conj().T @ psi
+    return _conjugate_dft(psi.shape[0]).T @ psi
+
+
+@lru_cache(maxsize=TABLE_DIMS)
+def _conjugate_dft(n: int) -> np.ndarray:
+    """Read-only F̄ = conj(dft(n)), whose transpose is F†."""
+    table = dft(n).conj()
+    table.flags.writeable = False
+    return table

@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
+from json.encoder import encode_basestring_ascii as _string  # what json.dumps prints for a str
 from typing import NamedTuple
 
 import numpy as np
@@ -225,30 +225,31 @@ def _array_json(a: np.ndarray) -> str:
     return _fill(_json_template(_JSON_ENTRY[a.dtype.kind], a.shape), a, im_first=True)
 
 
+def _key(key) -> str:
+    if not isinstance(key, str):
+        raise TypeError(f"JSON object keys must be strings, got {key!r}")
+    return _string(key)
+
+
 def _render(obj) -> str:
-    if isinstance(obj, (float, np.floating)):  # the common case, tested first
+    if isinstance(obj, (float, np.floating)):  # the common cases, tested first
         return format_float(obj)
+    if isinstance(obj, (complex, np.complexfloating)):
+        return f'{{"im":{format_float(obj.imag)},"re":{format_float(obj.real)}}}'
     if isinstance(obj, str):
-        return json.dumps(obj)
+        return _string(obj)
     if isinstance(obj, (bool, np.bool_)):
         return "true" if obj else "false"
     if obj is None:
         return "null"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
-    if isinstance(obj, (complex, np.complexfloating)):
-        return _render({"im": obj.imag, "re": obj.real})
     if isinstance(obj, np.ndarray):
         return _array_json(obj)
     if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(_render(item) for item in obj) + "]"
+        return "[" + ",".join(map(_render, obj)) + "]"
     if isinstance(obj, dict):
-        parts = []
-        for key in sorted(obj):
-            if not isinstance(key, str):
-                raise TypeError(f"JSON object keys must be strings, got {key!r}")
-            parts.append(f"{json.dumps(key)}:{_render(obj[key])}")
-        return "{" + ",".join(parts) + "}"
+        return "{" + ",".join(f"{_key(key)}:{_render(obj[key])}" for key in sorted(obj)) + "}"
     raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
 
 

@@ -202,10 +202,15 @@ def wigner_map(rho) -> WignerMap:
     (O(N³) time, O(N²) memory).
     """
     rho = as_hermitian(rho, "wigner map input")
-    n = rho.shape[0]
     tr = complex(np.trace(rho))
     if abs(tr - 1.0) > 1e-10:
         raise ValueError(f"wigner map requires unit trace, got trace {tr:.3g}")
+    return _wigner_map(rho)
+
+
+def _wigner_map(rho: np.ndarray) -> WignerMap:
+    """`wigner_map` of a density operator qpl built or checked: complex, hermitian, unit trace."""
+    n = rho.shape[0]
     grid = _trace_kernel(rho) / n**2
     return WignerMap(dim=n, values=grid.real.copy())
 

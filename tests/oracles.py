@@ -9,9 +9,11 @@ products.  `oracle_payload` rebuilds every number of a `weak` payload from
 these.  The coherent family is built from its definition |m,n⟩ = D_mn|0⟩
 with dense displacement matrices, and `coherent_gram_payload` holds a
 `coherent-gram` payload against its whole N²×N² Gram matrix and the closed
-form at all N⁴ entries.
+form at all N⁴ entries.  `render_json` prints a JSON payload by recursion,
+with `json.dumps` for every string and key.
 """
 
+import json
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -30,6 +32,7 @@ from qpl import (
     weak_value,
 )
 from qpl.linalg import as_hermitian, spectral_exp
+from qpl.serialize import _array_json, format_float
 from qpl.weak import ORTHOGONAL_TOL
 
 
@@ -322,3 +325,35 @@ def coherent_gram_payload(argv) -> dict[str, list[Expected]]:
                 fields[f"{quantity}.dq"] = [Expected(i, 0.0) for i in dq]
             fields[f"{quantity}.value"] = values
     return fields
+
+
+def render_json(obj) -> str:
+    """Canonical JSON text of a payload by the recursive route.
+
+    A string or key goes through `json.dumps`, and a complex number through
+    the dict {"im", "re"}; an array prints as qpl's `_array_json` prints it.
+    """
+    if isinstance(obj, (float, np.floating)):
+        return format_float(obj)
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (complex, np.complexfloating)):
+        return render_json({"im": obj.imag, "re": obj.real})
+    if isinstance(obj, np.ndarray):
+        return _array_json(obj)
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(render_json(item) for item in obj) + "]"
+    if isinstance(obj, dict):
+        parts = []
+        for key in sorted(obj):
+            if not isinstance(key, str):
+                raise TypeError(f"JSON object keys must be strings, got {key!r}")
+            parts.append(f"{json.dumps(key)}:{render_json(obj[key])}")
+        return "{" + ",".join(parts) + "}"
+    raise TypeError(f"cannot serialize object of type {type(obj).__name__}")

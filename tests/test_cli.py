@@ -19,6 +19,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from bytecheck import PARSER_CASES
 from oracles import closed_form_residual
 from qpl import CoherentFamily, cli, dft
 from qpl.cli import (
@@ -1043,6 +1044,24 @@ class TestExitCodes:
         assert main(["--help"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "wigner" in out
+
+    # help on every subcommand, an unknown flag or an extra argument after a valid
+    # command, abbreviated options, `--`, an empty argv, --help and an unknown command
+    @pytest.mark.parametrize("argv", PARSER_CASES, ids=lambda argv: " ".join(argv) or "(empty)")
+    def test_main_parses_as_a_fresh_full_parser_does(self, capsys, monkeypatch, argv):
+        """Same exit code, stdout and stderr as when the whole `qpl` parser parses argv."""
+        ours = main(argv), *capsys.readouterr()
+        monkeypatch.setattr(cli, "_parse_args", lambda argv: cli.build_parser().parse_args(argv))
+        assert (main(argv), *capsys.readouterr()) == ours
+
+    def test_a_named_subcommand_is_parsed_by_its_own_parser_alone(self, capsys, monkeypatch):
+        def whole_parse(*args):
+            raise AssertionError("the qpl parser ran")
+
+        monkeypatch.setattr(cli._PARSER, "parse_args", whole_parse)
+        monkeypatch.setattr(cli._PARSER, "parse_known_args", whole_parse)
+        out, _ = run_cli(capsys, ["gauss-trace", "1", "2", "--format", "csv"])
+        assert out.startswith("n,trace_re,")
 
 
 # A fresh interpreter runs one request, then prints on stderr whether numpy.random was imported.

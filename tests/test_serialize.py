@@ -9,6 +9,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from oracles import render_json
 from qpl import serialize
 from qpl.serialize import KERNEL_CUTOFF, Block, canonical_json, csv_text, format_float
 
@@ -323,3 +324,63 @@ def test_the_cutoff_counts_printed_floats(monkeypatch, a, kernel):
     assert json_text(a) == oracle_json(a)
     assert csv_text(header, [Block("v", a)]) == oracle_csv(header, "v", a, 0)
     assert calls == ([a.size * (2 if a.dtype.kind == "c" else 1)] * 2 if kernel else [])
+
+
+# Payload leaves: every scalar kind `canonical_json` prints, ints past int64 among
+# them, and text with quotes, backslashes, control characters and non-ASCII.
+TEXT = st.text(st.sampled_from('a"\\/\x00\x1f\x7f\n\tλé€\u2028\U0001f600')) | st.text(max_size=8)
+LEAVES = st.one_of(
+    st.floats(),
+    st.floats().map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.complex_numbers(),
+    st.complex_numbers().map(np.complex128),
+    st.booleans(),
+    st.booleans().map(np.bool_),
+    st.none(),
+    st.integers(),
+    st.integers(-(10**30), 10**30),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    TEXT,
+)
+PAYLOADS = st.recursive(
+    LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(TEXT, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+def outcome(render, payload):
+    """What `render(payload)` returns, or the type and message of what it raises."""
+    try:
+        return render(payload)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def printed_payload(payload):
+    return canonical_json([Block("payload", payload)])
+
+
+def oracle_payload(payload):
+    return render_json({"payload": payload}) + "\n"
+
+
+@given(PAYLOADS)
+@example({'q"\\': ["\x00\x1f", "λ", 1j, -0.0, 10**20, -(10**20), np.float32(0.1)]})
+@example([complex(1.5, float("nan")), float("inf")])  # the imaginary part is checked first
+@example({"b": np.complex64(0.1 - 2j), "a": np.bool_(True), "\u2028": None})
+def test_canonical_json_matches_the_recursive_render(payload):
+    assert outcome(printed_payload, payload) == outcome(oracle_payload, payload)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    ({1: 0.5}, {"a": [{None: 1}]}, {"a": 1.0, "b": {(1, 2): "x"}}, {1: 2, "b": 3}, {2.5: 1, 0.5: 2}, {1, 2}),
+)
+def test_unprintable_payloads_raise_as_the_recursive_render_does(payload):
+    with pytest.raises(TypeError) as raised:
+        printed_payload(payload)
+    assert outcome(oracle_payload, payload) == (TypeError, str(raised.value))

@@ -1,11 +1,11 @@
 """The per-dimension phase-space tables: read-only, built once per N, bounded.
 
-`schwinger._phase_table` (Φ) and `weylwigner._weyl_tables` (Φ̄, h, Φ·h/N
-and the shift index tables) depend on nothing but N, and so does
-`coherent._overlap_factors`, the closed-form factor table.  Each is built on
-the first request at a dimension and shared by every later one; what is
-computed from them is not cached, so a cold and a warm call give the same
-array.
+`schwinger._phase_table` (Φ), `weylwigner._weyl_tables` (Φ̄, h, Φ·h/N
+and the shift index tables) and `modular._conjugate_dft` (F̄) depend on
+nothing but N, and so does `coherent._overlap_factors`, the closed-form
+factor table.  Each is built on the first request at a dimension and
+shared by every later one; what is computed from them is not cached, so a
+cold and a warm call give the same array.
 """
 
 import numpy as np
@@ -22,10 +22,11 @@ from qpl import (
 from qpl.cli import MAX_GRAM_DIM, main
 from qpl.coherent import _overlap_factors
 from qpl.fock import _band_table, _spectrum
+from qpl.modular import _conjugate_dft
 from qpl.schwinger import TABLE_DIMS, _phase_table
 from qpl.weylwigner import _weyl_tables
 
-TABLE_CACHES = (_phase_table, _weyl_tables)
+TABLE_CACHES = (_phase_table, _weyl_tables, _conjugate_dft)
 
 # The dimensions the phase-space benchmark workload runs at, and one cycle of
 # its request kinds there: az at each factor pair, nslit and wigner at 64,
@@ -49,7 +50,7 @@ def weyl_arrays(n):
 
 @pytest.mark.parametrize("n", (1, 2, 3, 4, 15, 16))
 def test_every_cached_table_is_read_only(n):
-    for table in (_phase_table(n), *weyl_arrays(n), _overlap_factors(n)):
+    for table in (_phase_table(n), *weyl_arrays(n), _conjugate_dft(n), _overlap_factors(n)):
         with pytest.raises(ValueError, match="read-only"):
             table[(0,) * table.ndim] = 0
 
@@ -66,8 +67,9 @@ def run_quietly(capsys, argv):
         (["structure-constants", "--n", "15"], (_phase_table, _weyl_tables), (_overlap_factors,)),
         # the reference state's momentum column is the constant 1/√N, read from no table
         (["coherent-gram", "--n", "16"], (_overlap_factors,), (_phase_table, _weyl_tables)),
+        (["nslit", "--n", "64", "--potential", "0.5,1.5"], (_phase_table, _conjugate_dft), (_weyl_tables,)),
     ),
-    ids=("wigner", "structure-constants", "coherent-gram"),
+    ids=("wigner", "structure-constants", "coherent-gram", "nslit"),
 )
 def test_repeated_requests_build_each_table_once(capsys, clear_qpl_caches, argv, built, unused):
     for _ in range(3):
@@ -123,6 +125,7 @@ def test_table_bytes_match_the_documented_bound():
     """The bytes the module docstrings and the README state, at N = 64 and N = 16."""
     assert _phase_table(64).nbytes == 64 * 2**10
     assert _phase_table(16).nbytes == 4 * 2**10
+    assert _conjugate_dft(64).nbytes == 64 * 2**10
     # the Weyl tables share schwinger's Φ and add 72·N² bytes
     assert _weyl_tables(64).phases is _phase_table(64)
     for n in (16, 64):
@@ -133,7 +136,7 @@ def test_table_bytes_match_the_documented_bound():
 
 def test_pool_dimensions_never_evict_each_other(clear_qpl_caches):
     assert TABLE_DIMS >= len(POOL_DIMS)
-    for table in (_phase_table, _weyl_tables):
+    for table in TABLE_CACHES:
         for n in POOL_DIMS * 2:
             table(n)
         assert table.cache_info().misses == len(POOL_DIMS)

@@ -11,7 +11,9 @@ draws a corpus of argv from SEED (default 7) and runs each one through
 invalid ones (usage, bounds and degeneracy errors, exit codes 2, 3 and 4),
 every coherent-gram N from 1 to its cap at each seed, and now and then a
 label past int64 (±10²⁰) in `coherent:m,n`, the az `j sigma` and the
-structure-constants `--a`/`--b`.
+structure-constants `--a`/`--b`.  A fixed list, `PARSER_CASES`, adds argv
+that the argument parser rejects or prints help for, or reads through an
+abbreviated option or after `--`.
 For each subcommand it prints the number of runs, the count per exit code
 and a sha256 over (argv, exit code, stdout, stderr) of every run in corpus
 order.  A run where `main` raises is recorded, not fatal: its exit code is
@@ -206,23 +208,6 @@ def _weak(rng: random.Random) -> list[str]:
     return argv
 
 
-# argv that argparse itself rejects, or that print help
-PARSER_CASES = (
-    [],
-    ["--help"],
-    ["frobnicate"],
-    ["wigner", "--help"],
-    ["wigner", "--n", "3"],
-    ["wigner", "--n", "three", "--state", "u0"],
-    ["gauss-trace", "5"],
-    ["az", "2", "3", "1"],
-    ["nslit", "--n", "4"],
-    ["structure-constants"],
-    ["coherent-gram", "--n", "2", "--seed", "x"],
-    ["weak"],
-)
-
-
 # subcommand -> (argv maker, number of argv drawn per seed)
 MAKERS = {
     "wigner": (_wigner, 160),
@@ -233,6 +218,37 @@ MAKERS = {
     "structure-constants": (_structure_constants, 70),
     "coherent-gram": (_coherent_gram, 40),
 }
+
+
+# argv that argparse itself rejects or prints help for, or that it reads
+# through an abbreviated option or after `--`
+PARSER_CASES = (
+    [],
+    ["--help"],
+    ["-h"],
+    ["frobnicate"],
+    ["--", "wigner", "--n", "2", "--state", "u0"],
+    ["wigner", "--help"],
+    ["wigner", "--n", "3"],
+    ["wigner", "--n", "three", "--state", "u0"],
+    ["gauss-trace", "5"],
+    ["az", "2", "3", "1"],
+    ["nslit", "--n", "4"],
+    ["structure-constants"],
+    ["coherent-gram", "--n", "2", "--seed", "x"],
+    ["weak"],
+    *([command, "-h"] for command in MAKERS),
+    ["wigner", "--n", "3", "--state", "u0", "--bogus"],
+    ["wigner", "--n", "3", "--state", "u0", "extra"],
+    ["gauss-trace", "1", "3", "4"],
+    ["coherent-gram", "--n", "2", "coherent-gram"],
+    ["wigner", "--n", "2", "--state", "u0", "--form", "csv"],
+    ["wigner", "--sta", "u0", "--n", "2"],
+    ["nslit", "--n", "4", "--pot=0.5,1.5", "--per", "2"],
+    ["gauss-trace", "--", "1", "3"],
+    ["az", "--", "2", "3", "1", "-1"],
+    ["wigner", "--n", "2", "--", "--state", "u0"],
+)
 
 
 def corpus(seed: int) -> tuple[list[tuple[str, list[str]]], dict[str, str]]:
